@@ -11,6 +11,7 @@ from .core import (
     ValueSet,
     bilevel_corner_oracle,
     bottom_sum_variational,
+    descending_order,
     ranked_range_average,
     ranked_range_sum,
     sort_descending,
@@ -64,12 +65,10 @@ from .optim import (
     BinaryMarginLoss,
     LambdaPair,
     SoftmaxLoss,
-    TKMLDataLoss,
     TKMLSampleLoss,
     TrainConfig,
     TrainReport,
     TrainingDiverged,
-    adaptive_k,
     auto_train,
     dca_train,
     estimate_noise_count,

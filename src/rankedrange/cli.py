@@ -83,10 +83,10 @@ from .optim import (
     TKMLSampleLoss,
     TrainConfig,
     TrainingDiverged,
-    _holdout_error,
     auto_train,
     dca_train,
     estimate_noise_count,
+    holdout_error,
     make_loss_spec,
     multilabel_lr_train,
     sgd_average_train,
@@ -335,11 +335,6 @@ def _as_labelsets(data: Dataset) -> Dataset:
                    data.provenance + "; singleton label sets")
 
 
-def _model_params(model):
-    W = model.weights
-    return W, model.bias
-
-
 def _best_of_restarts(train_data, validation_data, loss_spec, base: TrainConfig,
                       restarts: int, seed: int):
     """Seeded random restarts; the validation error picks the winner."""
@@ -349,8 +344,8 @@ def _best_of_restarts(train_data, validation_data, loss_spec, base: TrainConfig,
                       init_scale=0.0 if rst == 0 else 0.5)
         report = dca_train(train_data, loss_spec, cfg,
                            validation_data=validation_data)
-        W, b = _model_params(report.model)
-        ve = _holdout_error(W, b, loss_spec, validation_data)
+        ve = holdout_error(report.model.weights, report.model.bias, loss_spec,
+                           validation_data)
         if best is None or ve < best[0]:
             best = (ve, report)
     return best[1]
@@ -405,10 +400,9 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
         raise ConfigError("aggregate", "lr needs multilabel data")
     if agg == "auto_aorr":
         report = auto_train(tr, va, spec, base)
-        W, b = _model_params(report.model)
         lam_hat = report.lambdas[-1].lam_hat
         extras["noise_estimate"] = estimate_noise_count(
-            spec.losses(W, b, tr), lam_hat)
+            spec.losses(report.model.weights, report.model.bias, tr), lam_hat)
         try:
             extras["true_flips"] = flip_count(tr)
         except ValueError:

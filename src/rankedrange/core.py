@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _as_values(values) -> np.ndarray:
-    arr = np.asarray(getattr(values, "values", values), dtype=np.float64)
+def as_values(values) -> np.ndarray:
+    """The values (or a ValueSet's) as a checked non-empty finite 1-D array."""
+    arr =np.asarray(getattr(values, "values", values), dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"expected a non-empty 1-D value set, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -29,7 +30,7 @@ class ValueSet:
     values: np.ndarray
 
     def __init__(self, values):
-        object.__setattr__(self, "values", _as_values(values))
+        object.__setattr__(self, "values", as_values(values))
 
     def __len__(self) -> int:
         return self.values.size
@@ -60,16 +61,21 @@ class RankedRange:
         return self.k - self.m
 
 
+def descending_order(values) -> np.ndarray:
+    """Indices that sort the values descending, ties by ascending index."""
+    # stable sort on -arr keeps the earliest index first among ties
+    return np.argsort(-as_values(values), kind="stable")
+
+
 def sort_descending(values) -> np.ndarray:
     """Sort a copy in descending order, ties by ascending original index."""
-    arr = _as_values(values)
-    # stable sort on -arr keeps the earliest index first among ties
-    return arr[np.argsort(-arr, kind="stable")]
+    arr = as_values(values)
+    return arr[descending_order(arr)]
 
 
 def top_k_sum(values, k: int) -> float:
     """Sum of the k largest entries (empty sum for k=0)."""
-    arr = _as_values(values)
+    arr = as_values(values)
     n = arr.size
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range for value set of size n={n}")
@@ -84,7 +90,7 @@ def ranked_range_sum(values, r: RankedRange) -> float:
     Computed as the difference of two top sums so the identity with
     ``top_k_sum`` holds exactly, in the same summation order.
     """
-    arr = _as_values(values)
+    arr = as_values(values)
     r.validate(arr.size)
     return top_k_sum(arr, r.k) - top_k_sum(arr, r.m)
 
@@ -100,7 +106,7 @@ def topk_variational_objective(values, k: int, lam: float) -> float:
     Minimized over lam this equals ``top_k_sum(values, k)``, attained at
     lam = k-th largest value.
     """
-    arr = _as_values(values)
+    arr = as_values(values)
     if not 0 <= k <= arr.size:
         raise ValueError(f"k={k} out of range for value set of size n={arr.size}")
     return float(k * lam + np.sum(np.maximum(arr - lam, 0.0)))
@@ -112,7 +118,7 @@ def bottom_sum_variational(values, m: int, lam: float) -> float:
     Maximized over lam this equals the sum of all but the m largest values,
     attained at lam = m-th largest value (any lam >= max for m = 0).
     """
-    arr = _as_values(values)
+    arr = as_values(values)
     n = arr.size
     if not 0 <= m < n:
         raise ValueError(f"m={m} out of range for value set of size n={n}")
@@ -127,7 +133,7 @@ def bilevel_corner_oracle(values, r: RankedRange, max_n: int = 20) -> float:
     value is the top-(k-m) sum of the selected entries.  Requires
     non-negative values and small n; used as an independent test oracle.
     """
-    arr = _as_values(values)
+    arr = as_values(values)
     n = arr.size
     r.validate(n)
     if np.any(arr < 0):

@@ -9,6 +9,7 @@ frozenset of labels per sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,20 @@ class Dataset:
             return False
         first = self.labels[0] if len(self.labels) else None
         return isinstance(first, (set, frozenset))
+
+    @cached_property
+    def label_matrix(self) -> np.ndarray:
+        """Read-only n x l boolean matrix: entry (i, j) is True when label
+        j + 1 belongs to sample i (one-hot for class labels, the +1 class
+        for binary labels)."""
+        if self.is_multilabel:
+            M = np.zeros((self.n, self.l), dtype=bool)
+            for i, ys in enumerate(self.labels):
+                M[i, [y - 1 for y in ys]] = True
+        else:
+            M = self.labels[:, None] == np.arange(1, self.l + 1)
+        M.flags.writeable = False
+        return M
 
     @property
     def n(self) -> int:

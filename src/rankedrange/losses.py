@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RankedRange, _as_values, sort_descending
+from .core import RankedRange, as_values, sort_descending
 
 _LN2 = math.log(2.0)
 
@@ -142,7 +142,7 @@ def tkml_aorr_objective(losses, lam: float, lam_hat: float, r: RankedRange) -> f
     Its saddle value over (lam, lam_hat) equals the ranked-range average of
     the losses.
     """
-    arr = _as_values(losses)
+    arr = as_values(losses)
     n = arr.size
     r.validate(n)
     inner = np.maximum(lam_hat - np.maximum(arr - lam, 0.0), 0.0)

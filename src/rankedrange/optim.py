@@ -1,7 +1,10 @@
 """Trainers: difference-of-convex descent on ranked-range objectives,
 validation-driven threshold learning, the combined sample/label minimax
-updates, an average-loss baseline, and the adaptive-k schedule.
+updates, and an average-loss baseline.
 
+Every loss spec has one batched method, ``value_and_grad``, giving the loss
+of each requested row and its derivative with respect to the row's scores;
+the trainers turn those into parameter gradients through ``_chain_rule``.
 All trainers are deterministic functions of (data, config.seed).
 """
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RankedRange, _as_values, sort_descending
+from .core import RankedRange, as_values, descending_order, sort_descending
 from .data import Dataset
 from .losses import (
     MarginLossKind,
@@ -74,91 +77,57 @@ class TrainReport:
 
 
 # ---------------------------------------------------------------------------
-# loss specs: per-sample losses and (sub)gradients for the linear model
+# loss specs: per-row losses and their derivatives w.r.t. the row's scores
 
-class BinaryMarginLoss:
+def _take(a, rows):
+    return a if rows is None else a.take(rows, axis=0)
+
+
+def _scores(W, b, X):
+    scores = X @ W.T
+    return scores if b is None else scores + b
+
+
+class _LossSpec:
+    """A loss spec's one batched method is ``value_and_grad(W, b, data,
+    rows=None) -> (values, G)``: the loss of each requested row (every row
+    when ``rows`` is None; a repeated index counts once per occurrence) and
+    G, len(rows) x l, the derivative of each row's loss with respect to that
+    row's scores X @ W.T + b."""
+
+    def losses(self, W, b, data: Dataset) -> np.ndarray:
+        return self.value_and_grad(W, b, data)[0]
+
+
+class BinaryMarginLoss(_LossSpec):
     """Individual margin loss s(y * f(x)) for l = 1 models."""
 
     def __init__(self, kind: MarginLossKind):
         self.kind = kind
         self.name = kind.value
 
-    def losses(self, W, b, data: Dataset) -> np.ndarray:
-        margins = data.labels * (data.features @ W[0] + (b[0] if b is not None else 0.0))
-        values, _ = margin_loss_vec(self.kind, margins)
-        return values
-
-    def grad_masked(self, W, b, data: Dataset, mask) -> tuple:
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            return np.zeros_like(W), np.zeros(1)
-        X = data.features[idx]
-        y = data.labels[idx]
-        margins = y * (X @ W[0] + (b[0] if b is not None else 0.0))
-        _, derivs = margin_loss_vec(self.kind, margins)
-        coeff = derivs * y
-        gW = (coeff @ X)[None, :]
-        return gW, np.array([coeff.sum()])
-
-    def grad_single(self, W, b, data: Dataset, i: int) -> tuple:
-        x = data.features[i]
-        y = data.labels[i]
-        margin = y * (x @ W[0] + (b[0] if b is not None else 0.0))
-        values, derivs = margin_loss_vec(self.kind, np.array([margin]))
-        coeff = derivs[0] * y
-        return float(values[0]), (coeff * x)[None, :], np.array([coeff])
+    def value_and_grad(self, W, b, data: Dataset, rows=None) -> tuple:
+        y = _take(data.labels, rows)
+        scores = _scores(W, b, _take(data.features, rows))[:, 0]
+        values, derivs = margin_loss_vec(self.kind, y * scores)
+        return values, (derivs * y)[:, None]
 
 
-class SoftmaxLoss:
+class SoftmaxLoss(_LossSpec):
     """Softmax cross-entropy for multi-class models (labels 1..l)."""
 
     name = "softmax"
 
-    def losses(self, W, b, data: Dataset) -> np.ndarray:
-        scores = data.features @ W.T
-        if b is not None:
-            scores = scores + b
+    def value_and_grad(self, W, b, data: Dataset, rows=None) -> tuple:
+        scores = _scores(W, b, _take(data.features, rows))
         shifted = scores - scores.max(axis=1, keepdims=True)
         logz = np.log(np.sum(np.exp(shifted), axis=1))
-        true = shifted[np.arange(data.n), data.labels - 1]
-        return logz - true
-
-    def _probs(self, W, b, X):
-        scores = X @ W.T
-        if b is not None:
-            scores = scores + b
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
-
-    def grad_masked(self, W, b, data: Dataset, mask) -> tuple:
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            return np.zeros_like(W), np.zeros(W.shape[0])
-        X = data.features[idx]
-        P = self._probs(W, b, X)
-        P[np.arange(idx.size), data.labels[idx] - 1] -= 1.0
-        return P.T @ X, P.sum(axis=0)
-
-    def grad_single(self, W, b, data: Dataset, i: int) -> tuple:
-        x = data.features[i]
-        P = self._probs(W, b, x[None, :])[0]
-        y = data.labels[i] - 1
-        value = -np.log(max(P[y], 1e-300))
-        P = P.copy()
-        P[y] -= 1.0
-        return float(value), np.outer(P, x), P
+        onehot = _take(data.label_matrix, rows)
+        probs = np.exp(shifted - logz[:, None])
+        return logz - shifted[onehot], probs - onehot
 
 
-def _labelset_mask(data: Dataset) -> np.ndarray:
-    mask = np.zeros((data.n, data.l), dtype=bool)
-    for i, ys in enumerate(data.labels):
-        for y in ys:
-            mask[i, y - 1] = True
-    return mask
-
-
-class TKMLSampleLoss:
+class TKMLSampleLoss(_LossSpec):
     """Per-sample top-k multi-label loss value and two-label subgradient."""
 
     def __init__(self, kprime: int):
@@ -166,93 +135,24 @@ class TKMLSampleLoss:
             raise ValueError(f"kprime={kprime} must be >= 1")
         self.kprime = kprime
         self.name = f"tkml(k'={kprime})"
-        self._mask_cache = {}
 
-    def _mask_for(self, data: Dataset) -> np.ndarray:
-        key = id(data)
-        if key not in self._mask_cache:
-            if len(self._mask_cache) > 8:
-                self._mask_cache.clear()
-            self._mask_cache[key] = _labelset_mask(data)
-        return self._mask_cache[key]
-
-    def _batch_eval(self, W, b, data: Dataset, idx=None):
-        """(values, rank-(k'+1) label, argmin-true label), all 0-based.
-
-        Ranking ties broken by lowest label index (stable sort on -hinges);
-        the argmin over true labels likewise takes the lowest index.
-        """
-        X = data.features if idx is None else data.features[idx]
-        scores = X @ W.T
-        if b is not None:
-            scores = scores + b
-        mask = self._mask_for(data)
-        if idx is not None:
-            mask = mask[idx]
-        masked = np.where(mask, scores, np.inf)
+    def value_and_grad(self, W, b, data: Dataset, rows=None) -> tuple:
+        """The (k'+1)-th largest per-label hinge; G is +1 on the label at
+        that rank and -1 on the lowest-scored true label where the loss is
+        positive.  Ranking ties go to the lowest label index (stable sort
+        on -hinges), as does the argmin over true labels."""
+        scores = _scores(W, b, _take(data.features, rows))
+        masked = np.where(_take(data.label_matrix, rows), scores, np.inf)
+        at = np.arange(scores.shape[0])
         y_star = np.argmin(masked, axis=1)  # first minimum = lowest index
-        worst_true = masked[np.arange(masked.shape[0]), y_star]
-        hinges = np.maximum(1.0 + scores - worst_true[:, None], 0.0)
-        order = np.argsort(-hinges, axis=1, kind="stable")
-        j_star = order[:, self.kprime]
-        values = hinges[np.arange(hinges.shape[0]), j_star]
-        return values, j_star, y_star
-
-    def losses(self, W, b, data: Dataset) -> np.ndarray:
-        values, _, _ = self._batch_eval(W, b, data)
-        return values
-
-    def _coeff_grad(self, data, idx, values, j_star, y_star, weight=None):
-        """gW, gb from the +1/-1 label coefficients of each selected sample."""
-        X = data.features if idx is None else data.features[idx]
-        active = (values > 0.0) & (j_star != y_star)
-        if weight is not None:
-            active = active & weight
-        A = np.zeros((X.shape[0], data.l))
-        rows = np.flatnonzero(active)
-        A[rows, j_star[rows]] = 1.0
-        A[rows, y_star[rows]] = -1.0
-        return A.T @ X, A.sum(axis=0)
-
-    def grad_masked(self, W, b, data: Dataset, mask) -> tuple:
-        values, j_star, y_star = self._batch_eval(W, b, data)
-        return self._coeff_grad(data, None, values, j_star, y_star,
-                                weight=np.asarray(mask, dtype=bool))
-
-    def grad_single(self, W, b, data: Dataset, i: int) -> tuple:
-        idx = np.array([i])
-        values, j_star, y_star = self._batch_eval(W, b, data, idx)
-        gW, gb = self._coeff_grad(data, idx, values, j_star, y_star)
-        return float(values[0]), gW, gb
-
-
-class TKMLDataLoss(TKMLSampleLoss):
-    """Mean TKML loss over samples, exposed through its per-sample
-    difference-of-convex split: top-(k'+1) label sum minus top-k' label sum.
-    """
-
-    def phi_grad(self, W, b, data: Dataset, count: int, idx=None) -> tuple:
-        """Gradient of sum_i (top-`count` per-label hinge sum) over `idx`."""
-        X = data.features if idx is None else data.features[idx]
-        scores = X @ W.T
-        if b is not None:
-            scores = scores + b
-        mask = self._mask_for(data)
-        if idx is not None:
-            mask = mask[idx]
-        masked = np.where(mask, scores, np.inf)
-        y_star = np.argmin(masked, axis=1)
-        rows = np.arange(masked.shape[0])
-        worst_true = masked[rows, y_star]
-        hinges = np.maximum(1.0 + scores - worst_true[:, None], 0.0)
-        order = np.argsort(-hinges, axis=1, kind="stable")
-        A = np.zeros_like(hinges)
-        for c in range(count):
-            j = order[:, c]
-            act = hinges[rows, j] > 0.0
-            A[rows[act], j[act]] += 1.0
-        np.subtract.at(A, (rows, y_star), A.sum(axis=1))
-        return A.T @ X, A.sum(axis=0)
+        hinges = np.maximum(1.0 + scores - masked[at, y_star][:, None], 0.0)
+        j_star = np.argsort(-hinges, axis=1, kind="stable")[:, self.kprime]
+        values = hinges[at, j_star]
+        G = np.zeros_like(scores)
+        pos = at[values > 0.0]
+        G[pos, j_star[pos]] = 1.0
+        G[pos, y_star[pos]] -= 1.0
+        return values, G
 
 
 def make_loss_spec(loss_kind: str, kprime: int = 1):
@@ -300,11 +200,31 @@ def _reg_value(W, C):
     return float(np.sum(W ** 2)) / (2.0 * C)
 
 
+def _chain_rule(data: Dataset, rows, G, mask=None) -> tuple:
+    """(gW, gb): gradient of the summed losses of ``rows`` (masked by the 0/1
+    ``mask`` when given), from the score derivatives G that
+    ``value_and_grad`` returned for the same rows."""
+    if mask is not None:
+        G = G * mask[:, None]
+    return G.T @ _take(data.features, rows), G.sum(axis=0)
+
+
+def _average_step(W, b, data: Dataset, loss_spec, eta: float, C: float,
+                  rows=None) -> tuple:
+    """One gradient step on the regularized average loss of ``rows``."""
+    gW, gb = _chain_rule(data, rows, loss_spec.value_and_grad(W, b, data, rows)[1])
+    count = data.n if rows is None else len(rows)
+    W = W - eta * (gW / count + W / C)
+    if b is not None:
+        b = b - eta * gb / count
+    return W, b
+
+
 def phi_subgradient(W, b, data: Dataset, loss_spec, threshold: float) -> tuple:
     """Subgradient of the top-ranked loss sum: sum of per-sample gradients
     over samples whose individual loss strictly exceeds the threshold."""
-    losses = loss_spec.losses(W, b, data)
-    return loss_spec.grad_masked(W, b, data, losses > threshold)
+    values, G = loss_spec.value_and_grad(W, b, data)
+    return _chain_rule(data, None, G, values > threshold)
 
 
 def sorr_objective(W, b, data: Dataset, loss_spec, r: RankedRange, C: float) -> float:
@@ -317,13 +237,11 @@ def sorr_objective(W, b, data: Dataset, loss_spec, r: RankedRange, C: float) -> 
 # ---------------------------------------------------------------------------
 # trainers
 
-def _holdout_error(W, b, loss_spec, data: Dataset):
+def holdout_error(W, b, loss_spec, data: Dataset):
     """Classification error of the current parameters on a holdout set."""
     from .metrics import error_rate
 
-    scores = data.features @ W.T
-    if b is not None:
-        scores = scores + b
+    scores = _scores(W, b, data.features)
     if data.l == 1:
         return error_rate(scores[:, 0], data.labels)
     if data.is_multilabel:
@@ -341,8 +259,7 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
     Each outer round linearizes the subtracted top-m sum through its
     subgradient at the current parameters, then runs stochastic (or full
     batch) steps on the convex surrogate jointly with the top-k threshold
-    variable.  m = 0 recovers average-top-k training.  A TKMLDataLoss spec
-    switches to the per-sample label-level split instead.
+    variable.  m = 0 recovers average-top-k training.
 
     When ``validation_data`` is given, the holdout error is probed every
     ``eval_every`` stochastic steps and the best-scoring parameters are the
@@ -354,75 +271,40 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
     W, b = _init_params(data, config.use_bias, config.init_scale, rng)
     trace, lambdas = [], []
     best = (np.inf, W, b)
+    full = config.batch == 0
+    scale = 1.0 if full else config.batch / data.n
 
-    per_sample_dc = isinstance(loss_spec, TKMLDataLoss)
     for t in range(config.outer_epochs):
-        if per_sample_dc:
-            theta_hat_W, theta_hat_b = loss_spec.phi_grad(W, b, data, loss_spec.kprime)
-        else:
-            losses = loss_spec.losses(W, b, data)
-            if r.m >= 1:
-                # strict indicator against the (m+1)-th largest loss selects
-                # exactly the top m samples when losses are distinct
-                lam_hat = float(sort_descending(losses)[r.m])
-                theta_hat_W, theta_hat_b = loss_spec.grad_masked(
-                    W, b, data, losses > lam_hat)
-            else:
-                theta_hat_W, theta_hat_b = np.zeros_like(W), np.zeros(W.shape[0])
+        # the top-m rows are the first m of the stable descending order, so
+        # tied losses still select exactly m rows
+        values, G = loss_spec.value_and_grad(W, b, data)
+        top = np.zeros(data.n, dtype=bool)
+        top[descending_order(values)[:r.m]] = True
+        theta_hat_W, theta_hat_b = _chain_rule(data, None, G, top)
 
         lam = 0.0
-        if config.batch == 0:
-            for _ in range(config.inner_epochs):
-                if per_sample_dc:
-                    gW, gb = loss_spec.phi_grad(W, b, data, loss_spec.kprime + 1)
-                    gW = (gW - theta_hat_W) / data.n
-                    gb = (gb - theta_hat_b) / data.n
-                    W = W - config.eta_inner * (gW + W / config.C)
-                    if b is not None:
-                        b = b - config.eta_inner * gb
-                    continue
-                else:
-                    losses = loss_spec.losses(W, b, data)
-                    mask = losses > lam
-                    gW, gb = loss_spec.grad_masked(W, b, data, mask)
-                    lam -= config.eta_inner * (r.k - int(mask.sum()))
-                W = W - config.eta_inner * (gW - theta_hat_W + W / config.C)
-                if b is not None:
-                    b = b - config.eta_inner * (gb - theta_hat_b)
-        else:
-            batch = config.batch
-            scale = batch / data.n
-            for step in range(config.inner_epochs):
-                idx = rng.integers(0, data.n, size=batch)
-                gW = np.zeros_like(W)
-                gb = np.zeros(W.shape[0])
-                if per_sample_dc:
-                    gW, gb = loss_spec.phi_grad(W, b, data,
-                                                loss_spec.kprime + 1, idx=idx)
-                else:
-                    active = 0
-                    for i in idx:
-                        s_i, giW, gib = loss_spec.grad_single(W, b, data, i)
-                        if s_i > lam:
-                            gW += giW
-                            gb += gib
-                            active += 1
-                    lam -= config.eta_inner * (r.k * scale - active)
-                W = W - config.eta_inner * (
-                    gW - scale * theta_hat_W + scale * W / config.C)
-                if b is not None:
-                    b = b - config.eta_inner * (gb - scale * theta_hat_b)
-                if validation_data is not None and (step + 1) % eval_every == 0:
-                    ve = _holdout_error(W, b, loss_spec, validation_data)
-                    if ve < best[0]:
-                        best = (ve, W.copy(), None if b is None else b.copy())
+        for step in range(config.inner_epochs):
+            idx = None if full else rng.integers(0, data.n, size=config.batch)
+            values, G = loss_spec.value_and_grad(W, b, data, idx)
+            active = values > lam
+            gW, gb = _chain_rule(data, idx, G, active)
+            lam -= config.eta_inner * (r.k * scale - np.count_nonzero(active))
+            W = W - config.eta_inner * (
+                gW - scale * theta_hat_W + scale * W / config.C)
+            if b is not None:
+                b = b - config.eta_inner * (gb - scale * theta_hat_b)
+            if (not full and validation_data is not None
+                    and (step + 1) % eval_every == 0):
+                ve = holdout_error(W, b, loss_spec, validation_data)
+                if ve < best[0]:
+                    best = (ve, W.copy(), None if b is None else b.copy())
 
         obj = sorr_objective(W, b, data, loss_spec, r, config.C)
         trace.append(_check_finite(obj, t))
         lambdas.append(LambdaPair(lam=float(lam), lam_hat=float("nan")))
 
     if validation_data is not None and best[0] < np.inf:
-        ve = _holdout_error(W, b, loss_spec, validation_data)
+        ve = holdout_error(W, b, loss_spec, validation_data)
         if best[0] < ve:
             W, b = best[1], best[2]
     wall_ms = int((time.perf_counter() - start) * 1000)
@@ -438,24 +320,12 @@ def sgd_average_train(data: Dataset, loss_spec, config: TrainConfig) -> TrainRep
     trace = []
     for epoch in range(config.outer_epochs):
         if config.batch == 0:
-            gW, gb = loss_spec.grad_masked(W, b, data, np.ones(data.n, dtype=bool))
-            gW, gb = gW / data.n, gb / data.n
-            W = W - config.eta_outer * (gW + W / config.C)
-            if b is not None:
-                b = b - config.eta_outer * gb
+            W, b = _average_step(W, b, data, loss_spec, config.eta_outer, config.C)
         else:
-            steps = max(data.n // config.batch, 1)
-            for _ in range(steps):
+            for _ in range(max(data.n // config.batch, 1)):
                 idx = rng.integers(0, data.n, size=config.batch)
-                gW = np.zeros_like(W)
-                gb = np.zeros(W.shape[0])
-                for i in idx:
-                    _, giW, gib = loss_spec.grad_single(W, b, data, i)
-                    gW += giW
-                    gb += gib
-                W = W - config.eta_outer * (gW / config.batch + W / config.C)
-                if b is not None:
-                    b = b - config.eta_outer * gb / config.batch
+                W, b = _average_step(W, b, data, loss_spec, config.eta_outer,
+                                     config.C, idx)
         obj = float(np.mean(loss_spec.losses(W, b, data))) + _reg_value(W, config.C)
         trace.append(_check_finite(obj, epoch))
     wall_ms = int((time.perf_counter() - start) * 1000)
@@ -466,7 +336,7 @@ def sgd_average_train(data: Dataset, loss_spec, config: TrainConfig) -> TrainRep
 def lambda_pair_from_validation(validation_losses) -> LambdaPair:
     """Thresholds from clean validation losses: lam_hat = mean + std,
     lam = mean - 2*std (population std), ordering enforced."""
-    arr = _as_values(validation_losses)
+    arr = as_values(validation_losses)
     mean = float(arr.mean())
     std = float(arr.std())  # population standard deviation
     lam_hat = mean + std
@@ -478,7 +348,7 @@ def lambda_pair_from_validation(validation_losses) -> LambdaPair:
 
 def estimate_noise_count(train_losses, lam_hat: float) -> int:
     """Number of training losses strictly above the learned threshold."""
-    arr = _as_values(train_losses)
+    arr = as_values(train_losses)
     return int(np.sum(arr > lam_hat))
 
 
@@ -499,11 +369,8 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
     best_val = np.inf
     stall = 0
     for epoch in range(config.warmup_epochs):
-        gW, gb = loss_spec.grad_masked(W, b, train_data,
-                                       np.ones(train_data.n, dtype=bool))
-        W = W - config.eta_outer * (gW / train_data.n + W / config.C)
-        if b is not None:
-            b = b - config.eta_outer * gb / train_data.n
+        W, b = _average_step(W, b, train_data, loss_spec, config.eta_outer,
+                             config.C)
         val_mean = float(np.mean(loss_spec.losses(W, b, validation_data)))
         _check_finite(val_mean, epoch)
         if val_mean < best_val - 1e-12:
@@ -519,19 +386,13 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
 
     # phase 2: threshold-driven rounds
     for t in range(config.outer_epochs):
-        train_losses = loss_spec.losses(W, b, train_data)
-        hW, hb = loss_spec.grad_masked(W, b, train_data, train_losses > lam_hat)
+        hW, hb = phi_subgradient(W, b, train_data, loss_spec, lam_hat)
         theta_hat_W, theta_hat_b = hW / train_data.n, hb / train_data.n
-        batch = config.batch if config.batch >= 1 else 1
+        batch = max(config.batch, 1)
         for step in range(config.inner_epochs):
             idx = rng.integers(0, train_data.n, size=batch)
-            gW = np.zeros_like(W)
-            gb = np.zeros(W.shape[0])
-            for i in idx:
-                s_i, giW, gib = loss_spec.grad_single(W, b, train_data, i)
-                if s_i > lam:
-                    gW += giW
-                    gb += gib
+            values, G = loss_spec.value_and_grad(W, b, train_data, idx)
+            gW, gb = _chain_rule(train_data, idx, G, values > lam)
             W = W - config.eta_inner * (
                 gW / batch - theta_hat_W + W / (config.C * train_data.n))
             if b is not None:
@@ -569,10 +430,7 @@ def tkml_aorr_train(data: Dataset, config: TrainConfig) -> TrainReport:
         # average-loss warm start, then place the thresholds at the
         # analytic saddle of the warmed-up loss distribution
         for _ in range(config.warmup_epochs):
-            gW, gb = loss_spec.grad_masked(W, b, data, np.ones(data.n, dtype=bool))
-            W = W - config.eta_outer * (gW / data.n + W / config.C)
-            if b is not None:
-                b = b - config.eta_outer * gb / data.n
+            W, b = _average_step(W, b, data, loss_spec, config.eta_outer, config.C)
         srt = sort_descending(loss_spec.losses(W, b, data))
         lam = float(srt[r.k - 1])
         lam_hat = float((srt[r.m - 1] if r.m >= 1 else srt[0]) - lam)
@@ -583,11 +441,10 @@ def tkml_aorr_train(data: Dataset, config: TrainConfig) -> TrainReport:
         else:
             idx = None
             scale = 1.0
-        s, j_star, y_star = loss_spec._batch_eval(W, b, data, idx)
+        s, G = loss_spec.value_and_grad(W, b, data, idx)
         keep = lam_hat > np.maximum(s - lam, 0.0)
-        above = s > lam
-        both = keep & above
-        gW, gb = loss_spec._coeff_grad(data, idx, s, j_star, y_star, weight=both)
+        both = keep & (s > lam)
+        gW, gb = _chain_rule(data, idx, G, both)
         W = W - config.eta_inner * (scale * gW / width + W / config.C)
         if b is not None:
             b = b - config.eta_inner * scale * gb / width
@@ -613,18 +470,13 @@ def multilabel_lr_train(data: Dataset, config: TrainConfig) -> TrainReport:
     if not data.is_multilabel:
         raise ValueError("multilabel_lr_train requires multi-label data")
     start = time.perf_counter()
-    Y = np.zeros((data.n, data.l))
-    for i, ys in enumerate(data.labels):
-        for y in ys:
-            Y[i, y - 1] = 1.0
+    Y = data.label_matrix.astype(np.float64)
     W = np.zeros((data.l, data.d))
     b = np.zeros(data.l) if config.use_bias else None
     trace = []
     X = data.features
     for epoch in range(config.outer_epochs):
-        scores = X @ W.T
-        if b is not None:
-            scores = scores + b
+        scores = _scores(W, b, X)
         P = 1.0 / (1.0 + np.exp(-np.clip(scores, -500, 500)))
         G = (P - Y) / data.n
         W = W - config.eta_outer * (G.T @ X + W / config.C)
@@ -636,15 +488,3 @@ def multilabel_lr_train(data: Dataset, config: TrainConfig) -> TrainReport:
     model = LinearModel(weights=W, bias=b, meta={"loss_kind": "multilabel_lr"})
     return TrainReport(model, trace, [], wall_ms, config.seed)
 
-
-_ADAPTIVE_STEPS = ((0.995, 32), (0.95, 16), (0.90, 8), (0.80, 4), (0.70, 2))
-
-
-def adaptive_k(train_accuracy: float, n: int) -> int:
-    """Shrink k as training accuracy rises: n, n/2, n/4, ..., n/32."""
-    if not 0.0 <= train_accuracy <= 1.0:
-        raise ValueError(f"accuracy {train_accuracy} outside [0, 1]")
-    for threshold, divisor in _ADAPTIVE_STEPS:
-        if train_accuracy >= threshold:
-            return n // divisor
-    return n

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RankedRange, _as_values, top_k_sum
+from .core import RankedRange, as_values, top_k_sum
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def empirical_cvar(values, alpha: float) -> float:
     otherwise the piecewise-linear objective is minimized exactly over its
     breakpoints (the data values).
     """
-    arr = _as_values(values)
+    arr = as_values(values)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha={alpha} outside (0, 1]")
     n = arr.size
@@ -61,7 +61,7 @@ def empirical_icvar(values, levels: RiskLevelPair) -> float:
     sum divided by n; non-integral ranks fall back to the nearest integer
     rank with a warning.
     """
-    arr = _as_values(values)
+    arr = as_values(values)
     n = arr.size
     for level, name in ((levels.nu, "nu"), (levels.mu, "mu")):
         if level > 0 and abs(n * level - round(n * level)) > 1e-9:

@@ -10,7 +10,6 @@ from rankedrange import (
     SyntheticSpec,
     TKMLSampleLoss,
     TrainConfig,
-    adaptive_k,
     auto_train,
     dca_train,
     estimate_noise_count,
@@ -27,6 +26,8 @@ from rankedrange import (
     tkml_loss_subgrad,
 )
 from rankedrange.core import top_k_sum
+from rankedrange.losses import MarginLossKind, margin_loss, softmax_loss_grad
+from rankedrange.optim import _chain_rule
 
 
 def small_binary(seed=0, n=40):
@@ -48,7 +49,7 @@ def test_phi_subgradient_threshold_extremes():
     gW, _ = phi_subgradient(W, b, data, spec, float(losses.max()) + 1.0)
     assert np.all(gW == 0.0)
     gW_all, gb_all = phi_subgradient(W, b, data, spec, float(losses.min()) - 1.0)
-    gW_full, gb_full = spec.grad_masked(W, b, data, np.ones(data.n, dtype=bool))
+    gW_full, gb_full = _chain_rule(data, None, spec.value_and_grad(W, b, data)[1])
     np.testing.assert_allclose(gW_all, gW_full)
     np.testing.assert_allclose(gb_all, gb_full)
 
@@ -117,6 +118,43 @@ def test_full_range_reduces_to_average_descent():
     obj_gd = sorr_objective(gd.model.weights, gd.model.bias, data, spec,
                             r, cfg.C) / data.n
     assert obj_dca == pytest.approx(obj_gd, abs=1e-3)
+
+
+def test_dca_top_m_subgradient_counts_tied_rows():
+    # every row appears twice, so the 5th and 6th largest losses tie; the
+    # top-m subgradient must still cover exactly m = 5 rows.  Replay one
+    # full-batch step with the scalar oracle.
+    base = small_binary(seed=19, n=8)
+    data = Dataset(np.repeat(base.features, 2, axis=0),
+                   np.repeat(base.labels, 2), 1, "duplicated rows")
+    m, k, eta, C, seed, scale = 5, 12, 0.01, 1e4, 3, 0.5
+    cfg = TrainConfig(m=m, k=k, C=C, eta_inner=eta, outer_epochs=1,
+                      inner_epochs=1, batch=0, seed=seed, init_scale=scale)
+    report = dca_train(data, make_loss_spec("logistic"), cfg)
+
+    rng = np.random.default_rng(seed)  # the trainer's random start
+    W = scale * rng.standard_normal((1, 3))
+    b = scale * rng.standard_normal(1)
+    evals = [margin_loss(MarginLossKind.LOGISTIC, y * (x @ W[0] + b[0]))
+             for x, y in zip(data.features, data.labels)]
+    values = np.array([v for v, _ in evals])
+    order = sorted(range(data.n), key=lambda i: (-values[i], i))
+    assert values[order[m - 1]] == values[order[m]]
+
+    def grad_sum(rows):
+        gW, gb = np.zeros((1, 3)), np.zeros(1)
+        for i in rows:
+            coeff = evals[i][1] * data.labels[i]
+            gW[0] += coeff * data.features[i]
+            gb += coeff
+        return gW, gb
+
+    theta_W, theta_b = grad_sum(order[:m])
+    gW, gb = grad_sum(range(data.n))  # lambda = 0 < every logistic loss
+    np.testing.assert_allclose(report.model.weights,
+                               W - eta * (gW - theta_W + W / C), atol=1e-12)
+    np.testing.assert_allclose(report.model.bias,
+                               b - eta * (gb - theta_b), atol=1e-12)
 
 
 def test_dca_seed_determinism():
@@ -292,7 +330,7 @@ def test_tkml_aorr_kprime_range_checked():
         tkml_aorr_train(data, TrainConfig(m=1, k=5, kprime=4))
 
 
-# --- baselines and schedules ----------------------------------------------
+# --- baselines ------------------------------------------------------------
 
 def test_sgd_average_full_batch_monotone():
     data = small_binary(seed=15)
@@ -315,14 +353,6 @@ def test_sgd_average_separable_data_perfect():
     assert np.all(margins > 0)
 
 
-def test_adaptive_k_schedule():
-    assert adaptive_k(0.85, 1000) == 250
-    assert adaptive_k(0.50, 1000) == 1000
-    assert adaptive_k(0.996, 1000) == 31
-    with pytest.raises(ValueError):
-        adaptive_k(1.5, 1000)
-
-
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(C=0.0)
@@ -343,3 +373,63 @@ def test_tkml_sample_loss_matches_scalar_path():
         scores = W @ data.features[i] + b
         value, _ = tkml_loss_subgrad(scores, LabelSet(data.labels[i], 5), 2)
         assert batch[i] == pytest.approx(value, abs=1e-12)
+
+
+def test_tkml_losses_on_short_lived_subsets():
+    # each subset is dropped right after use, so a later one may reuse its
+    # id(); the label sets must still come from the subset at hand
+    base = gen_multilabel_synthetic(60, 4, 5, seed=20)
+    spec = TKMLSampleLoss(1)
+    rng = np.random.default_rng(21)
+    W = rng.standard_normal((5, 4))
+    b = rng.standard_normal(5)
+    for _ in range(50):
+        idx = rng.choice(base.n, size=10, replace=False)
+        values = spec.losses(W, b, base.subset(idx))
+        for value, i in zip(values, idx):
+            expected, _ = tkml_loss_subgrad(W @ base.features[i] + b,
+                                            LabelSet(base.labels[i], 5), 1)
+            assert value == pytest.approx(expected, abs=1e-12)
+
+
+def _scalar_loss_grad(kind, scores, label, l):
+    """Value and score gradient of one row from the scalar oracles."""
+    if kind in ("logistic", "hinge"):
+        value, deriv = margin_loss(MarginLossKind(kind), label * scores[0])
+        return value, np.array([deriv * label])
+    if kind == "softmax":
+        return softmax_loss_grad(scores, int(label))
+    value, coeffs = tkml_loss_subgrad(scores, LabelSet(label, l), 2)
+    grad = np.zeros(l)
+    for lab, c in coeffs.items():
+        grad[lab - 1] += c
+    return value, grad
+
+
+@pytest.mark.parametrize("kind", ["logistic", "hinge", "softmax", "tkml"])
+def test_value_and_grad_matches_scalar_oracles(kind):
+    if kind == "softmax":
+        data = gen_multiclass_blobs(30, 4, 5, seed=22)
+    elif kind == "tkml":
+        data = gen_multilabel_synthetic(30, 4, 5, seed=22, max_labels=2)
+    else:
+        data = small_binary(seed=22, n=30)
+    spec = make_loss_spec(kind, kprime=2)
+    rng = np.random.default_rng(23)
+    W = rng.standard_normal((data.l, data.d))
+    b = rng.standard_normal(data.l)
+    rows = np.array([3, 7, 7, 0, 12, 3, 29, 3])
+    mask = np.array([1, 1, 0, 1, 1, 0, 1, 1], dtype=bool)
+    values, G = spec.value_and_grad(W, b, data, rows)
+    gW, gb = _chain_rule(data, rows, G, mask)
+
+    expect_W, expect_b = np.zeros_like(W), np.zeros(data.l)
+    for pos, i in enumerate(rows):
+        value, grad = _scalar_loss_grad(kind, W @ data.features[i] + b,
+                                        data.labels[i], data.l)
+        assert values[pos] == pytest.approx(value, abs=1e-12)
+        if mask[pos]:
+            expect_W += np.outer(grad, data.features[i])
+            expect_b += grad
+    np.testing.assert_allclose(gW, expect_W, atol=1e-12)
+    np.testing.assert_allclose(gb, expect_b, atol=1e-12)
