@@ -5,7 +5,10 @@ and byte-identical across re-runs of the same config.
 
 Config files are plain text, one ``key = value`` per line, ``#`` starts a
 comment.  Every key has a default (see ``DEFAULTS``); the resolved config
-is embedded in every report so runs are self-describing.
+is embedded in every report so runs are self-describing.  The keys are the
+fields of the config dataclasses: ``train.f`` and ``noise.f`` name fields
+of TrainConfig and NoiseSpec, any other ``a.b`` names the ExperimentConfig
+field ``a_b``, and each field's annotation picks its value parser.
 
 Keys
 ----
@@ -23,6 +26,7 @@ restarts          random restarts per run for aggregate=aorr (best picked
 base_seed         run i uses seed base_seed + i
 eval_k            k for top-k metrics (multiclass / multilabel)
 noise.mode        none | symmetric | asymmetric_map | multilabel_symmetric
+                  (the other noise.* keys need a mode other than none)
 noise.p           flip probability (train part only)
 noise.map         asymmetric map, e.g. "1:2,2:3"
 noise.seed        offset added to the run seed for the noise draw
@@ -34,11 +38,7 @@ ml.n/.d/.l        multilabel generator dimensions
 ml.min/.max       label-set size range
 ml.noise          score noise of the multilabel generator
 grid.m, grid.k    comma lists: (m, k) grid for aggregate=tkml_aorr
-train.*           any TrainConfig field (train.k, train.m, train.C,
-                  train.eta_outer, train.eta_inner, train.outer_epochs,
-                  train.inner_epochs, train.warmup_epochs, train.batch,
-                  train.kprime, train.patience, train.refresh_every,
-                  train.use_bias, train.init_scale)
+train.*           any TrainConfig field
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure.
@@ -116,15 +116,15 @@ class ExperimentConfig:
     aggregate: str = "average"
     dataset: str = "synthetic"
     format: str = "csv"
-    split: tuple = (0.5, 0.25, 0.25)
+    split: tuple[float, ...] = (0.5, 0.25, 0.25)
     repeats: int = 1
     restarts: int = 1
     base_seed: int = 0
     eval_k: int = 1
     noise: NoiseSpec | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
-    grid_m: tuple = ()
-    grid_k: tuple = ()
+    grid_m: tuple[int, ...] = ()
+    grid_k: tuple[int, ...] = ()
     synth_balanced: bool = True
     synth_outliers: int = 1
     blobs_n: int = 2000
@@ -147,6 +147,8 @@ class ExperimentConfig:
             raise ConfigError("aggregate", f"must be one of {AGGREGATES}")
         if not 2 <= len(self.split) <= 3:
             raise ConfigError("split", "need 2 or 3 fractions")
+        if abs(sum(self.split) - 1.0) > 1e-9:
+            raise ConfigError("split", f"fractions {self.split} do not sum to 1")
         if self.repeats < 1 or self.restarts < 1:
             raise ConfigError("repeats", "repeats and restarts must be >= 1")
         if self.eval_k < 1:
@@ -195,49 +197,63 @@ DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
             if f.name not in ("noise", "train", "split", "grid_m", "grid_k")}
 
 
-def _parse_bool(key, value):
+def _parse_bool(value):
     low = value.strip().lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigError(key, f"expected a boolean, got {value!r}")
+    raise ValueError("expected true/false")
 
 
-def _parse_tuple(value, cast):
-    return tuple(cast(v.strip()) for v in value.split(",") if v.strip())
+def _parse_tuple(cast):
+    return lambda value: tuple(cast(v) for v in value.split(",") if v.strip())
 
 
-def _parse_map(key, value):
-    out = {}
-    try:
-        for item in value.split(","):
-            src, _, dst = item.partition(":")
-            out[int(src)] = int(dst)
-    except ValueError:
-        raise ConfigError(key, f"expected src:dst pairs, got {value!r}") from None
-    return out
+def _parse_map(value):
+    pairs = (item.partition(":") for item in value.split(","))
+    return {int(src): int(dst) for src, _, dst in pairs}
 
 
-_TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-_INT_KEYS = {"repeats", "restarts", "base_seed", "eval_k", "synth_outliers",
-             "blobs_n", "blobs_d", "blobs_l", "ml_n", "ml_d", "ml_l",
-             "ml_min", "ml_max"}
-_FLOAT_KEYS = {"blobs_sep", "ml_noise"}
-_BOOL_KEYS = {"synth_balanced"}
-_KEY_ALIASES = {
-    "synth.balanced": "synth_balanced", "synth.outliers": "synth_outliers",
-    "blobs.n": "blobs_n", "blobs.d": "blobs_d", "blobs.l": "blobs_l",
-    "blobs.sep": "blobs_sep", "ml.n": "ml_n", "ml.d": "ml_d", "ml.l": "ml_l",
-    "ml.min": "ml_min", "ml.max": "ml_max", "ml.noise": "ml_noise",
+# one parser per field annotation of the config dataclasses
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "tuple[float, ...]": _parse_tuple(float),
+    "tuple[int, ...]": _parse_tuple(int),
+    "dict | None": _parse_map,
 }
+_SECTIONS = {"train": TrainConfig, "noise": NoiseSpec}
+
+
+def _parse_value(key: str, annotation: str, value: str):
+    try:
+        return _PARSERS[annotation](value)
+    except ValueError:
+        raise ConfigError(key, f"expected {annotation}, got {value!r}") from None
+
+
+def _config_field(key: str) -> tuple:
+    """(section, field name, annotation) named by a config key: ``train.f``
+    and ``noise.f`` are fields of TrainConfig and NoiseSpec (``noise.map``
+    is ``flip_map``); any other ``a.b`` is the ExperimentConfig field a_b."""
+    section, _, name = key.partition(".")
+    if section in _SECTIONS:
+        cls = _SECTIONS[section]
+        name = "flip_map" if key == "noise.map" else name
+    else:
+        section, cls, name = "", ExperimentConfig, key.replace(".", "_")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    if name not in types:
+        raise ConfigError(key, "unknown key")
+    return section, name, types[name]
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a key=value config document into an ExperimentConfig."""
-    plain: dict = {}
-    train: dict = {}
-    noise: dict = {}
+    parts: dict = {"": {}, "train": {}, "noise": {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -246,51 +262,19 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}", f"expected key = value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        key = _KEY_ALIASES.get(key, key)
-        if key.startswith("train."):
-            name = key[len("train."):]
-            if name not in _TRAIN_FIELDS:
-                raise ConfigError(key, "unknown TrainConfig field")
-            if name == "use_bias":
-                train[name] = _parse_bool(key, value)
-            elif name in ("C", "eta_outer", "eta_inner", "init_scale"):
-                train[name] = float(value)
-            else:
-                train[name] = int(value)
-        elif key.startswith("noise."):
-            name = key[len("noise."):]
-            if name == "mode":
-                noise["mode"] = value
-            elif name == "p":
-                noise["p"] = float(value)
-            elif name == "seed":
-                noise["seed"] = int(value)
-            elif name == "map":
-                noise["flip_map"] = _parse_map(key, value)
-            else:
-                raise ConfigError(key, "unknown noise field")
-        elif key == "split":
-            plain["split"] = _parse_tuple(value, float)
-        elif key in ("grid.m", "grid.k"):
-            plain["grid_m" if key == "grid.m" else "grid_k"] = \
-                _parse_tuple(value, int)
-        elif key in _INT_KEYS:
-            plain[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            plain[key] = float(value)
-        elif key in _BOOL_KEYS:
-            plain[key] = _parse_bool(key, value)
-        elif key in ("task", "loss", "aggregate", "dataset", "format"):
-            plain[key] = value
-        else:
-            raise ConfigError(key, "unknown key")
+        section, name, annotation = _config_field(key)
+        parts[section][name] = _parse_value(key, annotation, value)
+    plain, noise = parts[""], parts["noise"]
     if noise.get("mode", "none") != "none":
         try:
             plain["noise"] = NoiseSpec(**noise)
-        except ValueError as exc:
-            raise ConfigError("noise.mode", str(exc)) from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("noise", str(exc)) from None
+    elif set(noise) - {"mode"}:
+        raise ConfigError("noise.mode", "noise fields are set but there is no "
+                                        "noise mode")
     try:
-        plain["train"] = TrainConfig(**train)
+        plain["train"] = TrainConfig(**parts["train"])
     except ValueError as exc:
         raise ConfigError("train", str(exc)) from None
     return ExperimentConfig(**plain)
@@ -351,6 +335,18 @@ def _best_of_restarts(train_data, validation_data, loss_spec, base: TrainConfig,
     return best[1]
 
 
+def _check_range(cfg: ExperimentConfig, train: TrainConfig, n: int) -> None:
+    """Reject, as a config error, a trainer's (m, k) that does not fit the
+    n training rows."""
+    try:
+        train.ranked_range(n)
+    except ValueError as exc:
+        which = "k" if train.k > n else "m"
+        grid = cfg.loss == "tkml" and getattr(cfg, f"grid_{which}")
+        raise ConfigError(f"{'grid' if grid else 'train'}.{which}",
+                          str(exc)) from None
+
+
 def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
                  seed: int, holdout: Dataset | None = None):
     """Dispatch on (task, aggregate); returns (TrainReport, extras dict)."""
@@ -372,10 +368,11 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
             cfg2 = replace(base, m=0, k=0)
             return dca_train(tr, spec, cfg2, validation_data=va), extras
         if agg in ("atk", "aorr", "tkml_aorr"):
-            ms = cfg.grid_m or (base.m,)
+            ms = (0,) if agg == "atk" else cfg.grid_m or (base.m,)
             ks = cfg.grid_k or (base.k,)
-            if agg == "atk":
-                ms = (0,)
+            for m in ms:
+                for k in ks:
+                    _check_range(cfg, replace(base, m=m, k=k), tr.n)
             best = None
             # select the trimming range on held-out data; the noisy
             # training set saturates once every cell fits the clean part
@@ -419,6 +416,8 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
         base = replace(base, m=0)
     elif agg == "topk":
         base = replace(base, m=base.k - 1)
+    if agg in ("atk", "aorr", "topk"):
+        _check_range(cfg, base, tr.n)
     if agg == "aorr" and cfg.restarts > 1:
         return _best_of_restarts(tr, va, spec, base, cfg.restarts, seed), extras
     return dca_train(tr, spec, base, validation_data=va), extras
@@ -532,12 +531,10 @@ def write_report(report: dict, out_dir: str, name: str) -> tuple:
 # reproduction registry: desk-scale reruns of the published comparisons,
 # reported side by side with the published reference numbers
 
-def _maybe_real(path: str, fallback: str) -> tuple:
+def _maybe_real(path: str, fallback: str) -> str:
     """Use a local CSV copy of the benchmark when present, otherwise the
     documented synthetic stand-in."""
-    if os.path.exists(path):
-        return path, False
-    return fallback, True
+    return path if os.path.exists(path) else fallback
 
 
 def _monk_cfg(aggregate: str, repeats: int = 10, **train_kw) -> ExperimentConfig:
@@ -575,7 +572,7 @@ def _repro_table3(out_dir, subsample, full):
 
 
 def _mnist_like_cfg(aggregate: str, p: float, subsample: int) -> ExperimentConfig:
-    path, _ = _maybe_real("data/mnist.csv", "blobs")
+    path = _maybe_real("data/mnist.csv", "blobs")
     n_total = int(subsample * 1.3)
     if aggregate == "auto_aorr":
         train = TrainConfig(C=1e4, eta_outer=0.4, eta_inner=0.02,
@@ -627,7 +624,7 @@ def _repro_table6(out_dir, subsample, full):
 
 
 def _emotions_cfg(aggregate: str, eval_k: int, repeats: int = 5) -> ExperimentConfig:
-    path, _ = _maybe_real("data/emotions.csv", "multilabel-synth")
+    path = _maybe_real("data/emotions.csv", "multilabel-synth")
     if aggregate == "lr":
         train = TrainConfig(C=1e4, eta_outer=0.5, outer_epochs=1000)
     else:
@@ -699,7 +696,7 @@ def _repro_table10(out_dir, subsample, full):
 
 
 def _yeast_cfg(aggregate: str, repeats: int = 5) -> ExperimentConfig:
-    path, _ = _maybe_real("data/yeast.csv", "multilabel-synth")
+    path = _maybe_real("data/yeast.csv", "multilabel-synth")
     n = 2417
     train = TrainConfig(C=1e4, eta_outer=0.3, eta_inner=0.3, outer_epochs=1000,
                         warmup_epochs=300, batch=0, kprime=4)
@@ -851,7 +848,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="grid sweep over one parameter")
     p.add_argument("--config", required=True)
     p.add_argument("--param", required=True,
-                   help="m | k | kprime | C | eta_inner | eta_outer | p")
+                   help="any config key; a bare TrainConfig field name "
+                        "(m, k, kprime, C, ...) means train.<name>, and p "
+                        "means noise.p")
     p.add_argument("--range", required=True, dest="range_",
                    metavar="START:STOP[:STEP]")
     p.add_argument("--out", default="reports")
@@ -928,24 +927,19 @@ def _parse_range(text: str):
 
 def _cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        base = parse_config(fh.read())
+        text = fh.read()
+    key = args.param
+    if key == "p":
+        key = "noise.p"
+    elif key in {f.name for f in dataclasses.fields(TrainConfig)}:
+        key = f"train.{key}"
     values = _parse_range(args.range_)
-    train_params = {"m", "k", "kprime", "inner_epochs", "outer_epochs", "batch"}
-    float_params = {"C", "eta_inner", "eta_outer", "init_scale"}
+    # each swept value is one more config line, checked like a config file
+    configs = [parse_config(f"{text}\n{key} = "
+                            f"{int(v) if v.is_integer() else repr(v)}\n")
+               for v in values]
     rows, header = [], None
-    for v in values:
-        if args.param in train_params:
-            cfg = replace(base, train=replace(base.train, **{args.param: int(v)}))
-        elif args.param in float_params:
-            cfg = replace(base, train=replace(base.train, **{args.param: v}))
-        elif args.param == "p":
-            if base.noise is None:
-                raise ConfigError("--param", "p sweep needs a noise section")
-            cfg = replace(base, noise=replace(base.noise, p=v))
-        elif args.param == "eval_k":
-            cfg = replace(base, eval_k=int(v))
-        else:
-            raise ConfigError("--param", f"unknown sweep parameter {args.param!r}")
+    for v, cfg in zip(values, configs):
         rep = run_experiment(cfg)
         if header is None:
             header = [args.param] + sorted(rep["aggregates"])
@@ -971,9 +965,12 @@ def _cmd_gen_synth(args) -> int:
 
 def _cmd_noise(args) -> int:
     data = load_dataset(args.data)
-    flip_map = _parse_map("--map", args.map) if args.map else None
-    spec = NoiseSpec(mode=args.mode, p=args.p, flip_map=flip_map,
-                     seed=args.seed)
+    flip_map = _parse_value("--map", "dict | None", args.map) if args.map else None
+    try:
+        spec = NoiseSpec(mode=args.mode, p=args.p, flip_map=flip_map,
+                         seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError("noise", str(exc)) from None
     noisy = inject_noise(data, spec)
     write_csv(noisy, args.out)
     print(f"wrote {args.out} ({flip_count(noisy)} labels flipped)")
@@ -982,7 +979,7 @@ def _cmd_noise(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
-    data = load_dataset(args.data, args.format)
+    data = load_dataset(args.data, args.format, l=model.l)
     scores = predict_matrix(model, data.features)
     if data.is_multilabel:
         metrics = {

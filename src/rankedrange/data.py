@@ -238,6 +238,7 @@ def _load_csv(path, l):
     if not feats:
         raise ValueError(f"{path}: no data rows")
     X = np.array(feats, dtype=np.float64)
+    _check_finite(path, X, [lineno for lineno, _ in rows[1:]])
     if multilabel:
         if l is None:
             l = max(max(ys) for ys in labels) + 1  # keep sets proper subsets
@@ -248,8 +249,15 @@ def _load_csv(path, l):
     return Dataset(X, y, l, f"csv:{path}")
 
 
+def _check_finite(path, X, linenos):
+    """DataParseError at the line of the first row with a NaN or inf."""
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise DataParseError(path, linenos[bad[0]], "non-finite feature value")
+
+
 def _load_libsvm(path, l):
-    feats, labels, d = [], [], 0
+    feats, labels, linenos, d = [], [], [], 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -267,12 +275,14 @@ def _load_libsvm(path, l):
             if row:
                 d = max(d, max(row))
             feats.append(row)
+            linenos.append(lineno)
     if not feats:
         raise ValueError(f"{path}: empty dataset file")
     X = np.zeros((len(feats), d), dtype=np.float64)
     for i, row in enumerate(feats):
         for idx, val in row.items():
             X[i, idx - 1] = val
+    _check_finite(path, X, linenos)
     y = np.array(labels, dtype=np.int64)
     if l is None:
         l = 1 if set(np.unique(y)) <= {-1, 1} else int(y.max())

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,9 +42,6 @@ class LinearModel:
     @property
     def d(self) -> int:
         return self.weights.shape[1]
-
-    def with_weights(self, weights, bias=None) -> "LinearModel":
-        return replace(self, weights=weights, bias=bias)
 
 
 def predict_scores(model: LinearModel, x) -> np.ndarray:

@@ -10,7 +10,6 @@ All trainers are deterministic functions of (data, config.seed).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +71,6 @@ class TrainReport:
     model: LinearModel
     objective_trace: list
     lambdas: list  # LambdaPair per logged epoch (may be empty)
-    wall_ms: int
-    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +262,6 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
     ``eval_every`` stochastic steps and the best-scoring parameters are the
     ones returned (the final iterate is returned otherwise).
     """
-    start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     r = config.ranked_range(data.n)
     W, b = _init_params(data, config.use_bias, config.init_scale, rng)
@@ -307,14 +303,11 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
         ve = holdout_error(W, b, loss_spec, validation_data)
         if best[0] < ve:
             W, b = best[1], best[2]
-    wall_ms = int((time.perf_counter() - start) * 1000)
-    return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas,
-                       wall_ms, config.seed)
+    return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas)
 
 
 def sgd_average_train(data: Dataset, loss_spec, config: TrainConfig) -> TrainReport:
     """(Mini-)batch gradient descent on the regularized average loss."""
-    start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     W, b = _init_params(data, config.use_bias)
     trace = []
@@ -328,9 +321,7 @@ def sgd_average_train(data: Dataset, loss_spec, config: TrainConfig) -> TrainRep
                                      config.C, idx)
         obj = float(np.mean(loss_spec.losses(W, b, data))) + _reg_value(W, config.C)
         trace.append(_check_finite(obj, epoch))
-    wall_ms = int((time.perf_counter() - start) * 1000)
-    return TrainReport(_as_model(W, b, loss_spec, config), trace, [],
-                       wall_ms, config.seed)
+    return TrainReport(_as_model(W, b, loss_spec, config), trace, [])
 
 
 def lambda_pair_from_validation(validation_losses) -> LambdaPair:
@@ -360,7 +351,6 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
     """
     if validation_data.n < 1:
         raise ValueError("validation set must be non-empty")
-    start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     W, b = _init_params(train_data, config.use_bias)
     trace, lambdas = [], []
@@ -406,16 +396,13 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
         obj = float(np.mean(loss_spec.losses(W, b, validation_data)))
         trace.append(_check_finite(obj, t))
 
-    wall_ms = int((time.perf_counter() - start) * 1000)
-    return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas,
-                       wall_ms, config.seed)
+    return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas)
 
 
 def tkml_aorr_train(data: Dataset, config: TrainConfig) -> TrainReport:
     """Simultaneous minimax updates on the combined objective: per-sample
     top-k multi-label losses aggregated through the ranked-range average,
     with joint ascent/descent steps on the two threshold variables."""
-    start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     r = config.ranked_range(data.n)
     if not 1 <= config.kprime < data.l:
@@ -459,9 +446,7 @@ def tkml_aorr_train(data: Dataset, config: TrainConfig) -> TrainReport:
             trace.append(obj)
         else:
             trace.append(float("nan"))
-    wall_ms = int((time.perf_counter() - start) * 1000)
-    return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas,
-                       wall_ms, config.seed)
+    return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas)
 
 
 def multilabel_lr_train(data: Dataset, config: TrainConfig) -> TrainReport:
@@ -469,7 +454,6 @@ def multilabel_lr_train(data: Dataset, config: TrainConfig) -> TrainReport:
     sigmoid scores; the standard multi-label baseline."""
     if not data.is_multilabel:
         raise ValueError("multilabel_lr_train requires multi-label data")
-    start = time.perf_counter()
     Y = data.label_matrix.astype(np.float64)
     W = np.zeros((data.l, data.d))
     b = np.zeros(data.l) if config.use_bias else None
@@ -484,7 +468,6 @@ def multilabel_lr_train(data: Dataset, config: TrainConfig) -> TrainReport:
             b = b - config.eta_outer * G.sum(axis=0)
         bce = np.mean(np.logaddexp(0.0, scores) - Y * scores)
         trace.append(_check_finite(float(bce), epoch))
-    wall_ms = int((time.perf_counter() - start) * 1000)
     model = LinearModel(weights=W, bias=b, meta={"loss_kind": "multilabel_lr"})
-    return TrainReport(model, trace, [], wall_ms, config.seed)
+    return TrainReport(model, trace, [])
 

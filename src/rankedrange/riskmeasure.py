@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RankedRange, as_values, top_k_sum
+from .core import RankedRange, as_values, sort_descending, top_k_sum
 
 
 @dataclass(frozen=True)
@@ -34,24 +34,21 @@ def empirical_cvar(values, alpha: float) -> float:
     """min over lam of lam + (1/(n*alpha)) * sum_i [s_i - lam]_+.
 
     When n*alpha is an integer k this is the mean of the top k values;
-    otherwise the piecewise-linear objective is minimized exactly over its
-    breakpoints (the data values).
+    otherwise the minimum, attained at the (floor(n*alpha) + 1)-th largest
+    value, is (sum of the floor(n*alpha) largest + the fractional part of
+    n*alpha times the next largest) / (n*alpha).
     """
     arr = as_values(values)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha={alpha} outside (0, 1]")
-    n = arr.size
-    k_real = n * alpha
+    k_real = arr.size * alpha
     k = int(round(k_real))
     if abs(k_real - k) < 1e-9 and k >= 1:
         return top_k_sum(arr, k) / k
-    # objective is convex piecewise linear in lam with kinks at the data
-    candidates = np.unique(arr)
-    best = math.inf
-    for lam in candidates:
-        val = lam + np.sum(np.maximum(arr - lam, 0.0)) / k_real
-        best = min(best, float(val))
-    return best
+    whole = math.floor(k_real)
+    srt = sort_descending(arr)
+    tail = float(np.sum(srt[:whole])) + (k_real - whole) * float(srt[whole])
+    return tail / k_real
 
 
 def empirical_icvar(values, levels: RiskLevelPair) -> float:

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from rankedrange import NoiseSpec, TrainConfig
 from rankedrange.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -9,6 +11,8 @@ from rankedrange.cli import (
     ConfigError,
     DEFAULTS,
     REPRO_REGISTRY,
+    ExperimentConfig,
+    _PARSERS,
     _parse_range,
     main,
     parse_config,
@@ -64,6 +68,54 @@ def test_parse_config_unknown_key():
         parse_config("train.bogus = 1")
     with pytest.raises(ConfigError):
         parse_config("just a line without equals")
+
+
+# every field differs from its default, so each key has to take effect
+_EVERY_FIELD = ExperimentConfig(
+    task="multilabel", loss="tkml", aggregate="tkml_aorr", dataset="blobs",
+    format="libsvm", split=(0.6, 0.3, 0.1), repeats=2, restarts=3,
+    base_seed=7, eval_k=2, grid_m=(1, 2), grid_k=(5, 9),
+    synth_balanced=False, synth_outliers=4, blobs_n=50, blobs_d=3, blobs_l=4,
+    blobs_sep=1.5, ml_n=40, ml_d=5, ml_l=7, ml_min=2, ml_max=4,
+    ml_noise=0.25,
+    noise=NoiseSpec(mode="asymmetric_map", p=0.35, flip_map={1: 2, 3: 1},
+                    seed=9),
+    train=TrainConfig(m=3, k=9, kprime=2, C=0.5, eta_outer=0.2,
+                      eta_inner=0.03, outer_epochs=7, inner_epochs=11,
+                      warmup_epochs=13, batch=4, seed=5, patience=6,
+                      refresh_every=8, use_bias=False, init_scale=0.125))
+
+
+def _config_line(key, value):
+    if isinstance(value, tuple):
+        value = ",".join(repr(v) for v in value)
+    elif isinstance(value, dict):
+        value = ",".join(f"{a}:{b}" for a, b in value.items())
+    elif isinstance(value, float):
+        value = repr(value)
+    return f"{key} = {value}\n"
+
+
+def test_every_config_field_is_a_key():
+    lines = []
+    for obj, section in ((_EVERY_FIELD, None), (_EVERY_FIELD.train, "train"),
+                         (_EVERY_FIELD.noise, "noise")):
+        for f in dataclasses.fields(obj):
+            if f.name in ("noise", "train"):
+                continue
+            assert f.type in _PARSERS, f"{f.name}: no parser for {f.type}"
+            value = getattr(obj, f.name)
+            assert value != f.default, f"{f.name} left at its default"
+            if section is None:
+                prefix, _, rest = f.name.partition("_")
+                documented = prefix in ("grid", "synth", "blobs", "ml")
+                key = f"{prefix}.{rest}" if documented else f.name
+            else:
+                name = "map" if f.name == "flip_map" else f.name
+                key = f"{section}.{name}"
+            lines.append(_config_line(key, value))
+    assert len(lines) == 43
+    assert parse_config("".join(lines)) == _EVERY_FIELD
 
 
 def test_invalid_combinations_rejected():
@@ -153,6 +205,61 @@ def test_main_data_errors(tmp_path):
     assert main(["train", "--config", str(cfg2)]) == EXIT_DATA
 
 
+_RUN = ("task = binary\ndataset = synthetic\nsplit = 0.7,0.3\n"
+        "train.batch = 0\ntrain.outer_epochs = 1\ntrain.inner_epochs = 5\n")
+
+
+@pytest.mark.parametrize("line", [
+    "train.k = abc",
+    "repeats = x",
+    "split = a,b",
+    "split = 0.5,0.2",
+    "synth.balanced = maybe",
+    "noise.p = 0.3",  # no noise.mode
+    "noise.mode = symmetric",  # no noise.p
+    "aggregate = atk\ntrain.k = 1000",  # the training part has 140 rows
+])
+def test_main_config_errors_exit_1(tmp_path, line):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(_RUN + line + "\n")
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_non_finite_feature_is_data_error(tmp_path):
+    data_path = tmp_path / "nan.csv"
+    data_path.write_text("label,f0\n1,0.5\n-1,nan\n1,1.5\n-1,-0.5\n")
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_RUN.replace("synthetic", str(data_path)))
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == EXIT_DATA
+
+
+def test_eval_rejects_labels_the_model_cannot_score(tmp_path):
+    data_path = tmp_path / "three.csv"
+    data_path.write_text("label,f0,f1\n1,0.5,1.0\n2,2.0,0.0\n3,1.5,-1.0\n")
+    from rankedrange import LinearModel, save_model
+    import numpy as np
+    model_path = tmp_path / "binary.txt"
+    save_model(LinearModel(weights=np.array([[1.0, 0.0]]),
+                           bias=np.array([0.0])), model_path)
+    assert main(["eval", "--model", str(model_path),
+                 "--data", str(data_path)]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("args", [
+    ["--mode", "asymmetric_map", "--p", "0.1", "--map", "1:x"],
+    ["--mode", "asymmetric_map", "--p", "0.1"],  # no --map
+    ["--p", "1.5"],
+])
+def test_noise_argument_errors_exit_1(tmp_path, args):
+    data_path = tmp_path / "synth.csv"
+    assert main(["gen-synth", "--out", str(data_path)]) == EXIT_OK
+    assert main(["noise", "--data", str(data_path),
+                 "--out", str(tmp_path / "n.csv")] + args) == EXIT_USAGE
+
+
 def test_gen_synth_noise_eval_pipeline(tmp_path, capsys):
     data_path = tmp_path / "synth.csv"
     assert main(["gen-synth", "--out", str(data_path), "--seed", "1"]) == EXIT_OK
@@ -201,6 +308,29 @@ def test_sweep_command(tmp_path):
     lines = (tmp_path / "sweep_k.csv").read_text().splitlines()
     assert lines[0].startswith("k,")
     assert len(lines) == 4
+
+
+def test_sweep_any_key(tmp_path):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_RUN + "aggregate = atk\ntrain.k = 2\n")
+    assert main(["sweep", "--config", str(cfg_path), "--param",
+                 "synth.outliers", "--range", "0:2:2",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / "sweep_synth.outliers.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == ["synth.outliers", "0", "2"]
+
+
+@pytest.mark.parametrize("param, range_", [
+    ("k", "2:3:0.5"),  # a non-integral value for an int key
+    ("p", "0.1:0.2:0.1"),  # no noise.mode in the config
+    ("k", "2:1000:997"),  # k = 999 exceeds the 140 training rows
+    ("bogus", "1:2"),
+])
+def test_sweep_config_errors_exit_1(tmp_path, param, range_):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_RUN + "aggregate = atk\ntrain.k = 2\n")
+    assert main(["sweep", "--config", str(cfg_path), "--param", param,
+                 "--range", range_, "--out", str(tmp_path)]) == EXIT_USAGE
 
 
 def test_registry_names_complete():

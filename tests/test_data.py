@@ -104,6 +104,21 @@ def test_load_csv_malformed_row(tmp_path):
     assert "2" in str(exc.value)  # offending line number reported
 
 
+@pytest.mark.parametrize("format, text", [
+    ("csv", "label,f0,f1\n1,0.5,1.0\n\n-1,2.0,nan\n1,1.5,-1.0\n"),
+    ("csv", "label,f0,f1\n1,0.5,1.0\n\n-1,inf,0.0\n1,1.5,-inf\n"),
+    ("csv", "label,f0,f1\n1,0.5,1.0\n\n-1,2.0,-inf\n1,1.5,-1.0\n"),
+    ("libsvm", "1 1:0.5\n\n2 2:1.0\n1 1:nan 2:1.0\n"),
+    ("libsvm", "1 1:0.5\n\n2 2:1.0\n1 2:inf\n"),
+])
+def test_load_rejects_non_finite_feature(tmp_path, format, text):
+    path = tmp_path / "nonfinite.data"
+    path.write_text(text)
+    with pytest.raises(DataParseError) as exc:
+        load_dataset(path, format=format)
+    assert exc.value.lineno == 4  # the first bad line; blank lines count
+
+
 def test_load_libsvm_sparse(tmp_path):
     path = tmp_path / "sparse.libsvm"
     path.write_text("2 1:0.5 4:1.0\n1 2:2.0\n")

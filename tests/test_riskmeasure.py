@@ -50,6 +50,21 @@ def test_cvar_non_integral_rank_matches_grid():
     assert got <= dense + 1e-12  # exact breakpoint minimum beats the grid
 
 
+def test_cvar_non_integral_rank_ties_match_breakpoint_minimum():
+    # the objective is convex piecewise linear with kinks at the values, so
+    # its minimum is the smallest value over those breakpoints
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        s = rng.integers(0, 4, size=n).astype(float)  # many ties
+        alpha = float(rng.uniform(0.01, 1.0))
+        if abs(n * alpha - round(n * alpha)) < 1e-6:
+            continue
+        brute = min(lam + np.sum(np.maximum(s - lam, 0.0)) / (n * alpha)
+                    for lam in s)
+        assert empirical_cvar(s, alpha) == pytest.approx(brute, abs=1e-12)
+
+
 @given(value_sets, st.floats(min_value=-5, max_value=5, allow_nan=False))
 @settings(max_examples=40)
 def test_cvar_translation_equivariance(vals, c):
