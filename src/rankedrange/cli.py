@@ -91,6 +91,7 @@ from .optim import (
     multilabel_lr_train,
     sgd_average_train,
     tkml_aorr_train,
+    tkml_warm_start,
 )
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -378,9 +379,10 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
             # training set saturates once every cell fits the clean part
             probe = va if va is not None else holdout
             probe = _as_labelsets(probe) if probe is not None else tr
+            start = tkml_warm_start(tr, base)  # shared: (m, k) is not used
             for m in ms:
                 for k in ks:
-                    report = tkml_aorr_train(tr, replace(base, m=m, k=k))
+                    report = tkml_aorr_train(tr, replace(base, m=m, k=k), start)
                     acc = topk_multilabel_accuracy(
                         predict_matrix(report.model, probe.features),
                         probe.labels, cfg.eval_k)

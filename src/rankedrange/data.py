@@ -273,6 +273,9 @@ def _load_libsvm(path, l):
             except ValueError as exc:
                 raise DataParseError(path, lineno, str(exc)) from None
             if row:
+                if min(row) < 1:
+                    raise DataParseError(path, lineno,
+                                         f"feature index {min(row)} is below 1")
                 d = max(d, max(row))
             feats.append(row)
             linenos.append(lineno)

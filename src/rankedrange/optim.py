@@ -124,6 +124,12 @@ class SoftmaxLoss(_LossSpec):
         return logz - shifted[onehot], probs - onehot
 
 
+# hinge-matrix size (rows x labels) from which TKMLSampleLoss ranks labels
+# with argpartition: below it, the few extra numpy calls of its tie check
+# cost more than a stable argsort (measured: about 256 rows at l = 14)
+_PARTITION_MIN_SIZE = 4096
+
+
 class TKMLSampleLoss(_LossSpec):
     """Per-sample top-k multi-label loss value and two-label subgradient."""
 
@@ -143,8 +149,20 @@ class TKMLSampleLoss(_LossSpec):
         at = np.arange(scores.shape[0])
         y_star = np.argmin(masked, axis=1)  # first minimum = lowest index
         hinges = np.maximum(1.0 + scores - masked[at, y_star][:, None], 0.0)
-        j_star = np.argsort(-hinges, axis=1, kind="stable")[:, self.kprime]
-        values = hinges[at, j_star]
+        neg = -hinges
+        if hinges.size < _PARTITION_MIN_SIZE:
+            j_star = neg.argsort(axis=1, kind="stable")[:, self.kprime]
+            values = hinges[at, j_star]
+        else:
+            # argpartition may pick any label holding the rank-(k'+1) value;
+            # only rows where a positive value is tied need the stable order
+            j_star = neg.argpartition(self.kprime, axis=1)[:, self.kprime]
+            values = hinges[at, j_star]
+            tied = (values > 0.0) & (
+                (hinges == values[:, None]).sum(axis=1) > 1)
+            if tied.any():
+                j_star[tied] = neg[tied].argsort(
+                    axis=1, kind="stable")[:, self.kprime]
         G = np.zeros_like(scores)
         pos = at[values > 0.0]
         G[pos, j_star[pos]] = 1.0
@@ -399,36 +417,61 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
     return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas)
 
 
-def tkml_aorr_train(data: Dataset, config: TrainConfig) -> TrainReport:
-    """Simultaneous minimax updates on the combined objective: per-sample
-    top-k multi-label losses aggregated through the ranked-range average,
-    with joint ascent/descent steps on the two threshold variables."""
-    rng = np.random.default_rng(config.seed)
-    r = config.ranked_range(data.n)
+def _tkml_spec(data: Dataset, config: TrainConfig) -> TKMLSampleLoss:
     if not 1 <= config.kprime < data.l:
         raise ValueError(f"kprime={config.kprime} outside 1..{data.l - 1}")
-    loss_spec = TKMLSampleLoss(config.kprime)
-    W, b = _init_params(data, config.use_bias, config.init_scale, rng)
+    return TKMLSampleLoss(config.kprime)
+
+
+def tkml_warm_start(data: Dataset, config: TrainConfig) -> tuple:
+    """(W, b) after the ``config.warmup_epochs`` full-batch average-loss
+    steps that ``tkml_aorr_train`` takes from its seeded start.  They do not
+    depend on ``config.m`` or ``config.k``, so one warm start serves a whole
+    (m, k) grid."""
+    loss_spec = _tkml_spec(data, config)
+    W, b = _init_params(data, config.use_bias, config.init_scale,
+                        np.random.default_rng(config.seed))
+    for _ in range(config.warmup_epochs):
+        W, b = _average_step(W, b, data, loss_spec, config.eta_outer, config.C)
+    return W, b
+
+
+def tkml_aorr_train(data: Dataset, config: TrainConfig,
+                    start: tuple | None = None) -> TrainReport:
+    """Simultaneous minimax updates on the combined objective: per-sample
+    top-k multi-label losses aggregated through the ranked-range average,
+    with joint ascent/descent steps on the two threshold variables.
+
+    ``start`` is ``tkml_warm_start(data, config)`` when the caller already
+    has it; it is computed here otherwise."""
+    rng = np.random.default_rng(config.seed)
+    r = config.ranked_range(data.n)
+    loss_spec = _tkml_spec(data, config)
+    # the seeded start's draws come first in the stream whether or not the
+    # start is given, so the index draws of batch >= 1 follow them
+    _init_params(data, config.use_bias, config.init_scale, rng)
+    W, b = tkml_warm_start(data, config) if start is None else start
     lam = 0.0
     lam_hat = 0.0
     width = r.width
     trace, lambdas = [], []
     if config.warmup_epochs > 0:
-        # average-loss warm start, then place the thresholds at the
-        # analytic saddle of the warmed-up loss distribution
-        for _ in range(config.warmup_epochs):
-            W, b = _average_step(W, b, data, loss_spec, config.eta_outer, config.C)
+        # place the thresholds at the analytic saddle of the warmed-up loss
+        # distribution
         srt = sort_descending(loss_spec.losses(W, b, data))
         lam = float(srt[r.k - 1])
         lam_hat = float((srt[r.m - 1] if r.m >= 1 else srt[0]) - lam)
+    evaluated = None  # value_and_grad of every row at the current (W, b)
     for t in range(config.outer_epochs):
         if config.batch >= 1 and config.batch < data.n:
             idx = rng.integers(0, data.n, size=config.batch)
             scale = data.n / config.batch
+            s, G = loss_spec.value_and_grad(W, b, data, idx)
         else:
             idx = None
             scale = 1.0
-        s, G = loss_spec.value_and_grad(W, b, data, idx)
+            s, G = (loss_spec.value_and_grad(W, b, data) if evaluated is None
+                    else evaluated)
         keep = lam_hat > np.maximum(s - lam, 0.0)
         both = keep & (s > lam)
         gW, gb = _chain_rule(data, idx, G, both)
@@ -440,11 +483,13 @@ def tkml_aorr_train(data: Dataset, config: TrainConfig) -> TrainReport:
             (data.n - r.m) / width - scale * int(keep.sum()) / width)
         lambdas.append(LambdaPair(lam=float(lam), lam_hat=float(lam_hat)))
         if (t + 1) % 10 == 0 or t == config.outer_epochs - 1:
-            full = loss_spec.losses(W, b, data)
-            obj = float(np.sum(sort_descending(full)[r.m:r.k])) / width
+            # a full-batch step after this one reuses the evaluation
+            evaluated = loss_spec.value_and_grad(W, b, data)
+            obj = float(np.sum(sort_descending(evaluated[0])[r.m:r.k])) / width
             _check_finite(obj, t)
             trace.append(obj)
         else:
+            evaluated = None
             trace.append(float("nan"))
     return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas)
 

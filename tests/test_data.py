@@ -127,6 +127,20 @@ def test_load_libsvm_sparse(tmp_path):
     assert data.labels[0] == 2
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("1 0:5.0 1:0.5\n-1 1:1.0 2:2.0\n", 1),
+    ("1 1:0.5\n\n-1 2:1.0 -1:3.0\n", 3),
+], ids=["zero", "negative"])
+def test_load_libsvm_rejects_index_below_1(tmp_path, text, lineno):
+    # indices are 1-based; 0 or a negative index must not wrap around to
+    # the last columns
+    path = tmp_path / "zero.libsvm"
+    path.write_text(text)
+    with pytest.raises(DataParseError) as exc:
+        load_dataset(path, format="libsvm")
+    assert exc.value.lineno == lineno
+
+
 def test_write_csv_roundtrip(tmp_path):
     orig = gen_multilabel_synthetic(20, 4, 5, seed=3)
     path = tmp_path / "rt.csv"

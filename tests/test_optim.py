@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -6,10 +7,13 @@ import pytest
 from rankedrange import (
     Dataset,
     LabelSet,
+    LambdaPair,
+    LinearModel,
     RankedRange,
     SyntheticSpec,
     TKMLSampleLoss,
     TrainConfig,
+    TrainReport,
     auto_train,
     dca_train,
     estimate_noise_count,
@@ -25,9 +29,10 @@ from rankedrange import (
     tkml_aorr_train,
     tkml_loss_subgrad,
 )
+from rankedrange import cli
 from rankedrange.core import top_k_sum
 from rankedrange.losses import MarginLossKind, margin_loss, softmax_loss_grad
-from rankedrange.optim import _chain_rule
+from rankedrange.optim import _PARTITION_MIN_SIZE, _chain_rule
 
 
 def small_binary(seed=0, n=40):
@@ -324,6 +329,94 @@ def test_tkml_aorr_one_step_hand_check():
     assert report.lambdas[0].lam_hat == pytest.approx(lam_hat_next)
 
 
+def _tkml_aorr_reference(data, config):
+    """tkml_aorr_train as one self-contained loop (use_bias only): its own
+    warm-up on every call and a separate objective pass every 10th epoch."""
+    rng = np.random.default_rng(config.seed)
+    r = config.ranked_range(data.n)
+    spec = TKMLSampleLoss(config.kprime)
+    X, n, width = data.features, data.n, r.k - r.m
+    W, b = np.zeros((data.l, data.d)), np.zeros(data.l)
+    if config.init_scale > 0.0:
+        W = config.init_scale * rng.standard_normal((data.l, data.d))
+        b = config.init_scale * rng.standard_normal(data.l)
+    lam = lam_hat = 0.0
+    if config.warmup_epochs > 0:
+        for _ in range(config.warmup_epochs):
+            G = spec.value_and_grad(W, b, data)[1]
+            W = W - config.eta_outer * ((G.T @ X) / n + W / config.C)
+            b = b - config.eta_outer * G.sum(axis=0) / n
+        srt = -np.sort(-spec.losses(W, b, data))
+        lam = float(srt[r.k - 1])
+        lam_hat = float((srt[r.m - 1] if r.m >= 1 else srt[0]) - lam)
+    trace, lambdas = [], []
+    for t in range(config.outer_epochs):
+        idx, scale = np.arange(n), 1.0
+        if 1 <= config.batch < n:
+            idx = rng.integers(0, n, size=config.batch)
+            scale = n / config.batch
+        s, G = spec.value_and_grad(W, b, data, idx)
+        keep = lam_hat > np.maximum(s - lam, 0.0)
+        both = keep & (s > lam)
+        G = G * both[:, None]
+        gW, gb = G.T @ X[idx], G.sum(axis=0)
+        W = W - config.eta_inner * (scale * gW / width + W / config.C)
+        b = b - config.eta_inner * scale * gb / width
+        lam = lam - config.eta_inner * (1.0 - scale * int(both.sum()) / width)
+        lam_hat = lam_hat + config.eta_inner * (
+            (n - r.m) / width - scale * int(keep.sum()) / width)
+        lambdas.append((lam, lam_hat))
+        if (t + 1) % 10 == 0 or t == config.outer_epochs - 1:
+            full = -np.sort(-spec.losses(W, b, data))
+            trace.append(float(np.sum(full[r.m:r.k])) / width)
+        else:
+            trace.append(float("nan"))
+    return trace, lambdas, W, b
+
+
+@pytest.mark.parametrize("batch, init_scale, warmup", [
+    (0, 0.0, 15), (0, 0.2, 15), (16, 0.0, 15), (16, 0.2, 15), (0, 0.2, 0)])
+def test_tkml_aorr_matches_reference_loop(batch, init_scale, warmup):
+    # the trainer reuses the objective pass for the next full-batch step;
+    # that must not change the trace, its NaN positions, or any iterate
+    data = gen_multilabel_synthetic(60, 4, 5, seed=26, max_labels=2)
+    cfg = TrainConfig(m=5, k=40, kprime=2, eta_inner=0.2, eta_outer=0.3,
+                      outer_epochs=33, warmup_epochs=warmup, batch=batch,
+                      init_scale=init_scale, seed=27)
+    trace, lambdas, W, b = _tkml_aorr_reference(data, cfg)
+    report = tkml_aorr_train(data, cfg)
+    np.testing.assert_array_equal(report.objective_trace, trace)
+    assert [(p.lam, p.lam_hat) for p in report.lambdas] == lambdas
+    np.testing.assert_array_equal(report.model.weights, W)
+    np.testing.assert_array_equal(report.model.bias, b)
+
+
+@pytest.mark.parametrize("batch, init_scale", [(0, 0.0), (16, 0.0), (16, 0.2)])
+def test_tkml_aorr_grid_shares_warm_start(monkeypatch, batch, init_scale):
+    # run_experiment trains the warm start once per repeat and hands it to
+    # every (m, k) cell; training each cell from its own warm-up must give
+    # the same report
+    text = (
+        "task = multilabel\nloss = tkml\naggregate = tkml_aorr\n"
+        "dataset = multilabel-synth\nsplit = 0.8, 0.2\nrepeats = 2\n"
+        "eval_k = 2\nml.n = 90\nml.d = 4\nml.l = 5\nml.max = 2\n"
+        "train.kprime = 2\ntrain.outer_epochs = 25\n"
+        "train.warmup_epochs = 12\ntrain.eta_inner = 0.2\n"
+        "train.eta_outer = 0.3\ngrid.m = 4, 9\ngrid.k = 40, 60\n"
+        f"train.batch = {batch}\ntrain.init_scale = {init_scale}\n")
+    cfg = cli.parse_config(text)
+    shared = json.dumps(cli.run_experiment(cfg), sort_keys=True)
+
+    def own_warm_up(data, config, start=None):
+        trace, lambdas, W, b = _tkml_aorr_reference(data, config)
+        model = LinearModel(weights=W, bias=b)
+        return TrainReport(model, trace, [LambdaPair(*p) for p in lambdas])
+
+    monkeypatch.setattr(cli, "tkml_warm_start", lambda data, config: None)
+    monkeypatch.setattr(cli, "tkml_aorr_train", own_warm_up)
+    assert json.dumps(cli.run_experiment(cfg), sort_keys=True) == shared
+
+
 def test_tkml_aorr_kprime_range_checked():
     data = gen_multilabel_synthetic(10, 3, 4, seed=14)
     with pytest.raises(ValueError):
@@ -433,3 +526,48 @@ def test_value_and_grad_matches_scalar_oracles(kind):
             expect_b += grad
     np.testing.assert_allclose(gW, expect_W, atol=1e-12)
     np.testing.assert_allclose(gb, expect_b, atol=1e-12)
+
+
+def _tied_tkml_cases():
+    """Integer features with every row twice, and (W, b) whose scores tie
+    across labels: zero, integer bias only, and integer-rounded W and b."""
+    l = 6
+    base = gen_multilabel_synthetic(400, 3, l, seed=24, max_labels=4)
+    rng = np.random.default_rng(25)
+    X = rng.integers(-2, 3, size=(400, 3)).astype(np.float64)
+    data = Dataset(np.vstack([X, X]), base.labels + base.labels, l, "tied")
+    zero = (np.zeros((l, 3)), np.zeros(l))
+    bias = (np.zeros((l, 3)), np.array([1.0, 0.0, 1.0, 2.0, 0.0, 1.0]))
+    rounded = (np.round(rng.standard_normal((l, 3))),
+               np.round(rng.standard_normal(l)))
+    return data, [zero, bias, rounded]
+
+
+@pytest.mark.parametrize("kprime", range(1, 6))
+def test_tkml_value_and_grad_ties_match_scalar_oracle_exactly(kprime):
+    # the rank-(k'+1) label under ties must be the stable order's lowest
+    # label index, as in the scalar oracle, with no tolerance; the small
+    # index batch takes the argsort path and the others the argpartition
+    # path with its tie fallback
+    data, cases = _tied_tkml_cases()
+    spec = TKMLSampleLoss(kprime)
+    small = np.array([0, 400, 0, 5, 405, 5, 5, 799, 0])
+    large = np.random.default_rng(28).integers(0, data.n, size=data.n)
+    assert small.size * data.l < _PARTITION_MIN_SIZE <= large.size * data.l
+    positive_ties = 0
+    for W, b in cases:
+        scores = data.features @ W.T + b  # integer-valued, so exact
+        for rows in (None, small, large):
+            values, G = spec.value_and_grad(W, b, data, rows)
+            for pos, i in enumerate(range(data.n) if rows is None else rows):
+                value, coeffs = tkml_loss_subgrad(
+                    scores[i], LabelSet(data.labels[i], data.l), kprime)
+                grad = np.zeros(data.l)
+                for lab, c in coeffs.items():
+                    grad[lab - 1] += c
+                assert values[pos] == value
+                np.testing.assert_array_equal(G[pos], grad)
+                hinges = np.maximum(1.0 + scores[i] - min(
+                    scores[i][y - 1] for y in data.labels[i]), 0.0)
+                positive_ties += value > 0.0 and np.sum(hinges == value) > 1
+    assert positive_ties > 0  # the cases do reach the tie rule
