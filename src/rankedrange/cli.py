@@ -294,21 +294,18 @@ def resolved_config(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 # experiment execution
 
-def _load_data(cfg: ExperimentConfig, seed: int) -> Dataset:
-    if cfg.dataset == "monk":
-        return monk_dataset()
-    if cfg.dataset == "synthetic":
-        return gen_synthetic(SyntheticSpec(balanced=cfg.synth_balanced,
-                                           n_outliers=cfg.synth_outliers,
-                                           seed=seed))
-    if cfg.dataset == "blobs":
-        return gen_multiclass_blobs(cfg.blobs_n, cfg.blobs_d, cfg.blobs_l,
-                                    seed=seed, separation=cfg.blobs_sep)
-    if cfg.dataset == "multilabel-synth":
-        return gen_multilabel_synthetic(
-            cfg.ml_n, cfg.ml_d, cfg.ml_l, seed=seed, min_labels=cfg.ml_min,
-            max_labels=cfg.ml_max, score_noise=cfg.ml_noise)
-    return load_dataset(cfg.dataset, cfg.format)
+# the dataset names that stand for a seeded generator rather than a file
+_GENERATORS = {
+    "monk": lambda cfg, seed: monk_dataset(),
+    "synthetic": lambda cfg, seed: gen_synthetic(SyntheticSpec(
+        balanced=cfg.synth_balanced, n_outliers=cfg.synth_outliers, seed=seed)),
+    "blobs": lambda cfg, seed: gen_multiclass_blobs(
+        cfg.blobs_n, cfg.blobs_d, cfg.blobs_l, seed=seed,
+        separation=cfg.blobs_sep),
+    "multilabel-synth": lambda cfg, seed: gen_multilabel_synthetic(
+        cfg.ml_n, cfg.ml_d, cfg.ml_l, seed=seed, min_labels=cfg.ml_min,
+        max_labels=cfg.ml_max, score_noise=cfg.ml_noise),
+}
 
 
 def _as_labelsets(data: Dataset) -> Dataset:
@@ -448,9 +445,12 @@ def _thin(seq, limit=50):
     return [seq[i] for i in idx]
 
 
-def _single_run(cfg: ExperimentConfig, run: int) -> dict:
+def _single_run(cfg: ExperimentConfig, run: int, data: Dataset | None) -> dict:
+    """One seeded repeat on ``data``, a loaded file; when it is None, on the
+    dataset that the generator named by ``cfg.dataset`` makes for the seed."""
     seed = cfg.base_seed + run
-    data = _load_data(cfg, seed)
+    if data is None:
+        data = _GENERATORS[cfg.dataset](cfg, seed)
     parts = split_dataset(data, cfg.split, seed=seed)
     parts, _, _ = standardize(*parts)
     tr, te = parts[0], parts[-1]
@@ -480,7 +480,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     byte-identical across re-runs.  When ``out_dir`` is given, writes
     ``<name>.json`` and ``<name>.csv`` there.
     """
-    runs = [_single_run(cfg, i) for i in range(cfg.repeats)]
+    # a file's contents do not depend on the seed: one load serves every repeat
+    data = None
+    if cfg.dataset not in _GENERATORS:
+        data = load_dataset(cfg.dataset, cfg.format)
+    runs = [_single_run(cfg, i, data) for i in range(cfg.repeats)]
     metric_names = sorted(runs[0]["metrics"])
     aggregates = {}
     for key in metric_names:

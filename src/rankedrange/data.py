@@ -8,6 +8,8 @@ frozenset of labels per sample.
 
 from __future__ import annotations
 
+import csv
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -207,38 +209,36 @@ def load_dataset(path, format: str = "csv", l: int | None = None) -> Dataset:
 
 
 def _load_csv(path, l):
-    import csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(i + 1, row) for i, row in enumerate(reader) if row]
-    if not rows:
-        raise ValueError(f"{path}: empty dataset file")
-    header = [h.strip() for h in rows[0][1]]
-    if "label" in header:
-        label_col, multilabel = header.index("label"), False
-    elif "labels" in header:
-        label_col, multilabel = header.index("labels"), True
-    else:
-        raise DataParseError(path, 1, "header must contain a 'label' or 'labels' column")
-    feat_cols = [j for j in range(len(header)) if j != label_col]
-    feats, labels = [], []
-    for lineno, row in rows[1:]:
-        if len(row) != len(header):
+    # universal newlines, so the bulk parse sees "\n" line ends only; a line
+    # end inside a quoted field is whitespace around a number either way
+    with open(path, "r", encoding="utf-8") as fh:
+        lineno, header = next(_csv_records(fh), (None, None))
+        if header is None:
+            raise ValueError(f"{path}: empty dataset file")
+        header = [h.strip() for h in header]
+        if "label" in header:
+            label_col, multilabel = header.index("label"), False
+        elif "labels" in header:
+            label_col, multilabel = header.index("labels"), True
+        else:
             raise DataParseError(path, lineno,
-                                 f"expected {len(header)} fields, got {len(row)}")
+                                 "header must contain a 'label' or 'labels' column")
+        raw = []  # the label field of each row, as written
         try:
-            feats.append([float(row[j]) for j in feat_cols])
-            if multilabel:
-                labels.append(frozenset(int(v) for v in row[label_col].split(";")))
-            else:
-                labels.append(int(row[label_col]))
-        except ValueError as exc:
-            raise DataParseError(path, lineno, str(exc)) from None
-    if not feats:
-        raise ValueError(f"{path}: no data rows")
-    X = np.array(feats, dtype=np.float64)
-    _check_finite(path, X, [lineno for lineno, _ in rows[1:]])
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                M = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None,
+                               quotechar='"', ndmin=2,
+                               converters={label_col: raw.append})
+            if not raw or M.shape[1] != len(header):
+                raise ValueError("field count does not match the header")
+            labels = [_csv_label(field, multilabel) for field in raw]
+            X = np.delete(M, label_col, axis=1)
+            if not np.isfinite(X).all():
+                raise ValueError("non-finite feature value")
+        except ValueError:
+            _raise_first_bad_record(path, fh, len(header), label_col, multilabel)
+            raise
     if multilabel:
         if l is None:
             l = max(max(ys) for ys in labels) + 1  # keep sets proper subsets
@@ -247,6 +247,60 @@ def _load_csv(path, l):
     if l is None:
         l = 1 if set(np.unique(y)) <= {-1, 1} else int(y.max())
     return Dataset(X, y, l, f"csv:{path}")
+
+
+def _csv_records(fh):
+    """(first physical line, fields) of each non-blank record of a CSV file."""
+    reader = csv.reader(fh)
+    end = 0
+    for row in reader:
+        start, end = end + 1, reader.line_num
+        if row:
+            yield start, row
+
+
+def _csv_label(field, multilabel):
+    if multilabel:
+        return frozenset(int(v) for v in field.split(";"))
+    return int(field)
+
+
+def _loadtxt_float(field):
+    """float(field), rejecting what np.loadtxt rejects and float() accepts:
+    digit separators and non-ASCII digits."""
+    if "_" in field or not field.strip().isascii():
+        raise ValueError(f"could not convert string to float: {field!r}")
+    return float(field)
+
+
+def _raise_first_bad_record(path, fh, ncols, label_col, multilabel):
+    """Rescan a CSV file the bulk parse rejected, record by record.
+
+    Raises DataParseError at the first physical line of the first record
+    that does not parse or, if all parse, of the first with a NaN or inf
+    feature; ValueError when there are no data records.  Returns if no
+    record is bad, so that the bulk parse's own error stands.
+    """
+    fh.seek(0)
+    records = _csv_records(fh)
+    next(records)  # the header
+    feat_cols = [j for j in range(ncols) if j != label_col]
+    lineno = non_finite = None
+    for lineno, row in records:
+        if len(row) != ncols:
+            raise DataParseError(path, lineno,
+                                 f"expected {ncols} fields, got {len(row)}")
+        try:
+            x = [_loadtxt_float(row[j]) for j in feat_cols]
+            _csv_label(row[label_col], multilabel)
+        except ValueError as exc:
+            raise DataParseError(path, lineno, str(exc)) from None
+        if non_finite is None and not np.isfinite(x).all():
+            non_finite = lineno
+    if lineno is None:
+        raise ValueError(f"{path}: no data rows")
+    if non_finite is not None:
+        raise DataParseError(path, non_finite, "non-finite feature value")
 
 
 def _check_finite(path, X, linenos):
@@ -382,18 +436,15 @@ def standardize(train: Dataset, *others):
     means = train.features.mean(axis=0)
     stds = train.features.std(axis=0)
     active = stds > 0
-    def transform(ds):
-        X = ds.features.copy()
-        X[:, active] = (X[:, active] - means[active]) / stds[active]
-        return replace(ds, features=X)
-    out = tuple(transform(ds) for ds in (train, *others))
+    # (x - 0) / 1 is x, -0.0 included
+    shift, scale = np.where(active, means, 0.0), np.where(active, stds, 1.0)
+    out = tuple(replace(ds, features=(ds.features - shift) / scale)
+                for ds in (train, *others))
     return out, means, stds
 
 
 def write_csv(data: Dataset, path) -> None:
     """Write a dataset in the CSV ingestion format (fixture helper)."""
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         label_col = "labels" if data.is_multilabel else "label"

@@ -236,6 +236,29 @@ def test_main_non_finite_feature_is_data_error(tmp_path):
                  "--out", str(tmp_path / "out")]) == EXIT_DATA
 
 
+def test_file_dataset_loaded_once_per_experiment(tmp_path, monkeypatch):
+    import rankedrange.cli as cli
+    from rankedrange import SyntheticSpec, gen_synthetic, write_csv
+
+    data_path = tmp_path / "synth.csv"
+    write_csv(gen_synthetic(SyntheticSpec(seed=0)), data_path)
+    cfg = parse_config(_RUN.replace("synthetic", str(data_path)) + "repeats = 3\n")
+    calls = []
+    load = cli.load_dataset
+    monkeypatch.setattr(cli, "load_dataset",
+                        lambda *args: calls.append(args) or load(*args))
+    run_experiment(cfg, str(tmp_path / "shared"), "r")
+    assert len(calls) == 1
+    # the same experiment with the file loaded again on every repeat
+    monkeypatch.setitem(cli._GENERATORS, str(data_path),
+                        lambda cfg, seed: cli.load_dataset(cfg.dataset, cfg.format))
+    run_experiment(cfg, str(tmp_path / "each"), "r")
+    assert len(calls) == 4
+    for name in ("r.json", "r.csv"):
+        assert (tmp_path / "shared" / name).read_bytes() == \
+            (tmp_path / "each" / name).read_bytes()
+
+
 def test_eval_rejects_labels_the_model_cannot_score(tmp_path):
     data_path = tmp_path / "three.csv"
     data_path.write_text("label,f0,f1\n1,0.5,1.0\n2,2.0,0.0\n3,1.5,-1.0\n")

@@ -150,6 +150,169 @@ def test_write_csv_roundtrip(tmp_path):
     assert back.labels == orig.labels
 
 
+def _reference_load_csv(path, l=None):
+    """The per-field CSV parser the bulk parse replaced, kept as the oracle:
+    csv.reader, then float() or int() on every field.  Its line numbers
+    count CSV records, which are the physical lines of files whose quoted
+    fields do not span lines."""
+    import csv
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
+    if not rows:
+        raise ValueError(f"{path}: empty dataset file")
+    header = [h.strip() for h in rows[0][1]]
+    if "label" in header:
+        label_col, multilabel = header.index("label"), False
+    elif "labels" in header:
+        label_col, multilabel = header.index("labels"), True
+    else:
+        raise DataParseError(path, 1, "header must contain a 'label' or 'labels' column")
+    feat_cols = [j for j in range(len(header)) if j != label_col]
+    feats, labels = [], []
+    for lineno, row in rows[1:]:
+        if len(row) != len(header):
+            raise DataParseError(path, lineno,
+                                 f"expected {len(header)} fields, got {len(row)}")
+        try:
+            feats.append([float(row[j]) for j in feat_cols])
+            if multilabel:
+                labels.append(frozenset(int(v) for v in row[label_col].split(";")))
+            else:
+                labels.append(int(row[label_col]))
+        except ValueError as exc:
+            raise DataParseError(path, lineno, str(exc)) from None
+    if not feats:
+        raise ValueError(f"{path}: no data rows")
+    X = np.array(feats, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise DataParseError(path, rows[1:][bad[0]][0], "non-finite feature value")
+    if multilabel:
+        if l is None:
+            l = max(max(ys) for ys in labels) + 1
+        return Dataset(X, tuple(labels), l, f"csv:{path}")
+    y = np.array(labels, dtype=np.int64)
+    if l is None:
+        l = 1 if set(np.unique(y)) <= {-1, 1} else int(y.max())
+    return Dataset(X, y, l, f"csv:{path}")
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_csv_values = st.one_of(_finite.map(lambda v: "%.17g" % v),
+                        _finite.map(lambda v: "%.6e" % v),
+                        st.just("-0.0"))
+
+
+@st.composite
+def _csv_texts(draw):
+    """A well-formed CSV file: the label column anywhere, single labels or
+    ';' label sets, CRLF or LF, blank lines, quoted and space-padded
+    fields (a quoted field may span lines), plain and exponent notation."""
+    d = draw(st.integers(1, 4))
+    label_col = draw(st.integers(0, d))
+    multilabel = draw(st.booleans())
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    classes = draw(st.sampled_from([(-1, 1), (1, 2, 3, 4, 5)]))
+
+    def cell(text):
+        if draw(st.booleans()):
+            pad = st.sampled_from(["", " ", newline])
+            return '"' + draw(pad) + text + draw(pad) + '"'
+        pad = st.sampled_from(["", " ", "  "])
+        return draw(pad) + text + draw(pad)
+
+    def label():
+        if multilabel:
+            ys = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True))
+            return ";".join(map(str, ys))
+        return str(draw(st.sampled_from(classes)))
+
+    names = [f"f{j}" for j in range(d)]
+    names.insert(label_col, "labels" if multilabel else "label")
+    lines = [",".join(cell(h) for h in names)]
+    for _ in range(draw(st.integers(1, 6))):
+        row = [cell(draw(_csv_values)) for _ in range(d)]
+        row.insert(label_col, cell(label()))
+        lines.append(",".join(row))
+    text = ""
+    for line in lines:
+        text += newline * draw(st.integers(0, 1)) + line + newline
+    return text if draw(st.booleans()) else text[:-len(newline)]
+
+
+@given(_csv_texts())
+@settings(max_examples=150, deadline=None)
+def test_load_csv_matches_per_field_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "random.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got, want = load_dataset(path), _reference_load_csv(path)
+    assert got.features.shape == want.features.shape
+    assert got.features.tobytes() == want.features.tobytes()
+    if want.is_multilabel:
+        assert got.labels == want.labels
+    else:
+        assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.l == want.l
+
+
+@pytest.mark.parametrize("text", [
+    "label,f0,f1\n1,0.5,1.0\n\n-1,2.0\n1,1.5,-1.0\n",
+    "label,f0,f1\n1,0.5,1.0\n\n-1,2.0,0.0,3.0\n1,1.5,-1.0\n",
+    "label,f0,f1\n1,0.5,1.0\n\n-1,2.0,abc\n1,1.5,-1.0\n",
+    "label,f0,f1\n1,0.5,1.0\n\n1.5,2.0,0.0\n1,1.5,-1.0\n",
+    "labels,f0\n1;2,0.5\n\n1;x,1.0\n2,1.5\n",
+], ids=["short-row", "long-row", "non-numeric", "non-integer-label",
+        "bad-label-set"])
+def test_load_csv_error_matches_reference(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataParseError) as got:
+        load_dataset(path)
+    with pytest.raises(DataParseError) as want:
+        _reference_load_csv(path)
+    assert got.value.lineno == want.value.lineno == 4
+    assert str(got.value) == str(want.value)
+
+
+def test_load_csv_missing_label_column_names_header_line(tmp_path):
+    path = tmp_path / "nolabel.csv"
+    path.write_text("\n\nlbl,f0\n1,0.5\n")
+    with pytest.raises(DataParseError) as exc:
+        load_dataset(path)
+    assert exc.value.lineno == 3
+
+
+def test_load_csv_line_numbers_count_lines_inside_quoted_fields(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_text('label,f0\n1,0.5\n"2\n",1.0\n-1,abc\n')
+    with pytest.raises(DataParseError) as exc:
+        load_dataset(path)
+    assert exc.value.lineno == 5
+
+
+@pytest.mark.parametrize("value", ["1_0", "١"])  # ARABIC-INDIC DIGIT ONE
+def test_load_csv_rejects_numbers_loadtxt_does_not_read(tmp_path, value):
+    # float() reads digit separators and non-ASCII digits; np.loadtxt does not
+    path = tmp_path / "sep.csv"
+    path.write_text(f"label,f0\n1,0.5\n\n-1,{value}\n", encoding="utf-8")
+    with pytest.raises(DataParseError) as exc:
+        load_dataset(path)
+    assert exc.value.lineno == 4
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, message", [
+    ("\n\n", "empty dataset file"),
+    ("label,f0\n\n", "no data rows"),
+])
+def test_load_csv_without_rows(tmp_path, text, message):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_dataset(path)
+
+
 # --- noise ----------------------------------------------------------------
 
 def test_noise_p_zero_identity():
@@ -277,6 +440,34 @@ def test_standardize_uses_train_statistics_only():
     expected = (test.features - train.features.mean(axis=0)) / \
         train.features.std(axis=0)
     np.testing.assert_allclose(te.features, expected, atol=1e-12)
+
+
+def _reference_standardize(train, *others):
+    """The masked-copy standardize: only columns with a nonzero train
+    standard deviation are rewritten."""
+    means = train.features.mean(axis=0)
+    stds = train.features.std(axis=0)
+    active = stds > 0
+    out = []
+    for ds in (train, *others):
+        X = ds.features.copy()
+        X[:, active] = (X[:, active] - means[active]) / stds[active]
+        out.append(X)
+    return out
+
+
+def test_standardize_matches_masked_reference():
+    # column 0 has zero variance and holds -0.0, which must stay -0.0
+    train = Dataset(np.array([[-0.0, 1.0, 2.5], [0.0, 3.0, -1.0],
+                              [0.0, -2.0, 7.25]]),
+                    np.array([1, -1, 1]), 1, "t")
+    test = Dataset(np.array([[-0.0, -0.0, 0.1], [4.0, 0.5, -0.0]]),
+                   np.array([1, -1]), 1, "t")
+    (tr, te), _, _ = standardize(train, test)
+    want_tr, want_te = _reference_standardize(train, test)
+    assert tr.features.tobytes() == want_tr.tobytes()
+    assert te.features.tobytes() == want_te.tobytes()
+    assert np.signbit(tr.features[0, 0]) and np.signbit(te.features[0, 0])
 
 
 # --- dataset invariants ---------------------------------------------------
