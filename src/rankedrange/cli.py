@@ -3,6 +3,11 @@ configs, grid sweeps, dataset utilities, and a registry of desk-scale
 benchmark reproductions.  Reports are machine readable (JSON + flat CSV)
 and byte-identical across re-runs of the same config.
 
+The reproductions (``REPRO_REGISTRY``) are the paper's tables and figures
+as data: each entry is a table header and its rows, and each row is a
+config text that ``repro`` parses with ``parse_config`` and runs with
+``run_experiment``, exactly as ``train`` runs a config file.
+
 Config files are plain text, one ``key = value`` per line, ``#`` starts a
 comment.  Every key has a default (see ``DEFAULTS``); the resolved config
 is embedded in every report so runs are self-describing.  The keys are the
@@ -53,11 +58,11 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
 from .data import (
-    DataParseError,
     Dataset,
     NoiseSpec,
     SyntheticSpec,
@@ -82,7 +87,6 @@ from .model import load_model, predict_matrix
 from .optim import (
     TKMLSampleLoss,
     TrainConfig,
-    TrainingDiverged,
     auto_train,
     dca_train,
     estimate_noise_count,
@@ -351,8 +355,17 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     agg = cfg.aggregate
     base = replace(cfg.train, seed=seed)
     extras: dict = {}
+    # the top-k metrics pick eval_k of the l scores; a label set must stay
+    # a proper subset of the labels
+    top = tr.l - 1 if cfg.task == "multilabel" else tr.l
+    if cfg.task != "binary" and cfg.eval_k > top:
+        raise ConfigError("eval_k", f"eval_k={cfg.eval_k} outside 1..{top} "
+                                    f"for l={tr.l}")
 
     if cfg.task == "multilabel" or cfg.loss == "tkml":
+        if agg != "lr" and not 1 <= base.kprime < tr.l:
+            raise ConfigError("train.kprime", f"kprime={base.kprime} outside "
+                                              f"1..{tr.l - 1} for l={tr.l}")
         tr = _as_labelsets(tr)
         va = None if va is None else _as_labelsets(va)
         spec = TKMLSampleLoss(base.kprime)
@@ -535,265 +548,251 @@ def write_report(report: dict, out_dir: str, name: str) -> tuple:
 
 # ---------------------------------------------------------------------------
 # reproduction registry: desk-scale reruns of the published comparisons,
-# reported side by side with the published reference numbers
+# reported side by side with the published reference numbers.  An entry is
+# one table; each of its rows is one experiment, written as config text.
 
-def _maybe_real(path: str, fallback: str) -> str:
-    """Use a local CSV copy of the benchmark when present, otherwise the
-    documented synthetic stand-in."""
-    return path if os.path.exists(path) else fallback
-
-
-def _monk_cfg(aggregate: str, repeats: int = 10, **train_kw) -> ExperimentConfig:
-    defaults = dict(m=20, k=70, C=1e4, eta_inner=0.01, outer_epochs=5,
-                    inner_epochs=2000, batch=1)
-    defaults.update(train_kw)
-    return ExperimentConfig(
-        task="binary", loss="logistic", aggregate=aggregate, dataset="monk",
-        split=(0.5, 0.25, 0.25), repeats=repeats,
-        restarts=5 if aggregate == "aorr" else 1,
-        train=TrainConfig(**defaults))
+@dataclass(frozen=True)
+class ReproRow:
+    cells: tuple  # the leading table cells
+    name: str  # report name
+    config: str  # key = value config text
+    reference: tuple = ()  # published numbers, the last table cells
 
 
-def _repro_table3(out_dir, subsample, full):
-    configs = {
-        "maximum": _monk_cfg("max", batch=0, eta_inner=0.005,
-                             inner_epochs=1000),
-        "average": _monk_cfg("average", eta_outer=0.1, outer_epochs=2000,
-                             batch=0, inner_epochs=1),
-        "atk": _monk_cfg("atk", m=0),
-        "aorr": _monk_cfg("aorr"),
-    }
-    reference = {"maximum": 22.41, "average": 20.46, "atk": 16.76,
-                 "aorr": 12.69, "units": "error %"}
-    rows = []
-    for label, cfg in configs.items():
-        rep = run_experiment(cfg, out_dir, f"table3_{label}",
-                             reference={label: reference[label]})
-        rows.append([label, _fmt(100 * rep["aggregates"]["error"]["mean"]),
-                     _fmt(100 * rep["aggregates"]["error"]["std"]),
-                     _fmt(reference[label])])
-    _write_table(out_dir, "table3",
-                 ["aggregate", "error_mean_pct", "error_std_pct",
-                  "reference_pct"], rows)
+@dataclass(frozen=True)
+class ReproEntry:
+    header: tuple
+    values: tuple  # one function of the report per value column
+    rows: tuple
+    scaled: bool = False  # blobs.n follows --subsample / --full
+    real_data: str | None = None  # local CSV copy that replaces the stand-in
 
 
-def _mnist_like_cfg(aggregate: str, p: float, subsample: int) -> ExperimentConfig:
-    path = _maybe_real("data/mnist.csv", "blobs")
-    n_total = int(subsample * 1.3)
-    if aggregate == "auto_aorr":
-        train = TrainConfig(C=1e4, eta_outer=0.4, eta_inner=0.02,
-                            outer_epochs=40, inner_epochs=200,
-                            warmup_epochs=300, batch=128, patience=3,
-                            refresh_every=50)
-    else:
-        train = TrainConfig(C=1e4, eta_outer=0.4, outer_epochs=400, batch=0)
-    return ExperimentConfig(
-        task="multiclass", loss="softmax", aggregate=aggregate, dataset=path,
-        split=(10 / 13, 2 / 13, 1 / 13), repeats=3,
-        noise=NoiseSpec(mode="symmetric", p=p, seed=1000),
-        blobs_n=n_total, blobs_d=200, blobs_l=10, blobs_sep=4.0, train=train)
+def _pct(metric: str, stat: str = "mean"):
+    """Table value: 100 x the aggregate ``stat`` of ``metric``."""
+    return lambda rep: 100 * rep["aggregates"][metric][stat]
 
 
-def _repro_table5(out_dir, subsample, full):
-    if full:
-        subsample = 60000
-    reference = {"average": {0.2: 89.69, 0.3: 88.71, 0.4: 87.77},
-                 "aorr": {0.2: 92.42, 0.3: 92.26, 0.4: 91.87}}
-    rows = []
-    for p in (0.2, 0.3, 0.4):
-        for label, agg in (("average", "average"), ("aorr", "auto_aorr")):
-            cfg = _mnist_like_cfg(agg, p, subsample)
-            rep = run_experiment(cfg, out_dir, f"table5_{label}_p{int(p*10)}")
-            rows.append([label, _fmt(p),
-                         _fmt(100 * rep["aggregates"]["accuracy"]["mean"]),
-                         _fmt(reference[label][p])])
-    _write_table(out_dir, "table5",
-                 ["aggregate", "noise_p", "accuracy_pct", "reference_pct"],
-                 rows)
+def _run_mean(key: str):
+    """Table value: the mean over the runs of a per-run report field."""
+    return lambda rep: float(np.mean([r[key] for r in rep["runs"]]))
 
 
-def _repro_table6(out_dir, subsample, full):
-    if full:
-        subsample = 60000
-    reference = {0.2: (10000, 11722), 0.3: (15000, 16431), 0.4: (20000, 21026)}
-    rows = []
-    for p in (0.2, 0.3, 0.4):
-        cfg = _mnist_like_cfg("auto_aorr", p, subsample)
-        rep = run_experiment(cfg, out_dir, f"table6_p{int(p*10)}")
-        est = float(np.mean([r["noise_estimate"] for r in rep["runs"]]))
-        true = float(np.mean([r["true_flips"] for r in rep["runs"]]))
-        ref_true, ref_est = reference[p]
-        rows.append([_fmt(p), _fmt(true), _fmt(est), ref_true, ref_est])
-    _write_table(out_dir, "table6",
-                 ["noise_p", "ground_truth", "estimate",
-                  "reference_truth", "reference_estimate"], rows)
+# Monk (Table 3, Figure 6): the full 432-sample rule-generated set
+_MONK = ("task = binary\nloss = logistic\ndataset = monk\n"
+         "split = 0.5,0.25,0.25\ntrain.m = 20\ntrain.k = 70\ntrain.C = 1e4\n"
+         "train.eta_inner = 0.01\ntrain.outer_epochs = 5\n"
+         "train.inner_epochs = 2000\ntrain.batch = 1\n")
+
+# the stand-in for MNIST (Tables 5, 6, 10): 10-class Gaussian blobs split
+# 10:2:1 into train, validation and test parts
+_BLOBS = ("task = multiclass\ndataset = blobs\nsplit = 0.7692307692307693,"
+          "0.15384615384615385,0.07692307692307693\nrepeats = 3\n"
+          "noise.seed = 1000\nblobs.d = 200\nblobs.l = 10\nblobs.sep = 4.0\n"
+          "train.C = 1e4\n")
+_MNIST_AVERAGE = _BLOBS + (
+    "loss = softmax\naggregate = average\nnoise.mode = symmetric\n"
+    "train.eta_outer = 0.4\ntrain.outer_epochs = 400\ntrain.batch = 0\n")
+_MNIST_AUTO = _BLOBS + (
+    "loss = softmax\naggregate = auto_aorr\nnoise.mode = symmetric\n"
+    "train.eta_outer = 0.4\ntrain.eta_inner = 0.02\ntrain.outer_epochs = 40\n"
+    "train.inner_epochs = 200\ntrain.warmup_epochs = 300\ntrain.batch = 128\n"
+    "train.patience = 3\ntrain.refresh_every = 50\n")
+# Table 10 trains for top-1 accuracy while every class flips to the next
+_MNIST_TOP1 = _BLOBS + (
+    "loss = tkml\naggregate = tkml\neval_k = 1\nnoise.mode = asymmetric_map\n"
+    "noise.map = 1:2,2:3,3:4,4:5,5:6,6:7,7:8,8:9,9:10,10:1\n"
+    "train.eta_inner = 0.05\ntrain.outer_epochs = 1\n"
+    "train.inner_epochs = 6000\ntrain.batch = 16\ntrain.kprime = 1\n")
+
+# the stand-in for emotions (Tables 7, 8, Figure 8)
+_EMOTIONS = ("task = multilabel\nloss = tkml\ndataset = multilabel-synth\n"
+             "split = 0.6,0.2,0.2\nrepeats = 5\nml.n = 593\nml.d = 72\n"
+             "ml.l = 6\nml.min = 1\nml.max = 3\nml.noise = 2.0\n"
+             "train.C = 1e4\n")
+_EMOTIONS_LR = _EMOTIONS + (
+    "aggregate = lr\ntrain.eta_outer = 0.5\ntrain.outer_epochs = 1000\n")
+_EMOTIONS_TKML = _EMOTIONS + (
+    "aggregate = tkml\ntrain.eta_outer = 0.1\ntrain.eta_inner = 0.1\n"
+    "train.outer_epochs = 1\ntrain.inner_epochs = 8000\ntrain.batch = 16\n")
+
+# the stand-in for yeast (Table 11, Figure 9), 30% of the training label
+# sets replaced.  Its training part has int(0.8 * 2417) = 1933 rows, and
+# the (m, k) grids are fractions of that: 1933 // 2 = 966, 3 * 1933 // 4 =
+# 1449, 1933 // 4 = 483, 1933 // 3 = 644, 1933 // 8 = 241.
+_YEAST = ("task = multilabel\nloss = tkml\ndataset = multilabel-synth\n"
+          "split = 0.8,0.2\nrepeats = 5\neval_k = 4\n"
+          "noise.mode = multilabel_symmetric\nnoise.p = 0.3\nnoise.seed = 80\n"
+          "ml.n = 2417\nml.d = 103\nml.l = 14\nml.min = 3\nml.max = 6\n"
+          "ml.noise = 1.0\ntrain.C = 1e4\ntrain.eta_outer = 0.3\n"
+          "train.eta_inner = 0.3\ntrain.outer_epochs = 1000\n"
+          "train.warmup_epochs = 300\ntrain.batch = 0\ntrain.kprime = 4\n")
+
+# the 2-D outlier generator (Figures 4, 5)
+_OUTLIERS = ("task = binary\nloss = logistic\ndataset = synthetic\n"
+             "split = 0.7,0.3\nrepeats = 10\ntrain.m = 1\ntrain.k = 2\n"
+             "train.C = 1e4\ntrain.eta_inner = 0.005\ntrain.outer_epochs = 8\n"
+             "train.inner_epochs = 2000\ntrain.batch = 0\n")
+_OUTLIER_AGGREGATES = (
+    ("average", "aggregate = average\ntrain.eta_outer = 0.1\n"
+                "train.outer_epochs = 2000\n"),
+    ("max", "aggregate = max\n"),
+    ("atk", "aggregate = atk\n"),
+    ("aorr", "aggregate = aorr\n"),
+)
+
+_ERROR_HEADER = ("aggregate", "error_mean_pct", "error_std_pct")
+_ERROR_VALUES = (_pct("error"), _pct("error", "std"))
+
+REPRO_REGISTRY = {
+    "table3": ReproEntry(_ERROR_HEADER + ("reference_pct",), _ERROR_VALUES, (
+        ReproRow(("maximum",), "table3_maximum", _MONK +
+                 "repeats = 10\naggregate = max\ntrain.eta_inner = 0.005\n"
+                 "train.inner_epochs = 1000\ntrain.batch = 0\n", (22.41,)),
+        ReproRow(("average",), "table3_average", _MONK +
+                 "repeats = 10\naggregate = average\ntrain.eta_outer = 0.1\n"
+                 "train.outer_epochs = 2000\ntrain.inner_epochs = 1\n"
+                 "train.batch = 0\n", (20.46,)),
+        ReproRow(("atk",), "table3_atk", _MONK +
+                 "repeats = 10\naggregate = atk\ntrain.m = 0\n", (16.76,)),
+        ReproRow(("aorr",), "table3_aorr", _MONK +
+                 "repeats = 10\naggregate = aorr\nrestarts = 5\n", (12.69,)),
+    )),
+    "table5": ReproEntry(
+        ("aggregate", "noise_p", "accuracy_pct", "reference_pct"),
+        (_pct("accuracy"),), (
+            ReproRow(("average", 0.2), "table5_average_p2",
+                     _MNIST_AVERAGE + "noise.p = 0.2\n", (89.69,)),
+            ReproRow(("aorr", 0.2), "table5_aorr_p2",
+                     _MNIST_AUTO + "noise.p = 0.2\n", (92.42,)),
+            ReproRow(("average", 0.3), "table5_average_p3",
+                     _MNIST_AVERAGE + "noise.p = 0.3\n", (88.71,)),
+            ReproRow(("aorr", 0.3), "table5_aorr_p3",
+                     _MNIST_AUTO + "noise.p = 0.3\n", (92.26,)),
+            ReproRow(("average", 0.4), "table5_average_p4",
+                     _MNIST_AVERAGE + "noise.p = 0.4\n", (87.77,)),
+            ReproRow(("aorr", 0.4), "table5_aorr_p4",
+                     _MNIST_AUTO + "noise.p = 0.4\n", (91.87,)),
+        ), scaled=True, real_data="data/mnist.csv"),
+    "table6": ReproEntry(
+        ("noise_p", "ground_truth", "estimate", "reference_truth",
+         "reference_estimate"),
+        (_run_mean("true_flips"), _run_mean("noise_estimate")), (
+            ReproRow((0.2,), "table6_p2", _MNIST_AUTO + "noise.p = 0.2\n",
+                     (10000, 11722)),
+            ReproRow((0.3,), "table6_p3", _MNIST_AUTO + "noise.p = 0.3\n",
+                     (15000, 16431)),
+            ReproRow((0.4,), "table6_p4", _MNIST_AUTO + "noise.p = 0.4\n",
+                     (20000, 21026)),
+        ), scaled=True, real_data="data/mnist.csv"),
+    "table7": ReproEntry(
+        ("method", "k", "topk_accuracy_pct", "reference_pct"),
+        (_pct("topk_accuracy"),), (
+            ReproRow(("lr", 1), "table7_lr_k1", _EMOTIONS_LR + "eval_k = 1\n",
+                     (73.54,)),
+            ReproRow(("tkml", 1), "table7_tkml_k1", _EMOTIONS_TKML +
+                     "eval_k = 1\ntrain.kprime = 1\n", (76.80,)),
+            ReproRow(("lr", 2), "table7_lr_k2", _EMOTIONS_LR + "eval_k = 2\n",
+                     (57.48,)),
+            ReproRow(("tkml", 2), "table7_tkml_k2", _EMOTIONS_TKML +
+                     "eval_k = 2\ntrain.kprime = 2\n", (62.11,)),
+            ReproRow(("lr", 3), "table7_lr_k3", _EMOTIONS_LR + "eval_k = 3\n",
+                     (73.20,)),
+            ReproRow(("tkml", 3), "table7_tkml_k3", _EMOTIONS_TKML +
+                     "eval_k = 3\ntrain.kprime = 3\n", (77.62,)),
+        ), real_data="data/emotions.csv"),
+    "table8": ReproEntry(
+        ("method", "average_precision_pct", "reference_pct"),
+        (_pct("average_precision"),), (
+            ReproRow(("lr",), "table8_lr", _EMOTIONS_LR + "eval_k = 1\n",
+                     (74.85,)),
+            ReproRow(("tkml",), "table8_tkml", _EMOTIONS_TKML +
+                     "eval_k = 1\ntrain.kprime = 1\n", (84.82,)),
+        ), real_data="data/emotions.csv"),
+    # the published baseline is a capped top-k SVM, out of scope here; the
+    # reference columns still show both published numbers
+    "table10": ReproEntry(
+        ("noise_p", "top1_accuracy_pct", "reference_pct",
+         "reference_baseline_pct"),
+        (_pct("topk_accuracy"),), (
+            ReproRow((0.2,), "table10_p2", _MNIST_TOP1 + "noise.p = 0.2\n",
+                     (83.06, 78.33)),
+            ReproRow((0.3,), "table10_p3", _MNIST_TOP1 + "noise.p = 0.3\n",
+                     (80.13, 74.65)),
+            ReproRow((0.4,), "table10_p4", _MNIST_TOP1 + "noise.p = 0.4\n",
+                     (75.0, 68.32)),
+        ), scaled=True),
+    "table11": ReproEntry(
+        ("aggregate", "topk_accuracy_pct", "reference_pct"),
+        (_pct("topk_accuracy"),), (
+            ReproRow(("average",), "table11_average", _YEAST +
+                     "aggregate = average\ntrain.outer_epochs = 300\n",
+                     (33.78,)),
+            ReproRow(("atk",), "table11_atk", _YEAST +
+                     "aggregate = atk\ngrid.k = 966,1449\n", (36.90,)),
+            ReproRow(("tkml_aorr",), "table11_tkml_aorr", _YEAST +
+                     "aggregate = tkml_aorr\ngrid.m = 483,644\n"
+                     "grid.k = 966,1449\n", (44.71,)),
+        ), real_data="data/yeast.csv"),
+    "fig4": ReproEntry(_ERROR_HEADER, _ERROR_VALUES, tuple(
+        ReproRow((label,), f"fig4_{label}", _OUTLIERS +
+                 "synth.balanced = true\nsynth.outliers = 1\n" + text)
+        for label, text in _OUTLIER_AGGREGATES)),
+    "fig5": ReproEntry(_ERROR_HEADER, _ERROR_VALUES, tuple(
+        ReproRow((label,), f"fig5_{label}", _OUTLIERS +
+                 "synth.balanced = false\nsynth.outliers = 5\n" + text)
+        for label, text in _OUTLIER_AGGREGATES)),
+    # m = 0 is plain top-k
+    "fig6": ReproEntry(("m", "error_mean_pct"), (_pct("error"),), tuple(
+        ReproRow((m,), f"fig6_m{m}", _MONK + f"repeats = 3\ntrain.m = {m}\n" +
+                 ("aggregate = aorr\nrestarts = 5\n" if m else
+                  "aggregate = atk\n"))
+        for m in range(0, 61, 10))),
+    "fig8": ReproEntry(("k", "topk_accuracy_pct"), (_pct("topk_accuracy"),),
+                       tuple(ReproRow((k,), f"fig8_k{k}", _EMOTIONS_TKML +
+                                      f"repeats = 3\neval_k = {k}\n"
+                                      f"train.kprime = {k}\n")
+                             for k in (1, 2, 3, 4, 5)),
+                       real_data="data/emotions.csv"),
+    # m = 0 is plain top-k
+    "fig9": ReproEntry(("m", "topk_accuracy_pct"), (_pct("topk_accuracy"),),
+                       tuple(ReproRow((m,), f"fig9_m{m}", _YEAST +
+                                      f"repeats = 3\ngrid.m = {m}\n"
+                                      "grid.k = 1449\naggregate = "
+                                      f"{'tkml_aorr' if m else 'atk'}\n")
+                             for m in (0, 241, 483, 644, 966)),
+                       real_data="data/yeast.csv"),
+}
 
 
-def _emotions_cfg(aggregate: str, eval_k: int, repeats: int = 5) -> ExperimentConfig:
-    path = _maybe_real("data/emotions.csv", "multilabel-synth")
-    if aggregate == "lr":
-        train = TrainConfig(C=1e4, eta_outer=0.5, outer_epochs=1000)
-    else:
-        train = TrainConfig(C=1e4, eta_outer=0.1, eta_inner=0.1,
-                            outer_epochs=1, inner_epochs=8000, batch=16,
-                            kprime=eval_k)
-    return ExperimentConfig(
-        task="multilabel", loss="tkml", aggregate=aggregate, dataset=path,
-        split=(0.6, 0.2, 0.2), repeats=repeats, eval_k=eval_k,
-        ml_n=593, ml_d=72, ml_l=6, ml_min=1, ml_max=3, ml_noise=2.0,
-        train=train)
+def repro_configs(name: str, subsample: int = 10000) -> list:
+    """(report name, ExperimentConfig) of each row of the registry entry
+    ``name``, parsed from the row's config text plus two appended lines:
+    ``blobs.n`` for ``subsample`` training points on a scaled entry, and
+    ``dataset`` when the entry's local CSV copy of the benchmark exists."""
+    entry = REPRO_REGISTRY[name]
+    extra = ""
+    if entry.scaled:
+        extra += f"blobs.n = {int(subsample * 1.3)}\n"
+    if entry.real_data is not None and os.path.exists(entry.real_data):
+        extra += f"dataset = {entry.real_data}\n"
+    return [(row.name, parse_config(row.config + extra)) for row in entry.rows]
 
 
-def _repro_table7(out_dir, subsample, full):
-    reference = {"tkml": {1: 76.80, 2: 62.11, 3: 77.62},
-                 "lr": {1: 73.54, 2: 57.48, 3: 73.20}}
-    rows = []
-    for k in (1, 2, 3):
-        for label in ("lr", "tkml"):
-            rep = run_experiment(_emotions_cfg(label, k), out_dir,
-                                 f"table7_{label}_k{k}")
-            rows.append([label, k,
-                         _fmt(100 * rep["aggregates"]["topk_accuracy"]["mean"]),
-                         _fmt(reference[label][k])])
-    _write_table(out_dir, "table7",
-                 ["method", "k", "topk_accuracy_pct", "reference_pct"], rows)
-
-
-def _repro_table8(out_dir, subsample, full):
-    reference = {"tkml": 84.82, "lr": 74.85}
-    rows = []
-    for label in ("lr", "tkml"):
-        rep = run_experiment(_emotions_cfg(label, 1), out_dir,
-                             f"table8_{label}")
-        rows.append([label,
-                     _fmt(100 * rep["aggregates"]["average_precision"]["mean"]),
-                     _fmt(reference[label])])
-    _write_table(out_dir, "table8",
-                 ["method", "average_precision_pct", "reference_pct"], rows)
-
-
-def _repro_table10(out_dir, subsample, full):
-    if full:
-        subsample = 60000
-    # published baseline is a capped top-k SVM, out of scope here; the
-    # reference column still shows both published numbers
-    reference = {0.2: (83.06, 78.33), 0.3: (80.13, 74.65), 0.4: (75.0, 68.32)}
-    n_total = int(subsample * 1.3)
-    rows = []
-    for p in (0.2, 0.3, 0.4):
-        flip = {c: c % 10 + 1 for c in range(1, 11)}
-        cfg = ExperimentConfig(
-            task="multiclass", loss="tkml", aggregate="tkml",
-            dataset="blobs", split=(10 / 13, 2 / 13, 1 / 13), repeats=3,
-            eval_k=1,
-            noise=NoiseSpec(mode="asymmetric_map", p=p, flip_map=flip,
-                            seed=1000),
-            blobs_n=n_total, blobs_d=200, blobs_l=10, blobs_sep=4.0,
-            train=TrainConfig(C=1e4, eta_inner=0.05, outer_epochs=1,
-                              inner_epochs=6000, batch=16, kprime=1))
-        rep = run_experiment(cfg, out_dir, f"table10_p{int(p*10)}")
-        ref_tkml, ref_base = reference[p]
-        rows.append([_fmt(p),
-                     _fmt(100 * rep["aggregates"]["topk_accuracy"]["mean"]),
-                     _fmt(ref_tkml), _fmt(ref_base)])
-    _write_table(out_dir, "table10",
-                 ["noise_p", "top1_accuracy_pct", "reference_pct",
-                  "reference_baseline_pct"], rows)
-
-
-def _yeast_cfg(aggregate: str, repeats: int = 5) -> ExperimentConfig:
-    path = _maybe_real("data/yeast.csv", "multilabel-synth")
-    n = 2417
-    train = TrainConfig(C=1e4, eta_outer=0.3, eta_inner=0.3, outer_epochs=1000,
-                        warmup_epochs=300, batch=0, kprime=4)
-    kw = dict(task="multilabel", loss="tkml", aggregate=aggregate,
-              dataset=path, split=(0.8, 0.2), repeats=repeats, eval_k=4,
-              noise=NoiseSpec(mode="multilabel_symmetric", p=0.3, seed=80),
-              ml_n=n, ml_d=103, ml_l=14, ml_min=3, ml_max=6, ml_noise=1.0)
-    n_train = int(0.8 * n)
-    if aggregate == "average":
-        kw["train"] = replace(train, outer_epochs=300)
-    elif aggregate == "atk":
-        kw["train"] = train
-        kw["grid_k"] = (n_train // 2, 3 * n_train // 4)
-    else:  # tkml_aorr
-        kw["train"] = train
-        kw["grid_m"] = (n_train // 4, n_train // 3)
-        kw["grid_k"] = (n_train // 2, 3 * n_train // 4)
-    return ExperimentConfig(**kw)
-
-
-def _repro_table11(out_dir, subsample, full):
-    reference = {"average": 33.78, "atk": 36.90, "tkml_aorr": 44.71}
-    rows = []
-    for label in ("average", "atk", "tkml_aorr"):
-        rep = run_experiment(_yeast_cfg(label), out_dir, f"table11_{label}")
-        rows.append([label,
-                     _fmt(100 * rep["aggregates"]["topk_accuracy"]["mean"]),
-                     _fmt(reference[label])])
-    _write_table(out_dir, "table11",
-                 ["aggregate", "topk_accuracy_pct", "reference_pct"], rows)
-
-
-def _synthetic_cfg(aggregate: str, balanced: bool, outliers: int,
-                   repeats: int = 10) -> ExperimentConfig:
-    train = TrainConfig(m=1, k=2, C=1e4, eta_inner=0.005, outer_epochs=8,
-                        inner_epochs=2000, batch=0)
-    if aggregate == "average":
-        train = replace(train, eta_outer=0.1, outer_epochs=2000)
-    return ExperimentConfig(
-        task="binary", loss="logistic", aggregate=aggregate,
-        dataset="synthetic", split=(0.7, 0.3), repeats=repeats,
-        synth_balanced=balanced, synth_outliers=outliers, train=train)
-
-
-def _repro_fig_synthetic(out_dir, name, balanced, outliers):
-    rows = []
-    for label in ("average", "max", "atk", "aorr"):
-        rep = run_experiment(_synthetic_cfg(label, balanced, outliers),
-                             out_dir, f"{name}_{label}")
-        rows.append([label, _fmt(100 * rep["aggregates"]["error"]["mean"]),
-                     _fmt(100 * rep["aggregates"]["error"]["std"])])
-    _write_table(out_dir, name,
-                 ["aggregate", "error_mean_pct", "error_std_pct"], rows)
-
-
-def _repro_fig4(out_dir, subsample, full):
-    _repro_fig_synthetic(out_dir, "fig4", balanced=True, outliers=1)
-
-
-def _repro_fig5(out_dir, subsample, full):
-    _repro_fig_synthetic(out_dir, "fig5", balanced=False, outliers=5)
-
-
-def _repro_fig6(out_dir, subsample, full):
-    rows = []
-    for m in range(0, 61, 10):
-        cfg = _monk_cfg("aorr" if m else "atk", repeats=3, m=m)
-        rep = run_experiment(cfg, out_dir, f"fig6_m{m}")
-        rows.append([m, _fmt(100 * rep["aggregates"]["error"]["mean"])])
-    _write_table(out_dir, "fig6", ["m", "error_mean_pct"], rows)
-
-
-def _repro_fig8(out_dir, subsample, full):
-    rows = []
-    for k in (1, 2, 3, 4, 5):
-        rep = run_experiment(_emotions_cfg("tkml", k, repeats=3), out_dir,
-                             f"fig8_k{k}")
-        rows.append([k, _fmt(100 * rep["aggregates"]["topk_accuracy"]["mean"])])
-    _write_table(out_dir, "fig8", ["k", "topk_accuracy_pct"], rows)
-
-
-def _repro_fig9(out_dir, subsample, full):
-    base = _yeast_cfg("tkml_aorr", repeats=3)
-    n_train = int(0.8 * base.ml_n)
-    rows = []
-    for m in (0, n_train // 8, n_train // 4, n_train // 3, n_train // 2):
-        cfg = replace(base, grid_m=(m,), grid_k=(3 * n_train // 4,),
-                      aggregate="tkml_aorr" if m else "atk")
-        rep = run_experiment(cfg, out_dir, f"fig9_m{m}")
-        rows.append([m, _fmt(100 * rep["aggregates"]["topk_accuracy"]["mean"])])
-    _write_table(out_dir, "fig9", ["m", "topk_accuracy_pct"], rows)
+def _run_repro(name: str, out_dir: str, subsample: int) -> None:
+    """Run every row of a registry entry and write its table."""
+    entry = REPRO_REGISTRY[name]
+    table = []
+    for row, (_, cfg) in zip(entry.rows, repro_configs(name, subsample)):
+        reference = None
+        if row.reference:
+            reference = dict(zip(entry.header[-len(row.reference):],
+                                 row.reference))
+        rep = run_experiment(cfg, out_dir, row.name, reference=reference)
+        cells = (*row.cells, *(value(rep) for value in entry.values),
+                 *row.reference)
+        table.append([_fmt(cell) for cell in cells])
+    _write_table(out_dir, name, entry.header, table)
 
 
 def _write_table(out_dir, name, header, rows):
@@ -804,22 +803,6 @@ def _write_table(out_dir, name, header, rows):
         writer.writerow(header)
         writer.writerows(rows)
     print(f"wrote {path}")
-
-
-REPRO_REGISTRY = {
-    "table3": _repro_table3,
-    "table5": _repro_table5,
-    "table6": _repro_table6,
-    "table7": _repro_table7,
-    "table8": _repro_table8,
-    "table10": _repro_table10,
-    "table11": _repro_table11,
-    "fig4": _repro_fig4,
-    "fig5": _repro_fig5,
-    "fig6": _repro_fig6,
-    "fig8": _repro_fig8,
-    "fig9": _repro_fig9,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -843,8 +826,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default="reports")
     p.add_argument("--name", default="experiment")
 
-    p = sub.add_parser("repro", help="rerun a registered benchmark table")
-    p.add_argument("name")
+    p = sub.add_parser("repro", help="rerun registered benchmark tables")
+    p.add_argument("names", nargs="+", metavar="name")
     p.add_argument("--out", default="reports")
     p.add_argument("--subsample", type=int, default=10000,
                    help="training points for the large-scale tables")
@@ -902,33 +885,36 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_repro(args) -> int:
-    fn = REPRO_REGISTRY.get(args.name)
-    if fn is None:
-        known = ", ".join(sorted(REPRO_REGISTRY))
-        print(f"unknown repro name {args.name!r}; registry: {known}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    fn(args.out, args.subsample, args.full)
+    for name in args.names:
+        if name not in REPRO_REGISTRY:
+            known = ", ".join(sorted(REPRO_REGISTRY))
+            print(f"unknown repro name {name!r}; registry: {known}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+    subsample = 60000 if args.full else args.subsample
+    for name in args.names:
+        _run_repro(name, args.out, subsample)
     return EXIT_OK
 
 
 def _parse_range(text: str):
+    """The values START, START + STEP, ... up to STOP, stepped exactly in
+    decimal, so that "0:1:0.1" gives 0.3 and ends at 1.0."""
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise ConfigError("--range", f"expected START:STOP[:STEP], got {text!r}")
     try:
-        nums = [float(p) for p in parts]
-    except ValueError:
+        nums = [Decimal(p) for p in parts]
+    except InvalidOperation:
         raise ConfigError("--range", f"non-numeric bound in {text!r}") from None
+    if not all(v.is_finite() for v in nums):
+        raise ConfigError("--range", f"non-finite bound in {text!r}")
     start, stop = nums[0], nums[1]
-    step = nums[2] if len(nums) == 3 else 1.0
+    step = nums[2] if len(nums) == 3 else Decimal(1)
     if step <= 0 or stop < start:
         raise ConfigError("--range", "need STOP >= START and STEP > 0")
-    out, v = [], start
-    while v <= stop + 1e-9:
-        out.append(v)
-        v += step
-    return out
+    count = int((stop - start) // step) + 1
+    return [float(start + i * step) for i in range(count)]
 
 
 def _cmd_sweep(args) -> int:
@@ -1024,13 +1010,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataParseError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingDiverged, FloatingPointError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

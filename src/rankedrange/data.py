@@ -233,20 +233,21 @@ def _load_csv(path, l):
             if not raw or M.shape[1] != len(header):
                 raise ValueError("field count does not match the header")
             labels = [_csv_label(field, multilabel) for field in raw]
+            if not multilabel:
+                labels = np.array(labels, dtype=np.int64)
             X = np.delete(M, label_col, axis=1)
             if not np.isfinite(X).all():
                 raise ValueError("non-finite feature value")
-        except ValueError:
+        except (ValueError, OverflowError):
             _raise_first_bad_record(path, fh, len(header), label_col, multilabel)
             raise
     if multilabel:
         if l is None:
             l = max(max(ys) for ys in labels) + 1  # keep sets proper subsets
         return Dataset(X, tuple(labels), l, f"csv:{path}")
-    y = np.array(labels, dtype=np.int64)
     if l is None:
-        l = 1 if set(np.unique(y)) <= {-1, 1} else int(y.max())
-    return Dataset(X, y, l, f"csv:{path}")
+        l = 1 if set(np.unique(labels)) <= {-1, 1} else int(labels.max())
+    return Dataset(X, labels, l, f"csv:{path}")
 
 
 def _csv_records(fh):
@@ -292,8 +293,10 @@ def _raise_first_bad_record(path, fh, ncols, label_col, multilabel):
                                  f"expected {ncols} fields, got {len(row)}")
         try:
             x = [_loadtxt_float(row[j]) for j in feat_cols]
-            _csv_label(row[label_col], multilabel)
-        except ValueError as exc:
+            label = _csv_label(row[label_col], multilabel)
+            if not multilabel:
+                np.int64(label)
+        except (ValueError, OverflowError) as exc:
             raise DataParseError(path, lineno, str(exc)) from None
         if non_finite is None and not np.isfinite(x).all():
             non_finite = lineno
@@ -324,7 +327,7 @@ def _load_libsvm(path, l):
                 for item in parts[1:]:
                     idx, _, val = item.partition(":")
                     row[int(idx)] = float(val)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise DataParseError(path, lineno, str(exc)) from None
             if row:
                 if min(row) < 1:
@@ -340,7 +343,11 @@ def _load_libsvm(path, l):
         for idx, val in row.items():
             X[i, idx - 1] = val
     _check_finite(path, X, linenos)
-    y = np.array(labels, dtype=np.int64)
+    try:
+        y = np.array(labels, dtype=np.int64)
+    except OverflowError as exc:
+        big = next(i for i, v in enumerate(labels) if not -2**63 <= v < 2**63)
+        raise DataParseError(path, linenos[big], str(exc)) from None
     if l is None:
         l = 1 if set(np.unique(y)) <= {-1, 1} else int(y.max())
     return Dataset(X, y, l, f"libsvm:{path}")

@@ -19,6 +19,7 @@ from .data import Dataset
 from .losses import (
     MarginLossKind,
     margin_loss_vec,
+    tkml_saddle_point,
 )
 from .model import LinearModel
 
@@ -458,9 +459,7 @@ def tkml_aorr_train(data: Dataset, config: TrainConfig,
     if config.warmup_epochs > 0:
         # place the thresholds at the analytic saddle of the warmed-up loss
         # distribution
-        srt = sort_descending(loss_spec.losses(W, b, data))
-        lam = float(srt[r.k - 1])
-        lam_hat = float((srt[r.m - 1] if r.m >= 1 else srt[0]) - lam)
+        lam, lam_hat = tkml_saddle_point(loss_spec.losses(W, b, data), r)
     evaluated = None  # value_and_grad of every row at the current (W, b)
     for t in range(config.outer_epochs):
         if config.batch >= 1 and config.batch < data.n:

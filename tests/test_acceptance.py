@@ -42,14 +42,7 @@ from rankedrange import (
     top_k_sum,
     topk_variational_objective,
 )
-from rankedrange.cli import (
-    _emotions_cfg,
-    _mnist_like_cfg,
-    _monk_cfg,
-    _yeast_cfg,
-    parse_config,
-    run_experiment,
-)
+from rankedrange.cli import parse_config, repro_configs, run_experiment
 from rankedrange.model import LinearModel
 
 
@@ -233,9 +226,13 @@ def test_05_trimmed_range_objective_descent():
 # -- 6: binary benchmark, trimmed range vs baselines -----------------------
 
 def test_06_binary_benchmark_error():
+    aorr = dict(repro_configs("table3"))["table3_aorr"]
+    configs = {"aorr": aorr}
+    for agg in ("atk", "average"):
+        configs[agg] = dataclasses.replace(aorr, aggregate=agg, restarts=1)
     results = {}
-    for agg in ("aorr", "atk", "average"):
-        rep = run_experiment(_monk_cfg(agg))
+    for agg, cfg in configs.items():
+        rep = run_experiment(cfg)
         results[agg] = 100 * rep["aggregates"]["error"]["mean"]
     ok = (abs(results["aorr"] - 12.69) <= 3.0 and
           results["aorr"] < results["atk"] and
@@ -248,10 +245,11 @@ def test_06_binary_benchmark_error():
 # -- 7: threshold learning under symmetric label noise ---------------------
 
 def test_07_threshold_learning_under_noise():
+    configs = dict(repro_configs("table5"))
     auto = run_experiment(dataclasses.replace(
-        _mnist_like_cfg("auto_aorr", 0.2, 10000), repeats=1))
+        configs["table5_aorr_p2"], repeats=1))
     avg = run_experiment(dataclasses.replace(
-        _mnist_like_cfg("average", 0.2, 10000), repeats=1))
+        configs["table5_average_p2"], repeats=1))
     gap = 100 * (auto["aggregates"]["accuracy"]["mean"] -
                  avg["aggregates"]["accuracy"]["mean"])
     est = auto["runs"][0]["noise_estimate"]
@@ -265,11 +263,14 @@ def test_07_threshold_learning_under_noise():
 # -- 8: small multilabel benchmark, top-1 accuracy band --------------------
 
 def test_08_multilabel_topk_accuracy_band():
-    tkml = run_experiment(_emotions_cfg("tkml", 1, repeats=10))
+    configs = dict(repro_configs("table7"))
+    tkml = run_experiment(dataclasses.replace(
+        configs["table7_tkml_k1"], repeats=10))
     acc = 100 * tkml["aggregates"]["topk_accuracy"]["mean"]
     band_ok = abs(acc - 76.80) <= 4.0
     if os.path.exists("data/emotions.csv"):
-        lr = run_experiment(_emotions_cfg("lr", 1, repeats=10))
+        lr = run_experiment(dataclasses.replace(
+            configs["table7_lr_k1"], repeats=10))
         lr_acc = 100 * lr["aggregates"]["topk_accuracy"]["mean"]
         _check("08 multilabel accuracy band", band_ok and acc >= lr_acc,
                f"top-1 accuracy {acc:.2f} (band 76.80 +/- 4.0), "
@@ -284,9 +285,11 @@ def test_08_multilabel_topk_accuracy_band():
 # -- 9: multilabel trimming beats plain top-k under label noise ------------
 
 def test_09_multilabel_trimming_under_noise():
+    configs = dict(repro_configs("table11"))
     results = {}
     for agg in ("atk", "tkml_aorr"):
-        rep = run_experiment(dataclasses.replace(_yeast_cfg(agg), repeats=10))
+        rep = run_experiment(dataclasses.replace(
+            configs[f"table11_{agg}"], repeats=10))
         results[agg] = 100 * rep["aggregates"]["topk_accuracy"]["mean"]
     gap = results["tkml_aorr"] - results["atk"]
     _check("09 multilabel trimming", gap >= 3.0,

@@ -16,6 +16,7 @@ from rankedrange.cli import (
     _parse_range,
     main,
     parse_config,
+    repro_configs,
     resolved_config,
     run_experiment,
 )
@@ -227,6 +228,35 @@ def test_main_config_errors_exit_1(tmp_path, line):
     assert not (tmp_path / "out").exists()
 
 
+_MULTILABEL = ("task = multilabel\nloss = tkml\ndataset = multilabel-synth\n"
+               "split = 0.7,0.3\nml.n = 40\nml.d = 4\n")  # 6 labels
+_MULTICLASS = ("task = multiclass\nloss = softmax\ndataset = blobs\n"
+               "split = 0.7,0.3\nblobs.n = 40\nblobs.d = 4\nblobs.l = 3\n")
+
+
+@pytest.mark.parametrize("text", [
+    _MULTILABEL + "aggregate = tkml\ntrain.kprime = 9",
+    _MULTILABEL + "aggregate = tkml_aorr\ntrain.kprime = 9",
+    _MULTILABEL + "aggregate = tkml\neval_k = 6",
+    _MULTICLASS + "aggregate = average\neval_k = 4",
+], ids=["tkml-kprime", "tkml_aorr-kprime", "multilabel-eval_k",
+        "multiclass-eval_k"])
+def test_label_rank_beyond_l_exits_1_before_training(tmp_path, monkeypatch,
+                                                      text):
+    import rankedrange.cli as cli
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    for trainer in ("dca_train", "sgd_average_train", "tkml_warm_start",
+                    "tkml_aorr_train"):
+        monkeypatch.setattr(cli, trainer, no_training)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(text + "\n")
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+
+
 def test_main_non_finite_feature_is_data_error(tmp_path):
     data_path = tmp_path / "nan.csv"
     data_path.write_text("label,f0\n1,0.5\n-1,nan\n1,1.5\n-1,-0.5\n")
@@ -319,6 +349,14 @@ def test_sweep_range_parsing():
         _parse_range("a:b")
 
 
+def test_sweep_range_steps_in_decimal():
+    assert _parse_range("0:1:0.1") == [i / 10 for i in range(11)]
+    assert _parse_range("0.1:0.3:0.1") == [0.1, 0.2, 0.3]
+    for text in ("0:inf", "nan:1"):
+        with pytest.raises(ConfigError):
+            _parse_range(text)
+
+
 def test_sweep_command(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(
@@ -360,3 +398,84 @@ def test_registry_names_complete():
     assert set(REPRO_REGISTRY) == {
         "table3", "table5", "table6", "table7", "table8", "table10",
         "table11", "fig4", "fig5", "fig6", "fig8", "fig9"}
+
+
+# header and first row of each table, with every report stubbed to mean 0.5,
+# std 0.25, 12 true flips and an estimate of 10
+_REPRO_TABLES = {
+    "table3": ("aggregate,error_mean_pct,error_std_pct,reference_pct",
+               "maximum,50,25,22.41", 4),
+    "table5": ("aggregate,noise_p,accuracy_pct,reference_pct",
+               "average,0.2,50,89.69", 6),
+    "table6": ("noise_p,ground_truth,estimate,reference_truth,"
+               "reference_estimate", "0.2,12,10,10000,11722", 3),
+    "table7": ("method,k,topk_accuracy_pct,reference_pct", "lr,1,50,73.54", 6),
+    "table8": ("method,average_precision_pct,reference_pct", "lr,50,74.85", 2),
+    "table10": ("noise_p,top1_accuracy_pct,reference_pct,"
+                "reference_baseline_pct", "0.2,50,83.06,78.33", 3),
+    "table11": ("aggregate,topk_accuracy_pct,reference_pct",
+                "average,50,33.78", 3),
+    "fig4": ("aggregate,error_mean_pct,error_std_pct", "average,50,25", 4),
+    "fig5": ("aggregate,error_mean_pct,error_std_pct", "average,50,25", 4),
+    "fig6": ("m,error_mean_pct", "0,50", 7),
+    "fig8": ("k,topk_accuracy_pct", "1,50", 5),
+    "fig9": ("m,topk_accuracy_pct", "0,50", 5),
+}
+
+
+@pytest.fixture
+def stub_runs(monkeypatch):
+    """Replace training in the repro driver; returns the (name, config) of
+    each run."""
+    import rankedrange.cli as cli
+
+    runs = []
+
+    def run(cfg, out_dir=None, name="experiment", reference=None):
+        runs.append((name, cfg))
+        stats = {"mean": 0.5, "std": 0.25}
+        return {"aggregates": dict.fromkeys(
+                    ("error", "accuracy", "topk_accuracy",
+                     "average_precision"), stats),
+                "runs": [{"true_flips": 12, "noise_estimate": 10}] * cfg.repeats}
+
+    monkeypatch.setattr(cli, "run_experiment", run)
+    return runs
+
+
+@pytest.mark.parametrize("name", sorted(_REPRO_TABLES))
+def test_repro_entry_writes_its_table(tmp_path, stub_runs, name):
+    assert main(["repro", name, "--out", str(tmp_path)]) == EXIT_OK
+    header, first, count = _REPRO_TABLES[name]
+    lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+    assert lines[0] == header
+    assert lines[1] == first
+    assert len(lines) == 1 + count
+    assert stub_runs == repro_configs(name)
+
+
+def test_repro_runs_several_names(tmp_path, stub_runs):
+    assert main(["repro", "table3", "fig4", "--out", str(tmp_path)]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig4.csv",
+                                                          "table3.csv"]
+    assert len(stub_runs) == 8
+    # every name is checked before anything runs
+    assert main(["repro", "fig5", "no-such-table",
+                 "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    assert len(stub_runs) == 8 and not (tmp_path / "x").exists()
+
+
+def test_repro_size_and_real_data_lines(tmp_path, stub_runs, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for args, n in (([], 13000), (["--subsample", "500"], 650),
+                    (["--full"], 78000)):
+        stub_runs.clear()
+        assert main(["repro", "table10", "--out", "out"] + args) == EXIT_OK
+        assert {cfg.blobs_n for _, cfg in stub_runs} == {n}
+    assert {cfg.dataset for _, cfg in repro_configs("table5")} == {"blobs"}
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "mnist.csv").write_text("label,f0\n1,0.5\n")
+    assert {cfg.dataset for _, cfg in repro_configs("table5")} == \
+        {"data/mnist.csv"}
+    assert {cfg.dataset for _, cfg in repro_configs("table7")} == \
+        {"multilabel-synth"}

@@ -119,6 +119,19 @@ def test_load_rejects_non_finite_feature(tmp_path, format, text):
     assert exc.value.lineno == 4  # the first bad line; blank lines count
 
 
+@pytest.mark.parametrize("format, text, lineno", [
+    ("csv", "label,f0\n1,0.5\n99999999999999999999,1.0\n-1,2.0\n", 3),
+    ("libsvm", "1 1:0.5\n1e20 1:1.0\n-1 1:2.0\n", 2),
+    ("libsvm", "1 1:0.5\n\ninf 1:1.0\n", 3),
+], ids=["csv", "libsvm", "libsvm-inf"])
+def test_load_rejects_label_beyond_int64(tmp_path, format, text, lineno):
+    path = tmp_path / "big.data"
+    path.write_text(text)
+    with pytest.raises(DataParseError) as exc:
+        load_dataset(path, format=format)
+    assert exc.value.lineno == lineno
+
+
 def test_load_libsvm_sparse(tmp_path):
     path = tmp_path / "sparse.libsvm"
     path.write_text("2 1:0.5 4:1.0\n1 2:2.0\n")
