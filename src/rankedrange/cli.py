@@ -312,15 +312,6 @@ _GENERATORS = {
 }
 
 
-def _as_labelsets(data: Dataset) -> Dataset:
-    """Wrap single labels into singleton label sets (top-k multiclass)."""
-    if data.is_multilabel:
-        return data
-    labels = tuple(frozenset((int(y),)) for y in data.labels)
-    return Dataset(data.features, labels, data.l,
-                   data.provenance + "; singleton label sets")
-
-
 def _best_of_restarts(train_data, validation_data, loss_spec, base: TrainConfig,
                       restarts: int, seed: int):
     """Seeded random restarts; the validation error picks the winner."""
@@ -366,8 +357,7 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
         if agg != "lr" and not 1 <= base.kprime < tr.l:
             raise ConfigError("train.kprime", f"kprime={base.kprime} outside "
                                               f"1..{tr.l - 1} for l={tr.l}")
-        tr = _as_labelsets(tr)
-        va = None if va is None else _as_labelsets(va)
+        # a class label is a singleton label set: the same label_matrix row
         spec = TKMLSampleLoss(base.kprime)
         if agg == "lr":
             return multilabel_lr_train(tr, base), extras
@@ -387,8 +377,7 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
             best = None
             # select the trimming range on held-out data; the noisy
             # training set saturates once every cell fits the clean part
-            probe = va if va is not None else holdout
-            probe = _as_labelsets(probe) if probe is not None else tr
+            probe = next(p for p in (va, holdout, tr) if p is not None)
             start = tkml_warm_start(tr, base)  # shared: (m, k) is not used
             for m in ms:
                 for k in ks:
@@ -400,13 +389,10 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
                         best = (acc, report, m, k)
             extras["grid_choice"] = {"m": best[2], "k": best[3]}
             return best[1], extras
-        raise ConfigError("aggregate", f"{agg} unsupported for label sets")
 
     spec = make_loss_spec(cfg.loss, base.kprime)
     if agg == "average":
         return sgd_average_train(tr, spec, base), extras
-    if agg == "lr":
-        raise ConfigError("aggregate", "lr needs multilabel data")
     if agg == "auto_aorr":
         report = auto_train(tr, va, spec, base)
         lam_hat = report.lambdas[-1].lam_hat

@@ -261,9 +261,12 @@ def _csv_records(fh):
 
 
 def _csv_label(field, multilabel):
-    if multilabel:
-        return frozenset(int(v) for v in field.split(";"))
-    return int(field)
+    if not multilabel:
+        return int(field)
+    ys = frozenset(int(v) for v in field.split(";"))
+    if not 1 <= min(ys) <= max(ys) < 2**63:  # int64, as a class label
+        raise ValueError(f"label set {field!r} has a label outside 1..2**63-1")
+    return ys
 
 
 def _loadtxt_float(field):
@@ -322,7 +325,10 @@ def _load_libsvm(path, l):
                 continue
             parts = line.split()
             try:
-                labels.append(int(float(parts[0])))
+                label = float(parts[0])
+                if not label.is_integer():
+                    raise ValueError(f"label {parts[0]!r} is not an integer")
+                labels.append(int(label))
                 row = {}
                 for item in parts[1:]:
                     idx, _, val = item.partition(":")

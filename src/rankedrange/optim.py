@@ -2,15 +2,19 @@
 validation-driven threshold learning, the combined sample/label minimax
 updates, and an average-loss baseline.
 
-Every loss spec has one batched method, ``value_and_grad``, giving the loss
-of each requested row and its derivative with respect to the row's scores;
-the trainers turn those into parameter gradients through ``_chain_rule``.
+Every loss spec has one batched method, ``value_and_grad(W, b, rows)``,
+giving the loss of each row of ``rows`` and its derivative with respect to
+the row's scores; the trainers turn those into parameter gradients through
+``_chain_rule``.  ``rows`` is a whole Dataset or one step's gathered batch,
+and every trainer takes its steps over the rows that ``_batches`` yields.
 All trainers are deterministic functions of (data, config.seed).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +59,8 @@ class TrainConfig:
             raise ValueError("learning rates and C must be positive")
         if self.outer_epochs < 1 or self.inner_epochs < 1:
             raise ValueError("epoch counts must be >= 1")
+        if self.batch < 0:
+            raise ValueError(f"batch={self.batch} must be >= 0")
 
     def ranked_range(self, n: int) -> RankedRange:
         k = self.k if self.k > 0 else n
@@ -77,21 +83,17 @@ class TrainReport:
 # ---------------------------------------------------------------------------
 # loss specs: per-row losses and their derivatives w.r.t. the row's scores
 
-def _take(a, rows):
-    return a if rows is None else a.take(rows, axis=0)
-
-
 def _scores(W, b, X):
     scores = X @ W.T
     return scores if b is None else scores + b
 
 
 class _LossSpec:
-    """A loss spec's one batched method is ``value_and_grad(W, b, data,
-    rows=None) -> (values, G)``: the loss of each requested row (every row
-    when ``rows`` is None; a repeated index counts once per occurrence) and
-    G, len(rows) x l, the derivative of each row's loss with respect to that
-    row's scores X @ W.T + b."""
+    """A loss spec's one batched method is ``value_and_grad(W, b, rows) ->
+    (values, G)``: the loss of each row and G, rows.n x l, the derivative of
+    each row's loss with respect to that row's scores X @ W.T + b.  ``rows``
+    is a Dataset or a ``_Batch``; a spec reads only its ``features`` and
+    ``label_matrix``."""
 
     def losses(self, W, b, data: Dataset) -> np.ndarray:
         return self.value_and_grad(W, b, data)[0]
@@ -104,9 +106,9 @@ class BinaryMarginLoss(_LossSpec):
         self.kind = kind
         self.name = kind.value
 
-    def value_and_grad(self, W, b, data: Dataset, rows=None) -> tuple:
-        y = _take(data.labels, rows)
-        scores = _scores(W, b, _take(data.features, rows))[:, 0]
+    def value_and_grad(self, W, b, rows) -> tuple:
+        y = np.where(rows.label_matrix[:, 0], 1.0, -1.0)  # the +1 class
+        scores = _scores(W, b, rows.features)[:, 0]
         values, derivs = margin_loss_vec(self.kind, y * scores)
         return values, (derivs * y)[:, None]
 
@@ -116,11 +118,11 @@ class SoftmaxLoss(_LossSpec):
 
     name = "softmax"
 
-    def value_and_grad(self, W, b, data: Dataset, rows=None) -> tuple:
-        scores = _scores(W, b, _take(data.features, rows))
+    def value_and_grad(self, W, b, rows) -> tuple:
+        scores = _scores(W, b, rows.features)
         shifted = scores - scores.max(axis=1, keepdims=True)
         logz = np.log(np.sum(np.exp(shifted), axis=1))
-        onehot = _take(data.label_matrix, rows)
+        onehot = rows.label_matrix
         probs = np.exp(shifted - logz[:, None])
         return logz - shifted[onehot], probs - onehot
 
@@ -140,13 +142,13 @@ class TKMLSampleLoss(_LossSpec):
         self.kprime = kprime
         self.name = f"tkml(k'={kprime})"
 
-    def value_and_grad(self, W, b, data: Dataset, rows=None) -> tuple:
+    def value_and_grad(self, W, b, rows) -> tuple:
         """The (k'+1)-th largest per-label hinge; G is +1 on the label at
         that rank and -1 on the lowest-scored true label where the loss is
         positive.  Ranking ties go to the lowest label index (stable sort
         on -hinges), as does the argmin over true labels."""
-        scores = _scores(W, b, _take(data.features, rows))
-        masked = np.where(_take(data.label_matrix, rows), scores, np.inf)
+        scores = _scores(W, b, rows.features)
+        masked = np.where(rows.label_matrix, scores, np.inf)
         at = np.arange(scores.shape[0])
         y_star = np.argmin(masked, axis=1)  # first minimum = lowest index
         hinges = np.maximum(1.0 + scores - masked[at, y_star][:, None], 0.0)
@@ -216,23 +218,41 @@ def _reg_value(W, C):
     return float(np.sum(W ** 2)) / (2.0 * C)
 
 
-def _chain_rule(data: Dataset, rows, G, mask=None) -> tuple:
+class _Batch(NamedTuple):
+    """One step's rows, gathered: what a loss spec reads of a Dataset."""
+
+    features: np.ndarray
+    label_matrix: np.ndarray
+    n: int
+
+
+def _batches(data: Dataset, rng: np.random.Generator, batch: int, steps: int):
+    """The rows of each of ``steps`` steps: ``data`` itself when ``batch`` is
+    0, else ``batch`` rows drawn uniformly with replacement.  The indices of
+    all the steps come from one draw, the same stream as one draw per step;
+    each step gathers only its own rows."""
+    if batch == 0:
+        return itertools.repeat(data, steps)
+    X, Y = data.features, data.label_matrix
+    return (_Batch(X.take(idx, axis=0), Y.take(idx, axis=0), batch)
+            for idx in rng.integers(0, data.n, size=(steps, batch)))
+
+
+def _chain_rule(rows, G, mask=None) -> tuple:
     """(gW, gb): gradient of the summed losses of ``rows`` (masked by the 0/1
     ``mask`` when given), from the score derivatives G that
     ``value_and_grad`` returned for the same rows."""
     if mask is not None:
         G = G * mask[:, None]
-    return G.T @ _take(data.features, rows), G.sum(axis=0)
+    return G.T @ rows.features, G.sum(axis=0)
 
 
-def _average_step(W, b, data: Dataset, loss_spec, eta: float, C: float,
-                  rows=None) -> tuple:
+def _average_step(W, b, rows, loss_spec, eta: float, C: float) -> tuple:
     """One gradient step on the regularized average loss of ``rows``."""
-    gW, gb = _chain_rule(data, rows, loss_spec.value_and_grad(W, b, data, rows)[1])
-    count = data.n if rows is None else len(rows)
-    W = W - eta * (gW / count + W / C)
+    gW, gb = _chain_rule(rows, loss_spec.value_and_grad(W, b, rows)[1])
+    W = W - eta * (gW / rows.n + W / C)
     if b is not None:
-        b = b - eta * gb / count
+        b = b - eta * gb / rows.n
     return W, b
 
 
@@ -240,7 +260,7 @@ def phi_subgradient(W, b, data: Dataset, loss_spec, threshold: float) -> tuple:
     """Subgradient of the top-ranked loss sum: sum of per-sample gradients
     over samples whose individual loss strictly exceeds the threshold."""
     values, G = loss_spec.value_and_grad(W, b, data)
-    return _chain_rule(data, None, G, values > threshold)
+    return _chain_rule(data, G, values > threshold)
 
 
 def sorr_objective(W, b, data: Dataset, loss_spec, r: RankedRange, C: float) -> float:
@@ -257,13 +277,11 @@ def holdout_error(W, b, loss_spec, data: Dataset):
     """Classification error of the current parameters on a holdout set."""
     from .metrics import error_rate
 
-    scores = _scores(W, b, data.features)
-    if data.l == 1:
-        return error_rate(scores[:, 0], data.labels)
-    if data.is_multilabel:
+    if isinstance(loss_spec, TKMLSampleLoss):
         # rank the worst true label: fraction of samples with positive loss
         return float(np.mean(loss_spec.losses(W, b, data) > 0.0))
-    return error_rate(scores, data.labels)
+    scores = _scores(W, b, data.features)
+    return error_rate(scores[:, 0] if data.l == 1 else scores, data.labels)
 
 
 def dca_train(data: Dataset, loss_spec, config: TrainConfig,
@@ -295,14 +313,14 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
         values, G = loss_spec.value_and_grad(W, b, data)
         top = np.zeros(data.n, dtype=bool)
         top[descending_order(values)[:r.m]] = True
-        theta_hat_W, theta_hat_b = _chain_rule(data, None, G, top)
+        theta_hat_W, theta_hat_b = _chain_rule(data, G, top)
 
         lam = 0.0
-        for step in range(config.inner_epochs):
-            idx = None if full else rng.integers(0, data.n, size=config.batch)
-            values, G = loss_spec.value_and_grad(W, b, data, idx)
+        batches = _batches(data, rng, config.batch, config.inner_epochs)
+        for step, rows in enumerate(batches):
+            values, G = loss_spec.value_and_grad(W, b, rows)
             active = values > lam
-            gW, gb = _chain_rule(data, idx, G, active)
+            gW, gb = _chain_rule(rows, G, active)
             lam -= config.eta_inner * (r.k * scale - np.count_nonzero(active))
             W = W - config.eta_inner * (
                 gW - scale * theta_hat_W + scale * W / config.C)
@@ -330,14 +348,11 @@ def sgd_average_train(data: Dataset, loss_spec, config: TrainConfig) -> TrainRep
     rng = np.random.default_rng(config.seed)
     W, b = _init_params(data, config.use_bias)
     trace = []
+    steps = max(data.n // config.batch, 1) if config.batch else 1
     for epoch in range(config.outer_epochs):
-        if config.batch == 0:
-            W, b = _average_step(W, b, data, loss_spec, config.eta_outer, config.C)
-        else:
-            for _ in range(max(data.n // config.batch, 1)):
-                idx = rng.integers(0, data.n, size=config.batch)
-                W, b = _average_step(W, b, data, loss_spec, config.eta_outer,
-                                     config.C, idx)
+        for rows in _batches(data, rng, config.batch, steps):
+            W, b = _average_step(W, b, rows, loss_spec, config.eta_outer,
+                                 config.C)
         obj = float(np.mean(loss_spec.losses(W, b, data))) + _reg_value(W, config.C)
         trace.append(_check_finite(obj, epoch))
     return TrainReport(_as_model(W, b, loss_spec, config), trace, [])
@@ -397,15 +412,14 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
     for t in range(config.outer_epochs):
         hW, hb = phi_subgradient(W, b, train_data, loss_spec, lam_hat)
         theta_hat_W, theta_hat_b = hW / train_data.n, hb / train_data.n
-        batch = max(config.batch, 1)
-        for step in range(config.inner_epochs):
-            idx = rng.integers(0, train_data.n, size=batch)
-            values, G = loss_spec.value_and_grad(W, b, train_data, idx)
-            gW, gb = _chain_rule(train_data, idx, G, values > lam)
+        batches = _batches(train_data, rng, config.batch, config.inner_epochs)
+        for step, rows in enumerate(batches):
+            values, G = loss_spec.value_and_grad(W, b, rows)
+            gW, gb = _chain_rule(rows, G, values > lam)
             W = W - config.eta_inner * (
-                gW / batch - theta_hat_W + W / (config.C * train_data.n))
+                gW / rows.n - theta_hat_W + W / (config.C * train_data.n))
             if b is not None:
-                b = b - config.eta_inner * (gb / batch - theta_hat_b)
+                b = b - config.eta_inner * (gb / rows.n - theta_hat_b)
             if (step + 1) % config.refresh_every == 0:
                 val_losses = loss_spec.losses(W, b, validation_data)
                 lam = float(val_losses.mean() - 2.0 * val_losses.std())
@@ -461,19 +475,15 @@ def tkml_aorr_train(data: Dataset, config: TrainConfig,
         # distribution
         lam, lam_hat = tkml_saddle_point(loss_spec.losses(W, b, data), r)
     evaluated = None  # value_and_grad of every row at the current (W, b)
-    for t in range(config.outer_epochs):
-        if config.batch >= 1 and config.batch < data.n:
-            idx = rng.integers(0, data.n, size=config.batch)
-            scale = data.n / config.batch
-            s, G = loss_spec.value_and_grad(W, b, data, idx)
-        else:
-            idx = None
-            scale = 1.0
-            s, G = (loss_spec.value_and_grad(W, b, data) if evaluated is None
-                    else evaluated)
+    batch = config.batch if config.batch < data.n else 0  # >= n: full batch
+    for t, rows in enumerate(_batches(data, rng, batch, config.outer_epochs)):
+        scale = data.n / rows.n
+        if rows is not data or evaluated is None:
+            evaluated = loss_spec.value_and_grad(W, b, rows)
+        s, G = evaluated
         keep = lam_hat > np.maximum(s - lam, 0.0)
         both = keep & (s > lam)
-        gW, gb = _chain_rule(data, idx, G, both)
+        gW, gb = _chain_rule(rows, G, both)
         W = W - config.eta_inner * (scale * gW / width + W / config.C)
         if b is not None:
             b = b - config.eta_inner * scale * gb / width

@@ -1,9 +1,19 @@
 import dataclasses
+import itertools
 import json
 
 import pytest
 
-from rankedrange import NoiseSpec, TrainConfig
+from rankedrange import (
+    NoiseSpec,
+    SyntheticSpec,
+    TrainConfig,
+    cli,
+    gen_multiclass_blobs,
+    gen_multilabel_synthetic,
+    gen_synthetic,
+    split_dataset,
+)
 from rankedrange.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -133,6 +143,41 @@ def test_invalid_combinations_rejected():
         # threshold-learning mode needs a validation part
         parse_config("task = multiclass\nloss = softmax\n"
                      "aggregate = auto_aorr\nsplit = 0.8,0.2")
+
+
+class _Reached(Exception):
+    """Raised by a stand-in trainer: the dispatch got that far."""
+
+
+def test_every_valid_triple_reaches_a_trainer(monkeypatch):
+    # parse_config rejects each (task, loss, aggregate) that _train_model
+    # has no trainer for, so the dispatch needs no fallback error of its own
+    trainers = ("sgd_average_train", "dca_train", "auto_train",
+                "tkml_aorr_train", "multilabel_lr_train")
+    for name in trainers:
+        def trainer(*args, _name=name, **kwargs):
+            raise _Reached(_name)
+        monkeypatch.setattr(cli, name, trainer)
+    monkeypatch.setattr(cli, "tkml_warm_start", lambda data, config: None)
+    data = {
+        "binary": gen_synthetic(SyntheticSpec(seed=1)),
+        "multiclass": gen_multiclass_blobs(60, 3, 4, seed=1),
+        "multilabel": gen_multilabel_synthetic(60, 3, 4, seed=1),
+    }
+    reached = set()
+    for task, loss, agg in itertools.product(cli.TASKS, cli.LOSSES,
+                                             cli.AGGREGATES):
+        try:
+            cfg = parse_config(f"task = {task}\nloss = {loss}\n"
+                               f"aggregate = {agg}\ntrain.m = 1\n"
+                               "train.k = 5\n")
+        except ConfigError:
+            continue
+        tr, va = split_dataset(data[task], (0.7, 0.3), seed=0)
+        with pytest.raises(_Reached) as exc:
+            cli._train_model(cfg, tr, va, seed=0)
+        reached.add(str(exc.value))
+    assert reached == set(trainers)
 
 
 def test_resolved_config_expands_defaults():

@@ -154,6 +154,36 @@ def test_load_libsvm_rejects_index_below_1(tmp_path, text, lineno):
     assert exc.value.lineno == lineno
 
 
+def test_load_libsvm_rejects_non_integral_label(tmp_path):
+    # 1.5 is no class; it must not load as 1
+    path = tmp_path / "half.libsvm"
+    path.write_text("1 1:0.5\n\n1.5 1:1.0\n-1 1:2.0\n")
+    with pytest.raises(DataParseError) as exc:
+        load_dataset(path, format="libsvm")
+    assert exc.value.lineno == 3
+
+
+def test_load_libsvm_reads_integral_label_spellings(tmp_path):
+    path = tmp_path / "signs.libsvm"
+    path.write_text("+1 1:0.5\n-1 1:1.0\n1.0 1:2.0\n-1.0 1:3.0\n")
+    data = load_dataset(path, format="libsvm")
+    np.testing.assert_array_equal(data.labels, [1, -1, 1, -1])
+    assert data.l == 1
+
+
+@pytest.mark.parametrize("label", ["99999999999999999999;1", "0;1"],
+                         ids=["beyond-int64", "zero"])
+def test_load_csv_rejects_label_set_outside_range(tmp_path, label):
+    # the first would set l to 10**20, the second fails the label-set check
+    # of Dataset; both must name the record's line
+    path = tmp_path / "sets.csv"
+    path.write_text(f"labels,f0\n1;2,0.5\n\n{label},1.0\n3,1.5\n")
+    with pytest.raises(DataParseError) as exc:
+        load_dataset(path)
+    assert exc.value.lineno == 4
+    assert str(path) in str(exc.value)
+
+
 def test_write_csv_roundtrip(tmp_path):
     orig = gen_multilabel_synthetic(20, 4, 5, seed=3)
     path = tmp_path / "rt.csv"

@@ -32,7 +32,17 @@ from rankedrange import (
 from rankedrange import cli
 from rankedrange.core import top_k_sum
 from rankedrange.losses import MarginLossKind, margin_loss, softmax_loss_grad
-from rankedrange.optim import _PARTITION_MIN_SIZE, _chain_rule
+from rankedrange.optim import (
+    _PARTITION_MIN_SIZE,
+    _Batch,
+    _chain_rule,
+    holdout_error,
+)
+
+
+def gathered(data, idx):
+    """The rows ``idx`` of ``data`` as the batch a trainer step gathers."""
+    return _Batch(data.features[idx], data.label_matrix[idx], len(idx))
 
 
 def small_binary(seed=0, n=40):
@@ -54,7 +64,7 @@ def test_phi_subgradient_threshold_extremes():
     gW, _ = phi_subgradient(W, b, data, spec, float(losses.max()) + 1.0)
     assert np.all(gW == 0.0)
     gW_all, gb_all = phi_subgradient(W, b, data, spec, float(losses.min()) - 1.0)
-    gW_full, gb_full = _chain_rule(data, None, spec.value_and_grad(W, b, data)[1])
+    gW_full, gb_full = _chain_rule(data, spec.value_and_grad(W, b, data)[1])
     np.testing.assert_allclose(gW_all, gW_full)
     np.testing.assert_allclose(gb_all, gb_full)
 
@@ -259,6 +269,173 @@ def test_auto_train_clean_data_matches_average_baseline():
     assert acc_auto >= acc_avg - 0.005
 
 
+def test_auto_train_full_batch_ignores_the_seed():
+    # batch 0 is the full batch: no rows are drawn, so the seed has no say
+    data = gen_multiclass_blobs(200, 5, 3, seed=29)
+    tr, va = split_dataset(data, (0.8, 0.2), seed=0)
+    spec = make_loss_spec("softmax")
+    cfg = TrainConfig(eta_outer=0.3, eta_inner=0.02, outer_epochs=2,
+                      inner_epochs=30, warmup_epochs=20, batch=0)
+    a = auto_train(tr, va, spec, dataclasses.replace(cfg, seed=1))
+    b = auto_train(tr, va, spec, dataclasses.replace(cfg, seed=2))
+    np.testing.assert_array_equal(a.model.weights, b.model.weights)
+    np.testing.assert_array_equal(a.model.bias, b.model.bias)
+
+
+# --- exact replays of the trainer loops -----------------------------------
+# Each reference is a trainer written as one self-contained loop that draws
+# its indices one step at a time and indexes the rows at each use; the
+# trainers must match it bit for bit.
+
+def _start(rng, data, config):
+    if config.init_scale > 0.0:
+        return (config.init_scale * rng.standard_normal((data.l, data.d)),
+                config.init_scale * rng.standard_normal(data.l))
+    return np.zeros((data.l, data.d)), np.zeros(data.l)
+
+
+def _draw(rng, data, batch):
+    return np.arange(data.n) if batch == 0 else rng.integers(
+        0, data.n, size=batch)
+
+
+def _dca_reference(data, spec, config, validation_data, eval_every):
+    rng = np.random.default_rng(config.seed)
+    r = config.ranked_range(data.n)
+    X, C, eta = data.features, config.C, config.eta_inner
+    W, b = _start(rng, data, config)
+    full = config.batch == 0
+    scale = 1.0 if full else config.batch / data.n
+    best = (np.inf, W, b)
+    trace, lambdas = [], []
+    for _ in range(config.outer_epochs):
+        values, G = spec.value_and_grad(W, b, data)
+        top = np.zeros(data.n, dtype=bool)
+        top[np.argsort(-values, kind="stable")[:r.m]] = True
+        G = G * top[:, None]
+        theta_W, theta_b = G.T @ X, G.sum(axis=0)
+        lam = 0.0
+        for step in range(config.inner_epochs):
+            idx = _draw(rng, data, config.batch)
+            values, G = spec.value_and_grad(W, b, gathered(data, idx))
+            active = values > lam
+            G = G * active[:, None]
+            gW, gb = G.T @ X[idx], G.sum(axis=0)
+            lam -= eta * (r.k * scale - np.count_nonzero(active))
+            W = W - eta * (gW - scale * theta_W + scale * W / C)
+            b = b - eta * (gb - scale * theta_b)
+            if not full and (step + 1) % eval_every == 0:
+                ve = holdout_error(W, b, spec, validation_data)
+                if ve < best[0]:
+                    best = (ve, W.copy(), b.copy())
+        trace.append(sorr_objective(W, b, data, spec, r, C))
+        lambdas.append(lam)
+    if best[0] < holdout_error(W, b, spec, validation_data):
+        W, b = best[1], best[2]
+    return trace, lambdas, W, b
+
+
+@pytest.mark.parametrize("batch", [0, 1, 16])
+def test_dca_train_matches_reference_loop(batch):
+    data = small_binary(seed=30, n=60)
+    validation = small_binary(seed=31, n=30)
+    spec = make_loss_spec("logistic")
+    cfg = TrainConfig(m=4, k=40, eta_inner=0.01, outer_epochs=3,
+                      inner_epochs=90, batch=batch, seed=32, init_scale=0.3)
+    trace, lambdas, W, b = _dca_reference(data, spec, cfg, validation, 7)
+    report = dca_train(data, spec, cfg, validation_data=validation,
+                       eval_every=7)
+    np.testing.assert_array_equal(report.objective_trace, trace)
+    np.testing.assert_array_equal([p.lam for p in report.lambdas], lambdas)
+    np.testing.assert_array_equal(report.model.weights, W)
+    np.testing.assert_array_equal(report.model.bias, b)
+
+
+def _auto_reference(train, validation, spec, config):
+    rng = np.random.default_rng(config.seed)
+    X, n, C = train.features, train.n, config.C
+    W, b = np.zeros((train.l, train.d)), np.zeros(train.l)
+    best_val, stall = np.inf, 0
+    for _ in range(config.warmup_epochs):
+        G = spec.value_and_grad(W, b, train)[1]
+        W = W - config.eta_outer * ((G.T @ X) / n + W / C)
+        b = b - config.eta_outer * G.sum(axis=0) / n
+        val_mean = float(np.mean(spec.losses(W, b, validation)))
+        if val_mean < best_val - 1e-12:
+            best_val, stall = val_mean, 0
+        else:
+            stall += 1
+            if stall >= config.patience:
+                break
+    pair = lambda_pair_from_validation(spec.losses(W, b, validation))
+    lam, lam_hat = pair.lam, pair.lam_hat
+    trace, lambdas = [], []
+    for _ in range(config.outer_epochs):
+        values, G = spec.value_and_grad(W, b, train)
+        G = G * (values > lam_hat)[:, None]
+        theta_W, theta_b = (G.T @ X) / n, G.sum(axis=0) / n
+        for step in range(config.inner_epochs):
+            idx = _draw(rng, train, config.batch)
+            values, G = spec.value_and_grad(W, b, gathered(train, idx))
+            G = G * (values > lam)[:, None]
+            gW, gb = G.T @ X[idx], G.sum(axis=0)
+            W = W - config.eta_inner * (
+                gW / len(idx) - theta_W + W / (C * n))
+            b = b - config.eta_inner * (gb / len(idx) - theta_b)
+            if (step + 1) % config.refresh_every == 0:
+                val_losses = spec.losses(W, b, validation)
+                lam = float(val_losses.mean() - 2.0 * val_losses.std())
+        pair = lambda_pair_from_validation(spec.losses(W, b, validation))
+        lam, lam_hat = pair.lam, pair.lam_hat
+        lambdas.append((pair.lam, pair.lam_hat))
+        trace.append(float(np.mean(spec.losses(W, b, validation))))
+    return trace, lambdas, W, b
+
+
+def test_auto_train_matches_reference_loop():
+    data = gen_multiclass_blobs(300, 6, 4, seed=33)
+    tr, va = split_dataset(data, (0.8, 0.2), seed=0)
+    spec = make_loss_spec("softmax")
+    cfg = TrainConfig(eta_outer=0.3, eta_inner=0.02, outer_epochs=3,
+                      inner_epochs=60, warmup_epochs=30, batch=32,
+                      refresh_every=7, seed=34)
+    trace, lambdas, W, b = _auto_reference(tr, va, spec, cfg)
+    report = auto_train(tr, va, spec, cfg)
+    np.testing.assert_array_equal(report.objective_trace, trace)
+    assert [(p.lam, p.lam_hat) for p in report.lambdas] == lambdas
+    np.testing.assert_array_equal(report.model.weights, W)
+    np.testing.assert_array_equal(report.model.bias, b)
+
+
+def _sgd_average_reference(data, spec, config):
+    rng = np.random.default_rng(config.seed)
+    X, C, eta = data.features, config.C, config.eta_outer
+    W, b = np.zeros((data.l, data.d)), np.zeros(data.l)
+    steps = 1 if config.batch == 0 else max(data.n // config.batch, 1)
+    trace = []
+    for _ in range(config.outer_epochs):
+        for _ in range(steps):
+            idx = _draw(rng, data, config.batch)
+            G = spec.value_and_grad(W, b, gathered(data, idx))[1]
+            W = W - eta * ((G.T @ X[idx]) / len(idx) + W / C)
+            b = b - eta * G.sum(axis=0) / len(idx)
+        trace.append(float(np.mean(spec.losses(W, b, data)))
+                     + float(np.sum(W ** 2)) / (2.0 * C))
+    return trace, W, b
+
+
+@pytest.mark.parametrize("batch", [0, 8])
+def test_sgd_average_train_matches_reference_loop(batch):
+    data = gen_multiclass_blobs(90, 5, 3, seed=35)
+    spec = make_loss_spec("softmax")
+    cfg = TrainConfig(eta_outer=0.2, outer_epochs=12, batch=batch, seed=36)
+    trace, W, b = _sgd_average_reference(data, spec, cfg)
+    report = sgd_average_train(data, spec, cfg)
+    np.testing.assert_array_equal(report.objective_trace, trace)
+    np.testing.assert_array_equal(report.model.weights, W)
+    np.testing.assert_array_equal(report.model.bias, b)
+
+
 # --- combined sample/label minimax ----------------------------------------
 
 def test_tkml_aorr_cold_start_threshold_updates():
@@ -355,7 +532,7 @@ def _tkml_aorr_reference(data, config):
         if 1 <= config.batch < n:
             idx = rng.integers(0, n, size=config.batch)
             scale = n / config.batch
-        s, G = spec.value_and_grad(W, b, data, idx)
+        s, G = spec.value_and_grad(W, b, gathered(data, idx))
         keep = lam_hat > np.maximum(s - lam, 0.0)
         both = keep & (s > lam)
         G = G * both[:, None]
@@ -454,6 +631,11 @@ def test_train_config_validation():
     assert TrainConfig(k=0).ranked_range(25).k == 25
 
 
+def test_negative_batch_rejected():
+    with pytest.raises(ValueError, match="batch"):
+        TrainConfig(batch=-1)
+
+
 def test_tkml_sample_loss_matches_scalar_path():
     data = gen_multilabel_synthetic(30, 6, 5, seed=17, min_labels=1,
                                     max_labels=3)
@@ -513,8 +695,9 @@ def test_value_and_grad_matches_scalar_oracles(kind):
     b = rng.standard_normal(data.l)
     rows = np.array([3, 7, 7, 0, 12, 3, 29, 3])
     mask = np.array([1, 1, 0, 1, 1, 0, 1, 1], dtype=bool)
-    values, G = spec.value_and_grad(W, b, data, rows)
-    gW, gb = _chain_rule(data, rows, G, mask)
+    batch = gathered(data, rows)
+    values, G = spec.value_and_grad(W, b, batch)
+    gW, gb = _chain_rule(batch, G, mask)
 
     expect_W, expect_b = np.zeros_like(W), np.zeros(data.l)
     for pos, i in enumerate(rows):
@@ -558,7 +741,8 @@ def test_tkml_value_and_grad_ties_match_scalar_oracle_exactly(kprime):
     for W, b in cases:
         scores = data.features @ W.T + b  # integer-valued, so exact
         for rows in (None, small, large):
-            values, G = spec.value_and_grad(W, b, data, rows)
+            values, G = spec.value_and_grad(
+                W, b, data if rows is None else gathered(data, rows))
             for pos, i in enumerate(range(data.n) if rows is None else rows):
                 value, coeffs = tkml_loss_subgrad(
                     scores[i], LabelSet(data.labels[i], data.l), kprime)
