@@ -21,6 +21,7 @@ from .core import (
 from .data import (
     DataParseError,
     Dataset,
+    LabelError,
     NoiseSpec,
     SyntheticSpec,
     flip_count,

@@ -8,6 +8,10 @@ as data: each entry is a table header and its rows, and each row is a
 config text that ``repro`` parses with ``parse_config`` and runs with
 ``run_experiment``, exactly as ``train`` runs a config file.
 
+The repeats of an experiment, and the (m, k) cells of a ``tkml_aorr`` grid,
+run on forked processes, up to one per CPU (``_ordered_map``); the report
+is the same as a serial run's.
+
 Config files are plain text, one ``key = value`` per line, ``#`` starts a
 comment.  Every key has a default (see ``DEFAULTS``); the resolved config
 is embedded in every report so runs are self-describing.  The keys are the
@@ -54,6 +58,7 @@ from __future__ import annotations
 import argparse
 import csv as _csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -110,8 +115,11 @@ class ConfigError(ValueError):
     """Invalid experiment config; carries the offending key."""
 
     def __init__(self, key: str, message: str):
-        super().__init__(f"config key {key!r}: {message}")
+        super().__init__(key, message)  # pickles by its arguments
         self.key = key
+
+    def __str__(self):
+        return f"config key {self.key!r}: {self.args[1]}"
 
 
 @dataclass(frozen=True)
@@ -312,6 +320,97 @@ _GENERATORS = {
 }
 
 
+# (fn, items) of the running _ordered_map; its forked workers inherit it
+_MAP_JOB = None
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count, found through the
+    libraries mapped into this process; None when there is no such pair."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _map_item(i):
+    fn, items = _MAP_JOB
+    return fn(items[i])
+
+
+def _ordered_map(fn, items):
+    """``[fn(x) for x in items]``, spread over up to one process per CPU
+    this process may run on.
+
+    The caller runs items 0, share, 2 * share, ...; forked workers run the
+    rest.  They inherit fn and the items, so only indices and results cross
+    the pipe.  OpenBLAS is held at one thread while the map runs.  Serial
+    for one item or one CPU, inside a map (nested maps and the workers), in
+    a daemonic process, and when OpenBLAS's thread count cannot be set.
+    Errors are raised in item order, as a serial map raises them.
+    """
+    global _MAP_JOB
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    share = min(len(items), cpus)
+    if share < 2 or _MAP_JOB is not None:
+        return [fn(x) for x in items]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    blas = _openblas_threads()
+    if blas is None or multiprocessing.current_process().daemon:
+        return [fn(x) for x in items]
+    # the workers fork at the first submit, after the job is in place
+    pool = ProcessPoolExecutor(share - 1,
+                               mp_context=multiprocessing.get_context("fork"))
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    _MAP_JOB = (fn, items)
+    try:
+        futures = {i: pool.submit(_map_item, i)
+                   for i in range(len(items)) if i % share}
+        mine, error = {}, None
+        for i in range(0, len(items), share):
+            try:
+                mine[i] = fn(items[i])
+            except Exception as exc:
+                error = exc
+                break
+        results = []
+        for i in range(len(items)):
+            if i % share:
+                results.append(futures[i].result())
+            elif i in mine:
+                results.append(mine[i])
+            else:
+                raise error
+        return results
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _MAP_JOB = None
+        set_threads(threads)
+
+
 def _best_of_restarts(train_data, validation_data, loss_spec, base: TrainConfig,
                       restarts: int, seed: int):
     """Seeded random restarts; the validation error picks the winner."""
@@ -371,24 +470,21 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
         if agg in ("atk", "aorr", "tkml_aorr"):
             ms = (0,) if agg == "atk" else cfg.grid_m or (base.m,)
             ks = cfg.grid_k or (base.k,)
-            for m in ms:
-                for k in ks:
-                    _check_range(cfg, replace(base, m=m, k=k), tr.n)
-            best = None
+            cells = [replace(base, m=m, k=k) for m in ms for k in ks]
+            for cell in cells:
+                _check_range(cfg, cell, tr.n)
+            start = tkml_warm_start(tr, base)  # shared: (m, k) is not used
+            reports = _ordered_map(lambda cell: tkml_aorr_train(tr, cell, start),
+                                   cells)
             # select the trimming range on held-out data; the noisy
             # training set saturates once every cell fits the clean part
             probe = next(p for p in (va, holdout, tr) if p is not None)
-            start = tkml_warm_start(tr, base)  # shared: (m, k) is not used
-            for m in ms:
-                for k in ks:
-                    report = tkml_aorr_train(tr, replace(base, m=m, k=k), start)
-                    acc = topk_multilabel_accuracy(
-                        predict_matrix(report.model, probe.features),
-                        probe.labels, cfg.eval_k)
-                    if best is None or acc > best[0]:
-                        best = (acc, report, m, k)
-            extras["grid_choice"] = {"m": best[2], "k": best[3]}
-            return best[1], extras
+            accs = [topk_multilabel_accuracy(
+                predict_matrix(report.model, probe.features), probe.labels,
+                cfg.eval_k) for report in reports]
+            best = int(np.argmax(accs))  # the first cell with the top score
+            extras["grid_choice"] = {"m": cells[best].m, "k": cells[best].k}
+            return reports[best], extras
 
     spec = make_loss_spec(cfg.loss, base.kprime)
     if agg == "average":
@@ -483,7 +579,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     data = None
     if cfg.dataset not in _GENERATORS:
         data = load_dataset(cfg.dataset, cfg.format)
-    runs = [_single_run(cfg, i, data) for i in range(cfg.repeats)]
+    runs = _ordered_map(lambda run: _single_run(cfg, run, data),
+                        range(cfg.repeats))
     metric_names = sorted(runs[0]["metrics"])
     aggregates = {}
     for key in metric_names:

@@ -9,11 +9,24 @@ frozenset of labels per sample.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+
+
+class LabelError(ValueError):
+    """A label that does not fit the label count l; ``row`` is the index of
+    its sample."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(row, message)  # pickles by its arguments
+        self.row = row
+
+    def __str__(self):
+        return self.args[1]
 
 
 @dataclass(frozen=True)
@@ -30,9 +43,10 @@ class Dataset:
         object.__setattr__(self, "features", X)
         if self.is_multilabel:
             labels = tuple(frozenset(int(y) for y in ys) for ys in self.labels)
-            for ys in labels:
+            for i, ys in enumerate(labels):
                 if not ys or len(ys) >= self.l or any(y < 1 or y > self.l for y in ys):
-                    raise ValueError(f"invalid label set {sorted(ys)} for l={self.l}")
+                    raise LabelError(i, f"invalid label set {sorted(ys)} for "
+                                        f"l={self.l}")
             if len(labels) != X.shape[0]:
                 raise ValueError("label count does not match sample count")
             object.__setattr__(self, "labels", labels)
@@ -41,10 +55,12 @@ class Dataset:
             if y.shape != (X.shape[0],):
                 raise ValueError("label count does not match sample count")
             if self.l == 1:
-                if not np.all(np.isin(y, (-1, 1))):
-                    raise ValueError("binary labels must be +1/-1")
-            elif np.any(y < 1) or np.any(y > self.l):
-                raise ValueError(f"class labels outside 1..{self.l}")
+                bad, allowed = ~np.isin(y, (-1, 1)), "+1/-1"
+            else:
+                bad, allowed = (y < 1) | (y > self.l), f"1..{self.l}"
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise LabelError(i, f"label {y[i]} outside {allowed}")
             object.__setattr__(self, "labels", y)
 
     @property
@@ -194,8 +210,11 @@ def gen_multilabel_synthetic(n: int, d: int, l: int, seed: int = 0,
 
 class DataParseError(ValueError):
     def __init__(self, path, lineno, message):
-        super().__init__(f"{path}:{lineno}: {message}")
+        super().__init__(path, lineno, message)  # pickles by its arguments
         self.lineno = lineno
+
+    def __str__(self):
+        return "{}:{}: {}".format(*self.args)
 
 
 def load_dataset(path, format: str = "csv", l: int | None = None) -> Dataset:
@@ -241,13 +260,29 @@ def _load_csv(path, l):
         except (ValueError, OverflowError):
             _raise_first_bad_record(path, fh, len(header), label_col, multilabel)
             raise
-    if multilabel:
-        if l is None:
-            l = max(max(ys) for ys in labels) + 1  # keep sets proper subsets
-        return Dataset(X, tuple(labels), l, f"csv:{path}")
-    if l is None:
+    return _labelled(path, "csv", X, tuple(labels) if multilabel else labels,
+                     l, lambda row: _csv_record_line(path, row))
+
+
+def _labelled(path, source, X, labels, l, line_of):
+    """The Dataset of a loaded file, with l inferred from the labels when
+    None.  A label that does not fit l raises DataParseError at the line
+    ``line_of(row)`` gives for its row."""
+    if l is None and isinstance(labels, tuple):
+        l = max(max(ys) for ys in labels) + 1  # keep sets proper subsets
+    elif l is None:
         l = 1 if set(np.unique(labels)) <= {-1, 1} else int(labels.max())
-    return Dataset(X, labels, l, f"csv:{path}")
+    try:
+        return Dataset(X, labels, l, f"{source}:{path}")
+    except LabelError as exc:
+        raise DataParseError(path, line_of(exc.row), str(exc)) from None
+
+
+def _csv_record_line(path, row):
+    """First physical line of data record ``row`` (0 is the one after the
+    header)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return next(itertools.islice(_csv_records(fh), row + 1, None))[0]
 
 
 def _csv_records(fh):
@@ -354,9 +389,7 @@ def _load_libsvm(path, l):
     except OverflowError as exc:
         big = next(i for i, v in enumerate(labels) if not -2**63 <= v < 2**63)
         raise DataParseError(path, linenos[big], str(exc)) from None
-    if l is None:
-        l = 1 if set(np.unique(y)) <= {-1, 1} else int(y.max())
-    return Dataset(X, y, l, f"libsvm:{path}")
+    return _labelled(path, "libsvm", X, y, l, linenos.__getitem__)
 
 
 def inject_noise(data: Dataset, spec: NoiseSpec) -> Dataset:

@@ -99,8 +99,11 @@ def save_model(model: LinearModel, path) -> None:
 
 class ModelParseError(ValueError):
     def __init__(self, path, lineno, message):
-        super().__init__(f"{path}:{lineno}: {message}")
+        super().__init__(path, lineno, message)  # pickles by its arguments
         self.lineno = lineno
+
+    def __str__(self):
+        return "{}:{}: {}".format(*self.args)
 
 
 def load_model(path) -> LinearModel:

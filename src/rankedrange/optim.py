@@ -32,8 +32,11 @@ class TrainingDiverged(ArithmeticError):
     """Raised when a trainer's objective goes non-finite."""
 
     def __init__(self, epoch: int):
-        super().__init__(f"objective became non-finite at epoch {epoch}")
+        super().__init__(epoch)  # pickles by its arguments
         self.epoch = epoch
+
+    def __str__(self):
+        return f"objective became non-finite at epoch {self.epoch}"
 
 
 @dataclass(frozen=True)

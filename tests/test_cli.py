@@ -1,13 +1,19 @@
 import dataclasses
 import itertools
 import json
+import os
+import pickle
 
 import pytest
 
 from rankedrange import (
+    DataParseError,
+    LabelError,
+    ModelParseError,
     NoiseSpec,
     SyntheticSpec,
     TrainConfig,
+    TrainingDiverged,
     cli,
     gen_multiclass_blobs,
     gen_multilabel_synthetic,
@@ -318,20 +324,143 @@ def test_file_dataset_loaded_once_per_experiment(tmp_path, monkeypatch):
     data_path = tmp_path / "synth.csv"
     write_csv(gen_synthetic(SyntheticSpec(seed=0)), data_path)
     cfg = parse_config(_RUN.replace("synthetic", str(data_path)) + "repeats = 3\n")
-    calls = []
+    # one byte per load, appended to a file: repeats may run in forked
+    # processes, which do not share an in-process list
+    calls = tmp_path / "loads"
+    calls.write_bytes(b"")
     load = cli.load_dataset
-    monkeypatch.setattr(cli, "load_dataset",
-                        lambda *args: calls.append(args) or load(*args))
+
+    def counting_load(*args):
+        with open(calls, "ab") as fh:
+            fh.write(b".")
+        return load(*args)
+
+    monkeypatch.setattr(cli, "load_dataset", counting_load)
     run_experiment(cfg, str(tmp_path / "shared"), "r")
-    assert len(calls) == 1
+    assert len(calls.read_bytes()) == 1
     # the same experiment with the file loaded again on every repeat
     monkeypatch.setitem(cli._GENERATORS, str(data_path),
                         lambda cfg, seed: cli.load_dataset(cfg.dataset, cfg.format))
     run_experiment(cfg, str(tmp_path / "each"), "r")
-    assert len(calls) == 4
+    assert len(calls.read_bytes()) == 4
     for name in ("r.json", "r.csv"):
         assert (tmp_path / "shared" / name).read_bytes() == \
             (tmp_path / "each" / name).read_bytes()
+
+
+# --- repeats and grid cells on forked processes ----------------------------
+
+def _cpus(monkeypatch, count):
+    """Make this process look as if it may run on ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+_needs_openblas = pytest.mark.skipif(
+    cli._openblas_threads() is None,
+    reason="no OpenBLAS thread setter, so every map runs serially")
+
+_GRID = ("task = multilabel\nloss = tkml\naggregate = tkml_aorr\n"
+         "dataset = multilabel-synth\nsplit = 0.6,0.2,0.2\nml.n = 200\n"
+         "ml.d = 8\nml.l = 5\neval_k = 2\ngrid.m = 10,20\ngrid.k = 60,90\n"
+         "train.kprime = 2\ntrain.outer_epochs = 30\n"
+         "train.warmup_epochs = 10\ntrain.batch = 0\n")
+_DCA_REPEATS = _RUN + "aggregate = aorr\ntrain.m = 2\ntrain.k = 20\nrepeats = 3\n"
+
+
+@pytest.mark.parametrize("text", [_GRID, _DCA_REPEATS],
+                         ids=["tkml_aorr-grid", "dca-repeats"])
+def test_reports_do_not_depend_on_cpu_count(tmp_path, monkeypatch, text):
+    cfg = parse_config(text)
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        run_experiment(cfg, str(tmp_path / str(cpus)), "r")
+    for name in ("r.json", "r.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes()
+
+
+@_needs_openblas
+def test_ordered_map_returns_items_in_order(monkeypatch):
+    _cpus(monkeypatch, 2)
+    out = cli._ordered_map(lambda x: (x * x, os.getpid()), range(5))
+    assert [value for value, _ in out] == [0, 1, 4, 9, 16]
+    # the caller runs items 0, 2 and 4, one forked worker items 1 and 3
+    pids = [pid for _, pid in out]
+    assert pids[0] == pids[2] == pids[4] == os.getpid()
+    assert pids[1] == pids[3] != os.getpid()
+
+
+def test_ordered_map_on_one_cpu_stays_in_process(monkeypatch):
+    _cpus(monkeypatch, 1)
+    assert cli._ordered_map(lambda x: os.getpid(), range(3)) == [os.getpid()] * 3
+
+
+def test_nested_ordered_map_runs_serially(monkeypatch):
+    _cpus(monkeypatch, 2)
+    out = cli._ordered_map(
+        lambda x: (os.getpid(), cli._ordered_map(lambda y: os.getpid(),
+                                                 range(3))), range(2))
+    for pid, inner in out:
+        assert inner == [pid] * 3
+
+
+@_needs_openblas
+def test_ordered_map_restores_blas_threads(monkeypatch):
+    get_threads, set_threads = cli._openblas_threads()
+    _cpus(monkeypatch, 2)
+    original = get_threads()
+    set_threads(2)
+    try:
+        before = get_threads()
+        inside = cli._ordered_map(lambda x: get_threads(), range(2))
+        assert inside == [1, 1]
+        assert get_threads() == before
+    finally:
+        set_threads(original)
+
+
+@_needs_openblas
+def test_ordered_map_raises_a_worker_error_in_the_caller(monkeypatch):
+    _cpus(monkeypatch, 2)
+
+    def fail_in_worker(x):
+        if x == 1:  # item 1 of 3 runs in the forked worker
+            raise ConfigError("train.k", "raised in a worker")
+        return x
+
+    with pytest.raises(ConfigError) as exc:
+        cli._ordered_map(fail_in_worker, range(3))
+    assert exc.value.key == "train.k"
+    assert str(exc.value) == "config key 'train.k': raised in a worker"
+
+
+def test_ordered_map_raises_the_first_error_in_item_order(monkeypatch):
+    _cpus(monkeypatch, 2)
+
+    def fail(x):
+        if x:
+            raise TrainingDiverged(x)
+        return x
+
+    with pytest.raises(TrainingDiverged) as exc:
+        cli._ordered_map(fail, range(4))
+    assert exc.value.epoch == 1
+
+
+@pytest.mark.parametrize("error, attr, value", [
+    (ConfigError("k", "m"), "key", "k"),
+    (DataParseError("data.csv", 3, "x"), "lineno", 3),
+    (TrainingDiverged(7), "epoch", 7),
+    (ModelParseError("model.txt", 2, "y"), "lineno", 2),
+    (LabelError(4, "label 3 outside 1..2"), "row", 4),
+], ids=["ConfigError", "DataParseError", "TrainingDiverged", "ModelParseError",
+        "LabelError"])
+def test_errors_survive_pickling(error, attr, value):
+    # a worker's error reaches the caller pickled
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert getattr(back, attr) == value
 
 
 def test_eval_rejects_labels_the_model_cannot_score(tmp_path):

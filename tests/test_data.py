@@ -132,6 +132,21 @@ def test_load_rejects_label_beyond_int64(tmp_path, format, text, lineno):
     assert exc.value.lineno == lineno
 
 
+@pytest.mark.parametrize("format, text", [
+    ("csv", "label,f0\n1,0.5\n\n3,1.0\n2,2.0\n"),
+    ("csv", "labels,f0\n1,0.5\n\n3,1.0\n2,2.0\n"),
+    ("libsvm", "1 1:0.5\n2 1:1.5\n\n3 1:1.0\n2 1:2.0\n"),
+], ids=["csv-class", "csv-label-set", "libsvm"])
+def test_load_rejects_label_outside_given_l_at_its_line(tmp_path, format,
+                                                          text):
+    # a model's label count (the eval path) that a record's label exceeds
+    path = tmp_path / "three.data"
+    path.write_text(text)
+    with pytest.raises(DataParseError) as exc:
+        load_dataset(path, format=format, l=2)
+    assert exc.value.lineno == 4  # blank lines count
+
+
 def test_load_libsvm_sparse(tmp_path):
     path = tmp_path / "sparse.libsvm"
     path.write_text("2 1:0.5 4:1.0\n1 2:2.0\n")
