@@ -2,7 +2,9 @@
 variational (difference-of-convex) reformulations.
 
 All functions are pure and operate on a 1-D set of finite real values.
-Ranking ties are broken by ascending original index throughout.
+Index orders (``descending_order``) are stable: ties keep ascending
+original index.  Value sorts have no visible tie order, since tied values
+are bitwise equal; the one exception is ``-0.0`` against ``0.0``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 def as_values(values) -> np.ndarray:
     """The values (or a ValueSet's) as a checked non-empty finite 1-D array."""
-    arr =np.asarray(getattr(values, "values", values), dtype=np.float64)
+    arr = np.asarray(getattr(values, "values", values), dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"expected a non-empty 1-D value set, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -68,9 +70,15 @@ def descending_order(values) -> np.ndarray:
 
 
 def sort_descending(values) -> np.ndarray:
-    """Sort a copy in descending order, ties by ascending original index."""
-    arr = as_values(values)
-    return arr[descending_order(arr)]
+    """A C-contiguous copy of the values sorted descending.
+
+    The value sequence equals that of the stable index order, because tied
+    values are bitwise equal; only ``-0.0`` and ``0.0``, which compare
+    equal, may come out in either order within their tie.
+    """
+    srt = np.negative(as_values(values))
+    srt.sort()
+    return np.negative(srt, out=srt)
 
 
 def top_k_sum(values, k: int) -> float:
@@ -87,12 +95,13 @@ def top_k_sum(values, k: int) -> float:
 def ranked_range_sum(values, r: RankedRange) -> float:
     """Sum of sorted values from rank m+1 through k.
 
-    Computed as the difference of two top sums so the identity with
-    ``top_k_sum`` holds exactly, in the same summation order.
+    Computed from one sort as the difference of two top sums, so the
+    identity with ``top_k_sum`` holds exactly, in the same summation order.
     """
     arr = as_values(values)
     r.validate(arr.size)
-    return top_k_sum(arr, r.k) - top_k_sum(arr, r.m)
+    srt = sort_descending(arr)
+    return float(np.sum(srt[:r.k])) - float(np.sum(srt[:r.m]))
 
 
 def ranked_range_average(values, r: RankedRange) -> float:

@@ -113,6 +113,19 @@ def test_constant_shift(vals, c):
                                     abs=1e-6)
 
 
+def test_sort_descending_signed_zero_tie():
+    # -0.0 == 0.0, so the value sort may order them either way within their
+    # tie; the sorted copy keeps every value with its sign, and the sums
+    # cannot tell the order apart
+    s = np.array([-0.0, 1.0, 0.0, -0.0, -1.0])
+    srt = sort_descending(s)
+    assert srt.tolist() == [1.0, 0.0, 0.0, 0.0, -1.0]
+    assert np.count_nonzero(np.signbit(srt[1:4])) == 2
+    assert srt.flags.c_contiguous and srt is not s
+    assert top_k_sum(s, 2) == 1.0 and top_k_sum(s, 4) == 1.0
+    assert ranked_range_sum(s, RankedRange(1, 4)) == 0.0
+
+
 # --- variational forms ----------------------------------------------------
 
 def test_topk_variational_at_optimum():

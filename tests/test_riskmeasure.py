@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,10 @@ from rankedrange import (
     empirical_icvar,
     ranked_range_sum,
     deviation_bound_radii,
+    sort_descending,
+    top_k_sum,
 )
+from rankedrange import riskmeasure
 
 value_sets = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -171,3 +176,124 @@ def test_bound_check_uniform_rates_small():
                                trials=200, seed=3, reference_size=100_000)
     assert up <= 0.1
     assert low <= 0.1
+
+
+def _breaks_draw(call, damage):
+    """A uniform sampler whose ``call``-th draw (0 is the reference, t + 1
+    is trial t) is passed through ``damage``."""
+    calls = itertools.count()
+
+    def sampler(rng, size):
+        draw = rng.uniform(0.0, 1.0, size=size)
+        return damage(draw) if next(calls) == call else draw
+    return sampler
+
+
+@pytest.mark.parametrize("call, damage", [
+    (4, lambda d: np.append(d, 0.5)),
+    (4, lambda d: d[:-1]),
+    (4, lambda d: d.reshape(-1, 1)),
+    (4, lambda d: np.where(np.arange(d.size) == 7, 1.25, d)),
+    (4, lambda d: np.where(np.arange(d.size) == 7, np.nan, d)),
+    (0, lambda d: d[:-1]),
+    (0, lambda d: d[None, :]),
+    (0, lambda d: -d),
+    (0, lambda d: np.where(np.arange(d.size) == 3, np.inf, d)),
+], ids=["trial-extra-value", "trial-missing-value", "trial-2d",
+        "trial-outside-support", "trial-nan", "reference-missing-value",
+        "reference-2d", "reference-outside-support", "reference-inf"])
+def test_bound_check_rejects_a_bad_draw_by_name(call, damage):
+    name = "reference" if call == 0 else f"trial {call - 1}"
+    with pytest.raises(ValueError, match=f"sampler draw {name}:"):
+        cvar_bound_check(_breaks_draw(call, damage), 20, RankedRange(2, 5),
+                         0.1, trials=100, reference_size=2000)
+
+
+# --- exactness against the stable-argsort order statistics -----------------
+
+def stable_sort_descending(values):
+    arr = np.asarray(values, dtype=np.float64)
+    return arr[np.argsort(-arr, kind="stable")]
+
+
+def stable_top_k_sum(values, k):
+    return float(np.sum(stable_sort_descending(values)[:k])) if k else 0.0
+
+
+def stable_empirical_cvar(values, alpha):
+    arr = np.asarray(values, dtype=np.float64)
+    k_real = arr.size * alpha
+    k = int(round(k_real))
+    if abs(k_real - k) < 1e-9 and k >= 1:
+        return stable_top_k_sum(arr, k) / k
+    whole = int(np.floor(k_real))
+    srt = stable_sort_descending(arr)
+    return (float(np.sum(srt[:whole]))
+            + (k_real - whole) * float(srt[whole])) / k_real
+
+
+def stable_empirical_icvar(values, nu, mu):
+    n = len(values)
+    k, m = int(round(n * nu)), int(round(n * mu))
+    upper = stable_top_k_sum(values, k) / n if k >= 1 else 0.0
+    if mu == 0.0:
+        return upper
+    return upper - (stable_top_k_sum(values, m) / n if m >= 1 else 0.0)
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=6), min_size=1,
+                max_size=300),
+       st.sampled_from([0.1, 1.0 / 3.0, 2.718281828459045]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_value_sorts_match_stable_order_exactly(ints, scale, data):
+    # few distinct values, so many ties; a non-dyadic scale makes every sum
+    # depend on its order, and sizes up to 300 cross numpy's 8- and
+    # 128-element pairwise summation blocks
+    s = np.array(ints, dtype=np.float64) * scale
+    n = s.size
+    assert sort_descending(s).tobytes() == stable_sort_descending(s).tobytes()
+    for k in range(n + 1):
+        assert top_k_sum(s, k) == stable_top_k_sum(s, k)
+    k = data.draw(st.integers(min_value=1, max_value=n), label="k")
+    m = data.draw(st.integers(min_value=0, max_value=k - 1), label="m")
+    assert ranked_range_sum(s, RankedRange(m, k)) == \
+        stable_top_k_sum(s, k) - stable_top_k_sum(s, m)
+    for alpha in (k / n, (k - 0.5) / n):
+        assert empirical_cvar(s, alpha) == stable_empirical_cvar(s, alpha)
+    levels = RiskLevelPair(nu=k / n, mu=m / n)
+    assert empirical_icvar(s, levels) == stable_empirical_icvar(s, k / n, m / n)
+
+
+def per_trial_gaps(sampler, n, r, trials, seed, reference_size):
+    """The population-minus-empirical gap of every trial, one draw and one
+    stable sort at a time."""
+    nu, mu = r.k / n, r.m / n
+    reference = sampler(np.random.default_rng(seed), reference_size)
+    population = stable_empirical_icvar(reference, nu, mu)
+    return [population - stable_empirical_icvar(
+        sampler(np.random.default_rng(seed + 1 + t), n), nu, mu)
+        for t in range(trials)]
+
+
+@pytest.mark.parametrize("n, m, k, trials, block", [
+    (40, 0, 10, 150, None),     # m = 0, every trial in one block
+    (40, 3, 40, 120, None),     # k = n
+    (30, 2, 9, 130, 30 * 7),    # 7 trials a block; 130 is not a multiple
+    (50, 5, 20, 101, 60),       # a block holds one trial
+    (300, 10, 200, 100, 299),   # top sums cross the 128-element block
+])
+def test_bound_check_replays_the_per_trial_loop(monkeypatch, n, m, k,
+                                                trials, block):
+    if block is not None:
+        monkeypatch.setattr(riskmeasure, "_BLOCK_VALUES", block)
+    sampler = lambda rng, size: rng.uniform(0.0, 1.0, size=size)
+    r = RankedRange(m, k)
+    gaps = per_trial_gaps(sampler, n, r, trials, seed=5, reference_size=6000)
+    # with every gap in turn as both radii, a gap one ulp off moves a count
+    for g in sorted(set(gaps)):
+        monkeypatch.setattr(riskmeasure, "deviation_bound_radii",
+                            lambda *args, g=g: (g, -g))
+        expected = (sum(x > g for x in gaps) / trials,
+                    sum(x < g for x in gaps) / trials)
+        assert cvar_bound_check(sampler, n, r, 0.1, trials, seed=5,
+                                reference_size=6000) == expected
