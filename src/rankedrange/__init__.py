@@ -32,6 +32,8 @@ from .data import (
     load_dataset,
     monk_dataset,
     split_dataset,
+    split_sizes,
+    split_standardized,
     standardize,
     write_csv,
 )

@@ -78,8 +78,8 @@ from .data import (
     inject_noise,
     load_dataset,
     monk_dataset,
-    split_dataset,
-    standardize,
+    split_sizes,
+    split_standardized,
     write_csv,
 )
 from .metrics import (
@@ -546,8 +546,11 @@ def _single_run(cfg: ExperimentConfig, run: int, data: Dataset | None) -> dict:
     seed = cfg.base_seed + run
     if data is None:
         data = _GENERATORS[cfg.dataset](cfg, seed)
-    parts = split_dataset(data, cfg.split, seed=seed)
-    parts, _, _ = standardize(*parts)
+    try:
+        split_sizes(data.n, cfg.split)
+    except ValueError as exc:
+        raise ConfigError("split", str(exc)) from None
+    parts, _, _ = split_standardized(data, cfg.split, seed=seed)
     tr, te = parts[0], parts[-1]
     va = parts[1] if len(parts) == 3 else None
     if cfg.noise is not None:

@@ -457,36 +457,89 @@ def flip_count(data: Dataset) -> int:
     return int(match.group(1))
 
 
-def split_dataset(data: Dataset, fractions, seed: int = 0):
-    """Seeded uniform shuffle split into len(fractions) disjoint parts."""
+def split_sizes(n: int, fractions) -> tuple:
+    """Row counts of the parts of an n-row split: part i ends at row
+    floor(n * (f_0 + ... + f_i) + 0.5) and the last part at row n.  Raises
+    ValueError when the fractions do not sum to 1 or a part gets no rows."""
     fractions = tuple(float(f) for f in fractions)
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"split fractions {fractions} do not sum to 1")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(data.n)
-    bounds = np.floor(np.cumsum(fractions) * data.n + 0.5).astype(int)
-    bounds[-1] = data.n
-    parts, start = [], 0
-    for i, stop in enumerate(bounds):
-        parts.append(data.subset(perm[start:stop], f"split part {i} seed={seed}"))
-        start = stop
-    return tuple(parts)
+    bounds = np.floor(np.cumsum(fractions) * n + 0.5).astype(int)
+    bounds[-1] = n
+    sizes = np.diff(bounds, prepend=0)
+    for i, size in enumerate(sizes):
+        if size < 1:
+            raise ValueError(f"part {i} (fraction {fractions[i]!r}) of a split "
+                             f"of n={n} rows gets no rows")
+    return tuple(int(size) for size in sizes)
+
+
+def _split_rows(n: int, fractions, seed: int) -> list:
+    """The row indices of each part of the seeded split of n rows."""
+    perm = np.random.default_rng(seed).permutation(n)
+    return np.split(perm, np.cumsum(split_sizes(n, fractions))[:-1])
+
+
+def _statistics(x) -> tuple:
+    """(means, stds, shift, scale) of the columns of x.  means and stds are
+    bit for bit what x.mean(axis=0) and x.std(axis=0) give: the same steps
+    in the same order, done in x's own memory, which is overwritten.  A
+    column with zero std gets shift 0 and scale 1, as (x - 0) / 1 is x,
+    -0.0 included."""
+    means = x.mean(axis=0)
+    x -= means
+    np.square(x, out=x)
+    stds = np.sqrt(x.sum(axis=0) / x.shape[0])
+    active = stds > 0
+    return means, stds, np.where(active, means, 0.0), np.where(active, stds, 1.0)
+
+
+def _zscore(x, shift, scale):
+    """(x - shift) / scale, bit for bit, computed in x's own memory."""
+    x -= shift
+    x /= scale
+    return x
+
+
+def split_dataset(data: Dataset, fractions, seed: int = 0):
+    """Seeded uniform shuffle split into len(fractions) disjoint parts; see
+    ``split_sizes`` for the part sizes.  Each part holds a copy of its
+    rows.  To split and standardize, ``split_standardized`` gives the same
+    parts as ``standardize(*split_dataset(...))`` from one copy of the
+    rows."""
+    return tuple(data.subset(rows, f"split part {i} seed={seed}")
+                 for i, rows in enumerate(_split_rows(data.n, fractions, seed)))
 
 
 def standardize(train: Dataset, *others):
     """Z-score all datasets with per-feature statistics from train only.
 
     Zero-variance features are left untouched.  Returns the transformed
-    datasets (train first) plus the (means, stds) used.
+    datasets (train first) plus the (means, stds) used; the inputs are not
+    modified.  A fresh split is standardized with less memory by
+    ``split_standardized``.
     """
-    means = train.features.mean(axis=0)
-    stds = train.features.std(axis=0)
-    active = stds > 0
-    # (x - 0) / 1 is x, -0.0 included
-    shift, scale = np.where(active, means, 0.0), np.where(active, stds, 1.0)
-    out = tuple(replace(ds, features=(ds.features - shift) / scale)
+    means, stds, shift, scale = _statistics(train.features.copy(order="K"))
+    out = tuple(replace(ds, features=_zscore(ds.features.copy(order="K"),
+                                             shift, scale))
                 for ds in (train, *others))
     return out, means, stds
+
+
+def split_standardized(data: Dataset, fractions, seed: int = 0):
+    """``standardize(*split_dataset(data, fractions, seed))``, bit for bit,
+    holding about one copy of the rows at a time instead of two to three.
+
+    The train statistics come from a scratch gather of the train rows that
+    is freed before the parts are gathered, and each part is z-scored in
+    its own freshly gathered rows.
+    """
+    train_rows = _split_rows(data.n, fractions, seed)[0]
+    means, stds, shift, scale = _statistics(data.features[train_rows])
+    parts = split_dataset(data, fractions, seed)
+    for part in parts:
+        _zscore(part.features, shift, scale)  # the part's own copy of its rows
+    return parts, means, stds
 
 
 def write_csv(data: Dataset, path) -> None:

@@ -392,13 +392,16 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
     W, b = _init_params(train_data, config.use_bias)
     trace, lambdas = [], []
 
-    # phase 1: average-loss warm-up with validation-based early stop
+    # phase 1: average-loss warm-up with validation-based early stop; each
+    # validation pass is made once per (W, b) and reused at that (W, b)
+    val_losses = None
     best_val = np.inf
     stall = 0
     for epoch in range(config.warmup_epochs):
         W, b = _average_step(W, b, train_data, loss_spec, config.eta_outer,
                              config.C)
-        val_mean = float(np.mean(loss_spec.losses(W, b, validation_data)))
+        val_losses = loss_spec.losses(W, b, validation_data)
+        val_mean = float(np.mean(val_losses))
         _check_finite(val_mean, epoch)
         if val_mean < best_val - 1e-12:
             best_val = val_mean
@@ -408,7 +411,9 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
             if stall >= config.patience:
                 break
 
-    pair = lambda_pair_from_validation(loss_spec.losses(W, b, validation_data))
+    if val_losses is None:
+        val_losses = loss_spec.losses(W, b, validation_data)
+    pair = lambda_pair_from_validation(val_losses)
     lam, lam_hat = pair.lam, pair.lam_hat
 
     # phase 2: threshold-driven rounds
@@ -426,11 +431,13 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
             if (step + 1) % config.refresh_every == 0:
                 val_losses = loss_spec.losses(W, b, validation_data)
                 lam = float(val_losses.mean() - 2.0 * val_losses.std())
-        pair = lambda_pair_from_validation(loss_spec.losses(W, b, validation_data))
+        # a refresh at the last step was made at this (W, b)
+        if config.inner_epochs % config.refresh_every:
+            val_losses = loss_spec.losses(W, b, validation_data)
+        pair = lambda_pair_from_validation(val_losses)
         lam, lam_hat = pair.lam, pair.lam_hat
         lambdas.append(pair)
-        obj = float(np.mean(loss_spec.losses(W, b, validation_data)))
-        trace.append(_check_finite(obj, t))
+        trace.append(_check_finite(float(np.mean(val_losses)), t))
 
     return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas)
 

@@ -308,6 +308,27 @@ def test_label_rank_beyond_l_exits_1_before_training(tmp_path, monkeypatch,
                  "--out", str(tmp_path / "out")]) == EXIT_USAGE
 
 
+def test_split_part_without_rows_exits_1_before_training(tmp_path, monkeypatch,
+                                                         capsys):
+    import rankedrange.cli as cli
+    from rankedrange import gen_multiclass_blobs, write_csv
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "sgd_average_train", no_training)
+    data_path = tmp_path / "twenty.csv"
+    write_csv(gen_multiclass_blobs(20, 3, 3, seed=0), data_path)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"task = multiclass\nloss = softmax\n"
+                        f"dataset = {data_path}\nsplit = 0.98, 0.02\n")
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'split'" in err and "part 1 (fraction 0.02)" in err
+    assert "n=20" in err
+
+
 def test_main_non_finite_feature_is_data_error(tmp_path):
     data_path = tmp_path / "nan.csv"
     data_path.write_text("label,f0\n1,0.5\n-1,nan\n1,1.5\n-1,-0.5\n")

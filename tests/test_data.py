@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from rankedrange import (
     load_dataset,
     monk_dataset,
     split_dataset,
+    split_sizes,
+    split_standardized,
     standardize,
     write_csv,
 )
@@ -526,6 +530,86 @@ def test_standardize_matches_masked_reference():
     assert tr.features.tobytes() == want_tr.tobytes()
     assert te.features.tobytes() == want_te.tobytes()
     assert np.signbit(tr.features[0, 0]) and np.signbit(te.features[0, 0])
+
+
+def test_split_part_without_rows_is_rejected_by_name():
+    data = gen_multiclass_blobs(20, 3, 4, seed=0)
+    with pytest.raises(ValueError, match=r"part 1 \(fraction 0\.02\) .*n=20"):
+        split_dataset(data, (0.98, 0.02), seed=0)
+    with pytest.raises(ValueError, match="part 0"):
+        split_sizes(20, (-0.2, 1.2))
+    assert split_sizes(20, (0.96, 0.04)) == (19, 1)
+    assert split_sizes(101, (0.6, 0.4)) == (61, 40)
+
+
+def _with_hard_columns(data, seed):
+    """``data`` with a constant column and a column whose variance
+    underflows to 0 (its values still differ) prepended."""
+    rng = np.random.default_rng(seed)
+    const = np.full((data.n, 1), rng.standard_normal())
+    tiny = 1e-170 * (1.0 + 1e-3 * rng.standard_normal((data.n, 1)))
+    X = np.hstack([const, tiny, data.features * 10.0 ** rng.integers(-5, 6)])
+    return Dataset(X, data.labels, data.l, data.provenance)
+
+
+@pytest.mark.parametrize("fractions", [(0.7, 0.3), (0.5, 0.3, 0.2),
+                                       (10 / 13, 2 / 13, 1 / 13)])
+@pytest.mark.parametrize("seed", [0, 1, 17])
+@pytest.mark.parametrize("kind", ["multiclass", "binary", "multilabel"])
+def test_split_standardized_equals_standardize_of_split(kind, seed, fractions):
+    if kind == "multiclass":
+        base = gen_multiclass_blobs(157, 5, 4, seed=seed)
+    elif kind == "binary":
+        base = gen_synthetic(SyntheticSpec(seed=seed))
+    else:
+        base = gen_multilabel_synthetic(90, 4, 5, seed=seed)
+    data = _with_hard_columns(base, seed)
+    split = split_dataset(data, fractions, seed)
+    want, want_means, want_stds = standardize(*split)
+    got, means, stds = split_standardized(data, fractions, seed)
+    # both against numpy's own statistics and z-score expression
+    train = split[0].features
+    active = train.std(axis=0) > 0
+    shift = np.where(active, train.mean(axis=0), 0.0)
+    scale = np.where(active, train.std(axis=0), 1.0)
+    assert not active[1] and np.ptp(data.features[:, 1]) > 0
+    for m, s in ((means, stds), (want_means, want_stds)):
+        assert m.tobytes() == train.mean(axis=0).tobytes()
+        assert s.tobytes() == train.std(axis=0).tobytes()
+    assert len(got) == len(want) == len(split)
+    for g, w, raw in zip(got, want, split):
+        z = ((raw.features - shift) / scale).tobytes()
+        assert g.features.tobytes() == w.features.tobytes() == z
+        assert g.l == w.l and g.provenance == w.provenance
+        if kind == "multilabel":
+            assert g.labels == w.labels
+        else:
+            assert g.labels.tobytes() == w.labels.tobytes()
+
+
+def test_split_and_standardize_leave_their_inputs_untouched():
+    data = _with_hard_columns(gen_multiclass_blobs(80, 4, 3, seed=2), 2)
+    before = data.features.tobytes()
+    parts = split_dataset(data, (0.5, 0.3, 0.2), seed=3)
+    split_standardized(data, (0.5, 0.3, 0.2), seed=3)
+    assert data.features.tobytes() == before
+    part_bytes = [p.features.tobytes() for p in parts]
+    standardize(*parts)
+    assert [p.features.tobytes() for p in parts] == part_bytes
+
+
+def test_split_standardized_holds_one_copy_of_the_rows():
+    rng = np.random.default_rng(4)
+    data = Dataset(rng.standard_normal((20_000, 100)),
+                   rng.integers(1, 4, size=20_000), 3, "t")
+    tracemalloc.start()
+    try:
+        result = split_standardized(data, (0.6, 0.2, 0.2), seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(p.n for p in result[0]) == data.n
+    assert peak <= 1.1 * data.features.nbytes
 
 
 # --- dataset invariants ---------------------------------------------------

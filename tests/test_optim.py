@@ -407,6 +407,53 @@ def test_auto_train_matches_reference_loop():
     np.testing.assert_array_equal(report.model.bias, b)
 
 
+_AUTO_CFG = TrainConfig(eta_outer=0.3, eta_inner=0.02, outer_epochs=3,
+                        inner_epochs=60, warmup_epochs=30, batch=32,
+                        refresh_every=10, seed=34)
+
+
+@pytest.mark.parametrize("changes", [
+    {},  # the last inner step refreshes the validation losses
+    {"warmup_epochs": 0},
+    {"warmup_epochs": 200, "patience": 1, "eta_outer": 3.0},  # stops early
+], ids=["last-step-refresh", "no-warmup", "early-stop"])
+def test_auto_train_reuse_matches_reference_loop(changes):
+    data = gen_multiclass_blobs(300, 6, 4, seed=33)
+    tr, va = split_dataset(data, (0.8, 0.2), seed=0)
+    spec = make_loss_spec("softmax")
+    cfg = dataclasses.replace(_AUTO_CFG, **changes)
+    trace, lambdas, W, b = _auto_reference(tr, va, spec, cfg)
+    report = auto_train(tr, va, spec, cfg)
+    np.testing.assert_array_equal(report.objective_trace, trace)
+    assert [(p.lam, p.lam_hat) for p in report.lambdas] == lambdas
+    np.testing.assert_array_equal(report.model.weights, W)
+    np.testing.assert_array_equal(report.model.bias, b)
+
+
+class _CountingSpec:
+    """A loss spec that counts its passes over the rows ``watched``."""
+
+    def __init__(self, spec, watched):
+        self.spec, self.watched, self.passes = spec, watched, 0
+
+    def value_and_grad(self, W, b, rows):
+        self.passes += rows is self.watched
+        return self.spec.value_and_grad(W, b, rows)
+
+    def losses(self, W, b, rows):
+        return self.value_and_grad(W, b, rows)[0]
+
+
+def test_auto_train_evaluates_validation_once_per_parameters():
+    data = gen_multiclass_blobs(300, 6, 4, seed=33)
+    tr, va = split_dataset(data, (0.8, 0.2), seed=0)
+    reference = _CountingSpec(make_loss_spec("softmax"), va)
+    _auto_reference(tr, va, reference, _AUTO_CFG)
+    spec = _CountingSpec(make_loss_spec("softmax"), va)
+    auto_train(tr, va, spec, _AUTO_CFG)
+    assert reference.passes - spec.passes == 1 + 2 * _AUTO_CFG.outer_epochs
+
+
 def _sgd_average_reference(data, spec, config):
     rng = np.random.default_rng(config.seed)
     X, C, eta = data.features, config.C, config.eta_outer
