@@ -67,6 +67,7 @@ from .model import (
 from .optim import (
     BinaryMarginLoss,
     LambdaPair,
+    MultilabelLogisticLoss,
     SoftmaxLoss,
     TKMLSampleLoss,
     TrainConfig,
@@ -77,7 +78,6 @@ from .optim import (
     estimate_noise_count,
     lambda_pair_from_validation,
     make_loss_spec,
-    multilabel_lr_train,
     phi_subgradient,
     sgd_average_train,
     sorr_objective,

@@ -9,8 +9,9 @@ config text that ``repro`` parses with ``parse_config`` and runs with
 ``run_experiment``, exactly as ``train`` runs a config file.
 
 The repeats of an experiment, and the (m, k) cells of a ``tkml_aorr`` grid,
-run on forked processes, up to one per CPU (``_ordered_map``); the report
-is the same as a serial run's.
+run on forked processes, up to one per CPU (``_ordered_map``).  Every
+command holds OpenBLAS at one thread (``single_blas_thread``), so the report
+is the same as a serial run's at any repeat count.
 
 Config files are plain text, one ``key = value`` per line, ``#`` starts a
 comment.  Every key has a default (see ``DEFAULTS``); the resolved config
@@ -56,6 +57,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv as _csv
 import dataclasses
 import functools
@@ -90,14 +92,12 @@ from .metrics import (
 )
 from .model import load_model, predict_matrix
 from .optim import (
-    TKMLSampleLoss,
+    MultilabelLogisticLoss,
     TrainConfig,
     auto_train,
     dca_train,
     estimate_noise_count,
-    holdout_error,
     make_loss_spec,
-    multilabel_lr_train,
     sgd_average_train,
     tkml_aorr_train,
     tkml_warm_start,
@@ -105,10 +105,23 @@ from .optim import (
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
-AGGREGATES = ("average", "max", "median", "atk", "aorr", "topk", "tkml",
-              "tkml_aorr", "auto_aorr", "lr")
-TASKS = ("binary", "multiclass", "multilabel")
-LOSSES = ("logistic", "hinge", "softmax", "tkml")
+# the aggregates that each (task, loss) trains: the margin and softmax
+# losses of a class label share theirs; the tkml loss takes label sets, and
+# on multiclass data a class label is a singleton set
+_CLASS_AGGREGATES = ("average", "max", "median", "atk", "aorr", "topk",
+                     "auto_aorr")
+_TRAINS = {
+    ("binary", "logistic"): _CLASS_AGGREGATES,
+    ("binary", "hinge"): _CLASS_AGGREGATES,
+    ("multiclass", "softmax"): _CLASS_AGGREGATES,
+    ("multiclass", "tkml"): ("average", "tkml"),
+    ("multilabel", "tkml"): ("average", "atk", "aorr", "tkml", "tkml_aorr",
+                             "lr"),
+}
+TASKS = tuple(dict.fromkeys(task for task, _ in _TRAINS))
+LOSSES = tuple(dict.fromkeys(loss for _, loss in _TRAINS))
+AGGREGATES = tuple(dict.fromkeys(agg for aggs in _TRAINS.values()
+                                 for agg in aggs))
 
 
 class ConfigError(ValueError):
@@ -154,10 +167,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError("task", f"must be one of {TASKS}")
-        if self.loss not in LOSSES:
-            raise ConfigError("loss", f"must be one of {LOSSES}")
-        if self.aggregate not in AGGREGATES:
-            raise ConfigError("aggregate", f"must be one of {AGGREGATES}")
+        # an unknown loss or aggregate is one that no (task, loss) trains
+        trains = _TRAINS.get((self.task, self.loss))
+        if trains is None:
+            losses = [loss for task, loss in _TRAINS if task == self.task]
+            raise ConfigError("loss", f"the {self.task} task trains with one "
+                                      f"of {losses}")
+        if self.aggregate not in trains:
+            raise ConfigError("aggregate", f"the {self.loss} loss on {self.task} "
+                                           f"data trains one of {trains}")
         if not 2 <= len(self.split) <= 3:
             raise ConfigError("split", "need 2 or 3 fractions")
         if abs(sum(self.split) - 1.0) > 1e-9:
@@ -166,33 +184,6 @@ class ExperimentConfig:
             raise ConfigError("repeats", "repeats and restarts must be >= 1")
         if self.eval_k < 1:
             raise ConfigError("eval_k", "must be >= 1")
-        # aggregate/loss/task combinations
-        if self.task == "binary":
-            if self.loss not in ("logistic", "hinge"):
-                raise ConfigError("loss", "binary task needs logistic or hinge")
-            if self.aggregate in ("tkml", "tkml_aorr", "lr"):
-                raise ConfigError("aggregate",
-                                  f"{self.aggregate} needs label-set data")
-        elif self.task == "multiclass":
-            if self.loss not in ("softmax", "tkml"):
-                raise ConfigError("loss", "multiclass task needs softmax or "
-                                          "tkml (singleton label sets)")
-            if self.loss == "tkml" and self.aggregate not in ("tkml", "average"):
-                raise ConfigError("aggregate",
-                                  "tkml loss on multiclass supports the "
-                                  "tkml/average aggregates")
-            if self.loss == "softmax" and self.aggregate in (
-                    "tkml", "tkml_aorr", "lr"):
-                raise ConfigError("aggregate",
-                                  f"{self.aggregate} does not combine with "
-                                  "softmax")
-        else:  # multilabel
-            if self.loss != "tkml":
-                raise ConfigError("loss", "multilabel task uses the tkml loss")
-            if self.aggregate in ("max", "median", "topk", "auto_aorr"):
-                raise ConfigError("aggregate",
-                                  f"{self.aggregate} is not defined for "
-                                  "multilabel training")
         if self.aggregate in ("atk", "topk") and self.train.k < 1 \
                 and not self.grid_k:
             raise ConfigError("train.k", f"{self.aggregate} needs train.k >= 1")
@@ -351,6 +342,24 @@ def _openblas_threads():
     return None
 
 
+@contextlib.contextmanager
+def single_blas_thread():
+    """Hold OpenBLAS at one thread inside the block, so that a result does
+    not depend on how many threads a product was split over.  Yields False,
+    and holds nothing, when OpenBLAS's thread count cannot be set."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield False
+        return
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(threads)
+
+
 def _map_item(i):
     fn, items = _MAP_JOB
     return fn(items[i])
@@ -362,88 +371,72 @@ def _ordered_map(fn, items):
 
     The caller runs items 0, share, 2 * share, ...; forked workers run the
     rest.  They inherit fn and the items, so only indices and results cross
-    the pipe.  OpenBLAS is held at one thread while the map runs.  Serial
-    for one item or one CPU, inside a map (nested maps and the workers), in
-    a daemonic process, and when OpenBLAS's thread count cannot be set.
-    Errors are raised in item order, as a serial map raises them.
+    the pipe.  OpenBLAS is held at one thread while the map runs, serial or
+    not.  Serial for one item or one CPU, inside a map (nested maps and the
+    workers), in a daemonic process, and when OpenBLAS's thread count cannot
+    be set.  Errors are raised in item order, as a serial map raises them.
     """
     global _MAP_JOB
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     share = min(len(items), cpus)
-    if share < 2 or _MAP_JOB is not None:
-        return [fn(x) for x in items]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    with single_blas_thread() as pinned:
+        if share < 2 or _MAP_JOB is not None or not pinned:
+            return [fn(x) for x in items]
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    blas = _openblas_threads()
-    if blas is None or multiprocessing.current_process().daemon:
-        return [fn(x) for x in items]
-    # the workers fork at the first submit, after the job is in place
-    pool = ProcessPoolExecutor(share - 1,
-                               mp_context=multiprocessing.get_context("fork"))
-    get_threads, set_threads = blas
-    threads = get_threads()
-    set_threads(1)
-    _MAP_JOB = (fn, items)
-    try:
-        futures = {i: pool.submit(_map_item, i)
-                   for i in range(len(items)) if i % share}
-        mine, error = {}, None
-        for i in range(0, len(items), share):
-            try:
-                mine[i] = fn(items[i])
-            except Exception as exc:
-                error = exc
-                break
-        results = []
-        for i in range(len(items)):
-            if i % share:
-                results.append(futures[i].result())
-            elif i in mine:
-                results.append(mine[i])
-            else:
-                raise error
-        return results
-    finally:
-        pool.shutdown(cancel_futures=True)
-        _MAP_JOB = None
-        set_threads(threads)
+        if multiprocessing.current_process().daemon:
+            return [fn(x) for x in items]
+        # the workers fork at the first submit, after the job is in place
+        pool = ProcessPoolExecutor(share - 1,
+                                   mp_context=multiprocessing.get_context("fork"))
+        _MAP_JOB = (fn, items)
+        try:
+            futures = {i: pool.submit(_map_item, i)
+                       for i in range(len(items)) if i % share}
+            mine, error = {}, None
+            for i in range(0, len(items), share):
+                try:
+                    mine[i] = fn(items[i])
+                except Exception as exc:
+                    error = exc
+                    break
+            results = []
+            for i in range(len(items)):
+                if i % share:
+                    results.append(futures[i].result())
+                elif i in mine:
+                    results.append(mine[i])
+                else:
+                    raise error
+            return results
+        finally:
+            pool.shutdown(cancel_futures=True)
+            _MAP_JOB = None
 
 
-def _best_of_restarts(train_data, validation_data, loss_spec, base: TrainConfig,
-                      restarts: int, seed: int):
-    """Seeded random restarts; the validation error picks the winner."""
-    best = None
-    for rst in range(restarts):
-        cfg = replace(base, seed=seed * 100 + rst,
-                      init_scale=0.0 if rst == 0 else 0.5)
-        report = dca_train(train_data, loss_spec, cfg,
-                           validation_data=validation_data)
-        ve = holdout_error(report.model.weights, report.model.bias, loss_spec,
-                           validation_data)
-        if best is None or ve < best[0]:
-            best = (ve, report)
-    return best[1]
-
-
-def _check_range(cfg: ExperimentConfig, train: TrainConfig, n: int) -> None:
-    """Reject, as a config error, a trainer's (m, k) that does not fit the
-    n training rows."""
-    try:
-        train.ranked_range(n)
-    except ValueError as exc:
-        which = "k" if train.k > n else "m"
-        grid = cfg.loss == "tkml" and getattr(cfg, f"grid_{which}")
-        raise ConfigError(f"{'grid' if grid else 'train'}.{which}",
-                          str(exc)) from None
+# the (m, k) that each ranked-range aggregate trains, from the configured
+# (m, k) and the n training rows (k = 0 means n)
+_RANGES = {
+    "max": lambda m, k, n: (0, 1),
+    "median": lambda m, k, n: ((n + 1) // 2 - 1, (n + 1) // 2),
+    "atk": lambda m, k, n: (0, k),
+    "topk": lambda m, k, n: (k - 1, k),
+    "aorr": lambda m, k, n: (m, k),
+    "tkml_aorr": lambda m, k, n: (m, k),
+    "tkml": lambda m, k, n: (0, 0),  # average-loss descent, every row active
+}
 
 
 def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
                  seed: int, holdout: Dataset | None = None):
-    """Dispatch on (task, aggregate); returns (TrainReport, extras dict)."""
+    """Dispatch on the aggregate; returns (TrainReport, extras dict).  The
+    tkml loss trains the average losses on the full batch, and the ranked
+    ranges other than ``tkml`` on the (m, k) grid of ``tkml_aorr_train``."""
     agg = cfg.aggregate
     base = replace(cfg.train, seed=seed)
+    tkml = cfg.loss == "tkml"
     extras: dict = {}
     # the top-k metrics pick eval_k of the l scores; a label set must stay
     # a proper subset of the labels
@@ -451,44 +444,15 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     if cfg.task != "binary" and cfg.eval_k > top:
         raise ConfigError("eval_k", f"eval_k={cfg.eval_k} outside 1..{top} "
                                     f"for l={tr.l}")
+    try:
+        spec = (MultilabelLogisticLoss() if agg == "lr"
+                else make_loss_spec(cfg.loss, base.kprime, tr.l))
+    except ValueError as exc:
+        raise ConfigError("train.kprime", f"{exc} for l={tr.l}") from None
 
-    if cfg.task == "multilabel" or cfg.loss == "tkml":
-        if agg != "lr" and not 1 <= base.kprime < tr.l:
-            raise ConfigError("train.kprime", f"kprime={base.kprime} outside "
-                                              f"1..{tr.l - 1} for l={tr.l}")
-        # a class label is a singleton label set: the same label_matrix row
-        spec = TKMLSampleLoss(base.kprime)
-        if agg == "lr":
-            return multilabel_lr_train(tr, base), extras
-        if agg == "average":
-            return sgd_average_train(tr, spec, replace(base, batch=0)), extras
-        if agg == "tkml":
-            # stochastic average-loss descent with periodic validation
-            # snapshots (m=0, k=n makes every sample active)
-            cfg2 = replace(base, m=0, k=0)
-            return dca_train(tr, spec, cfg2, validation_data=va), extras
-        if agg in ("atk", "aorr", "tkml_aorr"):
-            ms = (0,) if agg == "atk" else cfg.grid_m or (base.m,)
-            ks = cfg.grid_k or (base.k,)
-            cells = [replace(base, m=m, k=k) for m in ms for k in ks]
-            for cell in cells:
-                _check_range(cfg, cell, tr.n)
-            start = tkml_warm_start(tr, base)  # shared: (m, k) is not used
-            reports = _ordered_map(lambda cell: tkml_aorr_train(tr, cell, start),
-                                   cells)
-            # select the trimming range on held-out data; the noisy
-            # training set saturates once every cell fits the clean part
-            probe = next(p for p in (va, holdout, tr) if p is not None)
-            accs = [topk_multilabel_accuracy(
-                predict_matrix(report.model, probe.features), probe.labels,
-                cfg.eval_k) for report in reports]
-            best = int(np.argmax(accs))  # the first cell with the top score
-            extras["grid_choice"] = {"m": cells[best].m, "k": cells[best].k}
-            return reports[best], extras
-
-    spec = make_loss_spec(cfg.loss, base.kprime)
-    if agg == "average":
-        return sgd_average_train(tr, spec, base), extras
+    if agg in ("average", "lr"):
+        return sgd_average_train(tr, spec, replace(base, batch=0) if tkml
+                                 else base), extras
     if agg == "auto_aorr":
         report = auto_train(tr, va, spec, base)
         lam_hat = report.lambdas[-1].lam_hat
@@ -500,21 +464,40 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
             pass
         return report, extras
 
-    # the remaining aggregates are ranked-range special cases of dca_train
-    if agg == "max":
-        base = replace(base, m=0, k=1)
-    elif agg == "median":
-        k = (tr.n + 1) // 2
-        base = replace(base, m=k - 1, k=k)
-    elif agg == "atk":
-        base = replace(base, m=0)
-    elif agg == "topk":
-        base = replace(base, m=base.k - 1)
-    if agg in ("atk", "aorr", "topk"):
-        _check_range(cfg, base, tr.n)
-    if agg == "aorr" and cfg.restarts > 1:
-        return _best_of_restarts(tr, va, spec, base, cfg.restarts, seed), extras
-    return dca_train(tr, spec, base, validation_data=va), extras
+    grid = tkml and agg != "tkml"
+    ranges = dict.fromkeys(_RANGES[agg](m, k, tr.n)
+                           for m in (grid and cfg.grid_m) or (base.m,)
+                           for k in (grid and cfg.grid_k) or (base.k,))
+    cells = [replace(base, m=m, k=k) for m, k in ranges]
+    for cell in cells:
+        try:
+            cell.ranked_range(tr.n)
+        except ValueError as exc:
+            which = "k" if cell.k > tr.n else "m"
+            key = "grid" if grid and getattr(cfg, f"grid_{which}") else "train"
+            raise ConfigError(f"{key}.{which}", str(exc)) from None
+    if grid:
+        start = tkml_warm_start(tr, base)  # shared: (m, k) is not used
+        reports = _ordered_map(lambda cell: tkml_aorr_train(tr, cell, start),
+                               cells)
+        # select the trimming range on held-out data; the noisy training
+        # set saturates once every cell fits the clean part
+        probe = next(p for p in (va, holdout, tr) if p is not None)
+        accs = [topk_multilabel_accuracy(
+            predict_matrix(report.model, probe.features), probe.labels,
+            cfg.eval_k) for report in reports]
+        best = int(np.argmax(accs))  # the first cell with the top score
+        extras["grid_choice"] = {"m": cells[best].m, "k": cells[best].k}
+        return reports[best], extras
+    if agg != "aorr" or cfg.restarts == 1:
+        return dca_train(tr, spec, cells[0], validation_data=va), extras
+    # seeded random restarts; the first with the least validation error wins
+    reports = [dca_train(tr, spec, replace(cells[0], seed=seed * 100 + rst,
+                                           init_scale=0.5 if rst else 0.0),
+                         validation_data=va) for rst in range(cfg.restarts)]
+    errors = [spec.holdout_error(report.model.weights, report.model.bias, va)
+              for report in reports]
+    return reports[int(np.argmin(errors))], extras
 
 
 def _evaluate(cfg: ExperimentConfig, model, te: Dataset) -> dict:
@@ -1092,7 +1075,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        with single_blas_thread():
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,19 +1,22 @@
 """Trainers: difference-of-convex descent on ranked-range objectives,
 validation-driven threshold learning, the combined sample/label minimax
-updates, and an average-loss baseline.
+updates, and average-loss descent (the ranked range m = 0, k = n).
 
 Every loss spec has one batched method, ``value_and_grad(W, b, rows)``,
 giving the loss of each row of ``rows`` and its derivative with respect to
 the row's scores; the trainers turn those into parameter gradients through
 ``_chain_rule``.  ``rows`` is a whole Dataset or one step's gathered batch,
 and every trainer takes its steps over the rows that ``_batches`` yields.
+The per-label logistic baseline is one more spec.  ``sgd_average_train``,
+the ``tkml_aorr_train`` warm start and the ``auto_train`` warm-up take their
+epochs from one average-descent loop, ``_average_descent``.
 All trainers are deterministic functions of (data, config.seed).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +28,7 @@ from .losses import (
     margin_loss_vec,
     tkml_saddle_point,
 )
+from .metrics import error_rate
 from .model import LinearModel
 
 
@@ -101,6 +105,11 @@ class _LossSpec:
     def losses(self, W, b, data: Dataset) -> np.ndarray:
         return self.value_and_grad(W, b, data)[0]
 
+    def holdout_error(self, W, b, data: Dataset) -> float:
+        """Classification error of (W, b) on a holdout set."""
+        scores = _scores(W, b, data.features)
+        return error_rate(scores[:, 0] if data.l == 1 else scores, data.labels)
+
 
 class BinaryMarginLoss(_LossSpec):
     """Individual margin loss s(y * f(x)) for l = 1 models."""
@@ -140,8 +149,6 @@ class TKMLSampleLoss(_LossSpec):
     """Per-sample top-k multi-label loss value and two-label subgradient."""
 
     def __init__(self, kprime: int):
-        if kprime < 1:
-            raise ValueError(f"kprime={kprime} must be >= 1")
         self.kprime = kprime
         self.name = f"tkml(k'={kprime})"
 
@@ -175,14 +182,36 @@ class TKMLSampleLoss(_LossSpec):
         G[pos, y_star[pos]] -= 1.0
         return values, G
 
+    def holdout_error(self, W, b, data: Dataset) -> float:
+        """Fraction of rows with a positive loss: the worst true label is
+        not clear of the top k' labels by the margin."""
+        return float(np.mean(self.losses(W, b, data) > 0.0))
 
-def make_loss_spec(loss_kind: str, kprime: int = 1):
-    """Loss spec from its config-file name."""
+
+class MultilabelLogisticLoss(_LossSpec):
+    """Independent per-label logistic losses (the surrogate hamming loss of
+    the standard multi-label baseline): a row's loss is the sum over its
+    labels of log(1 + exp(s)) - y * s."""
+
+    name = "multilabel_lr"
+
+    def value_and_grad(self, W, b, rows) -> tuple:
+        scores = _scores(W, b, rows.features)
+        Y = rows.label_matrix
+        values = np.sum(np.logaddexp(0.0, scores) - Y * scores, axis=1)
+        return values, 1.0 / (1.0 + np.exp(-np.clip(scores, -500, 500))) - Y
+
+
+def make_loss_spec(loss_kind: str, kprime: int = 1, l: int | None = None):
+    """Loss spec from its config-file name.  Given the label count l, a
+    ``tkml`` spec checks that its top k' leave at least one label out."""
     if loss_kind in ("logistic", "hinge"):
         return BinaryMarginLoss(MarginLossKind(loss_kind))
     if loss_kind == "softmax":
         return SoftmaxLoss()
     if loss_kind == "tkml":
+        if l is not None and not 1 <= kprime < l:
+            raise ValueError(f"kprime={kprime} outside 1..{l - 1}")
         return TKMLSampleLoss(kprime)
     raise ValueError(f"unknown loss kind {loss_kind!r}")
 
@@ -190,15 +219,16 @@ def make_loss_spec(loss_kind: str, kprime: int = 1):
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _init_params(data: Dataset, use_bias: bool, init_scale: float = 0.0,
-                 rng: np.random.Generator | None = None):
+def _init_params(data: Dataset, config: TrainConfig, rng: np.random.Generator):
+    """Normal draws of stddev ``config.init_scale``; zeros, no draw, at 0."""
     l = max(data.l, 1)
-    if init_scale > 0.0 and rng is not None:
-        W = init_scale * rng.standard_normal((l, data.d))
-        b = init_scale * rng.standard_normal(l) if use_bias else None
+    scale = config.init_scale
+    if scale > 0.0:
+        W = scale * rng.standard_normal((l, data.d))
+        b = scale * rng.standard_normal(l) if config.use_bias else None
     else:
         W = np.zeros((l, data.d))
-        b = np.zeros(l) if use_bias else None
+        b = np.zeros(l) if config.use_bias else None
     return W, b
 
 
@@ -250,15 +280,6 @@ def _chain_rule(rows, G, mask=None) -> tuple:
     return G.T @ rows.features, G.sum(axis=0)
 
 
-def _average_step(W, b, rows, loss_spec, eta: float, C: float) -> tuple:
-    """One gradient step on the regularized average loss of ``rows``."""
-    gW, gb = _chain_rule(rows, loss_spec.value_and_grad(W, b, rows)[1])
-    W = W - eta * (gW / rows.n + W / C)
-    if b is not None:
-        b = b - eta * gb / rows.n
-    return W, b
-
-
 def phi_subgradient(W, b, data: Dataset, loss_spec, threshold: float) -> tuple:
     """Subgradient of the top-ranked loss sum: sum of per-sample gradients
     over samples whose individual loss strictly exceeds the threshold."""
@@ -275,17 +296,6 @@ def sorr_objective(W, b, data: Dataset, loss_spec, r: RankedRange, C: float) -> 
 
 # ---------------------------------------------------------------------------
 # trainers
-
-def holdout_error(W, b, loss_spec, data: Dataset):
-    """Classification error of the current parameters on a holdout set."""
-    from .metrics import error_rate
-
-    if isinstance(loss_spec, TKMLSampleLoss):
-        # rank the worst true label: fraction of samples with positive loss
-        return float(np.mean(loss_spec.losses(W, b, data) > 0.0))
-    scores = _scores(W, b, data.features)
-    return error_rate(scores[:, 0] if data.l == 1 else scores, data.labels)
-
 
 def dca_train(data: Dataset, loss_spec, config: TrainConfig,
               validation_data: Dataset | None = None,
@@ -304,7 +314,7 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
     """
     rng = np.random.default_rng(config.seed)
     r = config.ranked_range(data.n)
-    W, b = _init_params(data, config.use_bias, config.init_scale, rng)
+    W, b = _init_params(data, config, rng)
     trace, lambdas = [], []
     best = (np.inf, W, b)
     full = config.batch == 0
@@ -331,7 +341,7 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
                 b = b - config.eta_inner * (gb - scale * theta_hat_b)
             if (not full and validation_data is not None
                     and (step + 1) % eval_every == 0):
-                ve = holdout_error(W, b, loss_spec, validation_data)
+                ve = loss_spec.holdout_error(W, b, validation_data)
                 if ve < best[0]:
                     best = (ve, W.copy(), None if b is None else b.copy())
 
@@ -340,24 +350,45 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
         lambdas.append(LambdaPair(lam=float(lam), lam_hat=float("nan")))
 
     if validation_data is not None and best[0] < np.inf:
-        ve = holdout_error(W, b, loss_spec, validation_data)
+        ve = loss_spec.holdout_error(W, b, validation_data)
         if best[0] < ve:
             W, b = best[1], best[2]
     return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas)
 
 
+def _average_descent(data: Dataset, loss_spec, config: TrainConfig,
+                     rng: np.random.Generator):
+    """Yields the seeded start as (W, b, None), then (W, b, objective) after
+    each epoch of (mini-)batch gradient descent at ``config.eta_outer`` on
+    the regularized average loss, for as many epochs as the caller takes.
+    At batch 0 the pass over the rows that gives an epoch's objective also
+    gives the next step."""
+    W, b = _init_params(data, config, rng)
+    yield W, b, None
+    steps = max(data.n // config.batch, 1) if config.batch else 1
+    evaluated = None  # value_and_grad of every row at (W, b)
+    for epoch in itertools.count():
+        for rows in _batches(data, rng, config.batch, steps):
+            if rows is not data or evaluated is None:
+                evaluated = loss_spec.value_and_grad(W, b, rows)
+            gW, gb = _chain_rule(rows, evaluated[1])
+            W = W - config.eta_outer * (gW / rows.n + W / config.C)
+            if b is not None:
+                b = b - config.eta_outer * gb / rows.n
+        evaluated = loss_spec.value_and_grad(W, b, data)
+        obj = float(np.mean(evaluated[0])) + _reg_value(W, config.C)
+        yield W, b, _check_finite(obj, epoch)
+
+
 def sgd_average_train(data: Dataset, loss_spec, config: TrainConfig) -> TrainReport:
     """(Mini-)batch gradient descent on the regularized average loss."""
-    rng = np.random.default_rng(config.seed)
-    W, b = _init_params(data, config.use_bias)
+    descent = _average_descent(data, loss_spec, config,
+                               np.random.default_rng(config.seed))
+    W, b, _ = next(descent)
     trace = []
-    steps = max(data.n // config.batch, 1) if config.batch else 1
-    for epoch in range(config.outer_epochs):
-        for rows in _batches(data, rng, config.batch, steps):
-            W, b = _average_step(W, b, rows, loss_spec, config.eta_outer,
-                                 config.C)
-        obj = float(np.mean(loss_spec.losses(W, b, data))) + _reg_value(W, config.C)
-        trace.append(_check_finite(obj, epoch))
+    for _ in range(config.outer_epochs):
+        W, b, obj = next(descent)
+        trace.append(obj)
     return TrainReport(_as_model(W, b, loss_spec, config), trace, [])
 
 
@@ -389,17 +420,18 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
     if validation_data.n < 1:
         raise ValueError("validation set must be non-empty")
     rng = np.random.default_rng(config.seed)
-    W, b = _init_params(train_data, config.use_bias)
     trace, lambdas = [], []
 
-    # phase 1: average-loss warm-up with validation-based early stop; each
-    # validation pass is made once per (W, b) and reused at that (W, b)
+    # phase 1: full-batch average-loss warm-up with validation-based early
+    # stop; each validation pass is made once per (W, b) and reused there
+    warm_up = _average_descent(train_data, loss_spec, replace(config, batch=0),
+                               rng)
+    W, b, _ = next(warm_up)
     val_losses = None
     best_val = np.inf
     stall = 0
     for epoch in range(config.warmup_epochs):
-        W, b = _average_step(W, b, train_data, loss_spec, config.eta_outer,
-                             config.C)
+        W, b, _ = next(warm_up)
         val_losses = loss_spec.losses(W, b, validation_data)
         val_mean = float(np.mean(val_losses))
         _check_finite(val_mean, epoch)
@@ -410,6 +442,7 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
             stall += 1
             if stall >= config.patience:
                 break
+    warm_up.close()  # frees its last pass over the training rows
 
     if val_losses is None:
         val_losses = loss_spec.losses(W, b, validation_data)
@@ -442,22 +475,16 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
     return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas)
 
 
-def _tkml_spec(data: Dataset, config: TrainConfig) -> TKMLSampleLoss:
-    if not 1 <= config.kprime < data.l:
-        raise ValueError(f"kprime={config.kprime} outside 1..{data.l - 1}")
-    return TKMLSampleLoss(config.kprime)
-
-
 def tkml_warm_start(data: Dataset, config: TrainConfig) -> tuple:
     """(W, b) after the ``config.warmup_epochs`` full-batch average-loss
     steps that ``tkml_aorr_train`` takes from its seeded start.  They do not
     depend on ``config.m`` or ``config.k``, so one warm start serves a whole
     (m, k) grid."""
-    loss_spec = _tkml_spec(data, config)
-    W, b = _init_params(data, config.use_bias, config.init_scale,
-                        np.random.default_rng(config.seed))
-    for _ in range(config.warmup_epochs):
-        W, b = _average_step(W, b, data, loss_spec, config.eta_outer, config.C)
+    loss_spec = make_loss_spec("tkml", config.kprime, data.l)
+    warm_up = _average_descent(data, loss_spec, replace(config, batch=0),
+                               np.random.default_rng(config.seed))
+    for _ in range(config.warmup_epochs + 1):
+        W, b, _ = next(warm_up)
     return W, b
 
 
@@ -471,10 +498,10 @@ def tkml_aorr_train(data: Dataset, config: TrainConfig,
     has it; it is computed here otherwise."""
     rng = np.random.default_rng(config.seed)
     r = config.ranked_range(data.n)
-    loss_spec = _tkml_spec(data, config)
+    loss_spec = make_loss_spec("tkml", config.kprime, data.l)
     # the seeded start's draws come first in the stream whether or not the
     # start is given, so the index draws of batch >= 1 follow them
-    _init_params(data, config.use_bias, config.init_scale, rng)
+    _init_params(data, config, rng)
     W, b = tkml_warm_start(data, config) if start is None else start
     lam = 0.0
     lam_hat = 0.0
@@ -511,27 +538,3 @@ def tkml_aorr_train(data: Dataset, config: TrainConfig,
             evaluated = None
             trace.append(float("nan"))
     return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas)
-
-
-def multilabel_lr_train(data: Dataset, config: TrainConfig) -> TrainReport:
-    """Independent per-label logistic regression (surrogate hamming loss) on
-    sigmoid scores; the standard multi-label baseline."""
-    if not data.is_multilabel:
-        raise ValueError("multilabel_lr_train requires multi-label data")
-    Y = data.label_matrix.astype(np.float64)
-    W = np.zeros((data.l, data.d))
-    b = np.zeros(data.l) if config.use_bias else None
-    trace = []
-    X = data.features
-    for epoch in range(config.outer_epochs):
-        scores = _scores(W, b, X)
-        P = 1.0 / (1.0 + np.exp(-np.clip(scores, -500, 500)))
-        G = (P - Y) / data.n
-        W = W - config.eta_outer * (G.T @ X + W / config.C)
-        if b is not None:
-            b = b - config.eta_outer * G.sum(axis=0)
-        bce = np.mean(np.logaddexp(0.0, scores) - Y * scores)
-        trace.append(_check_finite(float(bce), epoch))
-    model = LinearModel(weights=W, bias=b, meta={"loss_kind": "multilabel_lr"})
-    return TrainReport(model, trace, [])
-

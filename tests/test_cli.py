@@ -159,7 +159,7 @@ def test_every_valid_triple_reaches_a_trainer(monkeypatch):
     # parse_config rejects each (task, loss, aggregate) that _train_model
     # has no trainer for, so the dispatch needs no fallback error of its own
     trainers = ("sgd_average_train", "dca_train", "auto_train",
-                "tkml_aorr_train", "multilabel_lr_train")
+                "tkml_aorr_train")
     for name in trainers:
         def trainer(*args, _name=name, **kwargs):
             raise _Reached(_name)
@@ -308,6 +308,20 @@ def test_label_rank_beyond_l_exits_1_before_training(tmp_path, monkeypatch,
                  "--out", str(tmp_path / "out")]) == EXIT_USAGE
 
 
+def test_lr_trains_the_per_label_logistic_spec_on_the_full_batch(monkeypatch):
+    # train.batch is 1 by default; the baseline is full-batch descent
+    train, calls = cli.sgd_average_train, []
+
+    def recording(data, spec, config):
+        calls.append((type(spec).__name__, config.batch))
+        return train(data, spec, config)
+
+    monkeypatch.setattr(cli, "sgd_average_train", recording)
+    run_experiment(parse_config(_MULTILABEL + "aggregate = lr\n"
+                                "train.outer_epochs = 3\n"))
+    assert calls == [("MultilabelLogisticLoss", 0)]
+
+
 def test_split_part_without_rows_exits_1_before_training(tmp_path, monkeypatch,
                                                          capsys):
     import rankedrange.cli as cli
@@ -438,6 +452,47 @@ def test_ordered_map_restores_blas_threads(monkeypatch):
         assert get_threads() == before
     finally:
         set_threads(original)
+
+
+# d = 200 is large enough for OpenBLAS to split the products over two
+# threads, and so to round differently from one thread
+_WIDE = ("task = multiclass\nloss = softmax\ndataset = blobs\n"
+         "split = 0.6,0.2,0.2\nblobs.n = 1300\nblobs.d = 200\nblobs.l = 10\n"
+         "blobs.sep = 4.0\ntrain.eta_outer = 0.4\ntrain.outer_epochs = 30\n"
+         "train.batch = 0\n")
+
+
+@_needs_openblas
+def test_reports_do_not_depend_on_repeat_count_or_blas_threads(monkeypatch):
+    # a 1-repeat map runs serially, a 2-repeat one on two processes; both
+    # must hold OpenBLAS at one thread, whatever the caller set
+    get_threads, set_threads = cli._openblas_threads()
+    _cpus(monkeypatch, 2)
+    original = get_threads()
+    set_threads(2)
+    try:
+        runs = [run_experiment(parse_config(_WIDE + f"repeats = {repeats}\n"))
+                ["runs"][0] for repeats in (1, 2)]
+    finally:
+        set_threads(original)
+    assert json.dumps(runs[0], sort_keys=True) == \
+        json.dumps(runs[1], sort_keys=True)
+
+
+@_needs_openblas
+def test_every_command_runs_at_one_blas_thread(monkeypatch):
+    get_threads, set_threads = cli._openblas_threads()
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "eval",
+                        lambda args: seen.append(get_threads()) or EXIT_OK)
+    original = get_threads()
+    set_threads(2)
+    try:
+        assert main(["eval", "--model", "m.txt", "--data", "d.csv"]) == EXIT_OK
+        assert get_threads() == 2
+    finally:
+        set_threads(original)
+    assert seen == [1]
 
 
 @_needs_openblas

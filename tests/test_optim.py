@@ -14,6 +14,7 @@ from rankedrange import (
     TKMLSampleLoss,
     TrainConfig,
     TrainReport,
+    TrainingDiverged,
     auto_train,
     dca_train,
     estimate_noise_count,
@@ -36,7 +37,6 @@ from rankedrange.optim import (
     _PARTITION_MIN_SIZE,
     _Batch,
     _chain_rule,
-    holdout_error,
 )
 
 
@@ -325,12 +325,12 @@ def _dca_reference(data, spec, config, validation_data, eval_every):
             W = W - eta * (gW - scale * theta_W + scale * W / C)
             b = b - eta * (gb - scale * theta_b)
             if not full and (step + 1) % eval_every == 0:
-                ve = holdout_error(W, b, spec, validation_data)
+                ve = spec.holdout_error(W, b, validation_data)
                 if ve < best[0]:
                     best = (ve, W.copy(), b.copy())
         trace.append(sorr_objective(W, b, data, spec, r, C))
         lambdas.append(lam)
-    if best[0] < holdout_error(W, b, spec, validation_data):
+    if best[0] < spec.holdout_error(W, b, validation_data):
         W, b = best[1], best[2]
     return trace, lambdas, W, b
 
@@ -655,6 +655,84 @@ def test_sgd_average_full_batch_monotone():
     cfg = TrainConfig(eta_outer=0.1, outer_epochs=100, batch=0)
     trace = sgd_average_train(data, spec, cfg).objective_trace
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+
+@pytest.mark.parametrize("trainer", ["sgd_average_train", "auto_train"])
+@pytest.mark.parametrize("batch", [0, 8])
+def test_average_descent_starts_from_init_scale(trainer, batch):
+    data = gen_multiclass_blobs(90, 5, 3, seed=35)
+    tr, va = split_dataset(data, (0.8, 0.2), seed=0)
+    spec = make_loss_spec("softmax")
+    cfg = TrainConfig(eta_outer=0.2, outer_epochs=3, inner_epochs=10,
+                      warmup_epochs=3, batch=batch, seed=36)
+    train = {"sgd_average_train": lambda cfg: sgd_average_train(tr, spec, cfg),
+             "auto_train": lambda cfg: auto_train(tr, va, spec, cfg)}[trainer]
+    zero, drawn = (train(dataclasses.replace(cfg, init_scale=scale)).model
+                   for scale in (0.0, 0.5))
+    assert not np.array_equal(zero.weights, drawn.weights)
+    assert not np.array_equal(zero.bias, drawn.bias)
+
+
+def test_full_batch_sgd_average_reuses_each_objective_pass():
+    # the pass that gives an epoch's objective also gives the next step
+    data = gen_multiclass_blobs(90, 5, 3, seed=35)
+    spec = _CountingSpec(make_loss_spec("softmax"), data)
+    sgd_average_train(data, spec, TrainConfig(outer_epochs=12, batch=0))
+    assert spec.passes == 12 + 1
+
+
+def test_tkml_warm_up_divergence_names_its_epoch():
+    data = gen_multilabel_synthetic(40, 4, 5, seed=26)
+    cfg = TrainConfig(m=2, k=20, kprime=2, eta_outer=1e300, C=1e-300,
+                      warmup_epochs=5, outer_epochs=3, batch=0)
+    with pytest.raises(TrainingDiverged) as exc, np.errstate(all="ignore"):
+        tkml_aorr_train(data, cfg)
+    assert exc.value.epoch < cfg.warmup_epochs
+
+
+def _multilabel_lr_reference(data, config):
+    """Independent per-label logistic regression as one self-contained
+    loop: full-batch steps on the mean of the per-label losses, each step's
+    gradient scaled by 1/n before the product with X.  trace[e] is the
+    regularized mean over rows of the summed per-label losses after step
+    e."""
+    Y = data.label_matrix.astype(np.float64)
+    X, C, eta = data.features, config.C, config.eta_outer
+    W, b = np.zeros((data.l, data.d)), np.zeros(data.l)
+    trace = []
+    for _ in range(config.outer_epochs):
+        P = 1.0 / (1.0 + np.exp(-np.clip(X @ W.T + b, -500, 500)))
+        G = (P - Y) / data.n
+        W = W - eta * (G.T @ X + W / C)
+        b = b - eta * G.sum(axis=0)
+        scores = X @ W.T + b
+        losses = np.logaddexp(0.0, scores) - Y * scores
+        trace.append(float(np.mean(losses.sum(axis=1)))
+                     + float(np.sum(W ** 2)) / (2.0 * C))
+    return trace, W, b
+
+
+def test_multilabel_lr_is_the_average_of_a_per_label_logistic_spec():
+    from rankedrange import (MultilabelLogisticLoss, average_precision,
+                             topk_multilabel_accuracy)
+    from rankedrange.model import predict_matrix
+
+    data = gen_multilabel_synthetic(300, 12, 6, seed=40, max_labels=3,
+                                    score_noise=2.0)
+    tr, te = split_dataset(data, (0.8, 0.2), seed=41)
+    cfg = TrainConfig(eta_outer=0.5, outer_epochs=200, batch=0)
+    trace, W, b = _multilabel_lr_reference(tr, cfg)
+    report = sgd_average_train(tr, MultilabelLogisticLoss(), cfg)
+    np.testing.assert_allclose(report.model.weights, W, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.model.bias, b, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(report.objective_trace, trace, rtol=1e-12)
+    ours, theirs = (predict_matrix(model, te.features) for model in (
+        report.model, LinearModel(weights=W, bias=b)))
+    for k in (1, 2, 3):
+        assert topk_multilabel_accuracy(ours, te.labels, k) == \
+            topk_multilabel_accuracy(theirs, te.labels, k)
+    assert average_precision(ours, te.labels) == \
+        average_precision(theirs, te.labels)
 
 
 def test_sgd_average_separable_data_perfect():
