@@ -24,7 +24,6 @@ from .data import (
     LabelError,
     NoiseSpec,
     SyntheticSpec,
-    flip_count,
     gen_multiclass_blobs,
     gen_multilabel_synthetic,
     gen_synthetic,

@@ -73,7 +73,6 @@ from .data import (
     Dataset,
     NoiseSpec,
     SyntheticSpec,
-    flip_count,
     gen_multiclass_blobs,
     gen_multilabel_synthetic,
     gen_synthetic,
@@ -458,10 +457,6 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
         lam_hat = report.lambdas[-1].lam_hat
         extras["noise_estimate"] = estimate_noise_count(
             spec.losses(report.model.weights, report.model.bias, tr), lam_hat)
-        try:
-            extras["true_flips"] = flip_count(tr)
-        except ValueError:
-            pass
         return report, extras
 
     grid = tkml and agg != "tkml"
@@ -523,12 +518,23 @@ def _thin(seq, limit=50):
     return [seq[i] for i in idx]
 
 
+def _changed_rows(clean: Dataset, noisy: Dataset) -> int:
+    """The number of rows whose label differs between the two datasets."""
+    return int(np.count_nonzero(
+        (clean.label_matrix != noisy.label_matrix).any(axis=1)))
+
+
 def _single_run(cfg: ExperimentConfig, run: int, data: Dataset | None) -> dict:
     """One seeded repeat on ``data``, a loaded file; when it is None, on the
     dataset that the generator named by ``cfg.dataset`` makes for the seed."""
     seed = cfg.base_seed + run
     if data is None:
         data = _GENERATORS[cfg.dataset](cfg, seed)
+    kind = ("multilabel" if data.is_multilabel
+            else "binary" if data.l == 1 else "multiclass")
+    if kind != cfg.task:
+        raise ConfigError("task", f"dataset {cfg.dataset!r} holds {kind} "
+                                  f"labels, not {cfg.task} labels")
     try:
         split_sizes(data.n, cfg.split)
     except ValueError as exc:
@@ -539,6 +545,8 @@ def _single_run(cfg: ExperimentConfig, run: int, data: Dataset | None) -> dict:
     if cfg.noise is not None:
         tr = inject_noise(tr, replace(cfg.noise, seed=cfg.noise.seed + seed))
     report, extras = _train_model(cfg, tr, va, seed, holdout=te)
+    if cfg.noise is not None and cfg.aggregate == "auto_aorr":
+        extras["true_flips"] = _changed_rows(parts[0], tr)
     metrics = _evaluate(cfg, report.model, te)
     trace = [x for x in report.objective_trace if np.isfinite(x)]
     record = {
@@ -1034,7 +1042,7 @@ def _cmd_noise(args) -> int:
         raise ConfigError("noise", str(exc)) from None
     noisy = inject_noise(data, spec)
     write_csv(noisy, args.out)
-    print(f"wrote {args.out} ({flip_count(noisy)} labels flipped)")
+    print(f"wrote {args.out} ({_changed_rows(data, noisy)} labels flipped)")
     return EXIT_OK
 
 

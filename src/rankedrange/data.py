@@ -4,6 +4,10 @@ injection, splitting, and train-statistics standardization.
 Label conventions: binary datasets use l = 1 with labels in {+1, -1};
 multi-class datasets use integer labels 1..l; multi-label datasets carry a
 frozenset of labels per sample.
+
+Label noise (``inject_noise``) is drawn as whole arrays and records no
+count: a flipped row of a noisy copy is one whose ``label_matrix`` row
+differs from the clean one's.
 """
 
 from __future__ import annotations
@@ -394,67 +398,52 @@ def _load_libsvm(path, l):
 
 def inject_noise(data: Dataset, spec: NoiseSpec) -> Dataset:
     """Return a copy with labels rewritten per the noise spec; features are
-    untouched and the realized flip count lands in provenance."""
-    rng = np.random.default_rng(spec.seed)
-    if spec.mode == "multilabel_symmetric":
-        if not data.is_multilabel:
-            raise ValueError("multilabel_symmetric noise requires multi-label data")
-        selected = rng.random(data.n) < spec.p
-        new_labels = []
-        flips = 0
-        for i in range(data.n):
-            if not selected[i]:
-                new_labels.append(data.labels[i])
-                continue
-            replaced = set()
-            for y in sorted(data.labels[i]):
-                choices = [c for c in range(1, data.l + 1) if c != y]
-                replaced.add(int(rng.choice(choices)))
-            if len(replaced) >= data.l:
-                replaced.pop()
-            new_labels.append(frozenset(replaced))
-            flips += 1
-        return Dataset(data.features, tuple(new_labels), data.l,
-                       data.provenance + f"; noise({spec.mode}, p={spec.p}, "
-                       f"seed={spec.seed}, flipped={flips})")
+    untouched.
 
-    if data.is_multilabel:
-        raise ValueError(f"{spec.mode} noise requires single-label data")
-    y = data.labels.copy()
-    flips = 0
-    if spec.mode == "symmetric":
-        selected = rng.random(data.n) < spec.p
-        for i in np.flatnonzero(selected):
-            if data.l == 1:
-                y[i] = -y[i]
-            else:
-                choices = [c for c in range(1, data.l + 1) if c != y[i]]
-                y[i] = int(rng.choice(choices))
-            flips += 1
-    else:  # asymmetric_map
+    One ``rng.random(n) < p`` draw selects the rows.  ``symmetric`` negates
+    a selected binary label, and moves a selected class label y to a label
+    drawn uniformly from the other l - 1: one ``rng.integers(1, l)`` value
+    r per row, which is r when r < y and r + 1 otherwise.
+    ``multilabel_symmetric`` moves each label of a selected set, in
+    ascending order, the same way.  ``asymmetric_map`` maps a selected
+    label through ``flip_map``, and leaves a label it does not name.
+    """
+    multilabel = spec.mode == "multilabel_symmetric"
+    if multilabel != data.is_multilabel:
+        raise ValueError(f"{spec.mode} noise requires "
+                         f"{'multi' if multilabel else 'single'}-label data")
+    if spec.mode == "asymmetric_map":
+        allowed = (-1, 1) if data.l == 1 else range(1, data.l + 1)
+        lo = allowed[0]
+        table = np.arange(lo, allowed[-1] + 1)  # label y is at y - lo
         for src, dst in spec.flip_map.items():
-            lo, hi = (1, data.l) if data.l > 1 else (-1, 1)
-            if not lo <= int(dst) <= hi or not lo <= int(src) <= hi:
+            if src not in allowed or dst not in allowed:
                 raise ValueError(f"flip_map entry {src}->{dst} outside label range")
-        draws = rng.random(data.n)
-        for i in range(data.n):
-            dst = spec.flip_map.get(int(y[i]))
-            if dst is not None and draws[i] < spec.p:
-                y[i] = int(dst)
-                flips += 1
-    return Dataset(data.features, y, data.l,
-                   data.provenance + f"; noise({spec.mode}, p={spec.p}, "
-                   f"seed={spec.seed}, flipped={flips})")
-
-
-def flip_count(data: Dataset) -> int:
-    """Recover the realized flip count recorded by ``inject_noise``."""
-    import re
-
-    match = re.search(r"flipped=(\d+)", data.provenance)
-    if not match:
-        raise ValueError("dataset provenance carries no noise record")
-    return int(match.group(1))
+            table[src - lo] = dst
+    rng = np.random.default_rng(spec.seed)
+    rows = np.flatnonzero(rng.random(data.n) < spec.p)
+    if multilabel:
+        sets = [sorted(data.labels[i]) for i in rows]
+        y = np.fromiter(itertools.chain.from_iterable(sets), np.int64)
+    else:
+        y = data.labels[rows]
+    if spec.mode == "asymmetric_map":
+        y = table[y - lo]
+    elif data.l == 1:
+        y = -y
+    else:
+        r = rng.integers(1, data.l, y.size)
+        y = r + (r >= y)
+    if multilabel:
+        labels, moved = list(data.labels), iter(y.tolist())
+        for i, ys in zip(rows, sets):
+            labels[i] = frozenset(itertools.islice(moved, len(ys)))
+        labels = tuple(labels)
+    else:
+        labels = data.labels.copy()
+        labels[rows] = y
+    return Dataset(data.features, labels, data.l, data.provenance +
+                   f"; noise({spec.mode}, p={spec.p}, seed={spec.seed})")
 
 
 def split_sizes(n: int, fractions) -> tuple:

@@ -507,11 +507,12 @@ def tkml_aorr_train(data: Dataset, config: TrainConfig,
     lam_hat = 0.0
     width = r.width
     trace, lambdas = [], []
+    evaluated = None  # value_and_grad of every row at the current (W, b)
     if config.warmup_epochs > 0:
         # place the thresholds at the analytic saddle of the warmed-up loss
         # distribution
-        lam, lam_hat = tkml_saddle_point(loss_spec.losses(W, b, data), r)
-    evaluated = None  # value_and_grad of every row at the current (W, b)
+        evaluated = loss_spec.value_and_grad(W, b, data)
+        lam, lam_hat = tkml_saddle_point(evaluated[0], r)
     batch = config.batch if config.batch < data.n else 0  # >= n: full batch
     for t, rows in enumerate(_batches(data, rng, batch, config.outer_epochs)):
         scale = data.n / rows.n

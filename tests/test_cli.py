@@ -308,6 +308,45 @@ def test_label_rank_beyond_l_exits_1_before_training(tmp_path, monkeypatch,
                  "--out", str(tmp_path / "out")]) == EXIT_USAGE
 
 
+_KIND_FILES = {
+    "3-class": lambda: gen_multiclass_blobs(30, 2, 3, seed=0),
+    "sign": lambda: gen_synthetic(SyntheticSpec(seed=0)),
+    "label-set": lambda: gen_multilabel_synthetic(30, 2, 4, seed=0),
+}
+
+
+@pytest.mark.parametrize("task, loss, dataset, kind", [
+    ("binary", "logistic", "3-class", "multiclass"),
+    ("binary", "logistic", "blobs", "multiclass"),
+    ("binary", "logistic", "label-set", "multilabel"),
+    ("multilabel", "tkml", "3-class", "multiclass"),
+    ("multilabel", "tkml", "blobs", "multiclass"),
+    ("multiclass", "tkml", "multilabel-synth", "multilabel"),
+    ("multiclass", "softmax", "monk", "binary"),
+    ("multiclass", "softmax", "sign", "binary"),
+    ("multiclass", "softmax", "label-set", "multilabel"),
+])
+def test_labels_that_do_not_fit_the_task_exit_1_before_training(
+        tmp_path, monkeypatch, capsys, task, loss, dataset, kind):
+    from rankedrange import write_csv
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli, "_train_model", no_training)
+    if dataset in _KIND_FILES:
+        path = tmp_path / f"{dataset}.csv"
+        write_csv(_KIND_FILES[dataset](), path)
+        dataset = str(path)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"task = {task}\nloss = {loss}\ndataset = {dataset}\n"
+                        "split = 0.7,0.3\nblobs.n = 30\nml.n = 30\n")
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'task'" in err and repr(dataset) in err and f"{kind} labels" in err
+
+
 def test_lr_trains_the_per_label_logistic_spec_on_the_full_batch(monkeypatch):
     # train.batch is 1 by default; the baseline is full-batch descent
     train, calls = cli.sgd_average_train, []
@@ -588,6 +627,41 @@ def test_gen_synth_noise_eval_pipeline(tmp_path, capsys):
                  "--data", str(data_path)]) == EXIT_OK
     metrics = json.loads(capsys.readouterr().out)
     assert 0.0 <= metrics["error"] <= 1.0
+
+
+def test_noise_command_counts_changed_labels(tmp_path, capsys):
+    # the 1:1 entry selects rows of class 1 but leaves their labels
+    from rankedrange import load_dataset
+
+    data_path, noisy_path = tmp_path / "blobs.csv", tmp_path / "noisy.csv"
+    assert main(["gen-synth", "--out", str(data_path), "--kind", "blobs",
+                 "--n", "300", "--d", "2", "--l", "3"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["noise", "--data", str(data_path), "--out", str(noisy_path),
+                 "--mode", "asymmetric_map", "--map", "1:1,2:3", "--p", "0.5",
+                 "--seed", "4"]) == EXIT_OK
+    clean, noisy = load_dataset(data_path), load_dataset(noisy_path)
+    changed = int((clean.labels != noisy.labels).sum())
+    assert changed > 0
+    assert capsys.readouterr().out.strip() == \
+        f"wrote {noisy_path} ({changed} labels flipped)"
+
+
+def test_auto_aorr_true_flips_count_changed_training_labels():
+    text = ("task = multiclass\nloss = softmax\naggregate = auto_aorr\n"
+            "dataset = blobs\nsplit = 0.6,0.2,0.2\nblobs.n = 150\n"
+            "blobs.d = 3\nblobs.l = 3\ntrain.outer_epochs = 1\n"
+            "train.inner_epochs = 2\ntrain.warmup_epochs = 2\n")
+    noise = ("noise.mode = asymmetric_map\nnoise.map = 1:1,2:3\n"
+             "noise.p = 0.5\nnoise.seed = 7\n")
+    cfg = parse_config(text + noise)
+    run = run_experiment(cfg)["runs"][0]
+    train = split_dataset(cli._GENERATORS["blobs"](cfg, cfg.base_seed),
+                          cfg.split, seed=cfg.base_seed)[0]
+    noisy = cli.inject_noise(train, dataclasses.replace(
+        cfg.noise, seed=cfg.noise.seed + cfg.base_seed))
+    assert run["true_flips"] == int((train.labels != noisy.labels).sum()) > 0
+    assert "true_flips" not in run_experiment(parse_config(text))["runs"][0]
 
 
 def test_sweep_range_parsing():

@@ -10,7 +10,6 @@ from rankedrange import (
     Dataset,
     NoiseSpec,
     SyntheticSpec,
-    flip_count,
     gen_multiclass_blobs,
     gen_multilabel_synthetic,
     gen_synthetic,
@@ -381,7 +380,6 @@ def test_noise_p_zero_identity():
     data = monk_dataset()
     noisy = inject_noise(data, NoiseSpec(mode="symmetric", p=0.0, seed=0))
     np.testing.assert_array_equal(noisy.labels, data.labels)
-    assert flip_count(noisy) == 0
 
 
 def test_noise_p_one_binary_flips_all():
@@ -401,7 +399,7 @@ def test_symmetric_selection_count_within_three_sigma():
     data = gen_multiclass_blobs(5000, 3, 6, seed=3)
     p = 0.3
     noisy = inject_noise(data, NoiseSpec(mode="symmetric", p=p, seed=4))
-    flips = flip_count(noisy)
+    flips = np.count_nonzero(noisy.labels != data.labels)
     sigma = np.sqrt(data.n * p * (1 - p))
     assert abs(flips - data.n * p) <= 3 * sigma
 
@@ -415,7 +413,7 @@ def test_asymmetric_map_only_touches_mapped_classes():
     assert set(np.unique(data.labels[changed])) <= {2, 3}
     eligible = int(np.sum(np.isin(data.labels, [2, 3])))
     sigma = np.sqrt(eligible * 0.4 * 0.6)
-    assert abs(flip_count(noisy) - 0.4 * eligible) <= 3 * sigma
+    assert abs(np.count_nonzero(changed) - 0.4 * eligible) <= 3 * sigma
 
 
 def test_asymmetric_map_required():
@@ -427,6 +425,14 @@ def test_asymmetric_map_target_range_checked():
     data = gen_multiclass_blobs(10, 2, 3, seed=0)
     spec = NoiseSpec(mode="asymmetric_map", p=0.5, flip_map={1: 9}, seed=0)
     with pytest.raises(ValueError):
+        inject_noise(data, spec)
+
+
+@pytest.mark.parametrize("flip_map", [{0: 1}, {1: 0}], ids=["0:1", "1:0"])
+def test_binary_flip_map_entries_must_be_signs(flip_map):
+    data = gen_synthetic(SyntheticSpec(seed=0))
+    spec = NoiseSpec(mode="asymmetric_map", p=0.5, flip_map=flip_map, seed=0)
+    with pytest.raises(ValueError, match="flip_map entry .* outside label range"):
         inject_noise(data, spec)
 
 
@@ -447,9 +453,67 @@ def test_multilabel_noise_mode_mismatch():
         inject_noise(data, NoiseSpec(mode="multilabel_symmetric", p=0.2))
 
 
-def test_flip_count_requires_noise_record():
-    with pytest.raises(ValueError):
-        flip_count(monk_dataset())
+def _loop_noise(data, spec):
+    """The labels of the per-row loops that inject_noise draws as arrays."""
+    rng = np.random.default_rng(spec.seed)
+    if spec.mode == "multilabel_symmetric":
+        selected = rng.random(data.n) < spec.p
+        new_labels = []
+        for i in range(data.n):
+            if not selected[i]:
+                new_labels.append(data.labels[i])
+                continue
+            replaced = set()
+            for y in sorted(data.labels[i]):
+                choices = [c for c in range(1, data.l + 1) if c != y]
+                replaced.add(int(rng.choice(choices)))
+            new_labels.append(frozenset(replaced))
+        return tuple(new_labels)
+    y = data.labels.copy()
+    if spec.mode == "symmetric":
+        selected = rng.random(data.n) < spec.p
+        for i in np.flatnonzero(selected):
+            if data.l == 1:
+                y[i] = -y[i]
+            else:
+                choices = [c for c in range(1, data.l + 1) if c != y[i]]
+                y[i] = int(rng.choice(choices))
+    else:
+        draws = rng.random(data.n)
+        for i in range(data.n):
+            dst = spec.flip_map.get(int(y[i]))
+            if dst is not None and draws[i] < spec.p:
+                y[i] = int(dst)
+    return y
+
+
+def _noise_cases():
+    """(data, mode, flip_map) over binary, l = 2, 10 and 14 labels; maps
+    with a k:k entry and a full cycle; label sets of up to l - 1 labels."""
+    binary = gen_synthetic(SyntheticSpec(seed=0))
+    yield binary, "symmetric", None
+    yield binary, "asymmetric_map", {1: 1, -1: 1}
+    yield binary, "asymmetric_map", {1: -1, -1: 1}
+    for l in (2, 10, 14):
+        classes = gen_multiclass_blobs(150, 2, l, seed=l)
+        yield classes, "symmetric", None
+        yield classes, "asymmetric_map", {1: 1, 2: l}
+        yield classes, "asymmetric_map", {k: k % l + 1 for k in range(1, l + 1)}
+        sets = gen_multilabel_synthetic(150, 2, l, seed=l, max_labels=l - 1)
+        yield sets, "multilabel_symmetric", None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("p", [0.0, 0.2, 1.0])
+def test_noise_labels_match_per_row_loops(p, seed):
+    for data, mode, flip_map in _noise_cases():
+        spec = NoiseSpec(mode=mode, p=p, flip_map=flip_map, seed=seed)
+        noisy, expected = inject_noise(data, spec).labels, _loop_noise(data, spec)
+        if data.is_multilabel:
+            assert noisy == expected
+        else:
+            assert noisy.dtype == expected.dtype
+            assert noisy.tobytes() == expected.tobytes()
 
 
 # --- splitting and standardization ----------------------------------------

@@ -29,6 +29,7 @@ from rankedrange import (
     split_dataset,
     tkml_aorr_train,
     tkml_loss_subgrad,
+    tkml_warm_start,
 )
 from rankedrange import cli
 from rankedrange.core import top_k_sum
@@ -613,6 +614,24 @@ def test_tkml_aorr_matches_reference_loop(batch, init_scale, warmup):
     assert [(p.lam, p.lam_hat) for p in report.lambdas] == lambdas
     np.testing.assert_array_equal(report.model.weights, W)
     np.testing.assert_array_equal(report.model.bias, b)
+
+
+def test_tkml_aorr_saddle_point_pass_is_the_first_step_evaluation(monkeypatch):
+    # at batch 0 the all-row pass that places the thresholds serves the
+    # first step too, so a warm start adds no pass to a cell
+    import rankedrange.optim as optim
+
+    data = gen_multilabel_synthetic(60, 4, 5, seed=26, max_labels=2)
+    passes = []
+    for warmup in (0, 15):
+        cfg = TrainConfig(m=5, k=40, kprime=2, outer_epochs=33, batch=0,
+                          warmup_epochs=warmup, seed=27)
+        start = tkml_warm_start(data, cfg)
+        spec = _CountingSpec(make_loss_spec("tkml", 2), data)
+        monkeypatch.setattr(optim, "make_loss_spec", lambda *args: spec)
+        tkml_aorr_train(data, cfg, start)
+        passes.append(spec.passes)
+    assert passes[1] == passes[0] == 34  # 30 steps, 4 objective passes
 
 
 @pytest.mark.parametrize("batch, init_scale", [(0, 0.0), (16, 0.0), (16, 0.2)])
