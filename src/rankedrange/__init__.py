@@ -19,6 +19,7 @@ from .core import (
     topk_variational_objective,
 )
 from .data import (
+    ConfigError,
     DataParseError,
     Dataset,
     LabelError,

@@ -51,7 +51,8 @@ grid.m, grid.k    comma lists: (m, k) grid for aggregate=tkml_aorr
 train.*           any TrainConfig field
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
-failure.
+failure.  A config error names its key: the check that tests a value
+raises ``data.ConfigError`` at that key, also when it tests it against data.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from decimal import Decimal, InvalidOperation
 import numpy as np
 
 from .data import (
+    ConfigError,
     Dataset,
     NoiseSpec,
     SyntheticSpec,
@@ -79,7 +81,6 @@ from .data import (
     inject_noise,
     load_dataset,
     monk_dataset,
-    split_sizes,
     split_standardized,
     write_csv,
 )
@@ -121,17 +122,6 @@ TASKS = tuple(dict.fromkeys(task for task, _ in _TRAINS))
 LOSSES = tuple(dict.fromkeys(loss for _, loss in _TRAINS))
 AGGREGATES = tuple(dict.fromkeys(agg for aggs in _TRAINS.values()
                                  for agg in aggs))
-
-
-class ConfigError(ValueError):
-    """Invalid experiment config; carries the offending key."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(key, message)  # pickles by its arguments
-        self.key = key
-
-    def __str__(self):
-        return f"config key {self.key!r}: {self.args[1]}"
 
 
 @dataclass(frozen=True)
@@ -179,10 +169,14 @@ class ExperimentConfig:
             raise ConfigError("split", "need 2 or 3 fractions")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ConfigError("split", f"fractions {self.split} do not sum to 1")
-        if self.repeats < 1 or self.restarts < 1:
-            raise ConfigError("repeats", "repeats and restarts must be >= 1")
-        if self.eval_k < 1:
-            raise ConfigError("eval_k", "must be >= 1")
+        for key, low in (("repeats", 1), ("restarts", 1), ("eval_k", 1),
+                         ("blobs.n", 1), ("blobs.d", 1), ("blobs.l", 2),
+                         ("ml.n", 1), ("ml.d", 1), ("ml.min", 1)):
+            if getattr(self, key.replace(".", "_")) < low:
+                raise ConfigError(key, f"must be >= {low}")
+        if not self.ml_min <= self.ml_max < self.ml_l:
+            # a label set holds ml.min..ml.max labels and leaves one out
+            raise ConfigError("ml.max", f"must be in {self.ml_min}..{self.ml_l - 1}")
         if self.aggregate in ("atk", "topk") and self.train.k < 1 \
                 and not self.grid_k:
             raise ConfigError("train.k", f"{self.aggregate} needs train.k >= 1")
@@ -269,17 +263,13 @@ def parse_config(text: str) -> ExperimentConfig:
         parts[section][name] = _parse_value(key, annotation, value)
     plain, noise = parts[""], parts["noise"]
     if noise.get("mode", "none") != "none":
-        try:
-            plain["noise"] = NoiseSpec(**noise)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("noise", str(exc)) from None
+        if "p" not in noise:
+            raise ConfigError("noise.p", f"noise mode {noise['mode']} needs noise.p")
+        plain["noise"] = NoiseSpec(**noise)
     elif set(noise) - {"mode"}:
         raise ConfigError("noise.mode", "noise fields are set but there is no "
                                         "noise mode")
-    try:
-        plain["train"] = TrainConfig(**parts["train"])
-    except ValueError as exc:
-        raise ConfigError("train", str(exc)) from None
+    plain["train"] = TrainConfig(**parts["train"])
     return ExperimentConfig(**plain)
 
 
@@ -443,11 +433,8 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     if cfg.task != "binary" and cfg.eval_k > top:
         raise ConfigError("eval_k", f"eval_k={cfg.eval_k} outside 1..{top} "
                                     f"for l={tr.l}")
-    try:
-        spec = (MultilabelLogisticLoss() if agg == "lr"
-                else make_loss_spec(cfg.loss, base.kprime, tr.l))
-    except ValueError as exc:
-        raise ConfigError("train.kprime", f"{exc} for l={tr.l}") from None
+    spec = (MultilabelLogisticLoss() if agg == "lr"
+            else make_loss_spec(cfg.loss, base.kprime, tr.l))
 
     if agg in ("average", "lr"):
         return sgd_average_train(tr, spec, replace(base, batch=0) if tkml
@@ -535,10 +522,6 @@ def _single_run(cfg: ExperimentConfig, run: int, data: Dataset | None) -> dict:
     if kind != cfg.task:
         raise ConfigError("task", f"dataset {cfg.dataset!r} holds {kind} "
                                   f"labels, not {cfg.task} labels")
-    try:
-        split_sizes(data.n, cfg.split)
-    except ValueError as exc:
-        raise ConfigError("split", str(exc)) from None
     parts, _, _ = split_standardized(data, cfg.split, seed=seed)
     tr, te = parts[0], parts[-1]
     va = parts[1] if len(parts) == 3 else None
@@ -1035,12 +1018,8 @@ def _cmd_gen_synth(args) -> int:
 def _cmd_noise(args) -> int:
     data = load_dataset(args.data)
     flip_map = _parse_value("--map", "dict | None", args.map) if args.map else None
-    try:
-        spec = NoiseSpec(mode=args.mode, p=args.p, flip_map=flip_map,
-                         seed=args.seed)
-    except ValueError as exc:
-        raise ConfigError("noise", str(exc)) from None
-    noisy = inject_noise(data, spec)
+    noisy = inject_noise(data, NoiseSpec(mode=args.mode, p=args.p,
+                                         flip_map=flip_map, seed=args.seed))
     write_csv(noisy, args.out)
     print(f"wrote {args.out} ({_changed_rows(data, noisy)} labels flipped)")
     return EXIT_OK
@@ -1049,6 +1028,10 @@ def _cmd_noise(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     data = load_dataset(args.data, args.format, l=model.l)
+    # a label set must stay a proper subset of the labels
+    top = data.l - 1 if data.is_multilabel else data.l
+    if data.l > 1 and not 1 <= args.k <= top:
+        raise ConfigError("--k", f"k={args.k} outside 1..{top} for l={data.l}")
     scores = predict_matrix(model, data.features)
     if data.is_multilabel:
         metrics = {

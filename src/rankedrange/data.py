@@ -21,6 +21,17 @@ from functools import cached_property
 import numpy as np
 
 
+class ConfigError(ValueError):
+    """Invalid experiment config; carries the offending key."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(key, message)  # pickles by its arguments
+        self.key = key
+
+    def __str__(self):
+        return f"config key {self.key!r}: {self.args[1]}"
+
+
 class LabelError(ValueError):
     """A label that does not fit the label count l; ``row`` is the index of
     its sample."""
@@ -115,11 +126,11 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.mode not in ("symmetric", "asymmetric_map", "multilabel_symmetric"):
-            raise ValueError(f"unknown noise mode {self.mode!r}")
+            raise ConfigError("noise.mode", f"unknown noise mode {self.mode!r}")
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"noise probability p={self.p} outside [0, 1]")
+            raise ConfigError("noise.p", f"p={self.p} outside [0, 1]")
         if self.mode == "asymmetric_map" and not self.flip_map:
-            raise ValueError("asymmetric_map noise requires a flip_map")
+            raise ConfigError("noise.map", "asymmetric_map noise requires a flip_map")
 
 
 @dataclass(frozen=True)
@@ -130,7 +141,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if not 0 <= self.n_outliers <= 20:
-            raise ValueError(f"n_outliers={self.n_outliers} outside 0..20")
+            raise ConfigError("synth.outliers", f"{self.n_outliers} outside 0..20")
 
 
 def gen_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -228,7 +239,7 @@ def load_dataset(path, format: str = "csv", l: int | None = None) -> Dataset:
         return _load_csv(path, l)
     if format == "libsvm":
         return _load_libsvm(path, l)
-    raise ValueError(f"unknown dataset format {format!r}")
+    raise ConfigError("format", f"unknown dataset format {format!r}")
 
 
 def _load_csv(path, l):
@@ -410,15 +421,16 @@ def inject_noise(data: Dataset, spec: NoiseSpec) -> Dataset:
     """
     multilabel = spec.mode == "multilabel_symmetric"
     if multilabel != data.is_multilabel:
-        raise ValueError(f"{spec.mode} noise requires "
-                         f"{'multi' if multilabel else 'single'}-label data")
+        raise ConfigError("noise.mode", f"{spec.mode} noise requires "
+                          f"{'multi' if multilabel else 'single'}-label data")
     if spec.mode == "asymmetric_map":
         allowed = (-1, 1) if data.l == 1 else range(1, data.l + 1)
         lo = allowed[0]
         table = np.arange(lo, allowed[-1] + 1)  # label y is at y - lo
         for src, dst in spec.flip_map.items():
             if src not in allowed or dst not in allowed:
-                raise ValueError(f"flip_map entry {src}->{dst} outside label range")
+                raise ConfigError("noise.map", f"flip_map entry {src}->{dst} "
+                                               "outside label range")
             table[src - lo] = dst
     rng = np.random.default_rng(spec.seed)
     rows = np.flatnonzero(rng.random(data.n) < spec.p)
@@ -449,17 +461,17 @@ def inject_noise(data: Dataset, spec: NoiseSpec) -> Dataset:
 def split_sizes(n: int, fractions) -> tuple:
     """Row counts of the parts of an n-row split: part i ends at row
     floor(n * (f_0 + ... + f_i) + 0.5) and the last part at row n.  Raises
-    ValueError when the fractions do not sum to 1 or a part gets no rows."""
+    ConfigError when the fractions do not sum to 1 or a part gets no rows."""
     fractions = tuple(float(f) for f in fractions)
     if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"split fractions {fractions} do not sum to 1")
+        raise ConfigError("split", f"split fractions {fractions} do not sum to 1")
     bounds = np.floor(np.cumsum(fractions) * n + 0.5).astype(int)
     bounds[-1] = n
     sizes = np.diff(bounds, prepend=0)
     for i, size in enumerate(sizes):
         if size < 1:
-            raise ValueError(f"part {i} (fraction {fractions[i]!r}) of a split "
-                             f"of n={n} rows gets no rows")
+            raise ConfigError("split", f"part {i} (fraction {fractions[i]!r}) "
+                                       f"of a split of n={n} rows gets no rows")
     return tuple(int(size) for size in sizes)
 
 

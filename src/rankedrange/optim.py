@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import RankedRange, as_values, descending_order, sort_descending
-from .data import Dataset
+from .data import ConfigError, Dataset
 from .losses import (
     MarginLossKind,
     margin_loss_vec,
@@ -62,12 +62,12 @@ class TrainConfig:
     init_scale: float = 0.0  # stddev of the random start (0 = zero init)
 
     def __post_init__(self):
-        if self.C <= 0 or self.eta_outer <= 0 or self.eta_inner <= 0:
-            raise ValueError("learning rates and C must be positive")
-        if self.outer_epochs < 1 or self.inner_epochs < 1:
-            raise ValueError("epoch counts must be >= 1")
+        for name in ("C", "eta_outer", "eta_inner", "outer_epochs", "inner_epochs"):
+            if not getattr(self, name) > 0:  # NaN included
+                raise ConfigError(f"train.{name}",
+                                  f"{name}={getattr(self, name)} must be > 0")
         if self.batch < 0:
-            raise ValueError(f"batch={self.batch} must be >= 0")
+            raise ConfigError("train.batch", f"batch={self.batch} must be >= 0")
 
     def ranked_range(self, n: int) -> RankedRange:
         k = self.k if self.k > 0 else n
@@ -211,9 +211,10 @@ def make_loss_spec(loss_kind: str, kprime: int = 1, l: int | None = None):
         return SoftmaxLoss()
     if loss_kind == "tkml":
         if l is not None and not 1 <= kprime < l:
-            raise ValueError(f"kprime={kprime} outside 1..{l - 1}")
+            raise ConfigError("train.kprime", f"kprime={kprime} outside "
+                                              f"1..{l - 1} for l={l}")
         return TKMLSampleLoss(kprime)
-    raise ValueError(f"unknown loss kind {loss_kind!r}")
+    raise ConfigError("loss", f"unknown loss kind {loss_kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -803,3 +803,76 @@ def test_repro_size_and_real_data_lines(tmp_path, stub_runs, monkeypatch):
         {"data/mnist.csv"}
     assert {cfg.dataset for _, cfg in repro_configs("table7")} == \
         {"multilabel-synth"}
+
+
+# small valid runs; each row of _CONFIG_ERRORS appends the lines that break
+# one, and a later line overrides an earlier one
+_BINARY = "task = binary\ndataset = synthetic\nsplit = 0.7,0.3\ntrain.batch = 0\n"
+_BLOBS3 = ("task = multiclass\nloss = softmax\ndataset = blobs\n"
+           "split = 0.7,0.3\nblobs.n = 60\nblobs.d = 2\nblobs.l = 3\n")
+_ML6 = ("task = multilabel\nloss = tkml\naggregate = tkml\n"
+        "dataset = multilabel-synth\nsplit = 0.7,0.3\nml.n = 60\nml.d = 3\n"
+        "ml.l = 6\n")
+_SYMMETRIC = "noise.mode = symmetric\nnoise.p = 0.2\n"
+
+# (config text, or command line after the command, expected key); {data} is
+# a 4-class CSV and {model} a 4-label model that scores it
+_CONFIG_ERRORS = {
+    "noise.map-vs-labels": (_BLOBS3 + "noise.mode = asymmetric_map\n"
+                            "noise.p = 0.5\nnoise.map = 1:9\n", "noise.map"),
+    "multilabel-noise-on-binary": (_BINARY + "noise.mode = multilabel_symmetric\n"
+                                   "noise.p = 0.2\n", "noise.mode"),
+    "format": ("task = multiclass\nloss = softmax\ndataset = {data}\n"
+               "format = xml\nsplit = 0.5,0.5\n", "format"),
+    "train.C": (_BINARY + "train.C = 0\n", "train.C"),
+    "train.eta_outer": (_BINARY + "train.eta_outer = -0.1\n", "train.eta_outer"),
+    "train.eta_inner": (_BINARY + "train.eta_inner = 0\n", "train.eta_inner"),
+    # unused by an average run, so a NaN rate used to train silently
+    "train.eta_inner-nan": (_BINARY + "train.eta_inner = nan\n",
+                            "train.eta_inner"),
+    "train.outer_epochs": (_BINARY + "train.outer_epochs = 0\n",
+                           "train.outer_epochs"),
+    "train.inner_epochs": (_BINARY + "train.inner_epochs = -1\n",
+                           "train.inner_epochs"),
+    "train.batch": (_BINARY + "train.batch = -1\n", "train.batch"),
+    "noise.p": (_BINARY + _SYMMETRIC + "noise.p = 2\n", "noise.p"),
+    "noise-mode-without-p": (_BINARY + "noise.mode = symmetric\n", "noise.p"),
+    "synth.outliers": (_BINARY + "synth.outliers = 50\n", "synth.outliers"),
+    "blobs.n": (_BLOBS3 + "blobs.n = 0\n", "blobs.n"),
+    "blobs.d": (_BLOBS3 + "blobs.d = 0\n", "blobs.d"),
+    "ml.d": (_ML6 + "ml.d = 0\n", "ml.d"),
+    "ml.min": (_ML6 + "ml.min = 0\n", "ml.min"),
+    "ml.max-vs-ml.l": (_ML6 + "ml.max = 6\n", "ml.max"),
+    "ml.max-below-ml.min": (_ML6 + "ml.min = 3\nml.max = 2\n", "ml.max"),
+    "blobs.l": (_BLOBS3 + "blobs.l = 1\n", "blobs.l"),
+    "gen-synth-outliers": (["gen-synth", "--outliers", "50"], "synth.outliers"),
+    "eval-k": (["eval", "--model", "{model}", "--data", "{data}", "--k", "9"],
+               "--k"),
+    # guards: these exited 1 at their key before the checks moved
+    "train.kprime": (_ML6 + "train.kprime = 9\n", "train.kprime"),
+    "split": (_BINARY + "split = 0.999,0.001\n", "split"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(_CONFIG_ERRORS))
+def test_config_errors_exit_1_at_their_key(tmp_path, capsys, row):
+    from rankedrange import LinearModel, save_model
+    import numpy as np
+
+    given, key = _CONFIG_ERRORS[row]
+    paths = {"data": tmp_path / "four.csv", "model": tmp_path / "model.txt"}
+    paths["data"].write_text("label,f0,f1\n1,0.5,1.0\n2,2.0,0.0\n3,1.5,-1.0\n"
+                             "4,0.0,0.5\n")
+    save_model(LinearModel(weights=np.ones((4, 2)), bias=np.zeros(4)),
+               paths["model"])
+    if isinstance(given, str):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(given.format(**paths))
+        argv = ["train", "--config", str(cfg_path), "--out", str(tmp_path)]
+    else:
+        argv = [arg.format(**paths) for arg in given]
+        if argv[0] == "gen-synth":
+            argv += ["--out", str(tmp_path / "synth.csv")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    assert f"config key {key!r}" in capsys.readouterr().err
