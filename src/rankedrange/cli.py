@@ -264,6 +264,7 @@ def parse_config(text: str) -> ExperimentConfig:
     plain, noise = parts[""], parts["noise"]
     if noise.get("mode", "none") != "none":
         if "p" not in noise:
+            NoiseSpec(**noise, p=0.0)  # an unknown mode is named first
             raise ConfigError("noise.p", f"noise mode {noise['mode']} needs noise.p")
         plain["noise"] = NoiseSpec(**noise)
     elif set(noise) - {"mode"}:
@@ -1006,10 +1007,16 @@ def _cmd_gen_synth(args) -> int:
         data = gen_synthetic(SyntheticSpec(balanced=not args.imbalanced,
                                            n_outliers=args.outliers,
                                            seed=args.seed))
-    elif args.kind == "blobs":
-        data = gen_multiclass_blobs(args.n, args.d, args.l, seed=args.seed)
     else:
-        data = gen_multilabel_synthetic(args.n, args.d, args.l, seed=args.seed)
+        # the blobs.* and ml.* checks, at the flags; the multilabel
+        # generator's label sets hold up to 3 labels and leave one out
+        for flag, low in (("n", 1), ("d", 1),
+                          ("l", 2 if args.kind == "blobs" else 4)):
+            if getattr(args, flag) < low:
+                raise ConfigError(f"--{flag}", f"must be >= {low}")
+        generate = (gen_multiclass_blobs if args.kind == "blobs"
+                    else gen_multilabel_synthetic)
+        data = generate(args.n, args.d, args.l, seed=args.seed)
     write_csv(data, args.out)
     print(f"wrote {args.out} ({data.n} samples, {data.d} features)")
     return EXIT_OK

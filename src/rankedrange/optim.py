@@ -92,7 +92,9 @@ class TrainReport:
 
 def _scores(W, b, X):
     scores = X @ W.T
-    return scores if b is None else scores + b
+    if b is not None:
+        scores += b
+    return scores
 
 
 class _LossSpec:
@@ -140,8 +142,9 @@ class SoftmaxLoss(_LossSpec):
 
 
 # hinge-matrix size (rows x labels) from which TKMLSampleLoss ranks labels
-# with argpartition: below it, the few extra numpy calls of its tie check
-# cost more than a stable argsort (measured: about 256 rows at l = 14)
+# with a value sort: below it, the few extra numpy calls of its tie check
+# cost more than a stable argsort (measured: about 4,000 entries at l = 6,
+# 1,800 at l = 14)
 _PARTITION_MIN_SIZE = 4096
 
 
@@ -160,26 +163,28 @@ class TKMLSampleLoss(_LossSpec):
         scores = _scores(W, b, rows.features)
         masked = np.where(rows.label_matrix, scores, np.inf)
         at = np.arange(scores.shape[0])
-        y_star = np.argmin(masked, axis=1)  # first minimum = lowest index
-        hinges = np.maximum(1.0 + scores - masked[at, y_star][:, None], 0.0)
-        neg = -hinges
-        if hinges.size < _PARTITION_MIN_SIZE:
-            j_star = neg.argsort(axis=1, kind="stable")[:, self.kprime]
-            values = hinges[at, j_star]
+        y_star = masked.argmin(axis=1)  # first minimum = lowest index
+        neg = scores + 1.0  # -hinges, built in place
+        neg -= masked[at, y_star][:, None]
+        np.negative(np.maximum(neg, 0.0, out=neg), out=neg)
+        kp = self.kprime
+        if neg.size < _PARTITION_MIN_SIZE:
+            j_star = neg.argsort(axis=1, kind="stable")[:, kp]
+            values = -neg[at, j_star]
         else:
-            # argpartition may pick any label holding the rank-(k'+1) value;
-            # only rows where a positive value is tied need the stable order
-            j_star = neg.argpartition(self.kprime, axis=1)[:, self.kprime]
-            values = hinges[at, j_star]
-            tied = (values > 0.0) & (
-                (hinges == values[:, None]).sum(axis=1) > 1)
+            # the first label holding the rank-(k'+1) value is the stable
+            # order's unless the value also holds rank k' (NaN sorts last,
+            # matches nothing and is not positive)
+            srt = np.sort(neg, axis=1)
+            values = -srt[:, kp]
+            j_star = (neg == srt[:, kp, None]).argmax(axis=1)
+            tied = (values > 0.0) & (srt[:, kp - 1] == srt[:, kp])
             if tied.any():
-                j_star[tied] = neg[tied].argsort(
-                    axis=1, kind="stable")[:, self.kprime]
+                j_star[tied] = neg[tied].argsort(axis=1, kind="stable")[:, kp]
+        pos = values > 0.0
         G = np.zeros_like(scores)
-        pos = at[values > 0.0]
-        G[pos, j_star[pos]] = 1.0
-        G[pos, y_star[pos]] -= 1.0
+        G[at, j_star] = pos
+        G[at, y_star] -= pos
         return values, G
 
     def holdout_error(self, W, b, data: Dataset) -> float:
@@ -242,8 +247,8 @@ def _as_model(W, b, loss_spec, config: TrainConfig) -> LinearModel:
     )
 
 
-def _check_finite(value, epoch):
-    if not np.isfinite(value):
+def _check_finite(value, epoch):  # value: a number or an array
+    if not np.isfinite(value).all():
         raise TrainingDiverged(epoch)
     return value
 
@@ -289,8 +294,11 @@ def phi_subgradient(W, b, data: Dataset, loss_spec, threshold: float) -> tuple:
 
 
 def sorr_objective(W, b, data: Dataset, loss_spec, r: RankedRange, C: float) -> float:
-    """Exact regularized ranked-range sum at the current parameters."""
+    """Exact regularized ranked-range sum at the current parameters; NaN
+    where a loss is not finite, for the trainer to report as divergence."""
     losses = loss_spec.losses(W, b, data)
+    if not np.isfinite(losses).all():
+        return float("nan")
     srt = sort_descending(losses)
     return float(np.sum(srt[r.m:r.k])) + _reg_value(W, C)
 
@@ -326,7 +334,7 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
         # tied losses still select exactly m rows
         values, G = loss_spec.value_and_grad(W, b, data)
         top = np.zeros(data.n, dtype=bool)
-        top[descending_order(values)[:r.m]] = True
+        top[descending_order(_check_finite(values, t))[:r.m]] = True
         theta_hat_W, theta_hat_b = _chain_rule(data, G, top)
 
         lam = 0.0
@@ -468,7 +476,7 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
         # a refresh at the last step was made at this (W, b)
         if config.inner_epochs % config.refresh_every:
             val_losses = loss_spec.losses(W, b, validation_data)
-        pair = lambda_pair_from_validation(val_losses)
+        pair = lambda_pair_from_validation(_check_finite(val_losses, t))
         lam, lam_hat = pair.lam, pair.lam_hat
         lambdas.append(pair)
         trace.append(_check_finite(float(np.mean(val_losses)), t))
@@ -533,7 +541,8 @@ def tkml_aorr_train(data: Dataset, config: TrainConfig,
         if (t + 1) % 10 == 0 or t == config.outer_epochs - 1:
             # a full-batch step after this one reuses the evaluation
             evaluated = loss_spec.value_and_grad(W, b, data)
-            obj = float(np.sum(sort_descending(evaluated[0])[r.m:r.k])) / width
+            values = _check_finite(evaluated[0], t)
+            obj = float(np.sum(sort_descending(values)[r.m:r.k])) / width
             _check_finite(obj, t)
             trace.append(obj)
         else:

@@ -22,6 +22,7 @@ from rankedrange import (
 )
 from rankedrange.cli import (
     EXIT_DATA,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     ConfigError,
@@ -837,6 +838,9 @@ _CONFIG_ERRORS = {
     "train.batch": (_BINARY + "train.batch = -1\n", "train.batch"),
     "noise.p": (_BINARY + _SYMMETRIC + "noise.p = 2\n", "noise.p"),
     "noise-mode-without-p": (_BINARY + "noise.mode = symmetric\n", "noise.p"),
+    # an unknown mode is named before the missing p
+    "noise-mode-unknown-without-p": (_BINARY + "noise.mode = bogus\n",
+                                     "noise.mode"),
     "synth.outliers": (_BINARY + "synth.outliers = 50\n", "synth.outliers"),
     "blobs.n": (_BLOBS3 + "blobs.n = 0\n", "blobs.n"),
     "blobs.d": (_BLOBS3 + "blobs.d = 0\n", "blobs.d"),
@@ -846,6 +850,12 @@ _CONFIG_ERRORS = {
     "ml.max-below-ml.min": (_ML6 + "ml.min = 3\nml.max = 2\n", "ml.max"),
     "blobs.l": (_BLOBS3 + "blobs.l = 1\n", "blobs.l"),
     "gen-synth-outliers": (["gen-synth", "--outliers", "50"], "synth.outliers"),
+    # wrote labels that all read 1, which load back as binary data
+    "gen-synth-blobs-l": (["gen-synth", "--kind", "blobs", "--l", "1"], "--l"),
+    "gen-synth-blobs-n": (["gen-synth", "--kind", "blobs", "--n", "0"], "--n"),
+    # the generator's label sets hold up to 3 labels
+    "gen-synth-multilabel-l": (["gen-synth", "--kind", "multilabel",
+                                "--l", "3"], "--l"),
     "eval-k": (["eval", "--model", "{model}", "--data", "{data}", "--k", "9"],
                "--k"),
     # guards: these exited 1 at their key before the checks moved
@@ -876,3 +886,32 @@ def test_config_errors_exit_1_at_their_key(tmp_path, capsys, row):
     capsys.readouterr()
     assert main(argv) == EXIT_USAGE
     assert f"config key {key!r}" in capsys.readouterr().err
+
+
+# runs whose inner steps overflow, so each trainer's losses go non-finite
+_DIVERGED = {
+    "tkml_aorr": _ML6 + ("aggregate = tkml_aorr\ngrid.m = 1,2\n"
+                         "grid.k = 20,30\ntrain.batch = 0\n"
+                         "train.warmup_epochs = 5\ntrain.outer_epochs = 20\n"),
+    "aorr": _BINARY + ("aggregate = aorr\ntrain.m = 2\ntrain.k = 50\n"
+                       "train.outer_epochs = 3\ntrain.inner_epochs = 20\n"),
+    "auto_aorr": _BINARY + ("aggregate = auto_aorr\nsplit = 0.5,0.25,0.25\n"
+                            "train.warmup_epochs = 5\ntrain.outer_epochs = 3\n"
+                            "train.inner_epochs = 20\n"),
+}
+
+
+@pytest.mark.parametrize("aggregate", sorted(_DIVERGED))
+def test_diverged_trainer_exits_3(tmp_path, capsys, aggregate):
+    # the non-finite losses used to reach a value-set check first and read
+    # as a data error
+    import numpy as np
+
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_DIVERGED[aggregate] + "train.eta_inner = 1e300\n")
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        status = main(["train", "--config", str(cfg_path),
+                       "--out", str(tmp_path)])
+    assert status == EXIT_NUMERIC
+    assert "objective became non-finite" in capsys.readouterr().err

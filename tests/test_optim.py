@@ -874,7 +874,7 @@ def _tied_tkml_cases():
 def test_tkml_value_and_grad_ties_match_scalar_oracle_exactly(kprime):
     # the rank-(k'+1) label under ties must be the stable order's lowest
     # label index, as in the scalar oracle, with no tolerance; the small
-    # index batch takes the argsort path and the others the argpartition
+    # index batch takes the argsort path and the others the value-sort
     # path with its tie fallback
     data, cases = _tied_tkml_cases()
     spec = TKMLSampleLoss(kprime)
@@ -899,3 +899,48 @@ def test_tkml_value_and_grad_ties_match_scalar_oracle_exactly(kprime):
                     scores[i][y - 1] for y in data.labels[i]), 0.0)
                 positive_ties += value > 0.0 and np.sum(hinges == value) > 1
     assert positive_ties > 0  # the cases do reach the tie rule
+
+
+def _stable_rank_reference(scores, label_matrix, kprime):
+    """TKML values and G row by row from a stable argsort of the negated
+    hinges; unlike the scalar oracle it takes non-finite scores."""
+    values, G = np.empty(len(scores)), np.zeros_like(scores)
+    for i, (s, mask) in enumerate(zip(scores, label_matrix)):
+        y = np.argmin(np.where(mask, s, np.inf))
+        hinges = np.maximum(1.0 + s - s[y], 0.0)
+        j = np.argsort(-hinges, kind="stable")[kprime]
+        values[i] = hinges[j]
+        if hinges[j] > 0.0:
+            G[i, j] += 1.0
+            G[i, y] -= 1.0
+    return values, G
+
+
+@pytest.mark.parametrize("kprime", range(1, 6))
+def test_tkml_large_path_matches_stable_rank_with_non_finite_and_zero_ties(
+        kprime):
+    # the large-matrix path on rows with inf or NaN scores, and on rows
+    # whose zero hinges tie at rank k'+1; NaN values compare equal
+    data, (_, _, rounded) = _tied_tkml_cases()
+    X = data.features.copy()
+    X[::7, 0] = np.inf
+    X[3::11, 1] = -np.inf
+    X[5::13, 2] = np.nan
+    rows = Dataset(X, data.labels, data.l, "non-finite")
+    assert rows.n * rows.l >= _PARTITION_MIN_SIZE
+    W, b = rounded
+    with np.errstate(invalid="ignore"):
+        values, G = TKMLSampleLoss(kprime).value_and_grad(W, b, rows)
+        scores = X @ W.T + b
+        expect_values, expect_G = _stable_rank_reference(
+            scores, rows.label_matrix, kprime)
+    np.testing.assert_array_equal(values, expect_values)
+    np.testing.assert_array_equal(G, expect_G)
+    ranked = -np.sort(-np.maximum(
+        1.0 + scores - np.where(rows.label_matrix, scores, np.inf).min(
+            axis=1, keepdims=True), 0.0), axis=1)  # hinges, descending
+    # the cases reach NaN values, infinite hinges, and zero ties below
+    # rank k'+1
+    assert np.isnan(values).any() and np.isinf(ranked).any()
+    if kprime + 1 < rows.l:
+        assert np.any((values == 0.0) & (ranked[:, kprime + 1] == 0.0))
