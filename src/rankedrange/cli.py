@@ -9,9 +9,10 @@ config text that ``repro`` parses with ``parse_config`` and runs with
 ``run_experiment``, exactly as ``train`` runs a config file.
 
 The repeats of an experiment, and the (m, k) cells of a ``tkml_aorr`` grid,
-run on forked processes, up to one per CPU (``_ordered_map``).  Every
-command holds OpenBLAS at one thread (``single_blas_thread``), so the report
-is the same as a serial run's at any repeat count.
+run on forked processes, up to one per CPU (``_ordered_map``); the caller
+runs its share of them and collects all the results in item order.
+Every command holds OpenBLAS at one thread (``single_blas_thread``), so the
+report is the same as a serial run's at any repeat count.
 
 Config files are plain text, one ``key = value`` per line, ``#`` starts a
 comment.  Every key has a default (see ``DEFAULTS``); the resolved config
@@ -361,10 +362,12 @@ def _ordered_map(fn, items):
 
     The caller runs items 0, share, 2 * share, ...; forked workers run the
     rest.  They inherit fn and the items, so only indices and results cross
-    the pipe.  OpenBLAS is held at one thread while the map runs, serial or
-    not.  Serial for one item or one CPU, inside a map (nested maps and the
-    workers), in a daemonic process, and when OpenBLAS's thread count cannot
-    be set.  Errors are raised in item order, as a serial map raises them.
+    the pipe.  The caller collects the results in item order, running its
+    own items as it reaches them, so it raises the first error in item
+    order, as a serial map does.  OpenBLAS is held at one thread while the
+    map runs, serial or not.  Serial for one item or one CPU, inside a map
+    (nested maps and the workers), in a daemonic process, and when
+    OpenBLAS's thread count cannot be set.
     """
     global _MAP_JOB
     items = list(items)
@@ -385,22 +388,8 @@ def _ordered_map(fn, items):
         try:
             futures = {i: pool.submit(_map_item, i)
                        for i in range(len(items)) if i % share}
-            mine, error = {}, None
-            for i in range(0, len(items), share):
-                try:
-                    mine[i] = fn(items[i])
-                except Exception as exc:
-                    error = exc
-                    break
-            results = []
-            for i in range(len(items)):
-                if i % share:
-                    results.append(futures[i].result())
-                elif i in mine:
-                    results.append(mine[i])
-                else:
-                    raise error
-            return results
+            return [futures[i].result() if i % share else fn(x)
+                    for i, x in enumerate(items)]
         finally:
             pool.shutdown(cancel_futures=True)
             _MAP_JOB = None
@@ -419,6 +408,15 @@ _RANGES = {
 }
 
 
+def _check_k(key: str, k: int, data: Dataset) -> None:
+    """A top-k metric picks k of the l scores of a row; a label set must
+    stay a proper subset of the labels.  Binary data has no k to check."""
+    top = data.l - 1 if data.is_multilabel else data.l
+    if data.l > 1 and not 1 <= k <= top:
+        raise ConfigError(key, f"{key.lstrip('-')}={k} outside 1..{top} "
+                               f"for l={data.l}")
+
+
 def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
                  seed: int, holdout: Dataset | None = None):
     """Dispatch on the aggregate; returns (TrainReport, extras dict).  The
@@ -428,12 +426,7 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     base = replace(cfg.train, seed=seed)
     tkml = cfg.loss == "tkml"
     extras: dict = {}
-    # the top-k metrics pick eval_k of the l scores; a label set must stay
-    # a proper subset of the labels
-    top = tr.l - 1 if cfg.task == "multilabel" else tr.l
-    if cfg.task != "binary" and cfg.eval_k > top:
-        raise ConfigError("eval_k", f"eval_k={cfg.eval_k} outside 1..{top} "
-                                    f"for l={tr.l}")
+    _check_k("eval_k", cfg.eval_k, tr)
     spec = (MultilabelLogisticLoss() if agg == "lr"
             else make_loss_spec(cfg.loss, base.kprime, tr.l))
 
@@ -869,15 +862,9 @@ def _write_table(out_dir, name, header, rows):
 # ---------------------------------------------------------------------------
 # command line front end
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="rankedrange",
-                     description="ranked-range loss experiments")
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="rankedrange", description="ranked-range loss experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="run an experiment from a config file")
@@ -910,11 +897,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", choices=("synthetic", "blobs", "multilabel"),
                    default="synthetic")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--imbalanced", action="store_true")
-    p.add_argument("--outliers", type=int, default=1)
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--d", type=int, default=20)
-    p.add_argument("--l", type=int, default=10)
+    p.add_argument("--imbalanced", action="store_true", default=None)
+    p.add_argument("--outliers", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--d", type=int)
+    p.add_argument("--l", type=int)
 
     p = sub.add_parser("noise", help="inject label noise into a CSV dataset")
     p.add_argument("--data", required=True)
@@ -1003,6 +990,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen_synth(args) -> int:
+    # a kind's own flags take their defaults here; another kind's are errors
+    own = ({"imbalanced": False, "outliers": 1} if args.kind == "synthetic"
+           else {"n": 2000, "d": 20, "l": 10})
+    for flag in ("imbalanced", "outliers", "n", "d", "l"):
+        if getattr(args, flag) is None:
+            setattr(args, flag, own.get(flag))
+        elif flag not in own:
+            raise ConfigError(f"--{flag}", f"not read by --kind {args.kind}")
     if args.kind == "synthetic":
         data = gen_synthetic(SyntheticSpec(balanced=not args.imbalanced,
                                            n_outliers=args.outliers,
@@ -1035,10 +1030,7 @@ def _cmd_noise(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     data = load_dataset(args.data, args.format, l=model.l)
-    # a label set must stay a proper subset of the labels
-    top = data.l - 1 if data.is_multilabel else data.l
-    if data.l > 1 and not 1 <= args.k <= top:
-        raise ConfigError("--k", f"k={args.k} outside 1..{top} for l={data.l}")
+    _check_k("--k", args.k, data)
     scores = predict_matrix(model, data.features)
     if data.is_multilabel:
         metrics = {
@@ -1070,8 +1062,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except SystemExit as exc:  # argparse has printed the usage and the reason
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         with single_blas_thread():
             return _COMMANDS[args.command](args)

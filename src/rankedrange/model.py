@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import DataParseError
+
 FORMAT_VERSION = 1
 
 
@@ -97,13 +99,8 @@ def save_model(model: LinearModel, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-class ModelParseError(ValueError):
-    def __init__(self, path, lineno, message):
-        super().__init__(path, lineno, message)  # pickles by its arguments
-        self.lineno = lineno
-
-    def __str__(self):
-        return "{}:{}: {}".format(*self.args)
+class ModelParseError(DataParseError):
+    """A model file that ``load_model`` cannot read, at its line."""
 
 
 def load_model(path) -> LinearModel:

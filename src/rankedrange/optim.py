@@ -528,6 +528,7 @@ def tkml_aorr_train(data: Dataset, config: TrainConfig,
         if rows is not data or evaluated is None:
             evaluated = loss_spec.value_and_grad(W, b, rows)
         s, G = evaluated
+        _check_finite(s, t)
         keep = lam_hat > np.maximum(s - lam, 0.0)
         both = keep & (s > lam)
         gW, gb = _chain_rule(rows, G, both)

@@ -238,8 +238,14 @@ def test_main_train_and_exit_codes(tmp_path):
     assert (tmp_path / "out" / "t.csv").exists()
 
 
-def test_main_usage_errors(tmp_path):
+def test_main_usage_errors(tmp_path, capsys):
     assert main(["no-such-command"]) == EXIT_USAGE
+    # a usage error gives its reason, not the usage line alone
+    capsys.readouterr()
+    assert main(["train"]) == EXIT_USAGE
+    assert ("the following arguments are required: --config"
+            in capsys.readouterr().err)
+    assert main(["train", "--help"]) == EXIT_OK
     assert main(["repro", "no-such-table"]) == EXIT_USAGE
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus = 1\n")
@@ -856,6 +862,14 @@ _CONFIG_ERRORS = {
     # the generator's label sets hold up to 3 labels
     "gen-synth-multilabel-l": (["gen-synth", "--kind", "multilabel",
                                 "--l", "3"], "--l"),
+    # a flag that the kind does not read was ignored
+    "gen-synth-synthetic-n": (["gen-synth", "--n", "0", "--l", "1"], "--n"),
+    "gen-synth-synthetic-l": (["gen-synth", "--kind", "synthetic", "--l", "5"],
+                              "--l"),
+    "gen-synth-blobs-outliers": (["gen-synth", "--kind", "blobs",
+                                  "--outliers", "5"], "--outliers"),
+    "gen-synth-multilabel-imbalanced": (["gen-synth", "--kind", "multilabel",
+                                         "--imbalanced"], "--imbalanced"),
     "eval-k": (["eval", "--model", "{model}", "--data", "{data}", "--k", "9"],
                "--k"),
     # guards: these exited 1 at their key before the checks moved
@@ -888,16 +902,22 @@ def test_config_errors_exit_1_at_their_key(tmp_path, capsys, row):
     assert f"config key {key!r}" in capsys.readouterr().err
 
 
-# runs whose inner steps overflow, so each trainer's losses go non-finite
+# runs whose inner steps overflow, so each trainer's losses go non-finite,
+# and the epoch that reports it
 _DIVERGED = {
-    "tkml_aorr": _ML6 + ("aggregate = tkml_aorr\ngrid.m = 1,2\n"
-                         "grid.k = 20,30\ntrain.batch = 0\n"
-                         "train.warmup_epochs = 5\ntrain.outer_epochs = 20\n"),
-    "aorr": _BINARY + ("aggregate = aorr\ntrain.m = 2\ntrain.k = 50\n"
-                       "train.outer_epochs = 3\ntrain.inner_epochs = 20\n"),
-    "auto_aorr": _BINARY + ("aggregate = auto_aorr\nsplit = 0.5,0.25,0.25\n"
-                            "train.warmup_epochs = 5\ntrain.outer_epochs = 3\n"
-                            "train.inner_epochs = 20\n"),
+    # the third step's losses are non-finite; checked only on the every-10th
+    # objective pass, they were reported at epoch 9
+    "tkml_aorr": (_ML6 + ("aggregate = tkml_aorr\ngrid.m = 1,2\n"
+                          "grid.k = 20,30\ntrain.batch = 0\n"
+                          "train.warmup_epochs = 5\ntrain.outer_epochs = 20\n"),
+                  2),
+    "aorr": (_BINARY + ("aggregate = aorr\ntrain.m = 2\ntrain.k = 50\n"
+                        "train.outer_epochs = 3\ntrain.inner_epochs = 20\n"),
+             0),
+    "auto_aorr": (_BINARY + ("aggregate = auto_aorr\nsplit = 0.5,0.25,0.25\n"
+                             "train.warmup_epochs = 5\n"
+                             "train.outer_epochs = 3\ntrain.inner_epochs = 20\n"),
+                  0),
 }
 
 
@@ -908,10 +928,12 @@ def test_diverged_trainer_exits_3(tmp_path, capsys, aggregate):
     import numpy as np
 
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(_DIVERGED[aggregate] + "train.eta_inner = 1e300\n")
+    text, epoch = _DIVERGED[aggregate]
+    cfg_path.write_text(text + "train.eta_inner = 1e300\n")
     capsys.readouterr()
     with np.errstate(all="ignore"):
         status = main(["train", "--config", str(cfg_path),
                        "--out", str(tmp_path)])
     assert status == EXIT_NUMERIC
-    assert "objective became non-finite" in capsys.readouterr().err
+    assert (f"objective became non-finite at epoch {epoch}\n"
+            in capsys.readouterr().err)
