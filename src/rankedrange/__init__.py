@@ -8,7 +8,6 @@ models, a top-k multi-label loss, and the matching risk-measure view.
 
 from .core import (
     RankedRange,
-    ValueSet,
     bilevel_corner_oracle,
     bottom_sum_variational,
     descending_order,
@@ -60,8 +59,6 @@ from .model import (
     ModelParseError,
     load_model,
     predict_matrix,
-    predict_scores,
-    regularized_objective_grad,
     save_model,
 )
 from .optim import (

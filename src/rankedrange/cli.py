@@ -8,9 +8,10 @@ as data: each entry is a table header and its rows, and each row is a
 config text that ``repro`` parses with ``parse_config`` and runs with
 ``run_experiment``, exactly as ``train`` runs a config file.
 
-The repeats of an experiment, and the (m, k) cells of a ``tkml_aorr`` grid,
-run on forked processes, up to one per CPU (``_ordered_map``); the caller
-runs its share of them and collects all the results in item order.
+The repeats of an experiment, and the candidates of a ranked-range run
+(its (m, k) cells times its restarts), run on forked processes, up to one
+per CPU (``_ordered_map``); the caller runs its share of them and collects
+all the results in item order.
 Every command holds OpenBLAS at one thread (``single_blas_thread``), so the
 report is the same as a serial run's at any repeat count.
 
@@ -32,8 +33,10 @@ format            csv | libsvm (for file datasets)
 split             comma list of fractions (train first, test last; a middle
                   fraction becomes the validation part)
 repeats           number of seeded runs
-restarts          random restarts per run for aggregate=aorr (best picked
-                  on the validation part)
+restarts          random restarts per run for a ranked-range aggregate
+                  (not average, lr or auto_aorr); each (m, k) cell trains
+                  from each restart, and the best is picked on the
+                  validation part
 base_seed         run i uses seed base_seed + i
 eval_k            k for top-k metrics (multiclass / multilabel)
 noise.mode        none | symmetric | asymmetric_map | multilabel_symmetric
@@ -186,6 +189,10 @@ class ExperimentConfig:
             raise ConfigError("train.m", "aorr needs train.m >= 1")
         if self.aggregate == "auto_aorr" and len(self.split) != 3:
             raise ConfigError("split", "auto_aorr needs a validation part")
+        if self.restarts > 1 and self.aggregate in ("average", "lr",
+                                                    "auto_aorr"):
+            raise ConfigError("restarts", f"{self.aggregate} trains no ranked "
+                                          "range to restart")
         if self.restarts > 1 and len(self.split) != 3:
             raise ConfigError("restarts", "restarts > 1 needs a validation "
                                           "part to select on")
@@ -421,7 +428,11 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
                  seed: int, holdout: Dataset | None = None):
     """Dispatch on the aggregate; returns (TrainReport, extras dict).  The
     tkml loss trains the average losses on the full batch, and the ranked
-    ranges other than ``tkml`` on the (m, k) grid of ``tkml_aorr_train``."""
+    ranges other than ``tkml`` on the (m, k) grid of ``tkml_aorr_train``.
+
+    A ranked range trains one candidate per (m, k) cell and restart, and
+    keeps the first with the best report metric on ``va``, or on
+    ``holdout`` when there is no validation part."""
     agg = cfg.aggregate
     base = replace(cfg.train, seed=seed)
     tkml = cfg.loss == "tkml"
@@ -452,44 +463,46 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
             which = "k" if cell.k > tr.n else "m"
             key = "grid" if grid and getattr(cfg, f"grid_{which}") else "train"
             raise ConfigError(f"{key}.{which}", str(exc)) from None
+    # seeded random restarts: restart r > 0 starts from a random draw
+    restarts = [{}] if cfg.restarts == 1 else [
+        {"seed": seed * 100 + r, "init_scale": 0.5 if r else 0.0}
+        for r in range(cfg.restarts)]
+    # the warm start does not depend on (m, k): one per restart
+    starts = [tkml_warm_start(tr, replace(base, **r)) if grid else None
+              for r in restarts]
+    candidates = [(replace(cell, **r), start) for cell in cells
+                  for r, start in zip(restarts, starts)]
+    reports = _ordered_map(
+        (lambda c: tkml_aorr_train(tr, *c)) if grid
+        else (lambda c: dca_train(tr, spec, c[0], validation_data=va)),
+        candidates)
+    best = 0
+    if len(reports) > 1:
+        rows = va if va is not None else holdout
+        tables = [_evaluate(report.model, rows, cfg.eval_k,
+                            tkml or cfg.eval_k > 1) for report in reports]
+        # the first candidate with the least error, else the top accuracy
+        best = min(range(len(reports)), key=lambda i: tables[i]["error"]
+                   if "error" in tables[i] else -tables[i]["topk_accuracy"])
     if grid:
-        start = tkml_warm_start(tr, base)  # shared: (m, k) is not used
-        reports = _ordered_map(lambda cell: tkml_aorr_train(tr, cell, start),
-                               cells)
-        # select the trimming range on held-out data; the noisy training
-        # set saturates once every cell fits the clean part
-        probe = next(p for p in (va, holdout, tr) if p is not None)
-        accs = [topk_multilabel_accuracy(
-            predict_matrix(report.model, probe.features), probe.labels,
-            cfg.eval_k) for report in reports]
-        best = int(np.argmax(accs))  # the first cell with the top score
-        extras["grid_choice"] = {"m": cells[best].m, "k": cells[best].k}
-        return reports[best], extras
-    if agg != "aorr" or cfg.restarts == 1:
-        return dca_train(tr, spec, cells[0], validation_data=va), extras
-    # seeded random restarts; the first with the least validation error wins
-    reports = [dca_train(tr, spec, replace(cells[0], seed=seed * 100 + rst,
-                                           init_scale=0.5 if rst else 0.0),
-                         validation_data=va) for rst in range(cfg.restarts)]
-    errors = [spec.holdout_error(report.model.weights, report.model.bias, va)
-              for report in reports]
-    return reports[int(np.argmin(errors))], extras
+        extras["grid_choice"] = {"m": candidates[best][0].m,
+                                 "k": candidates[best][0].k}
+    return reports[best], extras
 
 
-def _evaluate(cfg: ExperimentConfig, model, te: Dataset) -> dict:
-    scores = predict_matrix(model, te.features)
-    if cfg.task == "binary":
-        err = error_rate(scores[:, 0], te.labels)
-        return {"error": err, "accuracy": 1.0 - err}
-    if cfg.task == "multiclass":
-        if cfg.loss == "tkml" or cfg.eval_k > 1:
-            acc = topk_accuracy(scores, te.labels, cfg.eval_k)
-            return {"topk_accuracy": acc, "error": 1.0 - acc}
-        err = error_rate(scores, te.labels)
-        return {"error": err, "accuracy": 1.0 - err}
-    acc = topk_multilabel_accuracy(scores, te.labels, cfg.eval_k)
-    return {"topk_accuracy": acc,
-            "average_precision": average_precision(scores, te.labels)}
+def _evaluate(model, rows: Dataset, k: int, topk: bool) -> dict:
+    """The metric table of ``model`` on ``rows``, by the task of their
+    labels; multiclass rows report top-k accuracy when ``topk``, else the
+    top-1 error."""
+    scores = predict_matrix(model, rows.features)
+    if rows.is_multilabel:
+        return {"topk_accuracy": topk_multilabel_accuracy(scores, rows.labels, k),
+                "average_precision": average_precision(scores, rows.labels)}
+    if rows.l > 1 and topk:
+        acc = topk_accuracy(scores, rows.labels, k)
+        return {"topk_accuracy": acc, "error": 1.0 - acc}
+    err = error_rate(scores[:, 0] if rows.l == 1 else scores, rows.labels)
+    return {"error": err, "accuracy": 1.0 - err}
 
 
 def _thin(seq, limit=50):
@@ -524,7 +537,8 @@ def _single_run(cfg: ExperimentConfig, run: int, data: Dataset | None) -> dict:
     report, extras = _train_model(cfg, tr, va, seed, holdout=te)
     if cfg.noise is not None and cfg.aggregate == "auto_aorr":
         extras["true_flips"] = _changed_rows(parts[0], tr)
-    metrics = _evaluate(cfg, report.model, te)
+    metrics = _evaluate(report.model, te, cfg.eval_k,
+                        cfg.loss == "tkml" or cfg.eval_k > 1)
     trace = [x for x in report.objective_trace if np.isfinite(x)]
     record = {
         "run": run,
@@ -1031,19 +1045,8 @@ def _cmd_eval(args) -> int:
     model = load_model(args.model)
     data = load_dataset(args.data, args.format, l=model.l)
     _check_k("--k", args.k, data)
-    scores = predict_matrix(model, data.features)
-    if data.is_multilabel:
-        metrics = {
-            "topk_accuracy": topk_multilabel_accuracy(scores, data.labels,
-                                                      args.k),
-            "average_precision": average_precision(scores, data.labels),
-        }
-    elif data.l == 1:
-        err = error_rate(scores[:, 0], data.labels)
-        metrics = {"error": err, "accuracy": 1.0 - err}
-    else:
-        metrics = {"error": error_rate(scores, data.labels),
-                   "topk_accuracy": topk_accuracy(scores, data.labels, args.k)}
+    topk = args.k > 1 or model.meta["loss_kind"].startswith("tkml")
+    metrics = _evaluate(model, data, args.k, topk)
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return EXIT_OK
 

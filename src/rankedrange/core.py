@@ -16,26 +16,13 @@ import numpy as np
 
 
 def as_values(values) -> np.ndarray:
-    """The values (or a ValueSet's) as a checked non-empty finite 1-D array."""
-    arr = np.asarray(getattr(values, "values", values), dtype=np.float64)
+    """The values as a checked non-empty finite 1-D array."""
+    arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"expected a non-empty 1-D value set, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("value set contains non-finite entries")
     return arr
-
-
-@dataclass(frozen=True)
-class ValueSet:
-    """An ordered collection of finite real loss/score values."""
-
-    values: np.ndarray
-
-    def __init__(self, values):
-        object.__setattr__(self, "values", as_values(values))
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)

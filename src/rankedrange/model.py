@@ -1,4 +1,4 @@
-"""Linear hypothesis class: scoring, l2 regularization, text persistence."""
+"""Linear hypothesis class: scoring and text persistence."""
 
 from __future__ import annotations
 
@@ -46,17 +46,6 @@ class LinearModel:
         return self.weights.shape[1]
 
 
-def predict_scores(model: LinearModel, x) -> np.ndarray:
-    """Scores for a single feature vector: weights @ x (+ bias)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.d,):
-        raise ValueError(f"feature vector shape {x.shape} does not match d={model.d}")
-    scores = model.weights @ x
-    if model.bias is not None:
-        scores = scores + model.bias
-    return scores
-
-
 def predict_matrix(model: LinearModel, X) -> np.ndarray:
     """Scores for a feature matrix, one row of l scores per sample."""
     X = np.asarray(X, dtype=np.float64)
@@ -66,19 +55,6 @@ def predict_matrix(model: LinearModel, X) -> np.ndarray:
     if model.bias is not None:
         scores = scores + model.bias
     return scores
-
-
-def regularized_objective_grad(model: LinearModel, base_value: float,
-                               base_grad: np.ndarray, C: float) -> tuple:
-    """Add the l2 penalty ||W||^2 / (2C) and its gradient W / C.
-
-    The bias is not regularized.
-    """
-    if C <= 0:
-        raise ValueError(f"regularization constant C must be positive, got {C}")
-    value = base_value + float(np.sum(model.weights ** 2)) / (2.0 * C)
-    grad = np.asarray(base_grad, dtype=np.float64) + model.weights / C
-    return value, grad
 
 
 def save_model(model: LinearModel, path) -> None:

@@ -426,8 +426,6 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
     loss, then learn the two thresholds from a clean validation set and run
     threshold-driven difference-of-convex rounds.
     """
-    if validation_data.n < 1:
-        raise ValueError("validation set must be non-empty")
     rng = np.random.default_rng(config.seed)
     trace, lambdas = [], []
 

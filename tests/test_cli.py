@@ -13,6 +13,7 @@ from rankedrange import (
     NoiseSpec,
     SyntheticSpec,
     TrainConfig,
+    TrainReport,
     TrainingDiverged,
     cli,
     gen_multiclass_blobs,
@@ -429,6 +430,87 @@ def test_file_dataset_loaded_once_per_experiment(tmp_path, monkeypatch):
             (tmp_path / "each" / name).read_bytes()
 
 
+def test_restarts_apply_to_every_ranked_range():
+    # restarts used to be ignored by every aggregate but aorr
+    text = _RUN + ("aggregate = atk\ntrain.k = 20\ntrain.batch = 1\n"
+                   "train.inner_epochs = 50\nsplit = 0.5,0.25,0.25\n"
+                   "base_seed = 1\n")
+    runs = [run_experiment(parse_config(text + f"restarts = {restarts}\n"))
+            ["runs"] for restarts in (1, 3)]
+    assert json.dumps(runs[0], sort_keys=True) != \
+        json.dumps(runs[1], sort_keys=True)
+
+
+def test_the_first_best_candidate_wins(monkeypatch):
+    # a candidate's model is its TrainConfig here, and its metric table is
+    # looked up by (seed, m, k)
+    _cpus(monkeypatch, 1)
+    monkeypatch.setattr(cli, "dca_train", lambda data, spec, config,
+                        validation_data=None: TrainReport(config, [], []))
+    monkeypatch.setattr(cli, "tkml_aorr_train", lambda data, config, start:
+                        TrainReport(config, [], []))
+    monkeypatch.setattr(cli, "tkml_warm_start", lambda data, config: None)
+    tables, scored = {}, []
+
+    def evaluate(model, rows, k, topk):
+        scored.append(rows)
+        return tables[model.seed, model.m, model.k]
+
+    monkeypatch.setattr(cli, "_evaluate", evaluate)
+    # binary restarts 100..103 by least error: 101 and 102 tie
+    binary = parse_config("task = binary\naggregate = aorr\ntrain.m = 1\n"
+                          "train.k = 5\nsplit = 0.5,0.25,0.25\nrestarts = 4\n")
+    tr, va, te = split_dataset(gen_synthetic(SyntheticSpec(seed=1)),
+                               binary.split, seed=0)
+    for seed, err in zip(range(100, 104), (0.3, 0.1, 0.1, 0.2)):
+        tables[seed, 1, 5] = {"error": err, "accuracy": 1.0 - err}
+    report, _ = cli._train_model(binary, tr, va, 1, holdout=te)
+    assert report.model.seed == 101
+    assert scored == [va] * 4
+    # multilabel grid cells by top accuracy, on the test part when there is
+    # no validation part: (1, 9) and (2, 5) tie
+    grid = parse_config("task = multilabel\nloss = tkml\naggregate = tkml_aorr\n"
+                        "grid.m = 1,2\ngrid.k = 5,9\nsplit = 0.7,0.3\n")
+    tr, te = split_dataset(gen_multilabel_synthetic(60, 3, 4, seed=1),
+                           grid.split, seed=0)
+    for (m, k), acc in zip(((1, 5), (1, 9), (2, 5), (2, 9)),
+                           (0.5, 0.7, 0.7, 0.6)):
+        tables[1, m, k] = {"topk_accuracy": acc, "average_precision": 1.0}
+    scored.clear()
+    report, extras = cli._train_model(grid, tr, None, 1, holdout=te)
+    assert (report.model.m, report.model.k) == (1, 9)
+    assert extras["grid_choice"] == {"m": 1, "k": 9}
+    assert scored == [te] * 4
+    # a lone candidate is not scored
+    scored.clear()
+    cli._train_model(dataclasses.replace(grid, grid_m=(1,), grid_k=(5,)),
+                     tr, None, 1, holdout=te)
+    assert scored == []
+
+
+def test_eval_reports_the_train_metric_table(tmp_path, capsys):
+    # eval printed error and topk_accuracy for a softmax model at --k 1,
+    # where a train report holds error and accuracy
+    from rankedrange import LinearModel, load_dataset, load_model, save_model, \
+        write_csv
+    import numpy as np
+
+    data_path, model_path = tmp_path / "blobs.csv", tmp_path / "model.txt"
+    write_csv(gen_multiclass_blobs(60, 3, 4, seed=2), data_path)
+    rng = np.random.default_rng(3)
+    save_model(LinearModel(weights=rng.standard_normal((4, 3)),
+                           bias=rng.standard_normal(4),
+                           meta={"loss_kind": "softmax"}), model_path)
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model_path), "--data", str(data_path),
+                 "--k", "1"]) == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    assert sorted(printed) == ["accuracy", "error"]
+    assert printed == cli._evaluate(
+        load_model(model_path), load_dataset(str(data_path), "csv", l=4), 1,
+        False)
+
+
 # --- repeats and grid cells on forked processes ----------------------------
 
 def _cpus(monkeypatch, count):
@@ -446,10 +528,12 @@ _GRID = ("task = multilabel\nloss = tkml\naggregate = tkml_aorr\n"
          "train.kprime = 2\ntrain.outer_epochs = 30\n"
          "train.warmup_epochs = 10\ntrain.batch = 0\n")
 _DCA_REPEATS = _RUN + "aggregate = aorr\ntrain.m = 2\ntrain.k = 20\nrepeats = 3\n"
+_DCA_RESTARTS = _RUN + ("aggregate = aorr\ntrain.m = 2\ntrain.k = 20\n"
+                        "split = 0.5,0.25,0.25\nrestarts = 3\n")
 
 
-@pytest.mark.parametrize("text", [_GRID, _DCA_REPEATS],
-                         ids=["tkml_aorr-grid", "dca-repeats"])
+@pytest.mark.parametrize("text", [_GRID, _DCA_REPEATS, _DCA_RESTARTS],
+                         ids=["tkml_aorr-grid", "dca-repeats", "dca-restarts"])
 def test_reports_do_not_depend_on_cpu_count(tmp_path, monkeypatch, text):
     cfg = parse_config(text)
     for cpus in (1, 2):
@@ -875,6 +959,13 @@ _CONFIG_ERRORS = {
     # guards: these exited 1 at their key before the checks moved
     "train.kprime": (_ML6 + "train.kprime = 9\n", "train.kprime"),
     "split": (_BINARY + "split = 0.999,0.001\n", "split"),
+    # restarts were ignored by the aggregates that train one model
+    "restarts-average": (_BINARY + "split = 0.5,0.25,0.25\nrestarts = 3\n",
+                         "restarts"),
+    "restarts-auto_aorr": (_BINARY + "aggregate = auto_aorr\n"
+                           "split = 0.5,0.25,0.25\nrestarts = 3\n", "restarts"),
+    "restarts-lr": (_ML6 + "aggregate = lr\nsplit = 0.5,0.25,0.25\n"
+                    "restarts = 3\n", "restarts"),
 }
 
 

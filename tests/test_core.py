@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from rankedrange import (
     RankedRange,
-    ValueSet,
     bilevel_corner_oracle,
     bottom_sum_variational,
     ranked_range_average,
@@ -14,6 +13,7 @@ from rankedrange import (
     top_k_sum,
     topk_variational_objective,
 )
+from rankedrange.core import as_values
 
 values_lists = st.lists(
     st.floats(min_value=0.0, max_value=1e3, allow_nan=False), min_size=1,
@@ -214,9 +214,8 @@ def test_corner_oracle_equals_sorted_sum(vals):
 
 
 def test_value_set_wrapper():
-    vs = ValueSet([1.0, 2.0])
-    assert len(vs) == 2
+    assert as_values([1.0, 2.0]).size == 2
     with pytest.raises(ValueError):
-        ValueSet([])
+        as_values([])
     with pytest.raises(ValueError):
-        ValueSet([float("nan")])
+        as_values([float("nan")])

@@ -7,26 +7,31 @@ from hypothesis.extra import numpy as hnp
 from rankedrange import (
     LinearModel,
     ModelParseError,
+    TrainConfig,
     load_model,
     predict_matrix,
-    predict_scores,
-    regularized_objective_grad,
     save_model,
 )
+from rankedrange.optim import _reg_value
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False,
                    width=64)
 
 
+def _row_scores(model, x):
+    """The scores of one feature vector: predict_matrix of one row."""
+    return predict_matrix(model, np.asarray(x)[None, :])[0]
+
+
 def test_identity_rows_pick_feature():
     model = LinearModel(weights=np.eye(3))
-    scores = predict_scores(model, np.array([1.0, 0.0, 0.0]))
+    scores = _row_scores(model, np.array([1.0, 0.0, 0.0]))
     np.testing.assert_allclose(scores, [1.0, 0.0, 0.0])
 
 
 def test_zero_weights_zero_scores():
     model = LinearModel(weights=np.zeros((4, 2)))
-    assert np.all(predict_scores(model, np.array([5.0, -3.0])) == 0.0)
+    assert np.all(_row_scores(model, np.array([5.0, -3.0])) == 0.0)
 
 
 def test_predict_matches_double_loop_oracle():
@@ -37,7 +42,7 @@ def test_predict_matches_double_loop_oracle():
     x = rng.standard_normal(7)
     expected = np.array([
         sum(W[i, j] * x[j] for j in range(7)) + b[i] for i in range(5)])
-    np.testing.assert_allclose(predict_scores(model, x), expected, atol=1e-12)
+    np.testing.assert_allclose(_row_scores(model, x), expected, atol=1e-12)
 
 
 @given(hnp.arrays(np.float64, (3, 4), elements=finite),
@@ -47,20 +52,18 @@ def test_predict_matches_double_loop_oracle():
 @settings(max_examples=50)
 def test_predict_linearity_without_bias(W, x, z, alpha, beta):
     model = LinearModel(weights=W)
-    combined = predict_scores(model, alpha * x + beta * z)
-    parts = alpha * predict_scores(model, x) + beta * predict_scores(model, z)
+    combined = _row_scores(model, alpha * x + beta * z)
+    parts = alpha * _row_scores(model, x) + beta * _row_scores(model, z)
     np.testing.assert_allclose(combined, parts, atol=1e-6)
 
 
 def test_predict_matrix_consistent_with_rows():
     rng = np.random.default_rng(12)
-    model = LinearModel(weights=rng.standard_normal((3, 6)),
-                        bias=rng.standard_normal(3))
+    W, b = rng.standard_normal((3, 6)), rng.standard_normal(3)
     X = rng.standard_normal((10, 6))
-    scores = predict_matrix(model, X)
+    scores = predict_matrix(LinearModel(weights=W, bias=b), X)
     for i in range(10):
-        np.testing.assert_allclose(scores[i], predict_scores(model, X[i]),
-                                   atol=1e-12)
+        np.testing.assert_allclose(scores[i], W @ X[i] + b, atol=1e-12)
 
 
 def test_shape_validation():
@@ -70,47 +73,38 @@ def test_shape_validation():
         LinearModel(weights=np.zeros((2, 2)), bias=np.zeros(3))
     model = LinearModel(weights=np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        predict_scores(model, np.zeros(3))
+        predict_matrix(model, np.zeros((1, 3)))
 
 
-# --- regularizer ----------------------------------------------------------
+# --- regularizer: the trainers add ||W||^2 / (2C) and its gradient W / C --
 
 def test_penalty_zero_weights():
-    model = LinearModel(weights=np.zeros((2, 3)))
-    value, _ = regularized_objective_grad(model, 0.0, np.zeros((2, 3)), 1.0)
-    assert value == 0.0
+    assert _reg_value(np.zeros((2, 3)), 1.0) == 0.0
 
 
 def test_penalty_value():
-    model = LinearModel(weights=np.array([[2.0, 0.0]]))  # ||W||^2 = 4
-    value, _ = regularized_objective_grad(model, 0.0, np.zeros((1, 2)), 2.0)
-    assert value == pytest.approx(1.0)
+    # ||W||^2 = 4
+    assert _reg_value(np.array([[2.0, 0.0]]), 2.0) == pytest.approx(1.0)
 
 
 def test_penalty_gradient_finite_differences():
     rng = np.random.default_rng(13)
     W = rng.standard_normal((2, 4))
     C = 3.0
-    model = LinearModel(weights=W)
-    _, grad = regularized_objective_grad(model, 0.0, np.zeros((2, 4)), C)
+    grad = W / C
     h = 1e-6
     for i in range(2):
         for j in range(4):
             Wp, Wm = W.copy(), W.copy()
             Wp[i, j] += h
             Wm[i, j] -= h
-            vp = regularized_objective_grad(
-                LinearModel(weights=Wp), 0.0, np.zeros((2, 4)), C)[0]
-            vm = regularized_objective_grad(
-                LinearModel(weights=Wm), 0.0, np.zeros((2, 4)), C)[0]
-            assert grad[i, j] == pytest.approx((vp - vm) / (2 * h), rel=1e-6,
-                                               abs=1e-9)
+            fd = (_reg_value(Wp, C) - _reg_value(Wm, C)) / (2 * h)
+            assert grad[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 def test_nonpositive_c_rejected():
-    model = LinearModel(weights=np.ones((1, 1)))
     with pytest.raises(ValueError):
-        regularized_objective_grad(model, 0.0, np.ones((1, 1)), 0.0)
+        TrainConfig(C=0.0)
 
 
 # --- persistence ----------------------------------------------------------
