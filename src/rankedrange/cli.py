@@ -8,10 +8,11 @@ as data: each entry is a table header and its rows, and each row is a
 config text that ``repro`` parses with ``parse_config`` and runs with
 ``run_experiment``, exactly as ``train`` runs a config file.
 
-The repeats of an experiment, and the candidates of a ranked-range run
-(its (m, k) cells times its restarts), run on forked processes, up to one
-per CPU (``_ordered_map``); the caller runs its share of them and collects
-all the results in item order.
+The repeats of an experiment, the candidates of a ranked-range run (its
+(m, k) cells times its restarts) and a tkml grid's warm starts (one per
+restart) run on forked processes, up to one per CPU (``_ordered_map``);
+the caller runs its share of them and collects all the results in item
+order.
 Every command holds OpenBLAS at one thread (``single_blas_thread``), so the
 report is the same as a serial run's at any repeat count.
 
@@ -57,6 +58,8 @@ train.*           any TrainConfig field
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure.  A config error names its key: the check that tests a value
 raises ``data.ConfigError`` at that key, also when it tests it against data.
+A data error is a ``data.DataParseError`` (a file and line) or an OSError;
+any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ import numpy as np
 
 from .data import (
     ConfigError,
+    DataParseError,
     Dataset,
     NoiseSpec,
     SyntheticSpec,
@@ -467,9 +471,10 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     restarts = [{}] if cfg.restarts == 1 else [
         {"seed": seed * 100 + r, "init_scale": 0.5 if r else 0.0}
         for r in range(cfg.restarts)]
-    # the warm start does not depend on (m, k): one per restart
-    starts = [tkml_warm_start(tr, replace(base, **r)) if grid else None
-              for r in restarts]
+    # the warm start does not depend on (m, k): one per restart, mapped as
+    # the candidates are
+    starts = (_ordered_map(lambda r: tkml_warm_start(tr, replace(base, **r)),
+                           restarts) if grid else [None] * len(restarts))
     candidates = [(replace(cell, **r), start) for cell in cells
                   for r, start in zip(restarts, starts)]
     reports = _ordered_map(
@@ -1044,6 +1049,9 @@ def _cmd_noise(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     data = load_dataset(args.data, args.format, l=model.l)
+    if data.d != model.d:
+        raise DataParseError(args.data, 0, f"{data.d} features, the model "
+                                           f"takes d={model.d}")
     _check_k("--k", args.k, data)
     topk = args.k > 1 or model.meta["loss_kind"].startswith("tkml")
     metrics = _evaluate(model, data, args.k, topk)
@@ -1073,7 +1081,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (DataParseError, OSError) as exc:  # any other error is a bug
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ArithmeticError as exc:

@@ -99,6 +99,15 @@ class Dataset:
         M.flags.writeable = False
         return M
 
+    @cached_property
+    def inf_off_labels(self) -> np.ndarray:
+        """Read-only l x n matrix, 0 on ``label_matrix``'s True entries and
+        +inf elsewhere: added to label-major scores, it keeps the scores of
+        each sample's labels and lifts the others above every finite one."""
+        M = np.where(self.label_matrix.T, 0.0, np.inf)
+        M.flags.writeable = False
+        return M
+
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -234,12 +243,23 @@ class DataParseError(ValueError):
 
 def load_dataset(path, format: str = "csv", l: int | None = None) -> Dataset:
     """Load a dataset from CSV (header row, `label` or `labels` column) or
-    LIBSVM sparse lines densified to the maximum feature index."""
-    if format == "csv":
-        return _load_csv(path, l)
-    if format == "libsvm":
-        return _load_libsvm(path, l)
-    raise ConfigError("format", f"unknown dataset format {format!r}")
+    LIBSVM sparse lines densified to the maximum feature index.  A file
+    that the run cannot use raises DataParseError at its first bad line,
+    line 0 for an empty file."""
+    loaders = {"csv": _load_csv, "libsvm": _load_libsvm}
+    if format not in loaders:
+        raise ConfigError("format", f"unknown dataset format {format!r}")
+    try:
+        return loaders[format](path, l)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            raw.decode("utf-8")  # to find the first bad byte's offset
+        except UnicodeDecodeError as exc:
+            raise DataParseError(path, raw.count(b"\n", 0, exc.start) + 1,
+                                 f"not UTF-8 text ({exc.reason})") from None
+        raise
 
 
 def _load_csv(path, l):
@@ -248,7 +268,7 @@ def _load_csv(path, l):
     with open(path, "r", encoding="utf-8") as fh:
         lineno, header = next(_csv_records(fh), (None, None))
         if header is None:
-            raise ValueError(f"{path}: empty dataset file")
+            raise DataParseError(path, 0, "empty dataset file")
         header = [h.strip() for h in header]
         if "label" in header:
             label_col, multilabel = header.index("label"), False
@@ -332,12 +352,12 @@ def _raise_first_bad_record(path, fh, ncols, label_col, multilabel):
 
     Raises DataParseError at the first physical line of the first record
     that does not parse or, if all parse, of the first with a NaN or inf
-    feature; ValueError when there are no data records.  Returns if no
-    record is bad, so that the bulk parse's own error stands.
+    feature; at the header line when there are no data records.  Returns
+    if no record is bad, so that the bulk parse's own error stands.
     """
     fh.seek(0)
     records = _csv_records(fh)
-    next(records)  # the header
+    header_line, _ = next(records)
     feat_cols = [j for j in range(ncols) if j != label_col]
     lineno = non_finite = None
     for lineno, row in records:
@@ -354,7 +374,7 @@ def _raise_first_bad_record(path, fh, ncols, label_col, multilabel):
         if non_finite is None and not np.isfinite(x).all():
             non_finite = lineno
     if lineno is None:
-        raise ValueError(f"{path}: no data rows")
+        raise DataParseError(path, header_line, "no data rows after the header")
     if non_finite is not None:
         raise DataParseError(path, non_finite, "non-finite feature value")
 
@@ -393,7 +413,7 @@ def _load_libsvm(path, l):
             feats.append(row)
             linenos.append(lineno)
     if not feats:
-        raise ValueError(f"{path}: empty dataset file")
+        raise DataParseError(path, 0, "empty dataset file")
     X = np.zeros((len(feats), d), dtype=np.float64)
     for i, row in enumerate(feats):
         for idx, val in row.items():

@@ -80,11 +80,17 @@ class ModelParseError(DataParseError):
 
 
 def load_model(path) -> LinearModel:
-    """Parse the text format written by ``save_model``."""
+    """Parse the text format written by ``save_model``.  A file that does
+    not hold a valid model raises ModelParseError at the line at fault, line
+    0 for a missing key."""
     fields = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ModelParseError(path, lineno,
+                                      f"not UTF-8 text ({exc.reason})") from None
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
@@ -92,34 +98,40 @@ def load_model(path) -> LinearModel:
             key, _, value = line.partition("=")
             fields[key.strip()] = (value.strip(), lineno)
 
-    def need(key):
+    def need(key, parse=str):
         if key not in fields:
             raise ModelParseError(path, 0, f"missing required key {key!r}")
-        return fields[key]
+        value, lineno = fields[key]
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise ModelParseError(path, lineno, f"bad {key}: {exc}") from None
 
-    version, lineno = need("format_version")
-    if int(version) != FORMAT_VERSION:
-        raise ModelParseError(path, lineno, f"unsupported format_version {version}")
-    l = int(need("l")[0])
-    d = int(need("d")[0])
-    raw_w, lineno = need("weights")
-    try:
-        flat = np.array([float(v) for v in raw_w.split()], dtype=np.float64)
-    except ValueError as exc:
-        raise ModelParseError(path, lineno, f"bad weight entry: {exc}") from None
-    if flat.size != l * d:
+    def floats(text):
+        return np.array([float(v) for v in text.split()], dtype=np.float64)
+
+    version = need("format_version", int)
+    if version != FORMAT_VERSION:
+        raise ModelParseError(path, fields["format_version"][1],
+                              f"unsupported format_version {version}")
+    l, d = need("l", int), need("d", int)
+    flat = need("weights", floats)
+    lineno = fields["weights"][1]
+    if flat.size != l * d or l < 1 or d < 1:
         raise ModelParseError(
             path, lineno, f"expected {l * d} weights for l={l}, d={d}, got {flat.size}")
+    if not np.isfinite(flat).all():
+        raise ModelParseError(path, lineno, "non-finite weight")
     bias = None
     if "bias" in fields:
-        raw_b, lineno = fields["bias"]
-        bias = np.array([float(v) for v in raw_b.split()], dtype=np.float64)
+        bias = need("bias", floats)
         if bias.size != l:
-            raise ModelParseError(path, lineno, f"expected {l} bias entries, got {bias.size}")
+            raise ModelParseError(path, fields["bias"][1],
+                                  f"expected {l} bias entries, got {bias.size}")
     meta = {
-        "loss_kind": need("loss_kind")[0],
-        "k": int(need("k")[0]),
-        "m": int(need("m")[0]),
-        "kprime": int(need("kprime")[0]),
+        "loss_kind": need("loss_kind"),
+        "k": need("k", int),
+        "m": need("m", int),
+        "kprime": need("kprime", int),
     }
     return LinearModel(weights=flat.reshape(l, d), bias=bias, meta=meta)

@@ -101,8 +101,8 @@ class _LossSpec:
     """A loss spec's one batched method is ``value_and_grad(W, b, rows) ->
     (values, G)``: the loss of each row and G, rows.n x l, the derivative of
     each row's loss with respect to that row's scores X @ W.T + b.  ``rows``
-    is a Dataset or a ``_Batch``; a spec reads only its ``features`` and
-    ``label_matrix``."""
+    is a Dataset or a ``_Batch``; a spec reads only its ``features``,
+    ``label_matrix`` and (tkml) ``inf_off_labels``."""
 
     def losses(self, W, b, data: Dataset) -> np.ndarray:
         return self.value_and_grad(W, b, data)[0]
@@ -142,10 +142,28 @@ class SoftmaxLoss(_LossSpec):
 
 
 # hinge-matrix size (rows x labels) from which TKMLSampleLoss ranks labels
-# with a value sort: below it, the few extra numpy calls of its tie check
-# cost more than a stable argsort (measured: about 4,000 entries at l = 6,
-# 1,800 at l = 14)
-_PARTITION_MIN_SIZE = 4096
+# label-major: below it, the fixed count of whole-matrix numpy calls of that
+# path costs more than the stable argsort's per-row passes (measured on
+# tie-free scores: about 1,200 entries at both l = 6 and l = 14)
+_PARTITION_MIN_SIZE = 1536
+
+
+def _stable_rank(scores, label_matrix, kprime) -> tuple:
+    """TKML values and G from a stable argsort of each row's negated hinges:
+    ties go to the lowest label index, NaN sorts last."""
+    masked = np.where(label_matrix, scores, np.inf)
+    at = np.arange(scores.shape[0])
+    y_star = masked.argmin(axis=1)  # first minimum = lowest index
+    neg = scores + 1.0  # -hinges, built in place
+    neg -= masked[at, y_star][:, None]
+    np.negative(np.maximum(neg, 0.0, out=neg), out=neg)
+    j_star = neg.argsort(axis=1, kind="stable")[:, kprime]
+    values = -neg[at, j_star]
+    pos = values > 0.0
+    G = np.zeros_like(scores)
+    G[at, j_star] = pos
+    G[at, y_star] -= pos
+    return values, G
 
 
 class TKMLSampleLoss(_LossSpec):
@@ -156,36 +174,38 @@ class TKMLSampleLoss(_LossSpec):
         self.name = f"tkml(k'={kprime})"
 
     def value_and_grad(self, W, b, rows) -> tuple:
-        """The (k'+1)-th largest per-label hinge; G is +1 on the label at
-        that rank and -1 on the lowest-scored true label where the loss is
-        positive.  Ranking ties go to the lowest label index (stable sort
-        on -hinges), as does the argmin over true labels."""
+        """The (k'+1)-th largest hinge max((s + 1) - m, 0), m the lowest
+        true-label score; G is +1 on the label at that rank and -1 on the
+        label of m where the loss is positive.  Ties go to the lowest label
+        index (stable sort on -hinges), as does the argmin over true labels.
+
+        Large finite score matrices are ranked label-major on an l x n copy,
+        and G is the transpose of its l x n array.  The hinge never
+        decreases in s under rounding, so the rank-(k'+1) hinge is the hinge
+        of the rank-(k'+1) score.  A row with more than one label at that
+        hinge or at m, where the loss is positive, is a tie; tied rows,
+        small matrices and non-finite ones take the stable argsort."""
         scores = _scores(W, b, rows.features)
-        masked = np.where(rows.label_matrix, scores, np.inf)
-        at = np.arange(scores.shape[0])
-        y_star = masked.argmin(axis=1)  # first minimum = lowest index
-        neg = scores + 1.0  # -hinges, built in place
-        neg -= masked[at, y_star][:, None]
-        np.negative(np.maximum(neg, 0.0, out=neg), out=neg)
         kp = self.kprime
-        if neg.size < _PARTITION_MIN_SIZE:
-            j_star = neg.argsort(axis=1, kind="stable")[:, kp]
-            values = -neg[at, j_star]
-        else:
-            # the first label holding the rank-(k'+1) value is the stable
-            # order's unless the value also holds rank k' (NaN sorts last,
-            # matches nothing and is not positive)
-            srt = np.sort(neg, axis=1)
-            values = -srt[:, kp]
-            j_star = (neg == srt[:, kp, None]).argmax(axis=1)
-            tied = (values > 0.0) & (srt[:, kp - 1] == srt[:, kp])
-            if tied.any():
-                j_star[tied] = neg[tied].argsort(axis=1, kind="stable")[:, kp]
+        if scores.size < _PARTITION_MIN_SIZE or not np.isfinite(scores).all():
+            return _stable_rank(scores, rows.label_matrix, kp)
+        S = scores.T.copy()
+        masked = S + rows.inf_off_labels
+        m = masked.min(axis=0)
+        S += 1.0  # the hinges, in place
+        S -= m
+        np.maximum(S, 0.0, out=S)
+        values = np.maximum(np.sort(scores, axis=1)[:, -1 - kp] + 1.0 - m, 0.0)
         pos = values > 0.0
-        G = np.zeros_like(scores)
-        G[at, j_star] = pos
-        G[at, y_star] -= pos
-        return values, G
+        J = (S == values) & pos
+        Y = (masked == m) & pos
+        G = J.astype(np.float64)
+        G -= Y
+        if np.count_nonzero(J) + np.count_nonzero(Y) > 2 * np.count_nonzero(pos):
+            tied = (J.sum(axis=0) > 1) | (Y.sum(axis=0) > 1)
+            G[:, tied] = _stable_rank(scores[tied], rows.label_matrix[tied],
+                                      kp)[1].T
+        return values, G.T
 
     def holdout_error(self, W, b, data: Dataset) -> float:
         """Fraction of rows with a positive loss: the worst true label is
@@ -263,6 +283,10 @@ class _Batch(NamedTuple):
     features: np.ndarray
     label_matrix: np.ndarray
     n: int
+
+    @property
+    def inf_off_labels(self) -> np.ndarray:
+        return np.where(self.label_matrix.T, 0.0, np.inf)
 
 
 def _batches(data: Dataset, rng: np.random.Generator, batch: int, steps: int):

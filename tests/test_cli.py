@@ -390,6 +390,67 @@ def test_split_part_without_rows_exits_1_before_training(tmp_path, monkeypatch,
     assert "n=20" in err
 
 
+@pytest.mark.parametrize("name, body, line", [
+    ("empty.csv", b"\n\n", 0),
+    ("header-only.csv", b"\n\nlabel,f0\n\n", 3),
+    ("latin-1.csv", b"label,f0\n1,0.5\n-1,\xe90.5\n", 3),
+    ("empty.svm", b"\n", 0),
+    ("latin-1.svm", b"1 1:0.5\n-1 1:\xe9\n", 2),
+], ids=["empty-csv", "header-only-csv", "latin-1-csv", "empty-libsvm",
+        "latin-1-libsvm"])
+def test_unusable_data_files_exit_2_at_their_line(tmp_path, capsys, name,
+                                                  body, line):
+    path = tmp_path / name
+    path.write_bytes(body)
+    fmt = "libsvm" if name.endswith(".svm") else "csv"
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_RUN.replace("synthetic", str(path))
+                        + f"format = {fmt}\n")
+    assert main(["train", "--config", str(cfg_path)]) == EXIT_DATA
+    assert f"{path}:{line}: " in capsys.readouterr().err
+
+
+_MODEL = ("format_version = 1\nl = 1\nd = 2\nloss_kind = logistic\nk = 0\n"
+          "m = 0\nkprime = 0\nweights = 1.0 -1.0\nbias = 0.5\n")
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("l = 1", "l = one", "model:2"),
+    ("kprime = 0", "kprime = 0.5", "model:7"),
+    ("-1.0", "nan", "model:8"),
+    ("bias = 0.5", "bias = x", "model:9"),
+    ("logistic", "logistic\xe9", "model:4"),
+    ("d = 2\n", "d = 3\n", "model:8"),
+    ("d = 2\n", "d = 3\n", None),
+], ids=["l", "kprime", "nan-weight", "bias", "latin-1", "weight-count",
+        "data-d"])
+def test_eval_unusable_model_or_data_exits_2(tmp_path, capsys, old, new,
+                                             where):
+    text = _MODEL.replace(old, new)
+    if where is None:  # a valid d = 3 model, for data with two features
+        text = text.replace("1.0 -1.0", "1.0 -1.0 2.0")
+    model_path, data_path = tmp_path / "model", tmp_path / "data"
+    model_path.write_bytes(text.encode("latin-1"))
+    data_path.write_text("label,f0,f1\n1,0.5,1.0\n-1,2.0,0.0\n")
+    assert main(["eval", "--model", str(model_path),
+                 "--data", str(data_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{tmp_path / (where or 'data:0')}: " in err
+
+
+def test_internal_value_error_is_not_a_data_error(tmp_path, monkeypatch):
+    # a ValueError that no input check raised is a bug: it propagates with
+    # its traceback, and never reads as exit 2
+    def broken(*args, **kwargs):
+        raise ValueError("a bug in the trainer")
+
+    monkeypatch.setattr(cli, "sgd_average_train", broken)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_RUN)
+    with pytest.raises(ValueError, match="a bug in the trainer"):
+        main(["train", "--config", str(cfg_path), "--out", str(tmp_path)])
+
+
 def test_main_non_finite_feature_is_data_error(tmp_path):
     data_path = tmp_path / "nan.csv"
     data_path.write_text("label,f0\n1,0.5\n-1,nan\n1,1.5\n-1,-0.5\n")
@@ -532,8 +593,10 @@ _DCA_RESTARTS = _RUN + ("aggregate = aorr\ntrain.m = 2\ntrain.k = 20\n"
                         "split = 0.5,0.25,0.25\nrestarts = 3\n")
 
 
-@pytest.mark.parametrize("text", [_GRID, _DCA_REPEATS, _DCA_RESTARTS],
-                         ids=["tkml_aorr-grid", "dca-repeats", "dca-restarts"])
+@pytest.mark.parametrize("text", [_GRID, _GRID + "restarts = 3\n",
+                                  _DCA_REPEATS, _DCA_RESTARTS],
+                         ids=["tkml_aorr-grid", "tkml_aorr-grid-restarts",
+                              "dca-repeats", "dca-restarts"])
 def test_reports_do_not_depend_on_cpu_count(tmp_path, monkeypatch, text):
     cfg = parse_config(text)
     for cpus in (1, 2):

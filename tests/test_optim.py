@@ -3,6 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rankedrange import (
     Dataset,
@@ -34,6 +37,7 @@ from rankedrange import (
 from rankedrange import cli
 from rankedrange.core import top_k_sum
 from rankedrange.losses import MarginLossKind, margin_loss, softmax_loss_grad
+from rankedrange import optim
 from rankedrange.optim import (
     _PARTITION_MIN_SIZE,
     _Batch,
@@ -874,7 +878,7 @@ def _tied_tkml_cases():
 def test_tkml_value_and_grad_ties_match_scalar_oracle_exactly(kprime):
     # the rank-(k'+1) label under ties must be the stable order's lowest
     # label index, as in the scalar oracle, with no tolerance; the small
-    # index batch takes the argsort path and the others the value-sort
+    # index batch takes the argsort path and the others the label-major
     # path with its tie fallback
     data, cases = _tied_tkml_cases()
     spec = TKMLSampleLoss(kprime)
@@ -919,8 +923,9 @@ def _stable_rank_reference(scores, label_matrix, kprime):
 @pytest.mark.parametrize("kprime", range(1, 6))
 def test_tkml_large_path_matches_stable_rank_with_non_finite_and_zero_ties(
         kprime):
-    # the large-matrix path on rows with inf or NaN scores, and on rows
-    # whose zero hinges tie at rank k'+1; NaN values compare equal
+    # a large matrix with inf or NaN scores, which the stable argsort
+    # ranks, and rows whose zero hinges tie at rank k'+1; NaN values
+    # compare equal
     data, (_, _, rounded) = _tied_tkml_cases()
     X = data.features.copy()
     X[::7, 0] = np.inf
@@ -944,3 +949,101 @@ def test_tkml_large_path_matches_stable_rank_with_non_finite_and_zero_ties(
     assert np.isnan(values).any() and np.isinf(ranked).any()
     if kprime + 1 < rows.l:
         assert np.any((values == 0.0) & (ranked[:, kprime + 1] == 0.0))
+
+
+def _tied_rows(l, kprime):
+    """Two rows that the label-major pass must hand to the stable argsort or
+    get right on its own: one whose rank-(k'+1) label is its lowest true
+    label (G is zero, the loss 1), and one whose two true labels tie at the
+    lowest score, with a positive loss."""
+    lowest_is_ranked = np.full(l, -5.0)
+    lowest_is_ranked[:kprime] = 5.0
+    lowest_is_ranked[kprime] = 0.0
+    tied_lowest = np.concatenate([[0.0, 0.0], np.arange(1.0, l - 1.0)])
+    scores = np.vstack([lowest_is_ranked, tied_lowest])
+    labels = np.zeros((2, l), dtype=bool)
+    labels[0, kprime] = labels[1, :2] = True
+    return scores, labels
+
+
+@st.composite
+def _integer_tkml_cases(draw):
+    """Integer scores in -3..3 (ties everywhere), label sets, k' in 1..l-2,
+    and at least _PARTITION_MIN_SIZE score entries."""
+    l = draw(st.integers(3, 14))
+    kprime = draw(st.integers(1, l - 2))
+    n = -(-_PARTITION_MIN_SIZE // l) + draw(st.integers(0, 20))
+    scores = draw(hnp.arrays(np.int8, (n, l), elements=st.integers(-3, 3)))
+    labels = draw(hnp.arrays(np.bool_, (n, l)))
+    rows = np.arange(n)
+    labels[rows, rows % l] |= ~labels.any(axis=1)  # no empty label set
+    labels[rows, (rows + 1) % l] &= ~labels.all(axis=1)  # nor a full one
+    return scores.astype(np.float64), labels, kprime, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_integer_tkml_cases())
+def test_tkml_label_major_path_matches_stable_rank(case):
+    # every row of a large finite matrix, ties included, gets the stable
+    # argsort's value and G exactly; the scores are the features times the
+    # identity, so they are exact
+    scores, labels, kprime, as_dataset = case
+    extra_scores, extra_labels = _tied_rows(scores.shape[1], kprime)
+    scores = np.vstack([extra_scores, scores])
+    labels = np.vstack([extra_labels, labels])
+    n, l = scores.shape
+    if as_dataset:
+        rows = Dataset(scores, tuple(frozenset(np.flatnonzero(y) + 1)
+                                     for y in labels), l, "integer scores")
+        np.testing.assert_array_equal(rows.label_matrix, labels)
+    else:
+        rows = _Batch(scores, labels, n)
+    values, G = TKMLSampleLoss(kprime).value_and_grad(np.eye(l), None, rows)
+    expect_values, expect_G = _stable_rank_reference(scores, labels, kprime)
+    np.testing.assert_array_equal(values, expect_values)
+    np.testing.assert_array_equal(G, expect_G)
+    assert values[0] == 1.0 and not G[0].any()  # rank k'+1 is the lowest
+    assert values[1] > 0.0 and G[1, 1] == 0.0  # not the second of the tied
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_tkml_one_non_finite_score_sends_the_matrix_to_stable_rank(
+        monkeypatch, bad):
+    data, (_, _, rounded) = _tied_tkml_cases()
+    X = data.features.copy()
+    X[123, 1] = bad
+    rows = Dataset(X, data.labels, data.l, "one non-finite")
+    ranked = []
+    stable_rank = optim._stable_rank
+
+    def recording(scores, *args):
+        ranked.append(scores.shape[0])
+        return stable_rank(scores, *args)
+
+    monkeypatch.setattr(optim, "_stable_rank", recording)
+    W, b = rounded
+    with np.errstate(invalid="ignore"):
+        values, G = TKMLSampleLoss(2).value_and_grad(W, b, rows)
+        expect_values, expect_G = _stable_rank_reference(
+            X @ W.T + b, rows.label_matrix, 2)
+    assert ranked == [rows.n]  # the whole matrix, in one call
+    np.testing.assert_array_equal(values, expect_values)
+    np.testing.assert_array_equal(G, expect_G)
+
+
+def test_tkml_chain_rule_on_label_major_g_matches_c_order():
+    # the label-major G is the transpose of an l x n array; the parameter
+    # gradients must not depend on that layout, bit for bit
+    data = gen_multilabel_synthetic(1933, 103, 14, seed=29, min_labels=3,
+                                    max_labels=6)
+    rng = np.random.default_rng(30)
+    W = 0.1 * rng.standard_normal((14, 103))
+    b = 0.1 * rng.standard_normal(14)
+    _, G = TKMLSampleLoss(4).value_and_grad(W, b, data)
+    assert G.flags.f_contiguous and not G.flags.c_contiguous
+    C = np.ascontiguousarray(G)
+    assert G.any()
+    for mask in (None, rng.random(data.n) < 0.5):
+        got, want = _chain_rule(data, G, mask), _chain_rule(data, C, mask)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
