@@ -9,10 +9,10 @@ config text that ``repro`` parses with ``parse_config`` and runs with
 ``run_experiment``, exactly as ``train`` runs a config file.
 
 The repeats of an experiment, the candidates of a ranked-range run (its
-(m, k) cells times its restarts) and a tkml grid's warm starts (one per
-restart) run on forked processes, up to one per CPU (``_ordered_map``);
-the caller runs its share of them and collects all the results in item
-order.
+(m, k) cells times its restarts) and the warm starts of a
+``tkml_aorr_train`` run (one per restart) run on forked processes, up to
+one per CPU (``_ordered_map``); the caller runs its share of them and
+collects all the results in item order.
 Every command holds OpenBLAS at one thread (``single_blas_thread``), so the
 report is the same as a serial run's at any repeat count.
 
@@ -52,7 +52,8 @@ blobs.sep         blob center separation
 ml.n/.d/.l        multilabel generator dimensions
 ml.min/.max       label-set size range
 ml.noise          score noise of the multilabel generator
-grid.m, grid.k    comma lists: (m, k) grid for aggregate=tkml_aorr
+grid.m, grid.k    comma lists: the m and k of a ranked range's (m, k) cells
+                  (default train.m, train.k); the kept cell is reported
 train.*           any TrainConfig field
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
@@ -185,21 +186,28 @@ class ExperimentConfig:
         if not self.ml_min <= self.ml_max < self.ml_l:
             # a label set holds ml.min..ml.max labels and leaves one out
             raise ConfigError("ml.max", f"must be in {self.ml_min}..{self.ml_l - 1}")
-        if self.aggregate in ("atk", "topk") and self.train.k < 1 \
-                and not self.grid_k:
-            raise ConfigError("train.k", f"{self.aggregate} needs train.k >= 1")
+        (key_m, ms), (key_k, ks) = self.ranks("m"), self.ranks("k")
+        if self.aggregate in ("atk", "topk") and min(ks) < 1:
+            raise ConfigError(key_k, f"{self.aggregate} needs {key_k} >= 1")
         if self.aggregate == "aorr" and self.task != "multilabel" \
-                and self.train.m < 1:
-            raise ConfigError("train.m", "aorr needs train.m >= 1")
+                and min(ms) < 1:
+            raise ConfigError(key_m, f"aorr needs {key_m} >= 1")
         if self.aggregate == "auto_aorr" and len(self.split) != 3:
             raise ConfigError("split", "auto_aorr needs a validation part")
-        if self.restarts > 1 and self.aggregate in ("average", "lr",
-                                                    "auto_aorr"):
-            raise ConfigError("restarts", f"{self.aggregate} trains no ranked "
-                                          "range to restart")
+        for key, given in (("restarts", self.restarts > 1),
+                           ("grid.m", self.grid_m), ("grid.k", self.grid_k)):
+            if given and self.aggregate in ("average", "lr", "auto_aorr"):
+                raise ConfigError(key, f"{self.aggregate} trains no ranked "
+                                       "range")
         if self.restarts > 1 and len(self.split) != 3:
             raise ConfigError("restarts", "restarts > 1 needs a validation "
                                           "part to select on")
+
+    def ranks(self, which: str) -> tuple:
+        """(key, values) of the m or k of the ranked-range cells."""
+        grid = getattr(self, f"grid_{which}")
+        return ((f"grid.{which}", grid) if grid
+                else (f"train.{which}", (getattr(self.train, which),)))
 
 
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
@@ -432,11 +440,13 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
                  seed: int, holdout: Dataset | None = None):
     """Dispatch on the aggregate; returns (TrainReport, extras dict).  The
     tkml loss trains the average losses on the full batch, and the ranked
-    ranges other than ``tkml`` on the (m, k) grid of ``tkml_aorr_train``.
+    ranges other than ``tkml`` with ``tkml_aorr_train``.
 
     A ranked range trains one candidate per (m, k) cell and restart, and
     keeps the first with the best report metric on ``va``, or on
-    ``holdout`` when there is no validation part."""
+    ``holdout`` when there is no validation part.  The cells are the
+    distinct ranges of the m x k values of ``cfg.ranks``, so a range that
+    ignores m or k collapses that grid."""
     agg = cfg.aggregate
     base = replace(cfg.train, seed=seed)
     tkml = cfg.loss == "tkml"
@@ -455,18 +465,16 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
             spec.losses(report.model.weights, report.model.bias, tr), lam_hat)
         return report, extras
 
-    grid = tkml and agg != "tkml"
-    ranges = dict.fromkeys(_RANGES[agg](m, k, tr.n)
-                           for m in (grid and cfg.grid_m) or (base.m,)
-                           for k in (grid and cfg.grid_k) or (base.k,))
+    minimax = tkml and agg != "tkml"  # tkml_aorr_train, not dca_train
+    ranges = dict.fromkeys(_RANGES[agg](m, k, tr.n) for m in cfg.ranks("m")[1]
+                           for k in cfg.ranks("k")[1])
     cells = [replace(base, m=m, k=k) for m, k in ranges]
     for cell in cells:
         try:
             cell.ranked_range(tr.n)
         except ValueError as exc:
-            which = "k" if cell.k > tr.n else "m"
-            key = "grid" if grid and getattr(cfg, f"grid_{which}") else "train"
-            raise ConfigError(f"{key}.{which}", str(exc)) from None
+            key, _ = cfg.ranks("k" if cell.k > tr.n else "m")
+            raise ConfigError(key, str(exc)) from None
     # seeded random restarts: restart r > 0 starts from a random draw
     restarts = [{}] if cfg.restarts == 1 else [
         {"seed": seed * 100 + r, "init_scale": 0.5 if r else 0.0}
@@ -474,11 +482,11 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     # the warm start does not depend on (m, k): one per restart, mapped as
     # the candidates are
     starts = (_ordered_map(lambda r: tkml_warm_start(tr, replace(base, **r)),
-                           restarts) if grid else [None] * len(restarts))
+                           restarts) if minimax else [None] * len(restarts))
     candidates = [(replace(cell, **r), start) for cell in cells
                   for r, start in zip(restarts, starts)]
     reports = _ordered_map(
-        (lambda c: tkml_aorr_train(tr, *c)) if grid
+        (lambda c: tkml_aorr_train(tr, *c)) if minimax
         else (lambda c: dca_train(tr, spec, c[0], validation_data=va)),
         candidates)
     best = 0
@@ -489,7 +497,7 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
         # the first candidate with the least error, else the top accuracy
         best = min(range(len(reports)), key=lambda i: tables[i]["error"]
                    if "error" in tables[i] else -tables[i]["topk_accuracy"])
-    if grid:
+    if cfg.grid_m or cfg.grid_k:
         extras["grid_choice"] = {"m": candidates[best][0].m,
                                  "k": candidates[best][0].k}
     return reports[best], extras
@@ -1048,10 +1056,7 @@ def _cmd_noise(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
-    data = load_dataset(args.data, args.format, l=model.l)
-    if data.d != model.d:
-        raise DataParseError(args.data, 0, f"{data.d} features, the model "
-                                           f"takes d={model.d}")
+    data = load_dataset(args.data, args.format, l=model.l, d=model.d)
     _check_k("--k", args.k, data)
     topk = args.k > 1 or model.meta["loss_kind"].startswith("tkml")
     metrics = _evaluate(model, data, args.k, topk)

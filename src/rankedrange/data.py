@@ -241,16 +241,18 @@ class DataParseError(ValueError):
         return "{}:{}: {}".format(*self.args)
 
 
-def load_dataset(path, format: str = "csv", l: int | None = None) -> Dataset:
+def load_dataset(path, format: str = "csv", l: int | None = None,
+                 d: int | None = None) -> Dataset:
     """Load a dataset from CSV (header row, `label` or `labels` column) or
-    LIBSVM sparse lines densified to the maximum feature index.  A file
-    that the run cannot use raises DataParseError at its first bad line,
-    line 0 for an empty file."""
+    LIBSVM sparse lines densified to the maximum feature index, or to d
+    when given.  A file that the run cannot use raises DataParseError at
+    its first bad line, line 0 for an empty file or one with other than d
+    features."""
     loaders = {"csv": _load_csv, "libsvm": _load_libsvm}
     if format not in loaders:
         raise ConfigError("format", f"unknown dataset format {format!r}")
     try:
-        return loaders[format](path, l)
+        return loaders[format](path, l, d)
     except UnicodeDecodeError:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -262,7 +264,7 @@ def load_dataset(path, format: str = "csv", l: int | None = None) -> Dataset:
         raise
 
 
-def _load_csv(path, l):
+def _load_csv(path, l, d):
     # universal newlines, so the bulk parse sees "\n" line ends only; a line
     # end inside a quoted field is whitespace around a number either way
     with open(path, "r", encoding="utf-8") as fh:
@@ -295,6 +297,8 @@ def _load_csv(path, l):
         except (ValueError, OverflowError):
             _raise_first_bad_record(path, fh, len(header), label_col, multilabel)
             raise
+    if d is not None and X.shape[1] != d:
+        raise DataParseError(path, 0, f"{X.shape[1]} features, expected d={d}")
     return _labelled(path, "csv", X, tuple(labels) if multilabel else labels,
                      l, lambda row: _csv_record_line(path, row))
 
@@ -386,8 +390,8 @@ def _check_finite(path, X, linenos):
         raise DataParseError(path, linenos[bad[0]], "non-finite feature value")
 
 
-def _load_libsvm(path, l):
-    feats, labels, linenos, d = [], [], [], 0
+def _load_libsvm(path, l, d):
+    feats, labels, linenos, width = [], [], [], d or 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -409,12 +413,15 @@ def _load_libsvm(path, l):
                 if min(row) < 1:
                     raise DataParseError(path, lineno,
                                          f"feature index {min(row)} is below 1")
-                d = max(d, max(row))
+                if d is not None and max(row) > d:
+                    raise DataParseError(path, lineno, f"feature index "
+                                                       f"{max(row)} is above d={d}")
+                width = max(width, max(row))
             feats.append(row)
             linenos.append(lineno)
     if not feats:
         raise DataParseError(path, 0, "empty dataset file")
-    X = np.zeros((len(feats), d), dtype=np.float64)
+    X = np.zeros((len(feats), width), dtype=np.float64)
     for i, row in enumerate(feats):
         for idx, val in row.items():
             X[i, idx - 1] = val

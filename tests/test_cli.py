@@ -438,6 +438,29 @@ def test_eval_unusable_model_or_data_exits_2(tmp_path, capsys, old, new,
     assert f"{tmp_path / (where or 'data:0')}: " in err
 
 
+def test_eval_densifies_libsvm_rows_to_the_model_d(tmp_path, capsys):
+    # LIBSVM leaves out zero features: a file whose highest index is 2 was
+    # read as d = 2 and refused by a d = 3 model
+    text = _MODEL.replace("d = 2\n", "d = 3\n").replace("1.0 -1.0",
+                                                       "1.0 -1.0 2.0")
+    model_path = tmp_path / "model"
+    model_path.write_text(text)
+    sparse, dense = tmp_path / "e.svm", tmp_path / "e.csv"
+    sparse.write_text("1 1:0.5 2:1.0\n-1 1:2.0\n1 2:-1.5\n")
+    dense.write_text("label,f0,f1,f2\n1,0.5,1.0,0\n-1,2.0,0,0\n1,0,-1.5,0\n")
+    tables = []
+    for path, fmt in ((sparse, "libsvm"), (dense, "csv")):
+        assert main(["eval", "--model", str(model_path), "--data", str(path),
+                     "--format", fmt]) == EXIT_OK
+        tables.append(json.loads(capsys.readouterr().out))
+    assert tables[0] == tables[1]
+    # an index above the model's d is still a data error, at its line
+    sparse.write_text("1 1:0.5 2:1.0\n-1 4:2.0\n")
+    assert main(["eval", "--model", str(model_path), "--data", str(sparse),
+                 "--format", "libsvm"]) == EXIT_DATA
+    assert f"{sparse}:2: feature index 4 is above d=3" in capsys.readouterr().err
+
+
 def test_internal_value_error_is_not_a_data_error(tmp_path, monkeypatch):
     # a ValueError that no input check raised is a bug: it propagates with
     # its traceback, and never reads as exit 2
@@ -547,6 +570,42 @@ def test_the_first_best_candidate_wins(monkeypatch):
     cli._train_model(dataclasses.replace(grid, grid_m=(1,), grid_k=(5,)),
                      tr, None, 1, holdout=te)
     assert scored == []
+
+
+_MONK_CELLS = ("task = binary\nloss = logistic\ndataset = monk\n"
+               "split = 0.5,0.25,0.25\ntrain.outer_epochs = 2\n"
+               "train.inner_epochs = 300\n")
+
+
+@pytest.mark.parametrize("aggregate, which, values, other", [
+    ("atk", "k", (20, 40), ("m", 0)),
+    ("aorr", "m", (1, 10), ("k", 70)),
+], ids=["atk-grid.k", "aorr-grid.m"])
+def test_grid_keys_apply_to_every_loss(monkeypatch, aggregate, which, values,
+                                       other):
+    # grid keys were read for the tkml loss only: a logistic atk run with
+    # grid.k trained k = n, and an aorr run with grid.m trained train.m,
+    # and neither reported a grid_choice
+    _cpus(monkeypatch, 1)
+    trained, train = [], cli.dca_train
+
+    def recording(data, spec, config, **kwargs):
+        trained.append(getattr(config, which))
+        return train(data, spec, config, **kwargs)
+
+    monkeypatch.setattr(cli, "dca_train", recording)
+    text = _MONK_CELLS + f"aggregate = {aggregate}\ntrain.{other[0]} = " \
+        f"{other[1]}\n"
+    grid = run_experiment(parse_config(
+        text + f"grid.{which} = {values[0]},{values[1]}\n"))["runs"][0]
+    assert trained == list(values)
+    choice = grid.pop("grid_choice")
+    assert choice[which] in values and choice[other[0]] == other[1]
+    # as JSON, where the NaN of a lambda_trace equals itself
+    single = {v: json.dumps(run_experiment(parse_config(
+        text + f"train.{which} = {v}\n"))["runs"][0]) for v in values}
+    assert single[values[0]] != single[values[1]]
+    assert json.dumps(grid) == single[choice[which]]
 
 
 def test_eval_reports_the_train_metric_table(tmp_path, capsys):
@@ -1029,6 +1088,19 @@ _CONFIG_ERRORS = {
                            "split = 0.5,0.25,0.25\nrestarts = 3\n", "restarts"),
     "restarts-lr": (_ML6 + "aggregate = lr\nsplit = 0.5,0.25,0.25\n"
                     "restarts = 3\n", "restarts"),
+    # grid keys were read for the tkml loss only, and never on these
+    **{f"grid.{which}-{agg}": (base + f"aggregate = {agg}\n"
+                               f"split = 0.5,0.25,0.25\ngrid.{which} = 5,10\n",
+                               f"grid.{which}")
+       for which in "mk" for agg, base in (("average", _BINARY), ("lr", _ML6),
+                                           ("auto_aorr", _BINARY))},
+    # a k of 0 in the grid silently meant n
+    "grid.k-atk-zero": (_BINARY + "aggregate = atk\ngrid.k = 0,5\n", "grid.k"),
+    "grid.m-aorr-zero": (_BINARY + "aggregate = aorr\ntrain.k = 5\n"
+                         "grid.m = 0,1\n", "grid.m"),
+    # a cell outside the training rows, at its grid key for every loss
+    "grid.k-above-n": (_BINARY + "aggregate = aorr\ntrain.m = 1\n"
+                       "grid.k = 5,1000\n", "grid.k"),
 }
 
 

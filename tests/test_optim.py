@@ -188,6 +188,48 @@ def test_dca_seed_determinism():
     np.testing.assert_array_equal(a.model.weights, b.model.weights)
 
 
+@pytest.mark.parametrize("loss", ["logistic", "tkml"])
+def test_dca_train_returns_the_best_probed_iterate(loss):
+    # the validation probes every eval_every steps keep the best iterate;
+    # these runs end on an iterate that the probes score worse
+    if loss == "logistic":
+        data = gen_synthetic(SyntheticSpec(balanced=False, n_outliers=5,
+                                           seed=1))
+        spec = make_loss_spec("logistic")
+        cfg = TrainConfig(m=1, k=20, batch=4, seed=1)
+    else:
+        data = gen_multilabel_synthetic(120, 5, 5, seed=1, score_noise=2.0)
+        spec = make_loss_spec("tkml", 2, 5)
+        cfg = TrainConfig(m=0, k=30, kprime=2, batch=8, seed=1)
+    cfg = dataclasses.replace(cfg, outer_epochs=1, inner_epochs=500,
+                              eta_inner=0.5)
+    tr, va = split_dataset(data, (0.6, 0.4), seed=0)
+    probes, holdout_error = [], spec.holdout_error
+
+    def probe(W, b, rows):
+        probes.append((holdout_error(W, b, rows), W.copy(), b.copy()))
+        return probes[-1][0]
+
+    spec.holdout_error = probe
+    got = dca_train(tr, spec, cfg, validation_data=va).model
+    final = dca_train(tr, make_loss_spec(loss, 2, 5), cfg).model
+    # five probes, then one of the final iterate
+    errors = [error for error, _, _ in probes]
+    assert len(errors) == 6
+    np.testing.assert_array_equal(probes[-1][1], final.weights)
+    best = errors.index(min(errors[:-1]))
+    assert errors[best] < errors[-1]
+    np.testing.assert_array_equal(got.weights, probes[best][1])
+    np.testing.assert_array_equal(got.bias, probes[best][2])
+    assert not np.array_equal(got.weights, final.weights)
+    if loss == "tkml":
+        # the tkml probe is the share of rows with a positive loss
+        scores = va.features @ got.weights.T + got.bias
+        positive = [tkml_loss_subgrad(scores[i], LabelSet(va.labels[i], 5),
+                                      2)[0] > 0 for i in range(va.n)]
+        assert errors[best] == np.mean(positive)
+
+
 def test_dca_descent_small_full_batch():
     data = gen_synthetic(SyntheticSpec(balanced=True, n_outliers=1, seed=0))
     data = data.subset(np.arange(0, 200, 8))  # 25 samples
