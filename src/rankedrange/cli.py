@@ -38,13 +38,13 @@ restarts          random restarts per run for a ranked-range aggregate
                   (not average, lr or auto_aorr); each (m, k) cell trains
                   from each restart, and the best is picked on the
                   validation part
-base_seed         run i uses seed base_seed + i
+base_seed         run i uses seed base_seed + i (base_seed >= 0)
 eval_k            k for top-k metrics (multiclass / multilabel)
 noise.mode        none | symmetric | asymmetric_map | multilabel_symmetric
                   (the other noise.* keys need a mode other than none)
 noise.p           flip probability (train part only)
 noise.map         asymmetric map, e.g. "1:2,2:3"
-noise.seed        offset added to the run seed for the noise draw
+noise.seed        offset (>= 0) added to the run seed for the noise draw
 synth.balanced    2-D generator: balanced classes (true/false)
 synth.outliers    2-D generator: planted outlier count
 blobs.n/.d/.l     multiclass blob generator dimensions
@@ -178,9 +178,9 @@ class ExperimentConfig:
             raise ConfigError("split", "need 2 or 3 fractions")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ConfigError("split", f"fractions {self.split} do not sum to 1")
-        for key, low in (("repeats", 1), ("restarts", 1), ("eval_k", 1),
-                         ("blobs.n", 1), ("blobs.d", 1), ("blobs.l", 2),
-                         ("ml.n", 1), ("ml.d", 1), ("ml.min", 1)):
+        for key, low in (("repeats", 1), ("restarts", 1), ("base_seed", 0),
+                         ("eval_k", 1), ("blobs.n", 1), ("blobs.d", 1),
+                         ("blobs.l", 2), ("ml.n", 1), ("ml.d", 1), ("ml.min", 1)):
             if getattr(self, key.replace(".", "_")) < low:
                 raise ConfigError(key, f"must be >= {low}")
         if not self.ml_min <= self.ml_max < self.ml_l:
@@ -443,10 +443,11 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     ranges other than ``tkml`` with ``tkml_aorr_train``.
 
     A ranked range trains one candidate per (m, k) cell and restart, and
-    keeps the first with the best report metric on ``va``, or on
-    ``holdout`` when there is no validation part.  The cells are the
-    distinct ranges of the m x k values of ``cfg.ranks``, so a range that
-    ignores m or k collapses that grid."""
+    keeps the first with the least ``score`` on ``va``, or on ``holdout``
+    when there is no validation part.  The cells are the distinct ranges of
+    the m x k values of ``cfg.ranks``, so a range that ignores m or k
+    collapses that grid.  ``dca_train`` keeps its stochastic snapshots by
+    the same ``score`` on ``va``."""
     agg = cfg.aggregate
     base = replace(cfg.train, seed=seed)
     tkml = cfg.loss == "tkml"
@@ -454,6 +455,12 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     _check_k("eval_k", cfg.eval_k, tr)
     spec = (MultilabelLogisticLoss() if agg == "lr"
             else make_loss_spec(cfg.loss, base.kprime, tr.l))
+
+    def score(model, rows):
+        """The report metric that picks a model: the least ``error`` of
+        ``_evaluate``'s table, else the highest ``topk_accuracy``."""
+        table = _evaluate(model, rows, cfg.eval_k, tkml or cfg.eval_k > 1)
+        return table["error"] if "error" in table else -table["topk_accuracy"]
 
     if agg in ("average", "lr"):
         return sgd_average_train(tr, spec, replace(base, batch=0) if tkml
@@ -485,18 +492,16 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
                            restarts) if minimax else [None] * len(restarts))
     candidates = [(replace(cell, **r), start) for cell in cells
                   for r, start in zip(restarts, starts)]
+    probe = None if va is None else functools.partial(score, rows=va)
     reports = _ordered_map(
         (lambda c: tkml_aorr_train(tr, *c)) if minimax
-        else (lambda c: dca_train(tr, spec, c[0], validation_data=va)),
+        else (lambda c: dca_train(tr, spec, c[0], score=probe)),
         candidates)
     best = 0
     if len(reports) > 1:
         rows = va if va is not None else holdout
-        tables = [_evaluate(report.model, rows, cfg.eval_k,
-                            tkml or cfg.eval_k > 1) for report in reports]
-        # the first candidate with the least error, else the top accuracy
-        best = min(range(len(reports)), key=lambda i: tables[i]["error"]
-                   if "error" in tables[i] else -tables[i]["topk_accuracy"])
+        keys = [score(report.model, rows) for report in reports]
+        best = keys.index(min(keys))  # the first of the least
     if cfg.grid_m or cfg.grid_k:
         extras["grid_choice"] = {"m": candidates[best][0].m,
                                  "k": candidates[best][0].k}
@@ -509,8 +514,9 @@ def _evaluate(model, rows: Dataset, k: int, topk: bool) -> dict:
     top-1 error."""
     scores = predict_matrix(model, rows.features)
     if rows.is_multilabel:
-        return {"topk_accuracy": topk_multilabel_accuracy(scores, rows.labels, k),
-                "average_precision": average_precision(scores, rows.labels)}
+        Y = rows.label_matrix
+        return {"topk_accuracy": topk_multilabel_accuracy(scores, Y, k),
+                "average_precision": average_precision(scores, Y)}
     if rows.l > 1 and topk:
         acc = topk_accuracy(scores, rows.labels, k)
         return {"topk_accuracy": acc, "error": 1.0 - acc}

@@ -138,6 +138,8 @@ class NoiseSpec:
             raise ConfigError("noise.mode", f"unknown noise mode {self.mode!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError("noise.p", f"p={self.p} outside [0, 1]")
+        if self.seed < 0:
+            raise ConfigError("noise.seed", f"seed={self.seed} must be >= 0")
         if self.mode == "asymmetric_map" and not self.flip_map:
             raise ConfigError("noise.map", "asymmetric_map noise requires a flip_map")
 

@@ -45,36 +45,34 @@ def topk_accuracy(scores, labels, k: int) -> float:
     return float(np.mean(hits))
 
 
-def topk_multilabel_accuracy(scores, labelsets, k: int) -> float:
-    """Fraction of samples where the top-k prediction set Z and the truth Y
-    satisfy Z subset-of Y or Y subset-of Z."""
+def topk_multilabel_accuracy(scores, label_matrix, k: int) -> float:
+    """Fraction of samples where the top-k prediction set Z and the truth Y,
+    the row of the n x l boolean ``label_matrix``, satisfy Z subset-of Y or
+    Y subset-of Z."""
     scores = np.asarray(scores, dtype=np.float64)
+    Y = np.asarray(label_matrix, dtype=bool)
     l = scores.shape[1]
     if not 1 <= k < l:
         raise ValueError(f"k={k} outside 1..{l - 1}")
-    top = _topk_sets(scores, k)
-    hits = 0
-    for i, Y in enumerate(labelsets):
-        Z = {int(j) + 1 for j in top[i]}
-        Y = set(Y)
-        if Z <= Y or Y <= Z:
-            hits += 1
-    return hits / len(labelsets)
+    Z = np.zeros_like(Y)
+    np.put_along_axis(Z, _topk_sets(scores, k), True, axis=1)
+    hits = ~(Z & ~Y).any(axis=1) | ~(Y & ~Z).any(axis=1)
+    return np.count_nonzero(hits) / Y.shape[0]
 
 
-def average_precision(scores, labelsets) -> float:
-    """Label-ranking average precision with the <=-rank convention:
+def average_precision(scores, label_matrix) -> float:
+    """Label-ranking average precision with the <=-rank convention, Y_i the
+    true labels of row i of the n x l boolean ``label_matrix``:
 
     AP = (1/n) sum_i (1/|Y_i|) sum_{j in Y_i}
          |{tau in Y_i : rank(tau) <= rank(j)}| / rank(j)
-    """
+
+    Each row's terms are added in rank order, and the rows in row order."""
     scores = np.asarray(scores, dtype=np.float64)
-    total = 0.0
-    for i, Y in enumerate(labelsets):
-        order = np.argsort(-scores[i], kind="stable")
-        rank = np.empty(scores.shape[1], dtype=np.int64)
-        rank[order] = np.arange(1, scores.shape[1] + 1)
-        true_ranks = sorted(rank[y - 1] for y in Y)
-        sample = sum((pos + 1) / r for pos, r in enumerate(true_ranks))
-        total += sample / len(Y)
-    return total / len(labelsets)
+    Y = np.asarray(label_matrix, dtype=bool)
+    order = np.argsort(-scores, axis=1, kind="stable")
+    ranked = np.take_along_axis(Y, order, axis=1)  # Y in rank order
+    ranks = np.arange(1, Y.shape[1] + 1)
+    terms = np.where(ranked, np.cumsum(ranked, axis=1) / ranks, 0.0)
+    per_row = np.cumsum(terms, axis=1)[:, -1] / np.count_nonzero(Y, axis=1)
+    return sum(per_row.tolist()) / Y.shape[0]

@@ -28,7 +28,6 @@ from .losses import (
     margin_loss_vec,
     tkml_saddle_point,
 )
-from .metrics import error_rate
 from .model import LinearModel
 
 
@@ -62,12 +61,15 @@ class TrainConfig:
     init_scale: float = 0.0  # stddev of the random start (0 = zero init)
 
     def __post_init__(self):
-        for name in ("C", "eta_outer", "eta_inner", "outer_epochs", "inner_epochs"):
+        for name in ("C", "eta_outer", "eta_inner", "outer_epochs",
+                     "inner_epochs", "refresh_every"):
             if not getattr(self, name) > 0:  # NaN included
                 raise ConfigError(f"train.{name}",
                                   f"{name}={getattr(self, name)} must be > 0")
-        if self.batch < 0:
-            raise ConfigError("train.batch", f"batch={self.batch} must be >= 0")
+        for name in ("batch", "warmup_epochs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"train.{name}",
+                                  f"{name}={getattr(self, name)} must be >= 0")
 
     def ranked_range(self, n: int) -> RankedRange:
         k = self.k if self.k > 0 else n
@@ -106,11 +108,6 @@ class _LossSpec:
 
     def losses(self, W, b, data: Dataset) -> np.ndarray:
         return self.value_and_grad(W, b, data)[0]
-
-    def holdout_error(self, W, b, data: Dataset) -> float:
-        """Classification error of (W, b) on a holdout set."""
-        scores = _scores(W, b, data.features)
-        return error_rate(scores[:, 0] if data.l == 1 else scores, data.labels)
 
 
 class BinaryMarginLoss(_LossSpec):
@@ -206,11 +203,6 @@ class TKMLSampleLoss(_LossSpec):
             G[:, tied] = _stable_rank(scores[tied], rows.label_matrix[tied],
                                       kp)[1].T
         return values, G.T
-
-    def holdout_error(self, W, b, data: Dataset) -> float:
-        """Fraction of rows with a positive loss: the worst true label is
-        not clear of the top k' labels by the margin."""
-        return float(np.mean(self.losses(W, b, data) > 0.0))
 
 
 class MultilabelLogisticLoss(_LossSpec):
@@ -331,8 +323,7 @@ def sorr_objective(W, b, data: Dataset, loss_spec, r: RankedRange, C: float) -> 
 # trainers
 
 def dca_train(data: Dataset, loss_spec, config: TrainConfig,
-              validation_data: Dataset | None = None,
-              eval_every: int = 100) -> TrainReport:
+              score=None, eval_every: int = 100) -> TrainReport:
     """Difference-of-convex descent on the ranked-range sum of individual
     losses.
 
@@ -341,17 +332,19 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
     batch) steps on the convex surrogate jointly with the top-k threshold
     variable.  m = 0 recovers average-top-k training.
 
-    When ``validation_data`` is given, the holdout error is probed every
-    ``eval_every`` stochastic steps and the best-scoring parameters are the
-    ones returned (the final iterate is returned otherwise).
+    ``score`` maps a LinearModel to a key, lower being better.  When it is
+    given, a snapshot of the parameters is scored every ``eval_every``
+    stochastic steps, and the first snapshot with the least key is returned
+    if it scores strictly below the final iterate; the final iterate is
+    returned otherwise.
     """
     rng = np.random.default_rng(config.seed)
     r = config.ranked_range(data.n)
     W, b = _init_params(data, config, rng)
     trace, lambdas = [], []
-    best = (np.inf, W, b)
-    full = config.batch == 0
-    scale = 1.0 if full else config.batch / data.n
+    best = (np.inf, None)  # (key, model) of the best snapshot
+    probe = score is not None and config.batch > 0
+    scale = config.batch / data.n if config.batch else 1.0
 
     for t in range(config.outer_epochs):
         # the top-m rows are the first m of the stable descending order, so
@@ -372,21 +365,20 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
                 gW - scale * theta_hat_W + scale * W / config.C)
             if b is not None:
                 b = b - config.eta_inner * (gb - scale * theta_hat_b)
-            if (not full and validation_data is not None
-                    and (step + 1) % eval_every == 0):
-                ve = loss_spec.holdout_error(W, b, validation_data)
-                if ve < best[0]:
-                    best = (ve, W.copy(), None if b is None else b.copy())
+            if probe and (step + 1) % eval_every == 0:
+                snapshot = _as_model(_check_finite(W, t), b, loss_spec, config)
+                key = score(snapshot)
+                if key < best[0]:
+                    best = (key, snapshot)
 
         obj = sorr_objective(W, b, data, loss_spec, r, config.C)
         trace.append(_check_finite(obj, t))
         lambdas.append(LambdaPair(lam=float(lam), lam_hat=float("nan")))
 
-    if validation_data is not None and best[0] < np.inf:
-        ve = loss_spec.holdout_error(W, b, validation_data)
-        if best[0] < ve:
-            W, b = best[1], best[2]
-    return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas)
+    model = _as_model(W, b, loss_spec, config)
+    if best[1] is not None and best[0] < score(model):
+        model = best[1]
+    return TrainReport(model, trace, lambdas)
 
 
 def _average_descent(data: Dataset, loss_spec, config: TrainConfig,

@@ -530,7 +530,7 @@ def test_the_first_best_candidate_wins(monkeypatch):
     # looked up by (seed, m, k)
     _cpus(monkeypatch, 1)
     monkeypatch.setattr(cli, "dca_train", lambda data, spec, config,
-                        validation_data=None: TrainReport(config, [], []))
+                        score=None: TrainReport(config, [], []))
     monkeypatch.setattr(cli, "tkml_aorr_train", lambda data, config, start:
                         TrainReport(config, [], []))
     monkeypatch.setattr(cli, "tkml_warm_start", lambda data, config: None)
@@ -570,6 +570,40 @@ def test_the_first_best_candidate_wins(monkeypatch):
     cli._train_model(dataclasses.replace(grid, grid_m=(1,), grid_k=(5,)),
                      tr, None, 1, holdout=te)
     assert scored == []
+
+
+def test_tkml_snapshots_are_kept_by_top_k_accuracy():
+    # dca_train kept the snapshot with the least share of validation rows at
+    # a positive tkml loss, here another one than the top accuracy's
+    import numpy as np
+    from rankedrange import dca_train, make_loss_spec, topk_multilabel_accuracy
+    from rankedrange.model import predict_matrix
+
+    cfg = parse_config("task = multilabel\nloss = tkml\naggregate = tkml\n"
+                       "split = 0.5,0.25,0.25\neval_k = 2\ntrain.kprime = 2\n"
+                       "train.batch = 8\ntrain.outer_epochs = 1\n"
+                       "train.inner_epochs = 500\ntrain.eta_inner = 0.5\n")
+    tr, va, _ = split_dataset(gen_multilabel_synthetic(200, 3, 6, seed=3),
+                              cfg.split, seed=3)
+    spec = make_loss_spec("tkml", 2, 6)
+    snapshots = []
+
+    def record(model):
+        scores = predict_matrix(model, va.features)
+        acc = topk_multilabel_accuracy(scores, va.label_matrix, 2)
+        positive = spec.losses(model.weights, model.bias, va) > 0.0
+        snapshots.append((acc, np.mean(positive), model))
+        return -acc
+
+    dca_train(tr, spec, dataclasses.replace(cfg.train, seed=3), score=record)
+    # the probes, then the final iterate
+    accs, shares, models = zip(*snapshots[:-1])
+    top = accs.index(max(accs))
+    assert top != shares.index(min(shares))
+    assert accs[top] > snapshots[-1][0]
+    report, _ = cli._train_model(cfg, tr, va, 3)
+    np.testing.assert_array_equal(report.model.weights, models[top].weights)
+    np.testing.assert_array_equal(report.model.bias, models[top].bias)
 
 
 _MONK_CELLS = ("task = binary\nloss = logistic\ndataset = monk\n"
@@ -1029,7 +1063,8 @@ _ML6 = ("task = multilabel\nloss = tkml\naggregate = tkml\n"
 _SYMMETRIC = "noise.mode = symmetric\nnoise.p = 0.2\n"
 
 # (config text, or command line after the command, expected key); {data} is
-# a 4-class CSV and {model} a 4-label model that scores it
+# a 4-class CSV, {model} a 4-label model that scores it and {config} a valid
+# binary config
 _CONFIG_ERRORS = {
     "noise.map-vs-labels": (_BLOBS3 + "noise.mode = asymmetric_map\n"
                             "noise.p = 0.5\nnoise.map = 1:9\n", "noise.map"),
@@ -1101,6 +1136,18 @@ _CONFIG_ERRORS = {
     # a cell outside the training rows, at its grid key for every loss
     "grid.k-above-n": (_BINARY + "aggregate = aorr\ntrain.m = 1\n"
                        "grid.k = 5,1000\n", "grid.k"),
+    # exit 3 on an integer modulo by zero
+    "train.refresh_every": (_BINARY + "aggregate = auto_aorr\n"
+                            "split = 0.5,0.25,0.25\ntrain.refresh_every = 0\n",
+                            "train.refresh_every"),
+    # an UnboundLocalError traceback
+    "train.warmup_epochs": (_ML6 + "aggregate = tkml_aorr\n"
+                            "train.warmup_epochs = -1\n", "train.warmup_epochs"),
+    # numpy's ValueError traceback for a negative seed
+    "base_seed": (_BINARY + "base_seed = -1\n", "base_seed"),
+    "train-seed-flag": (["train", "--config", "{config}", "--seed", "-1"],
+                        "base_seed"),
+    "noise.seed": (_BINARY + _SYMMETRIC + "noise.seed = -1\n", "noise.seed"),
 }
 
 
@@ -1110,7 +1157,9 @@ def test_config_errors_exit_1_at_their_key(tmp_path, capsys, row):
     import numpy as np
 
     given, key = _CONFIG_ERRORS[row]
-    paths = {"data": tmp_path / "four.csv", "model": tmp_path / "model.txt"}
+    paths = {"data": tmp_path / "four.csv", "model": tmp_path / "model.txt",
+             "config": tmp_path / "ok.cfg"}
+    paths["config"].write_text(_BINARY)
     paths["data"].write_text("label,f0,f1\n1,0.5,1.0\n2,2.0,0.0\n3,1.5,-1.0\n"
                              "4,0.0,0.5\n")
     save_model(LinearModel(weights=np.ones((4, 2)), bias=np.zeros(4)),
@@ -1144,6 +1193,11 @@ _DIVERGED = {
                              "train.warmup_epochs = 5\n"
                              "train.outer_epochs = 3\ntrain.inner_epochs = 20\n"),
                   0),
+    # a validation snapshot with non-finite weights was a LinearModel
+    # ValueError, exit 1
+    "tkml-snapshot": (_ML6 + ("split = 0.5,0.25,0.25\ntrain.batch = 16\n"
+                              "train.outer_epochs = 1\n"
+                              "train.inner_epochs = 200\n"), 0),
 }
 
 

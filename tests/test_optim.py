@@ -190,8 +190,11 @@ def test_dca_seed_determinism():
 
 @pytest.mark.parametrize("loss", ["logistic", "tkml"])
 def test_dca_train_returns_the_best_probed_iterate(loss):
-    # the validation probes every eval_every steps keep the best iterate;
-    # these runs end on an iterate that the probes score worse
+    # the snapshots scored every eval_every steps keep the best iterate;
+    # these runs end on an iterate that scores worse
+    from rankedrange import error_rate, topk_multilabel_accuracy
+    from rankedrange.model import predict_matrix
+
     if loss == "logistic":
         data = gen_synthetic(SyntheticSpec(balanced=False, n_outliers=5,
                                            seed=1))
@@ -200,34 +203,29 @@ def test_dca_train_returns_the_best_probed_iterate(loss):
     else:
         data = gen_multilabel_synthetic(120, 5, 5, seed=1, score_noise=2.0)
         spec = make_loss_spec("tkml", 2, 5)
-        cfg = TrainConfig(m=0, k=30, kprime=2, batch=8, seed=1)
+        cfg = TrainConfig(m=0, k=30, kprime=2, batch=8, seed=2)
     cfg = dataclasses.replace(cfg, outer_epochs=1, inner_epochs=500,
                               eta_inner=0.5)
     tr, va = split_dataset(data, (0.6, 0.4), seed=0)
-    probes, holdout_error = [], spec.holdout_error
+    probes = []
 
-    def probe(W, b, rows):
-        probes.append((holdout_error(W, b, rows), W.copy(), b.copy()))
-        return probes[-1][0]
+    def score(model):
+        scores = predict_matrix(model, va.features)
+        key = (error_rate(scores[:, 0], va.labels) if loss == "logistic"
+               else -topk_multilabel_accuracy(scores, va.label_matrix, 2))
+        probes.append((key, model))
+        return key
 
-    spec.holdout_error = probe
-    got = dca_train(tr, spec, cfg, validation_data=va).model
-    final = dca_train(tr, make_loss_spec(loss, 2, 5), cfg).model
-    # five probes, then one of the final iterate
-    errors = [error for error, _, _ in probes]
-    assert len(errors) == 6
-    np.testing.assert_array_equal(probes[-1][1], final.weights)
-    best = errors.index(min(errors[:-1]))
-    assert errors[best] < errors[-1]
-    np.testing.assert_array_equal(got.weights, probes[best][1])
-    np.testing.assert_array_equal(got.bias, probes[best][2])
+    got = dca_train(tr, spec, cfg, score=score).model
+    final = dca_train(tr, spec, cfg).model
+    # five snapshots, then the final iterate
+    keys = [key for key, _ in probes]
+    assert len(keys) == 6
+    np.testing.assert_array_equal(probes[-1][1].weights, final.weights)
+    best = keys.index(min(keys[:-1]))
+    assert keys[best] < keys[-1]
+    assert got is probes[best][1]
     assert not np.array_equal(got.weights, final.weights)
-    if loss == "tkml":
-        # the tkml probe is the share of rows with a positive loss
-        scores = va.features @ got.weights.T + got.bias
-        positive = [tkml_loss_subgrad(scores[i], LabelSet(va.labels[i], 5),
-                                      2)[0] > 0 for i in range(va.n)]
-        assert errors[best] == np.mean(positive)
 
 
 def test_dca_descent_small_full_batch():
@@ -346,7 +344,7 @@ def _draw(rng, data, batch):
         0, data.n, size=batch)
 
 
-def _dca_reference(data, spec, config, validation_data, eval_every):
+def _dca_reference(data, spec, config, score, eval_every):
     rng = np.random.default_rng(config.seed)
     r = config.ranked_range(data.n)
     X, C, eta = data.features, config.C, config.eta_inner
@@ -372,12 +370,12 @@ def _dca_reference(data, spec, config, validation_data, eval_every):
             W = W - eta * (gW - scale * theta_W + scale * W / C)
             b = b - eta * (gb - scale * theta_b)
             if not full and (step + 1) % eval_every == 0:
-                ve = spec.holdout_error(W, b, validation_data)
-                if ve < best[0]:
-                    best = (ve, W.copy(), b.copy())
+                key = score(LinearModel(weights=W, bias=b))
+                if key < best[0]:
+                    best = (key, W.copy(), b.copy())
         trace.append(sorr_objective(W, b, data, spec, r, C))
         lambdas.append(lam)
-    if best[0] < spec.holdout_error(W, b, validation_data):
+    if best[0] < score(LinearModel(weights=W, bias=b)):
         W, b = best[1], best[2]
     return trace, lambdas, W, b
 
@@ -389,9 +387,13 @@ def test_dca_train_matches_reference_loop(batch):
     spec = make_loss_spec("logistic")
     cfg = TrainConfig(m=4, k=40, eta_inner=0.01, outer_epochs=3,
                       inner_epochs=90, batch=batch, seed=32, init_scale=0.3)
-    trace, lambdas, W, b = _dca_reference(data, spec, cfg, validation, 7)
-    report = dca_train(data, spec, cfg, validation_data=validation,
-                       eval_every=7)
+
+    def score(model):  # the validation error
+        margins = validation.features @ model.weights[0] + model.bias[0]
+        return np.mean(np.where(margins >= 0, 1, -1) != validation.labels)
+
+    trace, lambdas, W, b = _dca_reference(data, spec, cfg, score, 7)
+    report = dca_train(data, spec, cfg, score=score, eval_every=7)
     np.testing.assert_array_equal(report.objective_trace, trace)
     np.testing.assert_array_equal([p.lam for p in report.lambdas], lambdas)
     np.testing.assert_array_equal(report.model.weights, W)
@@ -794,10 +796,10 @@ def test_multilabel_lr_is_the_average_of_a_per_label_logistic_spec():
     ours, theirs = (predict_matrix(model, te.features) for model in (
         report.model, LinearModel(weights=W, bias=b)))
     for k in (1, 2, 3):
-        assert topk_multilabel_accuracy(ours, te.labels, k) == \
-            topk_multilabel_accuracy(theirs, te.labels, k)
-    assert average_precision(ours, te.labels) == \
-        average_precision(theirs, te.labels)
+        assert topk_multilabel_accuracy(ours, te.label_matrix, k) == \
+            topk_multilabel_accuracy(theirs, te.label_matrix, k)
+    assert average_precision(ours, te.label_matrix) == \
+        average_precision(theirs, te.label_matrix)
 
 
 def test_sgd_average_separable_data_perfect():
