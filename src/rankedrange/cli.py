@@ -28,7 +28,9 @@ Keys
 task              binary | multiclass | multilabel
 loss              logistic | hinge | softmax | tkml
 aggregate         average | max | median | atk | aorr | topk | tkml |
-                  tkml_aorr | auto_aorr | lr
+                  tkml_aorr | auto_aorr | lr; the trimmed range (m, k) is
+                  aorr with a class-label loss and tkml_aorr with the tkml
+                  loss, and both need every m >= 1 (m = 0 is atk)
 dataset           monk | synthetic | blobs | multilabel-synth | <file path>
 format            csv | libsvm (for file datasets)
 split             comma list of fractions (train first, test last; a middle
@@ -124,8 +126,7 @@ _TRAINS = {
     ("binary", "hinge"): _CLASS_AGGREGATES,
     ("multiclass", "softmax"): _CLASS_AGGREGATES,
     ("multiclass", "tkml"): ("average", "tkml"),
-    ("multilabel", "tkml"): ("average", "atk", "aorr", "tkml", "tkml_aorr",
-                             "lr"),
+    ("multilabel", "tkml"): ("average", "atk", "tkml", "tkml_aorr", "lr"),
 }
 TASKS = tuple(dict.fromkeys(task for task, _ in _TRAINS))
 LOSSES = tuple(dict.fromkeys(loss for _, loss in _TRAINS))
@@ -189,9 +190,8 @@ class ExperimentConfig:
         (key_m, ms), (key_k, ks) = self.ranks("m"), self.ranks("k")
         if self.aggregate in ("atk", "topk") and min(ks) < 1:
             raise ConfigError(key_k, f"{self.aggregate} needs {key_k} >= 1")
-        if self.aggregate == "aorr" and self.task != "multilabel" \
-                and min(ms) < 1:
-            raise ConfigError(key_m, f"aorr needs {key_m} >= 1")
+        if self.aggregate in ("aorr", "tkml_aorr") and min(ms) < 1:
+            raise ConfigError(key_m, f"{self.aggregate} needs {key_m} >= 1")
         if self.aggregate == "auto_aorr" and len(self.split) != 3:
             raise ConfigError("split", "auto_aorr needs a validation part")
         for key, given in (("restarts", self.restarts > 1),
@@ -459,7 +459,7 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     def score(model, rows):
         """The report metric that picks a model: the least ``error`` of
         ``_evaluate``'s table, else the highest ``topk_accuracy``."""
-        table = _evaluate(model, rows, cfg.eval_k, tkml or cfg.eval_k > 1)
+        table = _evaluate(model, rows, cfg.eval_k)
         return table["error"] if "error" in table else -table["topk_accuracy"]
 
     if agg in ("average", "lr"):
@@ -488,13 +488,13 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
         for r in range(cfg.restarts)]
     # the warm start does not depend on (m, k): one per restart, mapped as
     # the candidates are
-    starts = (_ordered_map(lambda r: tkml_warm_start(tr, replace(base, **r)),
+    starts = (_ordered_map(lambda r: tkml_warm_start(tr, spec, replace(base, **r)),
                            restarts) if minimax else [None] * len(restarts))
     candidates = [(replace(cell, **r), start) for cell in cells
                   for r, start in zip(restarts, starts)]
     probe = None if va is None else functools.partial(score, rows=va)
     reports = _ordered_map(
-        (lambda c: tkml_aorr_train(tr, *c)) if minimax
+        (lambda c: tkml_aorr_train(tr, spec, *c)) if minimax
         else (lambda c: dca_train(tr, spec, c[0], score=probe)),
         candidates)
     best = 0
@@ -508,16 +508,16 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     return reports[best], extras
 
 
-def _evaluate(model, rows: Dataset, k: int, topk: bool) -> dict:
+def _evaluate(model, rows: Dataset, k: int) -> dict:
     """The metric table of ``model`` on ``rows``, by the task of their
-    labels; multiclass rows report top-k accuracy when ``topk``, else the
-    top-1 error."""
+    labels; multiclass rows report top-k accuracy when k > 1 or the model's
+    ``loss_kind`` starts with ``tkml``, else the top-1 error."""
     scores = predict_matrix(model, rows.features)
     if rows.is_multilabel:
         Y = rows.label_matrix
         return {"topk_accuracy": topk_multilabel_accuracy(scores, Y, k),
                 "average_precision": average_precision(scores, Y)}
-    if rows.l > 1 and topk:
+    if rows.l > 1 and (k > 1 or model.meta.get("loss_kind", "").startswith("tkml")):
         acc = topk_accuracy(scores, rows.labels, k)
         return {"topk_accuracy": acc, "error": 1.0 - acc}
     err = error_rate(scores[:, 0] if rows.l == 1 else scores, rows.labels)
@@ -556,8 +556,7 @@ def _single_run(cfg: ExperimentConfig, run: int, data: Dataset | None) -> dict:
     report, extras = _train_model(cfg, tr, va, seed, holdout=te)
     if cfg.noise is not None and cfg.aggregate == "auto_aorr":
         extras["true_flips"] = _changed_rows(parts[0], tr)
-    metrics = _evaluate(report.model, te, cfg.eval_k,
-                        cfg.loss == "tkml" or cfg.eval_k > 1)
+    metrics = _evaluate(report.model, te, cfg.eval_k)
     trace = [x for x in report.objective_trace if np.isfinite(x)]
     record = {
         "run": run,
@@ -1023,6 +1022,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen_synth(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed", f"seed={args.seed} must be >= 0")
     # a kind's own flags take their defaults here; another kind's are errors
     own = ({"imbalanced": False, "outliers": 1} if args.kind == "synthetic"
            else {"n": 2000, "d": 20, "l": 10})
@@ -1051,6 +1052,8 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_noise(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed", f"seed={args.seed} must be >= 0")
     data = load_dataset(args.data)
     flip_map = _parse_value("--map", "dict | None", args.map) if args.map else None
     noisy = inject_noise(data, NoiseSpec(mode=args.mode, p=args.p,
@@ -1064,8 +1067,7 @@ def _cmd_eval(args) -> int:
     model = load_model(args.model)
     data = load_dataset(args.data, args.format, l=model.l, d=model.d)
     _check_k("--k", args.k, data)
-    topk = args.k > 1 or model.meta["loss_kind"].startswith("tkml")
-    metrics = _evaluate(model, data, args.k, topk)
+    metrics = _evaluate(model, data, args.k)
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -13,7 +13,8 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Weight matrix (l labels x d features) with an optional bias vector.
+    """Weight matrix (l labels x d features) and bias vector (l entries;
+    zeros when none is given).
 
     Binary classification uses l = 1 with a sign decision on the single
     score.  ``meta`` records the loss kind and (k, m, k') the model was
@@ -31,11 +32,11 @@ class LinearModel:
         if not np.all(np.isfinite(w)):
             raise ValueError("weights contain non-finite entries")
         object.__setattr__(self, "weights", w)
-        if self.bias is not None:
-            b = np.asarray(self.bias, dtype=np.float64)
-            if b.shape != (w.shape[0],):
-                raise ValueError(f"bias shape {b.shape} does not match l={w.shape[0]}")
-            object.__setattr__(self, "bias", b)
+        b = (np.zeros(w.shape[0]) if self.bias is None
+             else np.asarray(self.bias, dtype=np.float64))
+        if b.shape != (w.shape[0],):
+            raise ValueError(f"bias shape {b.shape} does not match l={w.shape[0]}")
+        object.__setattr__(self, "bias", b)
 
     @property
     def l(self) -> int:
@@ -51,14 +52,14 @@ def predict_matrix(model: LinearModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d:
         raise ValueError(f"feature matrix shape {X.shape} does not match d={model.d}")
-    scores = X @ model.weights.T
-    if model.bias is not None:
-        scores = scores + model.bias
-    return scores
+    return X @ model.weights.T + model.bias
 
 
 def save_model(model: LinearModel, path) -> None:
-    """Write the documented key/value text format (17 significant digits)."""
+    """Write the key/value text format, one ``key = value`` per line:
+    format_version, l, d, loss_kind, k, m, kprime, then ``weights`` (the
+    l x d matrix row by row) and ``bias`` (l entries), each number at 17
+    significant digits."""
     lines = [
         f"format_version = {FORMAT_VERSION}",
         f"l = {model.l}",
@@ -68,9 +69,8 @@ def save_model(model: LinearModel, path) -> None:
         f"m = {model.meta.get('m', 0)}",
         f"kprime = {model.meta.get('kprime', 0)}",
         "weights = " + " ".join(f"{v:.17g}" for v in model.weights.ravel()),
+        "bias = " + " ".join(f"{v:.17g}" for v in model.bias),
     ]
-    if model.bias is not None:
-        lines.append("bias = " + " ".join(f"{v:.17g}" for v in model.bias))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -80,9 +80,10 @@ class ModelParseError(DataParseError):
 
 
 def load_model(path) -> LinearModel:
-    """Parse the text format written by ``save_model``.  A file that does
-    not hold a valid model raises ModelParseError at the line at fault, line
-    0 for a missing key."""
+    """Parse the text format written by ``save_model``; a file without a
+    ``bias`` line loads with a zero bias.  A file that does not hold a valid
+    model raises ModelParseError at the line at fault, line 0 for a missing
+    key."""
     fields = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):

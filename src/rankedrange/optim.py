@@ -57,7 +57,6 @@ class TrainConfig:
     seed: int = 0
     patience: int = 3
     refresh_every: int = 10
-    use_bias: bool = True
     init_scale: float = 0.0  # stddev of the random start (0 = zero init)
 
     def __post_init__(self):
@@ -94,8 +93,7 @@ class TrainReport:
 
 def _scores(W, b, X):
     scores = X @ W.T
-    if b is not None:
-        scores += b
+    scores += b
     return scores
 
 
@@ -242,18 +240,15 @@ def _init_params(data: Dataset, config: TrainConfig, rng: np.random.Generator):
     l = max(data.l, 1)
     scale = config.init_scale
     if scale > 0.0:
-        W = scale * rng.standard_normal((l, data.d))
-        b = scale * rng.standard_normal(l) if config.use_bias else None
-    else:
-        W = np.zeros((l, data.d))
-        b = np.zeros(l) if config.use_bias else None
-    return W, b
+        return (scale * rng.standard_normal((l, data.d)),
+                scale * rng.standard_normal(l))
+    return np.zeros((l, data.d)), np.zeros(l)
 
 
 def _as_model(W, b, loss_spec, config: TrainConfig) -> LinearModel:
     return LinearModel(
         weights=W.copy(),
-        bias=None if b is None else b.copy(),
+        bias=b.copy(),
         meta={"loss_kind": getattr(loss_spec, "name", "none"),
               "k": config.k, "m": config.m, "kprime": config.kprime},
     )
@@ -363,8 +358,7 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
             lam -= config.eta_inner * (r.k * scale - np.count_nonzero(active))
             W = W - config.eta_inner * (
                 gW - scale * theta_hat_W + scale * W / config.C)
-            if b is not None:
-                b = b - config.eta_inner * (gb - scale * theta_hat_b)
+            b = b - config.eta_inner * (gb - scale * theta_hat_b)
             if probe and (step + 1) % eval_every == 0:
                 snapshot = _as_model(_check_finite(W, t), b, loss_spec, config)
                 key = score(snapshot)
@@ -398,8 +392,7 @@ def _average_descent(data: Dataset, loss_spec, config: TrainConfig,
                 evaluated = loss_spec.value_and_grad(W, b, rows)
             gW, gb = _chain_rule(rows, evaluated[1])
             W = W - config.eta_outer * (gW / rows.n + W / config.C)
-            if b is not None:
-                b = b - config.eta_outer * gb / rows.n
+            b = b - config.eta_outer * gb / rows.n
         evaluated = loss_spec.value_and_grad(W, b, data)
         obj = float(np.mean(evaluated[0])) + _reg_value(W, config.C)
         yield W, b, _check_finite(obj, epoch)
@@ -482,8 +475,7 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
             gW, gb = _chain_rule(rows, G, values > lam)
             W = W - config.eta_inner * (
                 gW / rows.n - theta_hat_W + W / (config.C * train_data.n))
-            if b is not None:
-                b = b - config.eta_inner * (gb / rows.n - theta_hat_b)
+            b = b - config.eta_inner * (gb / rows.n - theta_hat_b)
             if (step + 1) % config.refresh_every == 0:
                 val_losses = loss_spec.losses(W, b, validation_data)
                 lam = float(val_losses.mean() - 2.0 * val_losses.std())
@@ -498,12 +490,11 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
     return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas)
 
 
-def tkml_warm_start(data: Dataset, config: TrainConfig) -> tuple:
+def tkml_warm_start(data: Dataset, loss_spec, config: TrainConfig) -> tuple:
     """(W, b) after the ``config.warmup_epochs`` full-batch average-loss
     steps that ``tkml_aorr_train`` takes from its seeded start.  They do not
     depend on ``config.m`` or ``config.k``, so one warm start serves a whole
     (m, k) grid."""
-    loss_spec = make_loss_spec("tkml", config.kprime, data.l)
     warm_up = _average_descent(data, loss_spec, replace(config, batch=0),
                                np.random.default_rng(config.seed))
     for _ in range(config.warmup_epochs + 1):
@@ -511,21 +502,19 @@ def tkml_warm_start(data: Dataset, config: TrainConfig) -> tuple:
     return W, b
 
 
-def tkml_aorr_train(data: Dataset, config: TrainConfig,
-                    start: tuple | None = None) -> TrainReport:
+def tkml_aorr_train(data: Dataset, loss_spec, config: TrainConfig,
+                    start: tuple) -> TrainReport:
     """Simultaneous minimax updates on the combined objective: per-sample
     top-k multi-label losses aggregated through the ranked-range average,
     with joint ascent/descent steps on the two threshold variables.
 
-    ``start`` is ``tkml_warm_start(data, config)`` when the caller already
-    has it; it is computed here otherwise."""
+    ``start`` is ``tkml_warm_start(data, loss_spec, config)``."""
     rng = np.random.default_rng(config.seed)
     r = config.ranked_range(data.n)
-    loss_spec = make_loss_spec("tkml", config.kprime, data.l)
-    # the seeded start's draws come first in the stream whether or not the
-    # start is given, so the index draws of batch >= 1 follow them
+    # the seeded start's draws come first in the stream, so the index draws
+    # of batch >= 1 follow them
     _init_params(data, config, rng)
-    W, b = tkml_warm_start(data, config) if start is None else start
+    W, b = start
     lam = 0.0
     lam_hat = 0.0
     width = r.width
@@ -547,8 +536,7 @@ def tkml_aorr_train(data: Dataset, config: TrainConfig,
         both = keep & (s > lam)
         gW, gb = _chain_rule(rows, G, both)
         W = W - config.eta_inner * (scale * gW / width + W / config.C)
-        if b is not None:
-            b = b - config.eta_inner * scale * gb / width
+        b = b - config.eta_inner * scale * gb / width
         lam = lam - config.eta_inner * (1.0 - scale * int(both.sum()) / width)
         lam_hat = lam_hat + config.eta_inner * (
             (data.n - r.m) / width - scale * int(keep.sum()) / width)

@@ -102,7 +102,7 @@ _EVERY_FIELD = ExperimentConfig(
     train=TrainConfig(m=3, k=9, kprime=2, C=0.5, eta_outer=0.2,
                       eta_inner=0.03, outer_epochs=7, inner_epochs=11,
                       warmup_epochs=13, batch=4, seed=5, patience=6,
-                      refresh_every=8, use_bias=False, init_scale=0.125))
+                      refresh_every=8, init_scale=0.125))
 
 
 def _config_line(key, value):
@@ -133,7 +133,7 @@ def test_every_config_field_is_a_key():
                 name = "map" if f.name == "flip_map" else f.name
                 key = f"{section}.{name}"
             lines.append(_config_line(key, value))
-    assert len(lines) == 43
+    assert len(lines) == 42
     assert parse_config("".join(lines)) == _EVERY_FIELD
 
 
@@ -166,7 +166,8 @@ def test_every_valid_triple_reaches_a_trainer(monkeypatch):
         def trainer(*args, _name=name, **kwargs):
             raise _Reached(_name)
         monkeypatch.setattr(cli, name, trainer)
-    monkeypatch.setattr(cli, "tkml_warm_start", lambda data, config: None)
+    monkeypatch.setattr(cli, "tkml_warm_start",
+                        lambda data, spec, config: None)
     data = {
         "binary": gen_synthetic(SyntheticSpec(seed=1)),
         "multiclass": gen_multiclass_blobs(60, 3, 4, seed=1),
@@ -295,7 +296,7 @@ _MULTICLASS = ("task = multiclass\nloss = softmax\ndataset = blobs\n"
 
 @pytest.mark.parametrize("text", [
     _MULTILABEL + "aggregate = tkml\ntrain.kprime = 9",
-    _MULTILABEL + "aggregate = tkml_aorr\ntrain.kprime = 9",
+    _MULTILABEL + "aggregate = tkml_aorr\ntrain.m = 1\ntrain.kprime = 9",
     _MULTILABEL + "aggregate = tkml\neval_k = 6",
     _MULTICLASS + "aggregate = average\neval_k = 4",
 ], ids=["tkml-kprime", "tkml_aorr-kprime", "multilabel-eval_k",
@@ -531,12 +532,13 @@ def test_the_first_best_candidate_wins(monkeypatch):
     _cpus(monkeypatch, 1)
     monkeypatch.setattr(cli, "dca_train", lambda data, spec, config,
                         score=None: TrainReport(config, [], []))
-    monkeypatch.setattr(cli, "tkml_aorr_train", lambda data, config, start:
-                        TrainReport(config, [], []))
-    monkeypatch.setattr(cli, "tkml_warm_start", lambda data, config: None)
+    monkeypatch.setattr(cli, "tkml_aorr_train", lambda data, spec, config,
+                        start: TrainReport(config, [], []))
+    monkeypatch.setattr(cli, "tkml_warm_start",
+                        lambda data, spec, config: None)
     tables, scored = {}, []
 
-    def evaluate(model, rows, k, topk):
+    def evaluate(model, rows, k):
         scored.append(rows)
         return tables[model.seed, model.m, model.k]
 
@@ -661,8 +663,7 @@ def test_eval_reports_the_train_metric_table(tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     assert sorted(printed) == ["accuracy", "error"]
     assert printed == cli._evaluate(
-        load_model(model_path), load_dataset(str(data_path), "csv", l=4), 1,
-        False)
+        load_model(model_path), load_dataset(str(data_path), "csv", l=4), 1)
 
 
 # --- repeats and grid cells on forked processes ----------------------------
@@ -1148,6 +1149,16 @@ _CONFIG_ERRORS = {
     "train-seed-flag": (["train", "--config", "{config}", "--seed", "-1"],
                         "base_seed"),
     "noise.seed": (_BINARY + _SYMMETRIC + "noise.seed = -1\n", "noise.seed"),
+    # numpy's ValueError traceback, and the noise.seed key for the flag
+    "gen-synth-seed": (["gen-synth", "--seed", "-1"], "--seed"),
+    "noise-seed-flag": (["noise", "--data", "{data}", "--p", "0.2",
+                         "--seed", "-1"], "--seed"),
+    # one name per objective: the tkml loss's trimmed range is tkml_aorr,
+    # which, like aorr, needs m >= 1 (m = 0 is atk)
+    "aorr-on-tkml": (_ML6 + "aggregate = aorr\ntrain.m = 1\ntrain.k = 5\n",
+                     "aggregate"),
+    "tkml_aorr-m-zero": (_ML6 + "aggregate = tkml_aorr\ntrain.k = 5\n",
+                         "train.m"),
 }
 
 
@@ -1170,7 +1181,7 @@ def test_config_errors_exit_1_at_their_key(tmp_path, capsys, row):
         argv = ["train", "--config", str(cfg_path), "--out", str(tmp_path)]
     else:
         argv = [arg.format(**paths) for arg in given]
-        if argv[0] == "gen-synth":
+        if argv[0] in ("gen-synth", "noise"):
             argv += ["--out", str(tmp_path / "synth.csv")]
     capsys.readouterr()
     assert main(argv) == EXIT_USAGE

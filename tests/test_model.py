@@ -125,10 +125,15 @@ def test_roundtrip(tmp_path):
 
 
 def test_roundtrip_without_bias(tmp_path):
+    # a model built without a bias has a zero one, written like any other,
+    # and a file without a bias line loads with a zero bias
     model = LinearModel(weights=np.array([[0.1, -0.2]]))
+    np.testing.assert_array_equal(model.bias, [0.0])
     path = tmp_path / "model.txt"
     save_model(model, path)
-    assert load_model(path).bias is None
+    assert "bias = 0\n" in path.read_text()
+    path.write_text(path.read_text().replace("bias = 0\n", ""))
+    np.testing.assert_array_equal(load_model(path).bias, [0.0])
 
 
 def test_hand_written_minimal_file(tmp_path):

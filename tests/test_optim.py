@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rankedrange import (
+    ConfigError,
     Dataset,
     LabelSet,
     LambdaPair,
@@ -239,9 +240,10 @@ def test_dca_descent_small_full_batch():
 
 
 def test_lambda_dynamics_expected_increment():
-    # all-zero features pin every logistic loss at 1.0, so the sampled
-    # indicator is always on while lambda < 1 and every step moves lambda
-    # by exactly -eta*(k/n - 1) > 0
+    # with all-zero features only the bias moves the logistic losses, so
+    # they stay near 1.0, the sampled indicator is always on while lambda
+    # stays below them, and every step moves lambda by exactly
+    # -eta*(k/n - 1) > 0
     n, k = 50, 10
     data = Dataset(np.zeros((n, 3)),
                    np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int64),
@@ -250,7 +252,7 @@ def test_lambda_dynamics_expected_increment():
     eta = 0.01
     steps = 100  # keeps lambda below the constant loss level 1.0
     cfg = TrainConfig(m=0, k=k, eta_inner=eta, outer_epochs=1,
-                      inner_epochs=steps, batch=1, seed=8, use_bias=False)
+                      inner_epochs=steps, batch=1, seed=8)
     report = dca_train(data, spec, cfg)
     lam = report.lambdas[0].lam
     expected = -eta * (k / n - 1.0) * steps
@@ -534,6 +536,12 @@ def test_sgd_average_train_matches_reference_loop(batch):
 
 # --- combined sample/label minimax ----------------------------------------
 
+def _tkml_aorr(data, cfg):
+    """tkml_aorr_train from its own warm start."""
+    spec = make_loss_spec("tkml", cfg.kprime, data.l)
+    return tkml_aorr_train(data, spec, cfg, tkml_warm_start(data, spec, cfg))
+
+
 def test_tkml_aorr_cold_start_threshold_updates():
     # with zero parameters every per-sample loss is positive but both
     # indicators are false, so theta stays put while lambda falls by eta
@@ -542,7 +550,7 @@ def test_tkml_aorr_cold_start_threshold_updates():
     eta = 0.01
     cfg = TrainConfig(m=2, k=5, kprime=1, eta_inner=eta, outer_epochs=3,
                       inner_epochs=1, warmup_epochs=0, batch=0, C=1e8)
-    report = tkml_aorr_train(data, cfg)
+    report = _tkml_aorr(data, cfg)
     np.testing.assert_allclose(report.model.weights, 0.0)
     n, m, width = 6, 2, 3
     for t, pair in enumerate(report.lambdas, start=1):
@@ -561,7 +569,7 @@ def test_tkml_aorr_one_step_hand_check():
     cfg = TrainConfig(m=m, k=k, kprime=kprime, eta_inner=eta, eta_outer=0.1,
                       outer_epochs=1, inner_epochs=1, warmup_epochs=warm,
                       batch=0, C=1e4)
-    report = tkml_aorr_train(data, cfg)
+    report = _tkml_aorr(data, cfg)
 
     # independent replay: average-loss warm-up with the scalar-path loss
     W = np.zeros((5, 4))
@@ -603,8 +611,8 @@ def test_tkml_aorr_one_step_hand_check():
 
 
 def _tkml_aorr_reference(data, config):
-    """tkml_aorr_train as one self-contained loop (use_bias only): its own
-    warm-up on every call and a separate objective pass every 10th epoch."""
+    """tkml_aorr_train as one self-contained loop: its own warm-up on every
+    call and a separate objective pass every 10th epoch."""
     rng = np.random.default_rng(config.seed)
     r = config.ranked_range(data.n)
     spec = TKMLSampleLoss(config.kprime)
@@ -657,27 +665,24 @@ def test_tkml_aorr_matches_reference_loop(batch, init_scale, warmup):
                       outer_epochs=33, warmup_epochs=warmup, batch=batch,
                       init_scale=init_scale, seed=27)
     trace, lambdas, W, b = _tkml_aorr_reference(data, cfg)
-    report = tkml_aorr_train(data, cfg)
+    report = _tkml_aorr(data, cfg)
     np.testing.assert_array_equal(report.objective_trace, trace)
     assert [(p.lam, p.lam_hat) for p in report.lambdas] == lambdas
     np.testing.assert_array_equal(report.model.weights, W)
     np.testing.assert_array_equal(report.model.bias, b)
 
 
-def test_tkml_aorr_saddle_point_pass_is_the_first_step_evaluation(monkeypatch):
+def test_tkml_aorr_saddle_point_pass_is_the_first_step_evaluation():
     # at batch 0 the all-row pass that places the thresholds serves the
     # first step too, so a warm start adds no pass to a cell
-    import rankedrange.optim as optim
-
     data = gen_multilabel_synthetic(60, 4, 5, seed=26, max_labels=2)
     passes = []
     for warmup in (0, 15):
         cfg = TrainConfig(m=5, k=40, kprime=2, outer_epochs=33, batch=0,
                           warmup_epochs=warmup, seed=27)
-        start = tkml_warm_start(data, cfg)
+        start = tkml_warm_start(data, make_loss_spec("tkml", 2), cfg)
         spec = _CountingSpec(make_loss_spec("tkml", 2), data)
-        monkeypatch.setattr(optim, "make_loss_spec", lambda *args: spec)
-        tkml_aorr_train(data, cfg, start)
+        tkml_aorr_train(data, spec, cfg, start)
         passes.append(spec.passes)
     assert passes[1] == passes[0] == 34  # 30 steps, 4 objective passes
 
@@ -698,20 +703,23 @@ def test_tkml_aorr_grid_shares_warm_start(monkeypatch, batch, init_scale):
     cfg = cli.parse_config(text)
     shared = json.dumps(cli.run_experiment(cfg), sort_keys=True)
 
-    def own_warm_up(data, config, start=None):
+    def own_warm_up(data, spec, config, start):
         trace, lambdas, W, b = _tkml_aorr_reference(data, config)
         model = LinearModel(weights=W, bias=b)
         return TrainReport(model, trace, [LambdaPair(*p) for p in lambdas])
 
-    monkeypatch.setattr(cli, "tkml_warm_start", lambda data, config: None)
+    monkeypatch.setattr(cli, "tkml_warm_start",
+                        lambda data, spec, config: None)
     monkeypatch.setattr(cli, "tkml_aorr_train", own_warm_up)
     assert json.dumps(cli.run_experiment(cfg), sort_keys=True) == shared
 
 
 def test_tkml_aorr_kprime_range_checked():
-    data = gen_multilabel_synthetic(10, 3, 4, seed=14)
-    with pytest.raises(ValueError):
-        tkml_aorr_train(data, TrainConfig(m=1, k=5, kprime=4))
+    # tkml_aorr_train takes the caller's tkml spec, which checks that its
+    # top k' leave a label out
+    with pytest.raises(ConfigError):
+        make_loss_spec("tkml", 4, 4)
+    assert make_loss_spec("tkml", 3, 4).kprime == 3
 
 
 # --- baselines ------------------------------------------------------------
@@ -753,7 +761,7 @@ def test_tkml_warm_up_divergence_names_its_epoch():
     cfg = TrainConfig(m=2, k=20, kprime=2, eta_outer=1e300, C=1e-300,
                       warmup_epochs=5, outer_epochs=3, batch=0)
     with pytest.raises(TrainingDiverged) as exc, np.errstate(all="ignore"):
-        tkml_aorr_train(data, cfg)
+        _tkml_aorr(data, cfg)
     assert exc.value.epoch < cfg.warmup_epochs
 
 
@@ -1030,7 +1038,7 @@ def _integer_tkml_cases(draw):
 def test_tkml_label_major_path_matches_stable_rank(case):
     # every row of a large finite matrix, ties included, gets the stable
     # argsort's value and G exactly; the scores are the features times the
-    # identity, so they are exact
+    # identity plus a zero bias, so they are exact
     scores, labels, kprime, as_dataset = case
     extra_scores, extra_labels = _tied_rows(scores.shape[1], kprime)
     scores = np.vstack([extra_scores, scores])
@@ -1042,7 +1050,8 @@ def test_tkml_label_major_path_matches_stable_rank(case):
         np.testing.assert_array_equal(rows.label_matrix, labels)
     else:
         rows = _Batch(scores, labels, n)
-    values, G = TKMLSampleLoss(kprime).value_and_grad(np.eye(l), None, rows)
+    values, G = TKMLSampleLoss(kprime).value_and_grad(np.eye(l), np.zeros(l),
+                                                      rows)
     expect_values, expect_G = _stable_rank_reference(scores, labels, kprime)
     np.testing.assert_array_equal(values, expect_values)
     np.testing.assert_array_equal(G, expect_G)
