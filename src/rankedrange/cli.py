@@ -447,7 +447,7 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     when there is no validation part.  The cells are the distinct ranges of
     the m x k values of ``cfg.ranks``, so a range that ignores m or k
     collapses that grid.  ``dca_train`` keeps its stochastic snapshots by
-    the same ``score`` on ``va``."""
+    the same ``score`` on ``va``, and reports the key its candidate ranks by."""
     agg = cfg.aggregate
     base = replace(cfg.train, seed=seed)
     tkml = cfg.loss == "tkml"
@@ -500,7 +500,7 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     best = 0
     if len(reports) > 1:
         rows = va if va is not None else holdout
-        keys = [score(report.model, rows) for report in reports]
+        keys = [score(r.model, rows) if r.key is None else r.key for r in reports]
         best = keys.index(min(keys))  # the first of the least
     if cfg.grid_m or cfg.grid_k:
         extras["grid_choice"] = {"m": candidates[best][0].m,

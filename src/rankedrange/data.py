@@ -2,8 +2,8 @@
 injection, splitting, and train-statistics standardization.
 
 Label conventions: binary datasets use l = 1 with labels in {+1, -1};
-multi-class datasets use integer labels 1..l; multi-label datasets carry a
-frozenset of labels per sample.
+multi-class datasets use integer labels 1..l; multi-label datasets carry
+an n x l boolean matrix, entry (i, j) True when sample i has label j + 1.
 
 Label noise (``inject_noise``) is drawn as whole arrays and records no
 count: a flipped row of a noisy copy is one whose ``label_matrix`` row
@@ -46,27 +46,33 @@ class LabelError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
+    """``labels`` may also be given as a sequence of n label sets."""
+
     features: np.ndarray
-    labels: object  # int ndarray, or tuple of frozensets for multi-label
+    labels: np.ndarray  # int64 class labels, or the n x l bool label-set matrix
     l: int
-    provenance: str = ""
 
     def __post_init__(self):
         X = np.asarray(self.features, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] < 1:
             raise ValueError(f"features must be a non-empty n x d matrix, got {X.shape}")
         object.__setattr__(self, "features", X)
-        if self.is_multilabel:
-            labels = tuple(frozenset(int(y) for y in ys) for ys in self.labels)
-            for i, ys in enumerate(labels):
-                if not ys or len(ys) >= self.l or any(y < 1 or y > self.l for y in ys):
-                    raise LabelError(i, f"invalid label set {sorted(ys)} for "
-                                        f"l={self.l}")
-            if len(labels) != X.shape[0]:
-                raise ValueError("label count does not match sample count")
-            object.__setattr__(self, "labels", labels)
+        y = self.labels
+        if not isinstance(y, np.ndarray) and len(y) and isinstance(y[0], (set, frozenset)):
+            y = _set_matrix(y, self.l)
+        if np.ndim(y) == 2:
+            if y.dtype != bool or y.shape != (X.shape[0], self.l):
+                raise ValueError(f"not an n x l bool label matrix: {y.dtype} {y.shape}")
+            counts = np.count_nonzero(y, axis=1)
+            bad = (counts < 1) | (counts >= self.l)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise LabelError(i, "invalid label set {} for l={}".format(
+                    (np.flatnonzero(y[i]) + 1).tolist(), self.l))
+            y = y.view()  # read-only; the caller's own array stays writeable
+            y.flags.writeable = False
         else:
-            y = np.asarray(self.labels, dtype=np.int64)
+            y = np.asarray(y, dtype=np.int64)
             if y.shape != (X.shape[0],):
                 raise ValueError("label count does not match sample count")
             if self.l == 1:
@@ -76,14 +82,11 @@ class Dataset:
             if bad.any():
                 i = int(np.argmax(bad))
                 raise LabelError(i, f"label {y[i]} outside {allowed}")
-            object.__setattr__(self, "labels", y)
+        object.__setattr__(self, "labels", y)
 
     @property
     def is_multilabel(self) -> bool:
-        if isinstance(self.labels, np.ndarray):
-            return False
-        first = self.labels[0] if len(self.labels) else None
-        return isinstance(first, (set, frozenset))
+        return self.labels.ndim == 2
 
     @cached_property
     def label_matrix(self) -> np.ndarray:
@@ -91,11 +94,8 @@ class Dataset:
         j + 1 belongs to sample i (one-hot for class labels, the +1 class
         for binary labels)."""
         if self.is_multilabel:
-            M = np.zeros((self.n, self.l), dtype=bool)
-            for i, ys in enumerate(self.labels):
-                M[i, [y - 1 for y in ys]] = True
-        else:
-            M = self.labels[:, None] == np.arange(1, self.l + 1)
+            return self.labels
+        M = self.labels[:, None] == np.arange(1, self.l + 1)
         M.flags.writeable = False
         return M
 
@@ -116,14 +116,19 @@ class Dataset:
     def d(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, idx, note: str = "") -> "Dataset":
-        idx = np.asarray(idx)
-        if self.is_multilabel:
-            labels = tuple(self.labels[i] for i in idx)
-        else:
-            labels = self.labels[idx]
-        prov = self.provenance + (f"; {note}" if note else "")
-        return Dataset(self.features[idx], labels, self.l, prov)
+    def subset(self, idx) -> "Dataset":
+        return Dataset(self.features[idx], self.labels[idx], self.l)
+
+
+def _set_matrix(sets, l: int) -> np.ndarray:
+    """The n x l boolean matrix of n label sets, each 1 to l - 1 of 1..l."""
+    M = np.zeros((len(sets), l), dtype=bool)
+    for i, ys in enumerate(sets):
+        ys = sorted({int(y) for y in ys})
+        if not (1 <= len(ys) < l and 1 <= ys[0] and ys[-1] <= l):
+            raise LabelError(i, f"invalid label set {ys} for l={l}")
+        M[i, [y - 1 for y in ys]] = True
+    return M
 
 
 @dataclass(frozen=True)
@@ -179,9 +184,7 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
         np.ones(n_pos, dtype=np.int64),
         -np.ones(n_neg_inlier + spec.n_outliers, dtype=np.int64),
     ])
-    prov = (f"synthetic({'balanced' if spec.balanced else 'imbalanced'}, "
-            f"outliers={spec.n_outliers}, seed={spec.seed})")
-    return Dataset(X, y, 1, prov)
+    return Dataset(X, y, 1)
 
 
 _MONK_DOMAINS = (3, 3, 2, 3, 4, 2)
@@ -200,7 +203,7 @@ def monk_dataset() -> Dataset:
     a2, a4, a5 = X[:, 1], X[:, 3], X[:, 4]
     pos = ((a5 == 3) & (a4 == 1)) | ((a5 != 4) & (a2 != 3))
     y = np.where(pos, 1, -1).astype(np.int64)
-    return Dataset(X, y, 1, "monk(rule-generated, 432 samples)")
+    return Dataset(X, y, 1)
 
 
 def gen_multiclass_blobs(n: int, d: int, l: int, seed: int = 0,
@@ -212,8 +215,7 @@ def gen_multiclass_blobs(n: int, d: int, l: int, seed: int = 0,
     centers *= separation / np.linalg.norm(centers, axis=1, keepdims=True)
     y = rng.integers(1, l + 1, size=n)
     X = centers[y - 1] + rng.standard_normal((n, d))
-    return Dataset(X, y.astype(np.int64), l,
-                   f"multiclass-blobs(n={n}, d={d}, l={l}, seed={seed})")
+    return Dataset(X, y.astype(np.int64), l)
 
 
 def gen_multilabel_synthetic(n: int, d: int, l: int, seed: int = 0,
@@ -226,12 +228,10 @@ def gen_multilabel_synthetic(n: int, d: int, l: int, seed: int = 0,
     X = rng.standard_normal((n, d))
     scores = X @ theta.T + score_noise * rng.standard_normal((n, l))
     counts = rng.integers(min_labels, max_labels + 1, size=n)
-    labels = []
-    for i in range(n):
-        top = np.argsort(-scores[i], kind="stable")[: counts[i]]
-        labels.append(frozenset(int(j) + 1 for j in top))
-    return Dataset(X, tuple(labels), l,
-                   f"multilabel-synthetic(n={n}, d={d}, l={l}, seed={seed})")
+    Y = np.empty((n, l), dtype=bool)
+    np.put_along_axis(Y, np.argsort(-scores, axis=1, kind="stable"),
+                      np.arange(l) < counts[:, None], axis=1)
+    return Dataset(X, Y, l)
 
 
 class DataParseError(ValueError):
@@ -301,20 +301,19 @@ def _load_csv(path, l, d):
             raise
     if d is not None and X.shape[1] != d:
         raise DataParseError(path, 0, f"{X.shape[1]} features, expected d={d}")
-    return _labelled(path, "csv", X, tuple(labels) if multilabel else labels,
-                     l, lambda row: _csv_record_line(path, row))
+    return _labelled(path, X, labels, l, lambda row: _csv_record_line(path, row))
 
 
-def _labelled(path, source, X, labels, l, line_of):
+def _labelled(path, X, labels, l, line_of):
     """The Dataset of a loaded file, with l inferred from the labels when
     None.  A label that does not fit l raises DataParseError at the line
     ``line_of(row)`` gives for its row."""
-    if l is None and isinstance(labels, tuple):
+    if l is None and isinstance(labels, list):  # label sets
         l = max(max(ys) for ys in labels) + 1  # keep sets proper subsets
     elif l is None:
         l = 1 if set(np.unique(labels)) <= {-1, 1} else int(labels.max())
     try:
-        return Dataset(X, labels, l, f"{source}:{path}")
+        return Dataset(X, labels, l)
     except LabelError as exc:
         raise DataParseError(path, line_of(exc.row), str(exc)) from None
 
@@ -433,7 +432,7 @@ def _load_libsvm(path, l, d):
     except OverflowError as exc:
         big = next(i for i, v in enumerate(labels) if not -2**63 <= v < 2**63)
         raise DataParseError(path, linenos[big], str(exc)) from None
-    return _labelled(path, "libsvm", X, y, l, linenos.__getitem__)
+    return _labelled(path, X, y, l, linenos.__getitem__)
 
 
 def inject_noise(data: Dataset, spec: NoiseSpec) -> Dataset:
@@ -464,8 +463,8 @@ def inject_noise(data: Dataset, spec: NoiseSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     rows = np.flatnonzero(rng.random(data.n) < spec.p)
     if multilabel:
-        sets = [sorted(data.labels[i]) for i in rows]
-        y = np.fromiter(itertools.chain.from_iterable(sets), np.int64)
+        at, y = np.nonzero(data.labels[rows])  # row order, then label order
+        y += 1
     else:
         y = data.labels[rows]
     if spec.mode == "asymmetric_map":
@@ -475,16 +474,13 @@ def inject_noise(data: Dataset, spec: NoiseSpec) -> Dataset:
     else:
         r = rng.integers(1, data.l, y.size)
         y = r + (r >= y)
+    labels = data.labels.copy()
     if multilabel:
-        labels, moved = list(data.labels), iter(y.tolist())
-        for i, ys in zip(rows, sets):
-            labels[i] = frozenset(itertools.islice(moved, len(ys)))
-        labels = tuple(labels)
+        labels[rows] = False
+        labels[rows[at], y - 1] = True
     else:
-        labels = data.labels.copy()
         labels[rows] = y
-    return Dataset(data.features, labels, data.l, data.provenance +
-                   f"; noise({spec.mode}, p={spec.p}, seed={spec.seed})")
+    return Dataset(data.features, labels, data.l)
 
 
 def split_sizes(n: int, fractions) -> tuple:
@@ -537,8 +533,7 @@ def split_dataset(data: Dataset, fractions, seed: int = 0):
     rows.  To split and standardize, ``split_standardized`` gives the same
     parts as ``standardize(*split_dataset(...))`` from one copy of the
     rows."""
-    return tuple(data.subset(rows, f"split part {i} seed={seed}")
-                 for i, rows in enumerate(_split_rows(data.n, fractions, seed)))
+    return tuple(data.subset(rows) for rows in _split_rows(data.n, fractions, seed))
 
 
 def standardize(train: Dataset, *others):
@@ -580,7 +575,7 @@ def write_csv(data: Dataset, path) -> None:
         writer.writerow([label_col] + [f"f{j}" for j in range(data.d)])
         for i in range(data.n):
             if data.is_multilabel:
-                lab = ";".join(str(y) for y in sorted(data.labels[i]))
+                lab = ";".join(str(y) for y in np.flatnonzero(data.labels[i]) + 1)
             else:
                 lab = str(int(data.labels[i]))
             writer.writerow([lab] + [f"{v:.17g}" for v in data.features[i]])

@@ -18,7 +18,7 @@ class LinearModel:
 
     Binary classification uses l = 1 with a sign decision on the single
     score.  ``meta`` records the loss kind and (k, m, k') the model was
-    trained with, purely for provenance.
+    trained with, purely as a record.
     """
 
     weights: np.ndarray
@@ -29,13 +29,13 @@ class LinearModel:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
             raise ValueError(f"weights must be an l x d matrix, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights contain non-finite entries")
-        object.__setattr__(self, "weights", w)
         b = (np.zeros(w.shape[0]) if self.bias is None
              else np.asarray(self.bias, dtype=np.float64))
         if b.shape != (w.shape[0],):
             raise ValueError(f"bias shape {b.shape} does not match l={w.shape[0]}")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError("weights or bias contain non-finite entries")
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
     @property
@@ -126,9 +126,9 @@ def load_model(path) -> LinearModel:
     bias = None
     if "bias" in fields:
         bias = need("bias", floats)
-        if bias.size != l:
-            raise ModelParseError(path, fields["bias"][1],
-                                  f"expected {l} bias entries, got {bias.size}")
+        if bias.size != l or not np.isfinite(bias).all():
+            raise ModelParseError(path, fields["bias"][1], f"expected {l} "
+                                  f"finite bias entries, got {bias.tolist()}")
     meta = {
         "loss_kind": need("loss_kind"),
         "k": need("k", int),

@@ -65,8 +65,8 @@ class TrainConfig:
             if not getattr(self, name) > 0:  # NaN included
                 raise ConfigError(f"train.{name}",
                                   f"{name}={getattr(self, name)} must be > 0")
-        for name in ("batch", "warmup_epochs"):
-            if getattr(self, name) < 0:
+        for name in ("batch", "warmup_epochs", "init_scale"):
+            if not getattr(self, name) >= 0:  # NaN included
                 raise ConfigError(f"train.{name}",
                                   f"{name}={getattr(self, name)} must be >= 0")
 
@@ -78,7 +78,7 @@ class TrainConfig:
 @dataclass(frozen=True)
 class LambdaPair:
     lam: float
-    lam_hat: float
+    lam_hat: float | None  # None where a trainer learns no lam_hat
 
 
 @dataclass
@@ -86,6 +86,7 @@ class TrainReport:
     model: LinearModel
     objective_trace: list
     lambdas: list  # LambdaPair per logged epoch (may be empty)
+    key: float | None = None  # the model's validation score, when scored
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +332,7 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
     given, a snapshot of the parameters is scored every ``eval_every``
     stochastic steps, and the first snapshot with the least key is returned
     if it scores strictly below the final iterate; the final iterate is
-    returned otherwise.
+    returned otherwise.  The report's ``key`` is the returned model's, if scored.
     """
     rng = np.random.default_rng(config.seed)
     r = config.ranked_range(data.n)
@@ -367,12 +368,12 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
 
         obj = sorr_objective(W, b, data, loss_spec, r, config.C)
         trace.append(_check_finite(obj, t))
-        lambdas.append(LambdaPair(lam=float(lam), lam_hat=float("nan")))
+        lambdas.append(LambdaPair(lam=float(lam), lam_hat=None))
 
-    model = _as_model(W, b, loss_spec, config)
-    if best[1] is not None and best[0] < score(model):
-        model = best[1]
-    return TrainReport(model, trace, lambdas)
+    model, key = _as_model(W, b, loss_spec, config), None
+    if best[1] is not None and best[0] < (key := score(model)):
+        key, model = best
+    return TrainReport(model, trace, lambdas, key)
 
 
 def _average_descent(data: Dataset, loss_spec, config: TrainConfig,

@@ -55,7 +55,7 @@ def _small_binary(seed, n=40, d=3):
     w = rng.standard_normal(d)
     y = np.where(X @ w + 0.3 * rng.standard_normal(n) >= 0, 1, -1)
     from rankedrange import Dataset
-    return Dataset(X, y.astype(np.int64), 1, f"fixture(seed={seed})")
+    return Dataset(X, y.astype(np.int64), 1)
 
 
 # -- 1: order-statistics identities ----------------------------------------
@@ -205,7 +205,7 @@ def test_04_interval_cvar_bound_monte_carlo():
 def test_05_trimmed_range_objective_descent():
     full = gen_synthetic(SyntheticSpec(balanced=True, n_outliers=1, seed=0))
     from rankedrange import Dataset
-    data = Dataset(full.features[:50], full.labels[:50], 1, "50-sample subset")
+    data = Dataset(full.features[:50], full.labels[:50], 1)
     spec = make_loss_spec("logistic")
     cfg = TrainConfig(m=2, k=10, C=1e4, eta_inner=0.002, outer_epochs=8,
                       inner_epochs=4000, batch=0)

@@ -420,11 +420,13 @@ _MODEL = ("format_version = 1\nl = 1\nd = 2\nloss_kind = logistic\nk = 0\n"
     ("kprime = 0", "kprime = 0.5", "model:7"),
     ("-1.0", "nan", "model:8"),
     ("bias = 0.5", "bias = x", "model:9"),
+    ("bias = 0.5", "bias = nan", "model:9"),
+    ("bias = 0.5", "bias = -inf", "model:9"),
     ("logistic", "logistic\xe9", "model:4"),
     ("d = 2\n", "d = 3\n", "model:8"),
     ("d = 2\n", "d = 3\n", None),
-], ids=["l", "kprime", "nan-weight", "bias", "latin-1", "weight-count",
-        "data-d"])
+], ids=["l", "kprime", "nan-weight", "bias", "nan-bias", "inf-bias", "latin-1",
+        "weight-count", "data-d"])
 def test_eval_unusable_model_or_data_exits_2(tmp_path, capsys, old, new,
                                              where):
     text = _MODEL.replace(old, new)
@@ -1159,6 +1161,11 @@ _CONFIG_ERRORS = {
                      "aggregate"),
     "tkml_aorr-m-zero": (_ML6 + "aggregate = tkml_aorr\ntrain.k = 5\n",
                          "train.m"),
+    # the random start silently fell back to zeros
+    "train.init_scale-negative": (_BINARY + "train.init_scale = -1\n",
+                                  "train.init_scale"),
+    "train.init_scale-nan": (_BINARY + "train.init_scale = nan\n",
+                             "train.init_scale"),
 }
 
 
@@ -1228,3 +1235,49 @@ def test_diverged_trainer_exits_3(tmp_path, capsys, aggregate):
     assert status == EXIT_NUMERIC
     assert (f"objective became non-finite at epoch {epoch}\n"
             in capsys.readouterr().err)
+
+
+def _reject_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("text", [
+    _BINARY + "aggregate = average\ntrain.outer_epochs = 3\n",
+    _BINARY + ("aggregate = atk\ntrain.k = 20\ntrain.outer_epochs = 2\n"
+               "train.inner_epochs = 20\n"),
+    _BINARY + ("aggregate = auto_aorr\nsplit = 0.5,0.25,0.25\n"
+               "train.warmup_epochs = 5\ntrain.outer_epochs = 2\n"
+               "train.inner_epochs = 20\n"),
+    _ML6 + ("aggregate = tkml_aorr\ntrain.m = 1\ntrain.k = 20\n"
+            "train.warmup_epochs = 5\ntrain.outer_epochs = 20\n"),
+], ids=["sgd_average_train", "dca_train", "auto_train", "tkml_aorr_train"])
+def test_reports_are_strict_json(tmp_path, text):
+    # dca_train, which learns no lam_hat, wrote NaN into lambda_trace
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path),
+                 "--name", "report"]) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text(),
+                        parse_constant=_reject_constant)
+    trace = report["runs"][0]["lambda_trace"]
+    if report["config"]["aggregate"] == "atk":  # dca_train
+        assert trace and all(lam_hat is None for _, lam_hat in trace)
+
+
+def test_a_scored_dca_candidate_is_not_scored_again(monkeypatch):
+    # each of two restarts scores its 2 snapshots and its final iterate on
+    # the validation part, and the kept model is scored on the test part;
+    # ranking the candidates scored each final iterate a second time
+    _cpus(monkeypatch, 1)
+    evaluate, calls = cli._evaluate, []
+
+    def counting(model, rows, k):
+        calls.append(rows.n)
+        return evaluate(model, rows, k)
+
+    monkeypatch.setattr(cli, "_evaluate", counting)
+    run_experiment(parse_config(
+        "task = binary\naggregate = aorr\ndataset = synthetic\n"
+        "split = 0.5,0.25,0.25\ntrain.m = 2\ntrain.k = 50\ntrain.batch = 4\n"
+        "train.outer_epochs = 1\ntrain.inner_epochs = 200\nrestarts = 2\n"))
+    assert len(calls) == 7

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rankedrange import (
     DataParseError,
     Dataset,
+    LabelError,
     NoiseSpec,
     SyntheticSpec,
     gen_multiclass_blobs,
@@ -77,8 +78,9 @@ def test_multilabel_synthetic_sets():
     data = gen_multilabel_synthetic(50, 10, 6, seed=0, min_labels=2,
                                     max_labels=4)
     assert data.is_multilabel
-    assert all(2 <= len(Y) <= 4 for Y in data.labels)
-    assert all(max(Y) <= 6 and min(Y) >= 1 for Y in data.labels)
+    assert data.labels.shape == (50, 6) and data.labels.dtype == bool
+    counts = np.count_nonzero(data.labels, axis=1)
+    assert ((2 <= counts) & (counts <= 4)).all()
 
 
 # --- ingestion ------------------------------------------------------------
@@ -96,7 +98,8 @@ def test_load_csv_multilabel(tmp_path):
     path.write_text("labels,f0\n1;3,0.5\n2,1.0\n")
     data = load_dataset(path)
     assert data.is_multilabel
-    assert data.labels[0] == frozenset({1, 3})
+    np.testing.assert_array_equal(data.labels, [[True, False, True, False],
+                                                [False, True, False, False]])
 
 
 def test_load_csv_malformed_row(tmp_path):
@@ -208,7 +211,7 @@ def test_write_csv_roundtrip(tmp_path):
     write_csv(orig, path)
     back = load_dataset(path, l=5)
     np.testing.assert_allclose(back.features, orig.features, atol=0)
-    assert back.labels == orig.labels
+    np.testing.assert_array_equal(back.labels, orig.labels)
 
 
 def _reference_load_csv(path, l=None):
@@ -252,11 +255,11 @@ def _reference_load_csv(path, l=None):
     if multilabel:
         if l is None:
             l = max(max(ys) for ys in labels) + 1
-        return Dataset(X, tuple(labels), l, f"csv:{path}")
+        return Dataset(X, tuple(labels), l)
     y = np.array(labels, dtype=np.int64)
     if l is None:
         l = 1 if set(np.unique(y)) <= {-1, 1} else int(y.max())
-    return Dataset(X, y, l, f"csv:{path}")
+    return Dataset(X, y, l)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -310,10 +313,9 @@ def test_load_csv_matches_per_field_reference(tmp_path_factory, text):
     got, want = load_dataset(path), _reference_load_csv(path)
     assert got.features.shape == want.features.shape
     assert got.features.tobytes() == want.features.tobytes()
-    if want.is_multilabel:
-        assert got.labels == want.labels
-    else:
-        assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.labels.shape == want.labels.shape
+    assert got.labels.dtype == want.labels.dtype
+    assert got.labels.tobytes() == want.labels.tobytes()
     assert got.l == want.l
 
 
@@ -441,10 +443,10 @@ def test_multilabel_noise_keeps_sets_valid():
                                     max_labels=4)
     noisy = inject_noise(data, NoiseSpec(mode="multilabel_symmetric", p=0.5,
                                          seed=8))
-    assert any(a != b for a, b in zip(noisy.labels, data.labels))
-    for Y in noisy.labels:
-        assert 1 <= len(Y) < 8
-        assert all(1 <= y <= 8 for y in Y)
+    assert (noisy.labels != data.labels).any()
+    assert noisy.labels.shape == (300, 8)
+    counts = np.count_nonzero(noisy.labels, axis=1)
+    assert ((1 <= counts) & (counts < 8)).all()
 
 
 def test_multilabel_noise_mode_mismatch():
@@ -460,15 +462,16 @@ def _loop_noise(data, spec):
         selected = rng.random(data.n) < spec.p
         new_labels = []
         for i in range(data.n):
+            ys = [int(y) for y in np.flatnonzero(data.labels[i]) + 1]
             if not selected[i]:
-                new_labels.append(data.labels[i])
+                new_labels.append(frozenset(ys))
                 continue
             replaced = set()
-            for y in sorted(data.labels[i]):
+            for y in ys:
                 choices = [c for c in range(1, data.l + 1) if c != y]
                 replaced.add(int(rng.choice(choices)))
             new_labels.append(frozenset(replaced))
-        return tuple(new_labels)
+        return Dataset(data.features, new_labels, data.l).labels
     y = data.labels.copy()
     if spec.mode == "symmetric":
         selected = rng.random(data.n) < spec.p
@@ -509,11 +512,8 @@ def test_noise_labels_match_per_row_loops(p, seed):
     for data, mode, flip_map in _noise_cases():
         spec = NoiseSpec(mode=mode, p=p, flip_map=flip_map, seed=seed)
         noisy, expected = inject_noise(data, spec).labels, _loop_noise(data, spec)
-        if data.is_multilabel:
-            assert noisy == expected
-        else:
-            assert noisy.dtype == expected.dtype
-            assert noisy.tobytes() == expected.tobytes()
+        assert noisy.shape == expected.shape and noisy.dtype == expected.dtype
+        assert noisy.tobytes() == expected.tobytes()
 
 
 # --- splitting and standardization ----------------------------------------
@@ -543,15 +543,14 @@ def test_split_fraction_guard():
 
 
 def test_standardize_simple_column():
-    train = Dataset(np.array([[1.0], [3.0]]), np.array([1, -1]), 1, "t")
+    train = Dataset(np.array([[1.0], [3.0]]), np.array([1, -1]), 1)
     (out,), means, stds = standardize(train)
     np.testing.assert_allclose(out.features[:, 0], [-1.0, 1.0])
     assert means[0] == 2.0 and stds[0] == 1.0
 
 
 def test_standardize_constant_column_untouched():
-    train = Dataset(np.array([[5.0, 1.0], [5.0, 3.0]]), np.array([1, -1]),
-                    1, "t")
+    train = Dataset(np.array([[5.0, 1.0], [5.0, 3.0]]), np.array([1, -1]), 1)
     (out,), _, _ = standardize(train)
     np.testing.assert_array_equal(out.features[:, 0], [5.0, 5.0])
 
@@ -559,9 +558,9 @@ def test_standardize_constant_column_untouched():
 def test_standardize_uses_train_statistics_only():
     rng = np.random.default_rng(10)
     train = Dataset(rng.normal(2, 3, size=(50, 4)),
-                    np.ones(50, dtype=np.int64), 1, "t")
+                    np.ones(50, dtype=np.int64), 1)
     test = Dataset(rng.normal(-1, 0.5, size=(20, 4)),
-                   np.ones(20, dtype=np.int64), 1, "t")
+                   np.ones(20, dtype=np.int64), 1)
     (tr, te), means, stds = standardize(train, test)
     expected = (test.features - train.features.mean(axis=0)) / \
         train.features.std(axis=0)
@@ -586,9 +585,9 @@ def test_standardize_matches_masked_reference():
     # column 0 has zero variance and holds -0.0, which must stay -0.0
     train = Dataset(np.array([[-0.0, 1.0, 2.5], [0.0, 3.0, -1.0],
                               [0.0, -2.0, 7.25]]),
-                    np.array([1, -1, 1]), 1, "t")
+                    np.array([1, -1, 1]), 1)
     test = Dataset(np.array([[-0.0, -0.0, 0.1], [4.0, 0.5, -0.0]]),
-                   np.array([1, -1]), 1, "t")
+                   np.array([1, -1]), 1)
     (tr, te), _, _ = standardize(train, test)
     want_tr, want_te = _reference_standardize(train, test)
     assert tr.features.tobytes() == want_tr.tobytes()
@@ -613,7 +612,7 @@ def _with_hard_columns(data, seed):
     const = np.full((data.n, 1), rng.standard_normal())
     tiny = 1e-170 * (1.0 + 1e-3 * rng.standard_normal((data.n, 1)))
     X = np.hstack([const, tiny, data.features * 10.0 ** rng.integers(-5, 6)])
-    return Dataset(X, data.labels, data.l, data.provenance)
+    return Dataset(X, data.labels, data.l)
 
 
 @pytest.mark.parametrize("fractions", [(0.7, 0.3), (0.5, 0.3, 0.2),
@@ -644,11 +643,8 @@ def test_split_standardized_equals_standardize_of_split(kind, seed, fractions):
     for g, w, raw in zip(got, want, split):
         z = ((raw.features - shift) / scale).tobytes()
         assert g.features.tobytes() == w.features.tobytes() == z
-        assert g.l == w.l and g.provenance == w.provenance
-        if kind == "multilabel":
-            assert g.labels == w.labels
-        else:
-            assert g.labels.tobytes() == w.labels.tobytes()
+        assert g.l == w.l and g.labels.dtype == w.labels.dtype
+        assert g.labels.tobytes() == w.labels.tobytes()
 
 
 def test_split_and_standardize_leave_their_inputs_untouched():
@@ -665,7 +661,7 @@ def test_split_and_standardize_leave_their_inputs_untouched():
 def test_split_standardized_holds_one_copy_of_the_rows():
     rng = np.random.default_rng(4)
     data = Dataset(rng.standard_normal((20_000, 100)),
-                   rng.integers(1, 4, size=20_000), 3, "t")
+                   rng.integers(1, 4, size=20_000), 3)
     tracemalloc.start()
     try:
         result = split_standardized(data, (0.6, 0.2, 0.2), seed=5)
@@ -680,9 +676,45 @@ def test_split_standardized_holds_one_copy_of_the_rows():
 
 def test_dataset_validation():
     with pytest.raises(ValueError):
-        Dataset(np.zeros((2, 2)), np.array([1, 5]), 3, "bad label range")
+        Dataset(np.zeros((2, 2)), np.array([1, 5]), 3)
     with pytest.raises(ValueError):
-        Dataset(np.zeros((2, 2)), (frozenset(), frozenset({1})), 4, "empty set")
+        Dataset(np.zeros((2, 2)), (frozenset(), frozenset({1})), 4)
+    with pytest.raises(ValueError, match="bool label matrix"):
+        Dataset(np.zeros((2, 2)), np.eye(2, 4, dtype=np.int64), 4)
+    with pytest.raises(ValueError, match="bool label matrix"):
+        Dataset(np.zeros((2, 2)), np.eye(2, 3, dtype=bool), 4)
+
+
+def test_label_sets_given_as_sets_or_as_the_matrix():
+    Y = np.array([[True, False, True, False], [False, True, False, False]])
+    for labels in ((frozenset({1, 3}), frozenset({2})), [{3, 1}, {2}], Y):
+        data = Dataset(np.zeros((2, 1)), labels, 4)
+        assert data.is_multilabel and data.labels.dtype == bool
+        np.testing.assert_array_equal(data.labels, Y)
+        assert data.label_matrix is data.labels
+        assert not data.labels.flags.writeable
+
+
+@pytest.mark.parametrize("labels, row", [
+    ((frozenset({1}), frozenset({2}), frozenset({1, 2, 3, 4})), 2),
+    ((frozenset({1}), frozenset(), frozenset({5})), 1),
+    ((frozenset({1}), frozenset({0, 2}), frozenset()), 1),
+    (np.array([[1, 0, 0, 0], [1, 1, 1, 1]], dtype=bool), 1),
+    (np.array([[1, 0, 0, 0], [0, 0, 0, 0], [1, 1, 1, 1]], dtype=bool), 1),
+], ids=["full-set", "empty-set", "set-outside-l", "full-row", "empty-row"])
+def test_bad_label_set_raises_at_its_row(labels, row):
+    with pytest.raises(LabelError) as exc:
+        Dataset(np.zeros((len(labels), 1)), labels, 4)
+    assert exc.value.row == row
+
+
+def test_a_callers_label_matrix_stays_writeable():
+    Y = np.array([[True, False, False], [False, True, True]])
+    data = Dataset(np.zeros((2, 1)), Y, 3)
+    assert Y.flags.writeable and not data.labels.flags.writeable
+    noisy = inject_noise(data, NoiseSpec(mode="multilabel_symmetric", p=1.0))
+    assert not noisy.labels.flags.writeable
+    np.testing.assert_array_equal(data.labels, Y)  # the draw wrote a copy
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -154,6 +154,20 @@ def test_mismatched_dimensions_rejected(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_bias_rejected(tmp_path, value):
+    # a NaN bias loaded and scored every row alike
+    with pytest.raises(ValueError, match="bias"):
+        LinearModel(weights=np.zeros((2, 1)), bias=np.array([0.0, float(value)]))
+    path = tmp_path / "model.txt"
+    path.write_text(
+        "format_version = 1\nl = 2\nd = 1\nloss_kind = hinge\n"
+        f"k = 0\nm = 0\nkprime = 0\nweights = 1.0 2.0\nbias = 0 {value}\n")
+    with pytest.raises(ModelParseError) as exc:
+        load_model(path)
+    assert exc.value.lineno == 9
+
+
 def test_bad_version_and_missing_keys(tmp_path):
     path = tmp_path / "model.txt"
     path.write_text("format_version = 9\nl = 1\nd = 1\nweights = 1\n")

@@ -56,7 +56,7 @@ def small_binary(seed=0, n=40):
     X = rng.standard_normal((n, 3))
     w = np.array([1.0, -2.0, 0.5])
     y = np.where(X @ w + 0.3 * rng.standard_normal(n) >= 0, 1, -1)
-    return Dataset(X, y.astype(np.int64), 1, f"fixture(seed={seed})")
+    return Dataset(X, y.astype(np.int64), 1)
 
 
 # --- phi_subgradient ------------------------------------------------------
@@ -105,7 +105,7 @@ def test_one_dimensional_mislabeled_point_excluded():
     # (m=1) recovers a threshold that classifies every inlier correctly
     X = np.array([[-3.0], [-2.5], [-2.0], [-1.5], [1.5], [2.0], [2.5], [-2.2]])
     y = np.array([-1, -1, -1, -1, 1, 1, 1, 1], dtype=np.int64)  # last is wrong
-    data = Dataset(X, y, 1, "1d")
+    data = Dataset(X, y, 1)
     spec = make_loss_spec("hinge")
     config = TrainConfig(m=1, k=2, C=1e4, eta_inner=0.01, outer_epochs=6,
                          inner_epochs=3000, batch=0)
@@ -147,7 +147,7 @@ def test_dca_top_m_subgradient_counts_tied_rows():
     # full-batch step with the scalar oracle.
     base = small_binary(seed=19, n=8)
     data = Dataset(np.repeat(base.features, 2, axis=0),
-                   np.repeat(base.labels, 2), 1, "duplicated rows")
+                   np.repeat(base.labels, 2), 1)
     m, k, eta, C, seed, scale = 5, 12, 0.01, 1e4, 3, 0.5
     cfg = TrainConfig(m=m, k=k, C=C, eta_inner=eta, outer_epochs=1,
                       inner_epochs=1, batch=0, seed=seed, init_scale=scale)
@@ -247,7 +247,7 @@ def test_lambda_dynamics_expected_increment():
     n, k = 50, 10
     data = Dataset(np.zeros((n, 3)),
                    np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int64),
-                   1, "flat")
+                   1)
     spec = make_loss_spec("logistic")
     eta = 0.01
     steps = 100  # keeps lambda below the constant loss level 1.0
@@ -578,7 +578,7 @@ def test_tkml_aorr_one_step_hand_check():
         out = []
         for i in range(8):
             scores = W @ data.features[i] + b
-            Y = LabelSet(data.labels[i], 5)
+            Y = LabelSet(np.flatnonzero(data.labels[i]) + 1, 5)
             out.append(tkml_loss_subgrad(scores, Y, kprime))
         return out
     for _ in range(warm):
@@ -815,7 +815,7 @@ def test_sgd_average_separable_data_perfect():
     X = np.vstack([rng.normal(2, 0.3, size=(30, 2)),
                    rng.normal(-2, 0.3, size=(30, 2))])
     y = np.array([1] * 30 + [-1] * 30, dtype=np.int64)
-    data = Dataset(X, y, 1, "separable")
+    data = Dataset(X, y, 1)
     spec = make_loss_spec("logistic")
     cfg = TrainConfig(eta_outer=0.5, outer_epochs=500, batch=0)
     report = sgd_average_train(data, spec, cfg)
@@ -846,7 +846,8 @@ def test_tkml_sample_loss_matches_scalar_path():
     batch = spec.losses(W, b, data)
     for i in range(30):
         scores = W @ data.features[i] + b
-        value, _ = tkml_loss_subgrad(scores, LabelSet(data.labels[i], 5), 2)
+        value, _ = tkml_loss_subgrad(
+            scores, LabelSet(np.flatnonzero(data.labels[i]) + 1, 5), 2)
         assert batch[i] == pytest.approx(value, abs=1e-12)
 
 
@@ -862,8 +863,8 @@ def test_tkml_losses_on_short_lived_subsets():
         idx = rng.choice(base.n, size=10, replace=False)
         values = spec.losses(W, b, base.subset(idx))
         for value, i in zip(values, idx):
-            expected, _ = tkml_loss_subgrad(W @ base.features[i] + b,
-                                            LabelSet(base.labels[i], 5), 1)
+            Y = LabelSet(np.flatnonzero(base.labels[i]) + 1, 5)
+            expected, _ = tkml_loss_subgrad(W @ base.features[i] + b, Y, 1)
             assert value == pytest.approx(expected, abs=1e-12)
 
 
@@ -874,7 +875,8 @@ def _scalar_loss_grad(kind, scores, label, l):
         return value, np.array([deriv * label])
     if kind == "softmax":
         return softmax_loss_grad(scores, int(label))
-    value, coeffs = tkml_loss_subgrad(scores, LabelSet(label, l), 2)
+    Y = LabelSet(np.flatnonzero(label) + 1, l)
+    value, coeffs = tkml_loss_subgrad(scores, Y, 2)
     grad = np.zeros(l)
     for lab, c in coeffs.items():
         grad[lab - 1] += c
@@ -918,7 +920,7 @@ def _tied_tkml_cases():
     base = gen_multilabel_synthetic(400, 3, l, seed=24, max_labels=4)
     rng = np.random.default_rng(25)
     X = rng.integers(-2, 3, size=(400, 3)).astype(np.float64)
-    data = Dataset(np.vstack([X, X]), base.labels + base.labels, l, "tied")
+    data = Dataset(np.vstack([X, X]), np.vstack([base.labels, base.labels]), l)
     zero = (np.zeros((l, 3)), np.zeros(l))
     bias = (np.zeros((l, 3)), np.array([1.0, 0.0, 1.0, 2.0, 0.0, 1.0]))
     rounded = (np.round(rng.standard_normal((l, 3))),
@@ -945,14 +947,15 @@ def test_tkml_value_and_grad_ties_match_scalar_oracle_exactly(kprime):
                 W, b, data if rows is None else gathered(data, rows))
             for pos, i in enumerate(range(data.n) if rows is None else rows):
                 value, coeffs = tkml_loss_subgrad(
-                    scores[i], LabelSet(data.labels[i], data.l), kprime)
+                    scores[i], LabelSet(np.flatnonzero(data.labels[i]) + 1, data.l),
+                    kprime)
                 grad = np.zeros(data.l)
                 for lab, c in coeffs.items():
                     grad[lab - 1] += c
                 assert values[pos] == value
                 np.testing.assert_array_equal(G[pos], grad)
-                hinges = np.maximum(1.0 + scores[i] - min(
-                    scores[i][y - 1] for y in data.labels[i]), 0.0)
+                hinges = np.maximum(
+                    1.0 + scores[i] - scores[i][data.labels[i]].min(), 0.0)
                 positive_ties += value > 0.0 and np.sum(hinges == value) > 1
     assert positive_ties > 0  # the cases do reach the tie rule
 
@@ -983,7 +986,7 @@ def test_tkml_large_path_matches_stable_rank_with_non_finite_and_zero_ties(
     X[::7, 0] = np.inf
     X[3::11, 1] = -np.inf
     X[5::13, 2] = np.nan
-    rows = Dataset(X, data.labels, data.l, "non-finite")
+    rows = Dataset(X, data.labels, data.l)
     assert rows.n * rows.l >= _PARTITION_MIN_SIZE
     W, b = rounded
     with np.errstate(invalid="ignore"):
@@ -1046,7 +1049,7 @@ def test_tkml_label_major_path_matches_stable_rank(case):
     n, l = scores.shape
     if as_dataset:
         rows = Dataset(scores, tuple(frozenset(np.flatnonzero(y) + 1)
-                                     for y in labels), l, "integer scores")
+                                     for y in labels), l)
         np.testing.assert_array_equal(rows.label_matrix, labels)
     else:
         rows = _Batch(scores, labels, n)
@@ -1065,7 +1068,7 @@ def test_tkml_one_non_finite_score_sends_the_matrix_to_stable_rank(
     data, (_, _, rounded) = _tied_tkml_cases()
     X = data.features.copy()
     X[123, 1] = bad
-    rows = Dataset(X, data.labels, data.l, "one non-finite")
+    rows = Dataset(X, data.labels, data.l)
     ranked = []
     stable_rank = optim._stable_rank
 
