@@ -79,7 +79,6 @@ from .optim import (
     sgd_average_train,
     sorr_objective,
     tkml_aorr_train,
-    tkml_warm_start,
 )
 from .riskmeasure import (
     RiskLevelPair,

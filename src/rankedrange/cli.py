@@ -9,10 +9,10 @@ config text that ``repro`` parses with ``parse_config`` and runs with
 ``run_experiment``, exactly as ``train`` runs a config file.
 
 The repeats of an experiment, the candidates of a ranked-range run (its
-(m, k) cells times its restarts) and the warm starts of a
-``tkml_aorr_train`` run (one per restart) run on forked processes, up to
-one per CPU (``_ordered_map``); the caller runs its share of them and
-collects all the results in item order.
+(m, k) cells times its restarts) and the average-loss warm starts of a
+``tkml_aorr_train`` run (one ``sgd_average_train`` run per restart) run on
+forked processes, up to one per CPU (``_ordered_map``); the caller runs its
+share of them and collects all the results in item order.
 Every command holds OpenBLAS at one thread (``single_blas_thread``), so the
 report is the same as a serial run's at any repeat count.
 
@@ -56,7 +56,7 @@ ml.min/.max       label-set size range
 ml.noise          score noise of the multilabel generator
 grid.m, grid.k    comma lists: the m and k of a ranked range's (m, k) cells
                   (default train.m, train.k); the kept cell is reported
-train.*           any TrainConfig field
+train.*           any TrainConfig field but seed (see base_seed)
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure.  A config error names its key: the check that tests a value
@@ -111,7 +111,6 @@ from .optim import (
     make_loss_spec,
     sgd_average_train,
     tkml_aorr_train,
-    tkml_warm_start,
 )
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -265,7 +264,22 @@ def _config_field(key: str) -> tuple:
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     if name not in types:
         raise ConfigError(key, "unknown key")
+    if key == "train.seed":
+        raise ConfigError(key, "run i trains with seed base_seed + i; set "
+                               "base_seed instead")
     return section, name, types[name]
+
+
+def _read_config(path: str) -> str:
+    """The text of the config file at ``path``; a byte that is not UTF-8 is
+    a config error at its line, numbered as ``parse_config`` numbers them."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((raw[:exc.start].decode("utf-8") + ".").splitlines())
+        raise ConfigError(f"line {lineno}", "not UTF-8 text") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -486,10 +500,12 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     restarts = [{}] if cfg.restarts == 1 else [
         {"seed": seed * 100 + r, "init_scale": 0.5 if r else 0.0}
         for r in range(cfg.restarts)]
-    # the warm start does not depend on (m, k): one per restart, mapped as
-    # the candidates are
-    starts = (_ordered_map(lambda r: tkml_warm_start(tr, spec, replace(base, **r)),
-                           restarts) if minimax else [None] * len(restarts))
+    # one average-loss warm start per restart serves every (m, k) cell
+    starts = [None] * len(restarts)
+    if minimax and base.warmup_epochs:
+        warm = replace(base, batch=0, outer_epochs=base.warmup_epochs)
+        starts = _ordered_map(lambda r: sgd_average_train(
+            tr, spec, replace(warm, **r)).model, restarts)
     candidates = [(replace(cell, **r), start) for cell in cells
                   for r, start in zip(restarts, starts)]
     probe = None if va is None else functools.partial(score, rows=va)
@@ -954,8 +970,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
+    cfg = parse_config(_read_config(args.config))
     if args.seed is not None:
         cfg = replace(cfg, base_seed=args.seed)
     report = run_experiment(cfg, args.out, args.name)
@@ -998,8 +1013,7 @@ def _parse_range(text: str):
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_config(args.config)
     key = args.param
     if key == "p":
         key = "noise.p"

@@ -7,9 +7,10 @@ giving the loss of each row of ``rows`` and its derivative with respect to
 the row's scores; the trainers turn those into parameter gradients through
 ``_chain_rule``.  ``rows`` is a whole Dataset or one step's gathered batch,
 and every trainer takes its steps over the rows that ``_batches`` yields.
-The per-label logistic baseline is one more spec.  ``sgd_average_train``,
-the ``tkml_aorr_train`` warm start and the ``auto_train`` warm-up take their
-epochs from one average-descent loop, ``_average_descent``.
+The per-label logistic baseline is one more spec.  ``sgd_average_train``
+(which also gives the ``tkml_aorr_train`` warm start) and the
+``auto_train`` warm-up take their epochs from one average-descent loop,
+``_average_descent``.
 All trainers are deterministic functions of (data, config.seed).
 """
 
@@ -491,39 +492,26 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
     return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas)
 
 
-def tkml_warm_start(data: Dataset, loss_spec, config: TrainConfig) -> tuple:
-    """(W, b) after the ``config.warmup_epochs`` full-batch average-loss
-    steps that ``tkml_aorr_train`` takes from its seeded start.  They do not
-    depend on ``config.m`` or ``config.k``, so one warm start serves a whole
-    (m, k) grid."""
-    warm_up = _average_descent(data, loss_spec, replace(config, batch=0),
-                               np.random.default_rng(config.seed))
-    for _ in range(config.warmup_epochs + 1):
-        W, b, _ = next(warm_up)
-    return W, b
-
-
 def tkml_aorr_train(data: Dataset, loss_spec, config: TrainConfig,
-                    start: tuple) -> TrainReport:
+                    start: LinearModel | None = None) -> TrainReport:
     """Simultaneous minimax updates on the combined objective: per-sample
     top-k multi-label losses aggregated through the ranked-range average,
     with joint ascent/descent steps on the two threshold variables.
 
-    ``start`` is ``tkml_warm_start(data, loss_spec, config)``."""
+    The updates start from the seeded start with both thresholds at 0, or,
+    given a ``start`` model (such as an average-loss warm start), from its
+    (W, b) with the thresholds at the analytic saddle of its losses."""
     rng = np.random.default_rng(config.seed)
     r = config.ranked_range(data.n)
     # the seeded start's draws come first in the stream, so the index draws
-    # of batch >= 1 follow them
-    _init_params(data, config, rng)
-    W, b = start
-    lam = 0.0
-    lam_hat = 0.0
+    # of batch >= 1 follow them whether or not a start replaces it
+    W, b = _init_params(data, config, rng)
+    lam = lam_hat = 0.0
     width = r.width
     trace, lambdas = [], []
     evaluated = None  # value_and_grad of every row at the current (W, b)
-    if config.warmup_epochs > 0:
-        # place the thresholds at the analytic saddle of the warmed-up loss
-        # distribution
+    if start is not None:
+        W, b = start.weights, start.bias
         evaluated = loss_spec.value_and_grad(W, b, data)
         lam, lam_hat = tkml_saddle_point(evaluated[0], r)
     batch = config.batch if config.batch < data.n else 0  # >= n: full batch

@@ -18,20 +18,16 @@ _BLOCK_VALUES = 1 << 20
 
 @dataclass(frozen=True)
 class RiskLevelPair:
-    """Tail levels (nu, mu) with nu > mu, plus the support bounds [a, b]."""
+    """Tail levels (nu, mu) with nu > mu."""
 
     nu: float
     mu: float
-    a: float = 0.0
-    b: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
             raise ValueError(f"nu={self.nu} outside (0, 1]")
         if not 0.0 <= self.mu < self.nu:
             raise ValueError(f"need 0 <= mu < nu, got mu={self.mu}, nu={self.nu}")
-        if not self.a < self.b:
-            raise ValueError(f"degenerate support [a, b] = [{self.a}, {self.b}]")
 
 
 def empirical_cvar(values, alpha: float) -> float:
@@ -133,7 +129,7 @@ def cvar_bound_check(sampler, n: int, r: RankedRange, delta: float,
     if trials < 100:
         raise ValueError(f"trials={trials} too few for a meaningful rate (need >= 100)")
     r.validate(n)
-    levels = RiskLevelPair(nu=r.k / n, mu=r.m / n, a=a, b=b)
+    levels = RiskLevelPair(nu=r.k / n, mu=r.m / n)
     reference = _draw_rows(sampler, {"reference": seed}, reference_size,
                            support)[0]
     population = empirical_icvar(reference, levels)

@@ -84,7 +84,7 @@ def test_01_ranked_range_identity_suite():
                 bottom_sum_variational(vals, m, float(srt[m - 1])) -
                 (float(np.sum(vals)) - top_k_sum(vals, m))))
         # interval-CVaR identity at integral tail ranks
-        levels = RiskLevelPair(nu=k / n, mu=m / n, a=0.0, b=1000.0)
+        levels = RiskLevelPair(nu=k / n, mu=m / n)
         worst = max(worst, abs(
             empirical_icvar(vals, levels) - ranked_range_sum(vals, r) / n))
     # brute-force corner enumeration agrees on small sets

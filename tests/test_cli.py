@@ -19,6 +19,7 @@ from rankedrange import (
     gen_multiclass_blobs,
     gen_multilabel_synthetic,
     gen_synthetic,
+    optim,
     split_dataset,
 )
 from rankedrange.cli import (
@@ -101,7 +102,7 @@ _EVERY_FIELD = ExperimentConfig(
                     seed=9),
     train=TrainConfig(m=3, k=9, kprime=2, C=0.5, eta_outer=0.2,
                       eta_inner=0.03, outer_epochs=7, inner_epochs=11,
-                      warmup_epochs=13, batch=4, seed=5, patience=6,
+                      warmup_epochs=13, batch=4, patience=6,
                       refresh_every=8, init_scale=0.125))
 
 
@@ -120,8 +121,9 @@ def test_every_config_field_is_a_key():
     for obj, section in ((_EVERY_FIELD, None), (_EVERY_FIELD.train, "train"),
                          (_EVERY_FIELD.noise, "noise")):
         for f in dataclasses.fields(obj):
-            if f.name in ("noise", "train"):
-                continue
+            if f.name in ("noise", "train") or (section, f.name) == ("train",
+                                                                      "seed"):
+                continue  # train.seed is no key: each run sets its seed
             assert f.type in _PARSERS, f"{f.name}: no parser for {f.type}"
             value = getattr(obj, f.name)
             assert value != f.default, f"{f.name} left at its default"
@@ -133,7 +135,7 @@ def test_every_config_field_is_a_key():
                 name = "map" if f.name == "flip_map" else f.name
                 key = f"{section}.{name}"
             lines.append(_config_line(key, value))
-    assert len(lines) == 42
+    assert len(lines) == 41
     assert parse_config("".join(lines)) == _EVERY_FIELD
 
 
@@ -166,8 +168,6 @@ def test_every_valid_triple_reaches_a_trainer(monkeypatch):
         def trainer(*args, _name=name, **kwargs):
             raise _Reached(_name)
         monkeypatch.setattr(cli, name, trainer)
-    monkeypatch.setattr(cli, "tkml_warm_start",
-                        lambda data, spec, config: None)
     data = {
         "binary": gen_synthetic(SyntheticSpec(seed=1)),
         "multiclass": gen_multiclass_blobs(60, 3, 4, seed=1),
@@ -177,9 +177,11 @@ def test_every_valid_triple_reaches_a_trainer(monkeypatch):
     for task, loss, agg in itertools.product(cli.TASKS, cli.LOSSES,
                                              cli.AGGREGATES):
         try:
+            # no warm start, whose sgd_average_train would stand in for
+            # tkml_aorr_train
             cfg = parse_config(f"task = {task}\nloss = {loss}\n"
                                f"aggregate = {agg}\ntrain.m = 1\n"
-                               "train.k = 5\n")
+                               "train.k = 5\ntrain.warmup_epochs = 0\n")
         except ConfigError:
             continue
         tr, va = split_dataset(data[task], (0.7, 0.3), seed=0)
@@ -308,8 +310,7 @@ def test_label_rank_beyond_l_exits_1_before_training(tmp_path, monkeypatch,
     def no_training(*args, **kwargs):
         raise AssertionError("training started")
 
-    for trainer in ("dca_train", "sgd_average_train", "tkml_warm_start",
-                    "tkml_aorr_train"):
+    for trainer in ("dca_train", "sgd_average_train", "tkml_aorr_train"):
         monkeypatch.setattr(cli, trainer, no_training)
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text + "\n")
@@ -536,8 +537,8 @@ def test_the_first_best_candidate_wins(monkeypatch):
                         score=None: TrainReport(config, [], []))
     monkeypatch.setattr(cli, "tkml_aorr_train", lambda data, spec, config,
                         start: TrainReport(config, [], []))
-    monkeypatch.setattr(cli, "tkml_warm_start",
-                        lambda data, spec, config: None)
+    monkeypatch.setattr(cli, "sgd_average_train",
+                        lambda data, spec, config: TrainReport(None, [], []))
     tables, scored = {}, []
 
     def evaluate(model, rows, k):
@@ -1126,6 +1127,8 @@ _CONFIG_ERRORS = {
                            "split = 0.5,0.25,0.25\nrestarts = 3\n", "restarts"),
     "restarts-lr": (_ML6 + "aggregate = lr\nsplit = 0.5,0.25,0.25\n"
                     "restarts = 3\n", "restarts"),
+    "restarts-no-validation": (_BINARY + "aggregate = aorr\ntrain.m = 1\n"
+                               "train.k = 5\nrestarts = 3\n", "restarts"),
     # grid keys were read for the tkml loss only, and never on these
     **{f"grid.{which}-{agg}": (base + f"aggregate = {agg}\n"
                                f"split = 0.5,0.25,0.25\ngrid.{which} = 5,10\n",
@@ -1150,6 +1153,10 @@ _CONFIG_ERRORS = {
     "base_seed": (_BINARY + "base_seed = -1\n", "base_seed"),
     "train-seed-flag": (["train", "--config", "{config}", "--seed", "-1"],
                         "base_seed"),
+    # each run replaced it with base_seed + run, and the report still gave it
+    "train.seed": (_BINARY + "train.seed = 7\n", "train.seed"),
+    "sweep-seed": (["sweep", "--config", "{config}", "--param", "seed",
+                    "--range", "1:2"], "train.seed"),
     "noise.seed": (_BINARY + _SYMMETRIC + "noise.seed = -1\n", "noise.seed"),
     # numpy's ValueError traceback, and the noise.seed key for the flag
     "gen-synth-seed": (["gen-synth", "--seed", "-1"], "--seed"),
@@ -1188,11 +1195,52 @@ def test_config_errors_exit_1_at_their_key(tmp_path, capsys, row):
         argv = ["train", "--config", str(cfg_path), "--out", str(tmp_path)]
     else:
         argv = [arg.format(**paths) for arg in given]
-        if argv[0] in ("gen-synth", "noise"):
-            argv += ["--out", str(tmp_path / "synth.csv")]
+        if argv[0] in ("gen-synth", "noise", "sweep"):
+            argv += ["--out", str(tmp_path / "out")]
     capsys.readouterr()
     assert main(argv) == EXIT_USAGE
     assert f"config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("command", [
+    ["train"], ["sweep", "--param", "k", "--range", "1:2"]],
+    ids=["train", "sweep"])
+def test_non_utf8_config_exits_1_at_its_line(tmp_path, capsys, command,
+                                             newline):
+    # a Latin-1 byte in a comment ended both commands in a traceback
+    cfg_path = tmp_path / "latin1.cfg"
+    text = _BINARY + "# caf\xe9\ntrain.outer_epochs = 2\n"  # line 5
+    cfg_path.write_bytes(text.replace("\n", newline).encode("latin-1"))
+    capsys.readouterr()
+    assert main([command[0], "--config", str(cfg_path), *command[1:],
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "config key 'line 5': not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_lambda_trace_is_thinned_to_50_evenly_spaced_pairs(monkeypatch):
+    # a run of more than 50 steps reports 50 of its [lam, lam_hat] pairs,
+    # the first and the last among them
+    trained = []
+
+    def recorded(*args):
+        trained.append(optim.tkml_aorr_train(*args))
+        return trained[-1]
+
+    monkeypatch.setattr(cli, "tkml_aorr_train", recorded)
+    cfg = parse_config(_ML6 + "aggregate = tkml_aorr\ntrain.m = 2\n"
+                       "train.k = 20\ntrain.warmup_epochs = 5\n"
+                       "train.outer_epochs = 120\n")
+    reported = run_experiment(cfg)["runs"][0]["lambda_trace"]
+    pairs = [[p.lam, p.lam_hat] for p in trained[0].lambdas]
+    assert len(pairs) == 120 and len(reported) == 50
+    steps = [-1]  # the step of each reported pair, in order
+    for pair in reported:
+        steps.append(pairs.index(pair, steps[-1] + 1))
+    assert steps[1] == 0 and steps[-1] == 119
+    # 119 / 49 = 2.43 steps apart
+    assert {b - a for a, b in zip(steps[1:], steps[2:])} == {2, 3}
 
 
 # runs whose inner steps overflow, so each trainer's losses go non-finite,

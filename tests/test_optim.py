@@ -33,7 +33,6 @@ from rankedrange import (
     split_dataset,
     tkml_aorr_train,
     tkml_loss_subgrad,
-    tkml_warm_start,
 )
 from rankedrange import cli
 from rankedrange.core import top_k_sum
@@ -536,10 +535,19 @@ def test_sgd_average_train_matches_reference_loop(batch):
 
 # --- combined sample/label minimax ----------------------------------------
 
+def _warm_start(data, spec, cfg):
+    """The average-loss warm start that run_experiment gives tkml_aorr_train:
+    cfg.warmup_epochs full-batch epochs, none at 0."""
+    if cfg.warmup_epochs == 0:
+        return None
+    warm = dataclasses.replace(cfg, batch=0, outer_epochs=cfg.warmup_epochs)
+    return sgd_average_train(data, spec, warm).model
+
+
 def _tkml_aorr(data, cfg):
     """tkml_aorr_train from its own warm start."""
     spec = make_loss_spec("tkml", cfg.kprime, data.l)
-    return tkml_aorr_train(data, spec, cfg, tkml_warm_start(data, spec, cfg))
+    return tkml_aorr_train(data, spec, cfg, _warm_start(data, spec, cfg))
 
 
 def test_tkml_aorr_cold_start_threshold_updates():
@@ -680,7 +688,7 @@ def test_tkml_aorr_saddle_point_pass_is_the_first_step_evaluation():
     for warmup in (0, 15):
         cfg = TrainConfig(m=5, k=40, kprime=2, outer_epochs=33, batch=0,
                           warmup_epochs=warmup, seed=27)
-        start = tkml_warm_start(data, make_loss_spec("tkml", 2), cfg)
+        start = _warm_start(data, make_loss_spec("tkml", 2), cfg)
         spec = _CountingSpec(make_loss_spec("tkml", 2), data)
         tkml_aorr_train(data, spec, cfg, start)
         passes.append(spec.passes)
@@ -708,8 +716,8 @@ def test_tkml_aorr_grid_shares_warm_start(monkeypatch, batch, init_scale):
         model = LinearModel(weights=W, bias=b)
         return TrainReport(model, trace, [LambdaPair(*p) for p in lambdas])
 
-    monkeypatch.setattr(cli, "tkml_warm_start",
-                        lambda data, spec, config: None)
+    monkeypatch.setattr(cli, "sgd_average_train",
+                        lambda data, spec, config: TrainReport(None, [], []))
     monkeypatch.setattr(cli, "tkml_aorr_train", own_warm_up)
     assert json.dumps(cli.run_experiment(cfg), sort_keys=True) == shared
 

@@ -134,8 +134,6 @@ def test_level_pair_validation():
         RiskLevelPair(nu=0.2, mu=0.5)
     with pytest.raises(ValueError):
         RiskLevelPair(nu=1.5, mu=0.1)
-    with pytest.raises(ValueError):
-        RiskLevelPair(nu=0.5, mu=0.1, a=1.0, b=1.0)
 
 
 # --- deviation bounds -----------------------------------------------------
