@@ -21,7 +21,9 @@ comment.  Every key has a default (see ``DEFAULTS``); the resolved config
 is embedded in every report so runs are self-describing.  The keys are the
 fields of the config dataclasses: ``train.f`` and ``noise.f`` name fields
 of TrainConfig and NoiseSpec, any other ``a.b`` names the ExperimentConfig
-field ``a_b``, and each field's annotation picks its value parser.
+field ``a_b``, and each field's annotation picks its value parser.  A
+float value (a comma list's too) must be finite: ``nan`` or ``inf`` is a
+config error at its key.
 
 Keys
 ----
@@ -222,6 +224,13 @@ def _parse_bool(value):
     raise ValueError("expected true/false")
 
 
+def _parse_float(value):
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError("expected a finite number")
+    return number
+
+
 def _parse_tuple(cast):
     return lambda value: tuple(cast(v) for v in value.split(",") if v.strip())
 
@@ -234,10 +243,10 @@ def _parse_map(value):
 # one parser per field annotation of the config dataclasses
 _PARSERS = {
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "str": str,
     "bool": _parse_bool,
-    "tuple[float, ...]": _parse_tuple(float),
+    "tuple[float, ...]": _parse_tuple(_parse_float),
     "tuple[int, ...]": _parse_tuple(int),
     "dict | None": _parse_map,
 }
@@ -543,8 +552,7 @@ def _evaluate(model, rows: Dataset, k: int) -> dict:
 def _thin(seq, limit=50):
     if len(seq) <= limit:
         return list(seq)
-    idx = np.linspace(0, len(seq) - 1, limit).astype(int)
-    return [seq[i] for i in idx]
+    return [seq[i * (len(seq) - 1) // (limit - 1)] for i in range(limit)]
 
 
 def _changed_rows(clean: Dataset, noisy: Dataset) -> int:

@@ -4,6 +4,7 @@ and a Monte Carlo check of its finite-sample deviation bounds."""
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -11,8 +12,8 @@ import numpy as np
 
 from .core import RankedRange, as_values, sort_descending, top_k_sum
 
-# values per Monte Carlo block of trials; memory stays bounded by one block
-# however many trials are run
+# values per Monte Carlo block of trials; besides the reference sample and
+# one value per trial, memory holds one block however many trials are run
 _BLOCK_VALUES = 1 << 20
 
 
@@ -115,11 +116,16 @@ def cvar_bound_check(sampler, n: int, r: RankedRange, delta: float,
 
     ``sampler(rng, size)`` must draw ``size`` i.i.d. values inside
     ``support`` as a 1-D array; any other draw raises ValueError naming
-    it.  The population interval-CVaR is proxied by one large reference
-    sample drawn from ``default_rng(seed)``; trial t draws n points from
+    it, the reference first when it and a trial are both bad.  The
+    population interval-CVaR is proxied by one large reference sample
+    drawn from ``default_rng(seed)``; trial t draws n points from
     ``default_rng(seed + 1 + t)``, and the rates report how often the
-    population-minus-empirical gap escapes the stated radii.  Trials run in
-    blocks of about 2**20 values, each sorted row-wise at once.
+    population-minus-empirical gap escapes the stated radii.  The
+    reference is drawn on a second thread while the calling thread draws
+    the trials, so ``sampler`` may be called from two threads at once and
+    must draw only from the ``rng`` it is given.  Trials run in blocks of
+    about 2**20 values, each sorted row-wise at once; memory holds the
+    reference sample, one block and one value per trial.
     """
     a, b = support
     if not a < b:
@@ -130,24 +136,42 @@ def cvar_bound_check(sampler, n: int, r: RankedRange, delta: float,
         raise ValueError(f"trials={trials} too few for a meaningful rate (need >= 100)")
     r.validate(n)
     levels = RiskLevelPair(nu=r.k / n, mu=r.m / n)
-    reference = _draw_rows(sampler, {"reference": seed}, reference_size,
-                           support)[0]
-    population = empirical_icvar(reference, levels)
-    upper_radius, lower_radius = deviation_bound_radii(r, n, delta, support)
-    upper_violations = lower_violations = 0
+    reference: dict = {}
+
+    def draw_reference():
+        # numpy releases the GIL while it fills and sorts the large draw
+        try:
+            reference["population"] = empirical_icvar(_draw_rows(
+                sampler, {"reference": seed}, reference_size, support)[0],
+                levels)
+        except BaseException as exc:  # raised again in the calling thread
+            reference["error"] = exc
+
+    worker = threading.Thread(target=draw_reference,
+                              name="cvar_bound_check reference")
+    icvar = np.empty(trials)
     per_block = max(1, _BLOCK_VALUES // n)
-    for first in range(0, trials, per_block):
-        block = _draw_rows(sampler, {
-            f"trial {t}": seed + 1 + t
-            for t in range(first, min(first + per_block, trials))}, n, support)
-        # each row sorted descending in place, then the top sums of
-        # empirical_icvar, so every trial's value is the same to the bit
-        np.negative(block, out=block)
-        block.sort(axis=1)
-        np.negative(block, out=block)
-        icvar = (np.sum(block[:, :r.k], axis=1) / n
-                 - np.sum(block[:, :r.m], axis=1) / n)
-        gap = population - icvar
-        upper_violations += int(np.count_nonzero(gap > upper_radius))
-        lower_violations += int(np.count_nonzero(gap < -lower_radius))
-    return upper_violations / trials, lower_violations / trials
+    worker.start()
+    try:
+        for first in range(0, trials, per_block):
+            block = _draw_rows(sampler, {
+                f"trial {t}": seed + 1 + t
+                for t in range(first, min(first + per_block, trials))},
+                n, support)
+            # each row sorted descending in place, then the top sums of
+            # empirical_icvar, so every trial's value is the same to the bit
+            np.negative(block, out=block)
+            block.sort(axis=1)
+            np.negative(block, out=block)
+            icvar[first:first + len(block)] = (
+                np.sum(block[:, :r.k], axis=1) / n
+                - np.sum(block[:, :r.m], axis=1) / n)
+    finally:
+        worker.join()
+        # a bad reference is named before a bad trial, as if drawn first
+        if "error" in reference:
+            raise reference["error"]
+    gap = reference["population"] - icvar
+    upper_radius, lower_radius = deviation_bound_radii(r, n, delta, support)
+    return (int(np.count_nonzero(gap > upper_radius)) / trials,
+            int(np.count_nonzero(gap < -lower_radius)) / trials)

@@ -1,4 +1,4 @@
-import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -176,14 +176,14 @@ def test_bound_check_uniform_rates_small():
     assert low <= 0.1
 
 
-def _breaks_draw(call, damage):
-    """A uniform sampler whose ``call``-th draw (0 is the reference, t + 1
-    is trial t) is passed through ``damage``."""
-    calls = itertools.count()
-
+def _breaks_draw(*calls, damage):
+    """A uniform sampler whose draws from the given seeds (0 is the
+    reference, t + 1 is trial t at seed 0) are passed through ``damage``;
+    the draws run on two threads, so they are named by seed, not by order."""
     def sampler(rng, size):
         draw = rng.uniform(0.0, 1.0, size=size)
-        return damage(draw) if next(calls) == call else draw
+        return (damage(draw) if rng.bit_generator.seed_seq.entropy in calls
+                else draw)
     return sampler
 
 
@@ -203,8 +203,41 @@ def _breaks_draw(call, damage):
 def test_bound_check_rejects_a_bad_draw_by_name(call, damage):
     name = "reference" if call == 0 else f"trial {call - 1}"
     with pytest.raises(ValueError, match=f"sampler draw {name}:"):
-        cvar_bound_check(_breaks_draw(call, damage), 20, RankedRange(2, 5),
-                         0.1, trials=100, reference_size=2000)
+        cvar_bound_check(_breaks_draw(call, damage=damage), 20,
+                         RankedRange(2, 5), 0.1, trials=100,
+                         reference_size=2000)
+
+
+def test_bound_check_names_the_reference_before_a_trial():
+    # both the reference and trial 3 are bad; the reference is named, as
+    # when it was drawn before the trials
+    with pytest.raises(ValueError, match="sampler draw reference:"):
+        cvar_bound_check(_breaks_draw(0, 4, damage=lambda d: -d), 20,
+                         RankedRange(2, 5), 0.1, trials=100,
+                         reference_size=2000)
+
+
+def test_bound_check_joins_its_thread_on_a_bad_draw():
+    # the reference draw ends only after trial 3's bad draw, so a call that
+    # raised without joining would leave its thread running
+    trial_drawn = threading.Event()
+
+    def sampler(rng, size):
+        draw = rng.uniform(0.0, 1.0, size=size)
+        call = rng.bit_generator.seed_seq.entropy
+        if call == 0:
+            trial_drawn.wait(timeout=10)
+        elif call == 4:
+            trial_drawn.set()
+            return draw[:-1]
+        return draw
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="sampler draw trial 3:"):
+        cvar_bound_check(sampler, 20, RankedRange(2, 5), 0.1, trials=100,
+                         reference_size=2000)
+    assert trial_drawn.is_set()
+    assert threading.active_count() == before
 
 
 # --- exactness against the stable-argsort order statistics -----------------
