@@ -3,8 +3,11 @@ variational (difference-of-convex) reformulations.
 
 All functions are pure and operate on a 1-D set of finite real values.
 Index orders (``descending_order``) are stable: ties keep ascending
-original index.  Value sorts have no visible tie order, since tied values
-are bitwise equal; the one exception is ``-0.0`` against ``0.0``.
+original index.  Value sorts, full (``sort_descending``) or of the k
+largest values only (``largest_descending``), have no visible tie order,
+since tied values are bitwise equal; the one exception is ``-0.0`` against
+``0.0``.  A sum over a ranked range runs over the k largest values in
+descending order, so it is the same to the bit from either sort.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ class RankedRange:
     k: int
 
     def __post_init__(self):
+        for name in ("m", "k"):
+            rank = getattr(self, name)
+            if not isinstance(rank, (int, np.integer)):
+                raise ValueError(f"rank {name}={rank!r} is not an integer")
         if self.m < 0 or self.k <= self.m:
             raise ValueError(f"need 0 <= m < k, got m={self.m}, k={self.k}")
 
@@ -68,26 +75,45 @@ def sort_descending(values) -> np.ndarray:
     return np.negative(srt, out=srt)
 
 
+def largest_descending(arr: np.ndarray, k: int) -> np.ndarray:
+    """The k largest of the checked values ``arr``, sorted descending.
+
+    A partial sort: a negated copy is partitioned at rank k and only its
+    first k entries are sorted, in O(n + k log k).  The k values equal the
+    prefix of ``sort_descending`` in the same order, up to the tie order of
+    ``-0.0`` and ``0.0``.  Needs 0 <= k <= n; the result is a view of the
+    copy, so memory holds n values while it lives.
+    """
+    srt = np.negative(arr)
+    if k < srt.size:
+        srt.partition(k - 1)
+    top = srt[:k]
+    top.sort()
+    return np.negative(top, out=top)
+
+
 def top_k_sum(values, k: int) -> float:
-    """Sum of the k largest entries (empty sum for k=0)."""
+    """Sum of the k largest entries (empty sum for k=0), from a partial sort
+    of those k."""
     arr = as_values(values)
     n = arr.size
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range for value set of size n={n}")
     if k == 0:
         return 0.0
-    return float(np.sum(sort_descending(arr)[:k]))
+    return float(np.sum(largest_descending(arr, k)))
 
 
 def ranked_range_sum(values, r: RankedRange) -> float:
     """Sum of sorted values from rank m+1 through k.
 
-    Computed from one sort as the difference of two top sums, so the
-    identity with ``top_k_sum`` holds exactly, in the same summation order.
+    Computed from one partial sort of the k largest values as the
+    difference of two top sums, so the identity with ``top_k_sum`` holds
+    exactly, in the same summation order.
     """
     arr = as_values(values)
     r.validate(arr.size)
-    srt = sort_descending(arr)
+    srt = largest_descending(arr, r.k)
     return float(np.sum(srt[:r.k])) - float(np.sum(srt[:r.m]))
 
 

@@ -10,10 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RankedRange, as_values, sort_descending, top_k_sum
+from .core import RankedRange, as_values, largest_descending, top_k_sum
 
-# values per Monte Carlo block of trials; besides the reference sample and
-# one value per trial, memory holds one block however many trials are run
+# values per Monte Carlo block of trials; besides the reference sample, its
+# negated copy and one value per trial, memory holds one block however many
+# trials are run
 _BLOCK_VALUES = 1 << 20
 
 
@@ -37,7 +38,8 @@ def empirical_cvar(values, alpha: float) -> float:
     When n*alpha is an integer k this is the mean of the top k values;
     otherwise the minimum, attained at the (floor(n*alpha) + 1)-th largest
     value, is (sum of the floor(n*alpha) largest + the fractional part of
-    n*alpha times the next largest) / (n*alpha).
+    n*alpha times the next largest) / (n*alpha).  Either sum comes from a
+    partial sort of the values it needs, not a sort of all n.
     """
     arr = as_values(values)
     if not 0.0 < alpha <= 1.0:
@@ -47,7 +49,7 @@ def empirical_cvar(values, alpha: float) -> float:
     if abs(k_real - k) < 1e-9 and k >= 1:
         return top_k_sum(arr, k) / k
     whole = math.floor(k_real)
-    srt = sort_descending(arr)
+    srt = largest_descending(arr, whole + 1)
     tail = float(np.sum(srt[:whole])) + (k_real - whole) * float(srt[whole])
     return tail / k_real
 
@@ -57,17 +59,23 @@ def empirical_icvar(values, levels: RiskLevelPair) -> float:
 
     With integral ranks n*nu and n*mu this equals the (m, k) ranked-range
     sum divided by n; non-integral ranks fall back to the nearest integer
-    rank with a warning.
+    rank with a warning, and ranks that round to an empty range (k = m)
+    raise ValueError.  The sums come from a partial sort of the k largest
+    values, so memory holds the values and one negated copy of them.
     """
     arr = as_values(values)
     n = arr.size
+    k, m = int(round(n * levels.nu)), int(round(n * levels.mu))
+    if k == m:
+        raise ValueError(
+            f"levels nu={levels.nu}, mu={levels.mu} round to ranks m={m}, "
+            f"k={k} on n={n} values: an empty range")
     for level, name in ((levels.nu, "nu"), (levels.mu, "mu")):
         if level > 0 and abs(n * level - round(n * level)) > 1e-9:
             warnings.warn(
                 f"n*{name} = {n * level:.6g} is not an integer rank; "
                 "using the nearest integer", stacklevel=2)
-    k, m = int(round(n * levels.nu)), int(round(n * levels.mu))
-    srt = sort_descending(arr)
+    srt = largest_descending(arr, k)
     upper = float(np.sum(srt[:k])) / n
     if levels.mu == 0.0:
         return upper
@@ -84,29 +92,30 @@ def deviation_bound_radii(r: RankedRange, n: int, delta: float,
     return upper, lower
 
 
-def _draw_rows(sampler, seeds: dict, size: int, support: tuple) -> np.ndarray:
-    """One row ``sampler(default_rng(seed), size)`` per named seed.
+def _draw(sampler, name: str, seed: int, size: int) -> np.ndarray:
+    """``sampler(default_rng(seed), size)`` as a float array; a draw that is
+    not a 1-D array of ``size`` values raises ValueError naming it."""
+    draw = np.asarray(sampler(np.random.default_rng(seed), size),
+                      dtype=np.float64)
+    if draw.shape != (size,):
+        raise ValueError(f"sampler draw {name}: expected {size} values "
+                         f"in a 1-D array, got shape {draw.shape}")
+    return draw
 
-    A draw that is not a 1-D array of ``size`` finite values inside
-    ``support`` raises ValueError naming it.
-    """
-    rows = np.empty((len(seeds), size))
-    for row, (name, seed) in enumerate(seeds.items()):
-        draw = np.asarray(sampler(np.random.default_rng(seed), size),
-                          dtype=np.float64)
-        if draw.shape != (size,):
-            raise ValueError(f"sampler draw {name}: expected {size} values "
-                             f"in a 1-D array, got shape {draw.shape}")
-        rows[row] = draw
+
+def _check_support(rows: np.ndarray, names: list, support: tuple) -> None:
+    """Raise ValueError naming the first row of ``rows`` (one per name) that
+    holds a non-finite value or one outside ``support``.  At most two
+    boolean arrays of the rows' shape are alive at once."""
     a, b = support
-    finite = np.isfinite(rows)
-    good = finite & (rows >= a) & (rows <= b)
+    good = np.isfinite(rows)
+    good &= rows >= a
+    good &= rows <= b
     if not good.all():
         row = int(np.argmin(good.all(axis=1)))
-        what = ("non-finite values" if not finite[row].all()
+        what = ("non-finite values" if not np.isfinite(rows[row]).all()
                 else f"values outside the support [{a}, {b}]")
-        raise ValueError(f"sampler draw {list(seeds)[row]}: {what}")
-    return rows
+        raise ValueError(f"sampler draw {names[row]}: {what}")
 
 
 def cvar_bound_check(sampler, n: int, r: RankedRange, delta: float,
@@ -117,15 +126,18 @@ def cvar_bound_check(sampler, n: int, r: RankedRange, delta: float,
     ``sampler(rng, size)`` must draw ``size`` i.i.d. values inside
     ``support`` as a 1-D array; any other draw raises ValueError naming
     it, the reference first when it and a trial are both bad.  The
-    population interval-CVaR is proxied by one large reference sample
-    drawn from ``default_rng(seed)``; trial t draws n points from
+    population interval-CVaR is proxied by one large reference sample of
+    ``reference_size`` values (an integer >= n) drawn from
+    ``default_rng(seed)``; trial t draws n points from
     ``default_rng(seed + 1 + t)``, and the rates report how often the
     population-minus-empirical gap escapes the stated radii.  The
     reference is drawn on a second thread while the calling thread draws
     the trials, so ``sampler`` may be called from two threads at once and
-    must draw only from the ``rng`` it is given.  Trials run in blocks of
-    about 2**20 values, each sorted row-wise at once; memory holds the
-    reference sample, one block and one value per trial.
+    must draw only from the ``rng`` it is given.  The reference is checked
+    where the sampler left it and its interval CVaR taken from a partial
+    sort of a negated copy.  Trials run in blocks of about 2**20 values,
+    each sorted row-wise at once; memory holds the reference sample, one
+    negated copy of it, one block and one value per trial.
     """
     a, b = support
     if not a < b:
@@ -134,16 +146,21 @@ def cvar_bound_check(sampler, n: int, r: RankedRange, delta: float,
         raise ValueError(f"delta={delta} outside (0, 1]")
     if trials < 100:
         raise ValueError(f"trials={trials} too few for a meaningful rate (need >= 100)")
+    if not (isinstance(reference_size, (int, np.integer))
+            and reference_size >= n):
+        raise ValueError(f"reference_size={reference_size!r} must be an "
+                         f"integer >= n={n}")
     r.validate(n)
     levels = RiskLevelPair(nu=r.k / n, mu=r.m / n)
     reference: dict = {}
 
     def draw_reference():
-        # numpy releases the GIL while it fills and sorts the large draw
+        # numpy releases the GIL while it fills, checks and partially sorts
+        # the large draw
         try:
-            reference["population"] = empirical_icvar(_draw_rows(
-                sampler, {"reference": seed}, reference_size, support)[0],
-                levels)
+            draw = _draw(sampler, "reference", seed, reference_size)
+            _check_support(draw[np.newaxis], ["reference"], support)
+            reference["population"] = empirical_icvar(draw, levels)
         except BaseException as exc:  # raised again in the calling thread
             reference["error"] = exc
 
@@ -154,10 +171,12 @@ def cvar_bound_check(sampler, n: int, r: RankedRange, delta: float,
     worker.start()
     try:
         for first in range(0, trials, per_block):
-            block = _draw_rows(sampler, {
-                f"trial {t}": seed + 1 + t
-                for t in range(first, min(first + per_block, trials))},
-                n, support)
+            names = [f"trial {t}"
+                     for t in range(first, min(first + per_block, trials))]
+            block = np.empty((len(names), n))
+            for row, name in enumerate(names):
+                block[row] = _draw(sampler, name, seed + 1 + first + row, n)
+            _check_support(block, names, support)
             # each row sorted descending in place, then the top sums of
             # empirical_icvar, so every trial's value is the same to the bit
             np.negative(block, out=block)

@@ -80,6 +80,18 @@ def test_degenerate_range_rejected():
         RankedRange(1, 3).validate(2)
 
 
+@pytest.mark.parametrize("m, k, name", [
+    (1.5, 3, "m"), (1, 3.5, "k"), (1, 3.0, "k"), ("1", 3, "m")])
+def test_non_integral_rank_rejected_when_built(m, k, name):
+    with pytest.raises(ValueError, match=f"rank {name}="):
+        RankedRange(m, k)
+
+
+def test_numpy_integer_ranks_are_valid():
+    r = RankedRange(np.int64(1), np.int32(3))
+    assert ranked_range_sum([4.0, 1.0, 3.0, 2.0], r) == 5.0
+
+
 @given(values_lists)
 def test_difference_of_top_sums(vals):
     s = np.array(vals)

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,14 @@ def test_icvar_non_integral_rank_warns():
         empirical_icvar(np.arange(7.0), levels)
 
 
+@pytest.mark.parametrize("nu, mu", [(0.25, 0.2), (0.04, 0.0)],
+                         ids=["k-equals-m", "k-zero"])
+def test_icvar_rejects_ranks_that_round_to_an_empty_range(nu, mu):
+    # on 10 values, 2.5 and 2 both round to rank 2, and 0.4 rounds to 0
+    with pytest.raises(ValueError, match="empty range"):
+        empirical_icvar(np.arange(1.0, 11.0), RiskLevelPair(nu=nu, mu=mu))
+
+
 def test_level_pair_validation():
     with pytest.raises(ValueError):
         RiskLevelPair(nu=0.2, mu=0.5)
@@ -159,6 +168,34 @@ def test_bound_check_guards():
                          support=(1.0, 1.0))
     with pytest.raises(ValueError):
         cvar_bound_check(sampler, 100, RankedRange(5, 20), 1.5, trials=1000)
+
+
+@pytest.mark.parametrize("size", [0, -1, 1, 99, 2.5, 2000.0])
+def test_bound_check_rejects_a_bad_reference_size(size):
+    sampler = lambda rng, size: rng.uniform(0, 1, size=size)
+    with pytest.raises(ValueError, match="reference_size"):
+        cvar_bound_check(sampler, 100, RankedRange(5, 20), 0.1, trials=100,
+                         reference_size=size)
+
+
+def test_bound_check_holds_one_copy_of_its_reference():
+    # the reference draw and one negated copy of it for the partial sort;
+    # the trials' block of 100 x 100 values is small beside them
+    size = 10 ** 6
+    sampler = lambda rng, size: rng.uniform(0, 1, size=size)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        cvar_bound_check(sampler, 100, RankedRange(5, 20), 0.1, trials=100,
+                         reference_size=size)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 2.3 * size * np.dtype(np.float64).itemsize
 
 
 def test_bound_check_delta_one_sanity():
@@ -293,6 +330,42 @@ def test_value_sorts_match_stable_order_exactly(ints, scale, data):
         assert empirical_cvar(s, alpha) == stable_empirical_cvar(s, alpha)
     levels = RiskLevelPair(nu=k / n, mu=m / n)
     assert empirical_icvar(s, levels) == stable_empirical_icvar(s, k / n, m / n)
+
+
+def assert_partial_sorts_match_full_sort(s, ks):
+    n = s.size
+    for k in ks:
+        assert top_k_sum(s, k) == stable_top_k_sum(s, k)
+        if k == 0:
+            continue
+        for m in sorted({0, k // 2, k - 1}):
+            assert ranked_range_sum(s, RankedRange(m, k)) == \
+                stable_top_k_sum(s, k) - stable_top_k_sum(s, m)
+            assert empirical_icvar(s, RiskLevelPair(nu=k / n, mu=m / n)) == \
+                stable_empirical_icvar(s, k / n, m / n)
+        for alpha in (k / n, (k - 0.5) / n):  # integral and fractional n*alpha
+            assert empirical_cvar(s, alpha) == stable_empirical_cvar(s, alpha)
+
+
+@given(st.lists(st.one_of(
+    st.sampled_from([-2.5, -1.0 / 3.0, -0.0, 0.0, 0.1, 1.0 / 3.0, 7.0]),
+    st.floats(min_value=-10.0, max_value=10.0)), min_size=1, max_size=300))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_partial_sorts_match_the_full_sort_at_every_k(vals):
+    # repeated values among distinct ones, both zeros and negatives; every k
+    # from 0 through n
+    s = np.array(vals)
+    assert_partial_sorts_match_full_sort(s, range(s.size + 1))
+
+
+def test_partial_sorts_match_the_full_sort_on_a_large_set():
+    rng = np.random.default_rng(11)
+    s = rng.normal(size=200_000)
+    s[::2] = np.round(s[::2], 2)  # half of the values tied
+    s[rng.integers(0, s.size, size=500)] = -0.0
+    n = s.size
+    assert_partial_sorts_match_full_sort(
+        s, (0, 1, 2, 1000, n // 5, n // 2, n - 1, n))
 
 
 def per_trial_gaps(sampler, n, r, trials, seed, reference_size):
