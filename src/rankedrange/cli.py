@@ -1,5 +1,6 @@
 """Batch experiment harness: seeded train/evaluate runs from plain-text
-configs, grid sweeps, dataset utilities, and a registry of desk-scale
+configs, grid sweeps, a ``data`` command that writes the dataset a config
+names (with its label noise) as CSV, and a registry of desk-scale
 benchmark reproductions.  Reports are machine readable (JSON + flat CSV)
 and byte-identical across re-runs of the same config.
 
@@ -46,7 +47,7 @@ base_seed         run i uses seed base_seed + i (base_seed >= 0)
 eval_k            k for top-k metrics (multiclass / multilabel)
 noise.mode        none | symmetric | asymmetric_map | multilabel_symmetric
                   (the other noise.* keys need a mode other than none)
-noise.p           flip probability (train part only)
+noise.p           flip probability (a run's train part; every row for data)
 noise.map         asymmetric map, e.g. "1:2,2:3"
 noise.seed        offset (>= 0) added to the run seed for the noise draw
 synth.balanced    2-D generator: balanced classes (true/false)
@@ -462,8 +463,8 @@ def _check_k(key: str, k: int, data: Dataset) -> None:
 def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
                  seed: int, holdout: Dataset | None = None):
     """Dispatch on the aggregate; returns (TrainReport, extras dict).  The
-    tkml loss trains the average losses on the full batch, and the ranked
-    ranges other than ``tkml`` with ``tkml_aorr_train``.
+    tkml loss trains the ranked ranges other than ``tkml`` with
+    ``tkml_aorr_train``.
 
     A ranked range trains one candidate per (m, k) cell and restart, and
     keeps the first with the least ``score`` on ``va``, or on ``holdout``
@@ -473,7 +474,6 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     the same ``score`` on ``va``, and reports the key its candidate ranks by."""
     agg = cfg.aggregate
     base = replace(cfg.train, seed=seed)
-    tkml = cfg.loss == "tkml"
     extras: dict = {}
     _check_k("eval_k", cfg.eval_k, tr)
     spec = (MultilabelLogisticLoss() if agg == "lr"
@@ -486,8 +486,7 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
         return table["error"] if "error" in table else -table["topk_accuracy"]
 
     if agg in ("average", "lr"):
-        return sgd_average_train(tr, spec, replace(base, batch=0) if tkml
-                                 else base), extras
+        return sgd_average_train(tr, spec, base), extras
     if agg == "auto_aorr":
         report = auto_train(tr, va, spec, base)
         lam_hat = report.lambdas[-1].lam_hat
@@ -495,7 +494,7 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
             spec.losses(report.model.weights, report.model.bias, tr), lam_hat)
         return report, extras
 
-    minimax = tkml and agg != "tkml"  # tkml_aorr_train, not dca_train
+    minimax = cfg.loss == "tkml" and agg != "tkml"  # tkml_aorr_train
     ranges = dict.fromkeys(_RANGES[agg](m, k, tr.n) for m in cfg.ranks("m")[1]
                            for k in cfg.ranks("k")[1])
     cells = [replace(base, m=m, k=k) for m, k in ranges]
@@ -581,13 +580,12 @@ def _single_run(cfg: ExperimentConfig, run: int, data: Dataset | None) -> dict:
     if cfg.noise is not None and cfg.aggregate == "auto_aorr":
         extras["true_flips"] = _changed_rows(parts[0], tr)
     metrics = _evaluate(report.model, te, cfg.eval_k)
-    trace = [x for x in report.objective_trace if np.isfinite(x)]
     record = {
         "run": run,
         "seed": seed,
         "metrics": metrics,
-        "objective_first": trace[0] if trace else None,
-        "objective_last": trace[-1] if trace else None,
+        "objective_first": report.objective_trace[0],
+        "objective_last": report.objective_trace[-1],
         "lambda_trace": _thin([[p.lam, p.lam_hat] for p in report.lambdas]),
     }
     record.update(extras)
@@ -721,7 +719,8 @@ _EMOTIONS = ("task = multilabel\nloss = tkml\ndataset = multilabel-synth\n"
              "ml.l = 6\nml.min = 1\nml.max = 3\nml.noise = 2.0\n"
              "train.C = 1e4\n")
 _EMOTIONS_LR = _EMOTIONS + (
-    "aggregate = lr\ntrain.eta_outer = 0.5\ntrain.outer_epochs = 1000\n")
+    "aggregate = lr\ntrain.eta_outer = 0.5\ntrain.outer_epochs = 1000\n"
+    "train.batch = 0\n")
 _EMOTIONS_TKML = _EMOTIONS + (
     "aggregate = tkml\ntrain.eta_outer = 0.1\ntrain.eta_inner = 0.1\n"
     "train.outer_epochs = 1\ntrain.inner_epochs = 8000\ntrain.batch = 16\n")
@@ -948,26 +947,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="START:STOP[:STEP]")
     p.add_argument("--out", default="reports")
 
-    p = sub.add_parser("gen-synth", help="write a synthetic dataset as CSV")
+    p = sub.add_parser("data", help="write the dataset a config names as "
+                                    "CSV, with the config's label noise")
+    p.add_argument("--config")
+    p.add_argument("--seed", type=int, default=None,
+                   help="override base_seed")
     p.add_argument("--out", required=True)
-    p.add_argument("--kind", choices=("synthetic", "blobs", "multilabel"),
-                   default="synthetic")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--imbalanced", action="store_true", default=None)
-    p.add_argument("--outliers", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--l", type=int)
-
-    p = sub.add_parser("noise", help="inject label noise into a CSV dataset")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--mode", default="symmetric",
-                   choices=("symmetric", "asymmetric_map",
-                            "multilabel_symmetric"))
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--map", default=None, help="src:dst pairs, comma separated")
 
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset")
     p.add_argument("--model", required=True)
@@ -977,10 +962,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_config(args) -> ExperimentConfig:
+    """The config of a ``--config`` file (all defaults without one), with
+    ``--seed`` in place of its ``base_seed``."""
+    cfg = parse_config(_read_config(args.config) if args.config else "")
+    return cfg if args.seed is None else replace(cfg, base_seed=args.seed)
+
+
 def _cmd_train(args) -> int:
-    cfg = parse_config(_read_config(args.config))
-    if args.seed is not None:
-        cfg = replace(cfg, base_seed=args.seed)
+    cfg = _command_config(args)
     report = run_experiment(cfg, args.out, args.name)
     for key, stats in sorted(report["aggregates"].items()):
         print(f"{key}: mean={_fmt(stats['mean'])} std={_fmt(stats['std'])}")
@@ -1043,45 +1033,17 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_gen_synth(args) -> int:
-    if args.seed < 0:
-        raise ConfigError("--seed", f"seed={args.seed} must be >= 0")
-    # a kind's own flags take their defaults here; another kind's are errors
-    own = ({"imbalanced": False, "outliers": 1} if args.kind == "synthetic"
-           else {"n": 2000, "d": 20, "l": 10})
-    for flag in ("imbalanced", "outliers", "n", "d", "l"):
-        if getattr(args, flag) is None:
-            setattr(args, flag, own.get(flag))
-        elif flag not in own:
-            raise ConfigError(f"--{flag}", f"not read by --kind {args.kind}")
-    if args.kind == "synthetic":
-        data = gen_synthetic(SyntheticSpec(balanced=not args.imbalanced,
-                                           n_outliers=args.outliers,
-                                           seed=args.seed))
-    else:
-        # the blobs.* and ml.* checks, at the flags; the multilabel
-        # generator's label sets hold up to 3 labels and leave one out
-        for flag, low in (("n", 1), ("d", 1),
-                          ("l", 2 if args.kind == "blobs" else 4)):
-            if getattr(args, flag) < low:
-                raise ConfigError(f"--{flag}", f"must be >= {low}")
-        generate = (gen_multiclass_blobs if args.kind == "blobs"
-                    else gen_multilabel_synthetic)
-        data = generate(args.n, args.d, args.l, seed=args.seed)
-    write_csv(data, args.out)
-    print(f"wrote {args.out} ({data.n} samples, {data.d} features)")
-    return EXIT_OK
-
-
-def _cmd_noise(args) -> int:
-    if args.seed < 0:
-        raise ConfigError("--seed", f"seed={args.seed} must be >= 0")
-    data = load_dataset(args.data)
-    flip_map = _parse_value("--map", "dict | None", args.map) if args.map else None
-    noisy = inject_noise(data, NoiseSpec(mode=args.mode, p=args.p,
-                                         flip_map=flip_map, seed=args.seed))
-    write_csv(noisy, args.out)
-    print(f"wrote {args.out} ({_changed_rows(data, noisy)} labels flipped)")
+def _cmd_data(args) -> int:
+    cfg = _command_config(args)
+    seed = cfg.base_seed
+    data = (_GENERATORS[cfg.dataset](cfg, seed) if cfg.dataset in _GENERATORS
+            else load_dataset(cfg.dataset, cfg.format))
+    out, flipped = data, ""
+    if cfg.noise is not None:  # over every row, at a run's seed rule
+        out = inject_noise(data, replace(cfg.noise, seed=cfg.noise.seed + seed))
+        flipped = f", {_changed_rows(data, out)} labels flipped"
+    write_csv(out, args.out)
+    print(f"wrote {args.out} ({out.n} samples, {out.d} features{flipped})")
     return EXIT_OK
 
 
@@ -1098,8 +1060,7 @@ _COMMANDS = {
     "train": _cmd_train,
     "repro": _cmd_repro,
     "sweep": _cmd_sweep,
-    "gen-synth": _cmd_gen_synth,
-    "noise": _cmd_noise,
+    "data": _cmd_data,
     "eval": _cmd_eval,
 }
 

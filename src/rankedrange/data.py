@@ -309,7 +309,7 @@ def _labelled(path, X, labels, l, line_of):
     None.  A label that does not fit l raises DataParseError at the line
     ``line_of(row)`` gives for its row."""
     if l is None and isinstance(labels, list):  # label sets
-        l = max(max(ys) for ys in labels) + 1  # keep sets proper subsets
+        l = max(max(ys) for ys in labels)  # a set of every label is an error
     elif l is None:
         l = 1 if set(np.unique(labels)) <= {-1, 1} else int(labels.max())
     try:

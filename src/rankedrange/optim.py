@@ -85,7 +85,7 @@ class LambdaPair:
 @dataclass
 class TrainReport:
     model: LinearModel
-    objective_trace: list
+    objective_trace: list  # the measured objectives: finite, at least one
     lambdas: list  # LambdaPair per logged epoch (may be empty)
     key: float | None = None  # the model's validation score, when scored
 
@@ -500,7 +500,8 @@ def tkml_aorr_train(data: Dataset, loss_spec, config: TrainConfig,
 
     The updates start from the seeded start with both thresholds at 0, or,
     given a ``start`` model (such as an average-loss warm start), from its
-    (W, b) with the thresholds at the analytic saddle of its losses."""
+    (W, b) with the thresholds at the analytic saddle of its losses.  The
+    objective is measured, and traced, every 10th step and at the last."""
     rng = np.random.default_rng(config.seed)
     r = config.ranked_range(data.n)
     # the seeded start's draws come first in the stream, so the index draws
@@ -539,5 +540,4 @@ def tkml_aorr_train(data: Dataset, loss_spec, config: TrainConfig,
             trace.append(obj)
         else:
             evaluated = None
-            trace.append(float("nan"))
     return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas)

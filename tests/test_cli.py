@@ -208,6 +208,9 @@ def test_run_experiment_report_shape(tmp_path):
     assert set(report["aggregates"]) == {"error", "accuracy"}
     loaded = json.loads((tmp_path / "shape.json").read_text())
     assert loaded["config"]["train"]["k"] == 2
+    assert "reference" not in loaded
+    reference = {"reference_pct": 12.69}
+    assert run_experiment(cfg, reference=reference)["reference"] == reference
     csv_lines = (tmp_path / "shape.csv").read_text().splitlines()
     assert csv_lines[0] == "run,seed,accuracy,error"
     assert len(csv_lines) == 1 + 2 + 2  # header, runs, mean, std
@@ -357,8 +360,8 @@ def test_labels_that_do_not_fit_the_task_exit_1_before_training(
     assert "'task'" in err and repr(dataset) in err and f"{kind} labels" in err
 
 
-def test_lr_trains_the_per_label_logistic_spec_on_the_full_batch(monkeypatch):
-    # train.batch is 1 by default; the baseline is full-batch descent
+def _average_runs(monkeypatch, text):
+    """(spec class name, batch) of each sgd_average_train call of a run."""
     train, calls = cli.sgd_average_train, []
 
     def recording(data, spec, config):
@@ -366,9 +369,22 @@ def test_lr_trains_the_per_label_logistic_spec_on_the_full_batch(monkeypatch):
         return train(data, spec, config)
 
     monkeypatch.setattr(cli, "sgd_average_train", recording)
-    run_experiment(parse_config(_MULTILABEL + "aggregate = lr\n"
-                                "train.outer_epochs = 3\n"))
-    assert calls == [("MultilabelLogisticLoss", 0)]
+    run_experiment(parse_config(text))
+    return calls
+
+
+def test_lr_trains_the_per_label_logistic_spec_on_the_full_batch(monkeypatch):
+    assert _average_runs(monkeypatch, _MULTILABEL + "aggregate = lr\n"
+                         "train.outer_epochs = 3\ntrain.batch = 0\n") == \
+        [("MultilabelLogisticLoss", 0)]
+
+
+def test_average_on_the_tkml_loss_trains_at_train_batch(monkeypatch):
+    # the tkml loss's average and lr runs trained on the full batch,
+    # whatever train.batch said
+    assert _average_runs(monkeypatch, _MULTILABEL + "aggregate = average\n"
+                         "train.outer_epochs = 3\ntrain.batch = 4\n") == \
+        [("TKMLSampleLoss", 4)]
 
 
 def test_split_part_without_rows_exits_1_before_training(tmp_path, monkeypatch,
@@ -426,8 +442,9 @@ _MODEL = ("format_version = 1\nl = 1\nd = 2\nloss_kind = logistic\nk = 0\n"
     ("logistic", "logistic\xe9", "model:4"),
     ("d = 2\n", "d = 3\n", "model:8"),
     ("d = 2\n", "d = 3\n", None),
+    ("l = 1", "l 1", "model:2"),
 ], ids=["l", "kprime", "nan-weight", "bias", "nan-bias", "inf-bias", "latin-1",
-        "weight-count", "data-d"])
+        "weight-count", "data-d", "no-equals"])
 def test_eval_unusable_model_or_data_exits_2(tmp_path, capsys, old, new,
                                              where):
     text = _MODEL.replace(old, new)
@@ -657,16 +674,22 @@ def test_eval_reports_the_train_metric_table(tmp_path, capsys):
     data_path, model_path = tmp_path / "blobs.csv", tmp_path / "model.txt"
     write_csv(gen_multiclass_blobs(60, 3, 4, seed=2), data_path)
     rng = np.random.default_rng(3)
-    save_model(LinearModel(weights=rng.standard_normal((4, 3)),
-                           bias=rng.standard_normal(4),
-                           meta={"loss_kind": "softmax"}), model_path)
-    capsys.readouterr()
-    assert main(["eval", "--model", str(model_path), "--data", str(data_path),
-                 "--k", "1"]) == EXIT_OK
-    printed = json.loads(capsys.readouterr().out)
-    assert sorted(printed) == ["accuracy", "error"]
-    assert printed == cli._evaluate(
-        load_model(model_path), load_dataset(str(data_path), "csv", l=4), 1)
+    weights, bias = rng.standard_normal((4, 3)), rng.standard_normal(4)
+    # top-1 error, unless k > 1 or the model is a tkml one
+    for kind, k, table in (("softmax", 1, ["accuracy", "error"]),
+                           ("softmax", 2, ["error", "topk_accuracy"]),
+                           ("tkml", 1, ["error", "topk_accuracy"])):
+        save_model(LinearModel(weights=weights, bias=bias,
+                               meta={"loss_kind": kind}), model_path)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model_path),
+                     "--data", str(data_path), "--k", str(k)]) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        assert sorted(printed) == table
+        assert printed == cli._evaluate(
+            load_model(model_path), load_dataset(str(data_path), "csv", l=4), k)
+        if "topk_accuracy" in printed:
+            assert printed["error"] == 1.0 - printed["topk_accuracy"]
 
 
 # --- repeats and grid cells on forked processes ----------------------------
@@ -841,24 +864,14 @@ def test_eval_rejects_labels_the_model_cannot_score(tmp_path):
                  "--data", str(data_path)]) == EXIT_DATA
 
 
-@pytest.mark.parametrize("args", [
-    ["--mode", "asymmetric_map", "--p", "0.1", "--map", "1:x"],
-    ["--mode", "asymmetric_map", "--p", "0.1"],  # no --map
-    ["--p", "1.5"],
-])
-def test_noise_argument_errors_exit_1(tmp_path, args):
-    data_path = tmp_path / "synth.csv"
-    assert main(["gen-synth", "--out", str(data_path)]) == EXIT_OK
-    assert main(["noise", "--data", str(data_path),
-                 "--out", str(tmp_path / "n.csv")] + args) == EXIT_USAGE
-
-
-def test_gen_synth_noise_eval_pipeline(tmp_path, capsys):
-    data_path = tmp_path / "synth.csv"
-    assert main(["gen-synth", "--out", str(data_path), "--seed", "1"]) == EXIT_OK
-    noisy_path = tmp_path / "noisy.csv"
-    assert main(["noise", "--data", str(data_path), "--out", str(noisy_path),
-                 "--p", "0.1", "--seed", "2"]) == EXIT_OK
+def test_data_noise_eval_pipeline(tmp_path, capsys):
+    data_path, noisy_path = tmp_path / "synth.csv", tmp_path / "noisy.csv"
+    assert main(["data", "--out", str(data_path), "--seed", "1"]) == EXIT_OK
+    noise_cfg = tmp_path / "noise.cfg"
+    noise_cfg.write_text(f"dataset = {data_path}\nnoise.mode = symmetric\n"
+                         "noise.p = 0.1\nnoise.seed = 2\n")
+    assert main(["data", "--config", str(noise_cfg),
+                 "--out", str(noisy_path)]) == EXIT_OK
     # train on the clean file, then score it with the eval command
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(
@@ -875,27 +888,96 @@ def test_gen_synth_noise_eval_pipeline(tmp_path, capsys):
                            bias=np.array([0.0])), model_path)
     capsys.readouterr()
     assert main(["eval", "--model", str(model_path),
-                 "--data", str(data_path)]) == EXIT_OK
+                 "--data", str(noisy_path)]) == EXIT_OK
     metrics = json.loads(capsys.readouterr().out)
     assert 0.0 <= metrics["error"] <= 1.0
 
 
-def test_noise_command_counts_changed_labels(tmp_path, capsys):
+def test_data_command_counts_changed_labels(tmp_path, capsys):
     # the 1:1 entry selects rows of class 1 but leaves their labels
     from rankedrange import load_dataset
 
     data_path, noisy_path = tmp_path / "blobs.csv", tmp_path / "noisy.csv"
-    assert main(["gen-synth", "--out", str(data_path), "--kind", "blobs",
-                 "--n", "300", "--d", "2", "--l", "3"]) == EXIT_OK
-    capsys.readouterr()
-    assert main(["noise", "--data", str(data_path), "--out", str(noisy_path),
-                 "--mode", "asymmetric_map", "--map", "1:1,2:3", "--p", "0.5",
-                 "--seed", "4"]) == EXIT_OK
+    blobs_cfg, noise_cfg = tmp_path / "blobs.cfg", tmp_path / "noise.cfg"
+    blobs_cfg.write_text("dataset = blobs\nblobs.n = 300\nblobs.d = 2\n"
+                         "blobs.l = 3\n")
+    noise_cfg.write_text(f"dataset = {data_path}\nnoise.mode = asymmetric_map\n"
+                         "noise.map = 1:1,2:3\nnoise.p = 0.5\nnoise.seed = 4\n")
+    assert main(["data", "--config", str(blobs_cfg),
+                 "--out", str(data_path)]) == EXIT_OK
+    assert capsys.readouterr().out == \
+        f"wrote {data_path} (300 samples, 2 features)\n"
+    assert main(["data", "--config", str(noise_cfg),
+                 "--out", str(noisy_path)]) == EXIT_OK
     clean, noisy = load_dataset(data_path), load_dataset(noisy_path)
     changed = int((clean.labels != noisy.labels).sum())
     assert changed > 0
-    assert capsys.readouterr().out.strip() == \
-        f"wrote {noisy_path} ({changed} labels flipped)"
+    assert capsys.readouterr().out == \
+        f"wrote {noisy_path} (300 samples, 2 features, {changed} labels flipped)\n"
+
+
+# (config text, extra flags, the dataset that `data` must write for the
+# file {file}, a 3-class CSV); the noise seed is noise.seed + base_seed
+_DATA_CASES = {
+    "default": (None, [], lambda f: gen_synthetic(SyntheticSpec(seed=0))),
+    "synthetic-imbalanced": (
+        "synth.balanced = false\nsynth.outliers = 5\n", ["--seed", "3"],
+        lambda f: gen_synthetic(SyntheticSpec(balanced=False, n_outliers=5,
+                                              seed=3))),
+    "blobs": (
+        "dataset = blobs\nblobs.n = 300\nblobs.d = 2\nblobs.l = 3\n"
+        "blobs.sep = 3.0\nbase_seed = 1\n", [],
+        lambda f: gen_multiclass_blobs(300, 2, 3, seed=1, separation=3.0)),
+    "multilabel-synth": (
+        "dataset = multilabel-synth\nml.n = 50\nml.d = 3\nml.l = 5\n"
+        "ml.min = 2\nml.max = 3\nml.noise = 1.0\n", ["--seed", "2"],
+        lambda f: gen_multilabel_synthetic(50, 3, 5, seed=2, min_labels=2,
+                                           max_labels=3, score_noise=1.0)),
+    "asymmetric_map": (
+        "dataset = {file}\nnoise.mode = asymmetric_map\nnoise.p = 0.5\n"
+        "noise.map = 1:2,2:3\nnoise.seed = 4\n", ["--seed", "5"],
+        lambda f: cli.inject_noise(cli.load_dataset(f), NoiseSpec(
+            "asymmetric_map", 0.5, {1: 2, 2: 3}, seed=9))),
+    "symmetric": (
+        "dataset = {file}\nnoise.mode = symmetric\nnoise.p = 0.3\n"
+        "base_seed = 2\n",
+        [], lambda f: cli.inject_noise(cli.load_dataset(f), NoiseSpec(
+            "symmetric", 0.3, seed=2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DATA_CASES))
+def test_data_writes_what_write_csv_writes(tmp_path, case):
+    from rankedrange import write_csv
+
+    text, flags, expected = _DATA_CASES[case]
+    file, got, want = (tmp_path / "three.csv", tmp_path / "got.csv",
+                       tmp_path / "want.csv")
+    write_csv(gen_multiclass_blobs(80, 2, 3, seed=6), file)
+    if text is not None:
+        (tmp_path / "data.cfg").write_text(text.format(file=file))
+        flags = ["--config", str(tmp_path / "data.cfg")] + flags
+    assert main(["data", "--out", str(got)] + flags) == EXIT_OK
+    write_csv(expected(str(file)), want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_data_multilabel_noise_stays_within_ml_l(tmp_path, capsys):
+    # a reloaded label-set file had one label more than it held, and
+    # multilabel noise moved labels onto that label
+    from rankedrange import load_dataset
+
+    clean, noisy = tmp_path / "ml.csv", tmp_path / "noisy.csv"
+    (tmp_path / "ml.cfg").write_text(
+        "dataset = multilabel-synth\nml.n = 500\nml.d = 3\nml.l = 8\n")
+    (tmp_path / "noise.cfg").write_text(
+        f"dataset = {clean}\nnoise.mode = multilabel_symmetric\n"
+        "noise.p = 0.3\nnoise.seed = 5\n")
+    for cfg, out in (("ml.cfg", clean), ("noise.cfg", noisy)):
+        assert main(["data", "--config", str(tmp_path / cfg),
+                     "--out", str(out)]) == EXIT_OK
+    assert ", 0 labels flipped" not in capsys.readouterr().out
+    assert load_dataset(clean).l == load_dataset(noisy).l == 8
 
 
 def test_auto_aorr_true_flips_count_changed_training_labels():
@@ -961,6 +1043,8 @@ def test_sweep_any_key(tmp_path):
     ("p", "0.1:0.2:0.1"),  # no noise.mode in the config
     ("k", "2:1000:997"),  # k = 999 exceeds the 140 training rows
     ("bogus", "1:2"),
+    ("k", "2"),  # one part
+    ("k", "1:2:1:4"),  # four parts
 ])
 def test_sweep_config_errors_exit_1(tmp_path, param, range_):
     cfg_path = tmp_path / "exp.cfg"
@@ -1072,6 +1156,10 @@ _SYMMETRIC = "noise.mode = symmetric\nnoise.p = 0.2\n"
 _CONFIG_ERRORS = {
     "noise.map-vs-labels": (_BLOBS3 + "noise.mode = asymmetric_map\n"
                             "noise.p = 0.5\nnoise.map = 1:9\n", "noise.map"),
+    "noise.map-not-a-label": (_BLOBS3 + "noise.mode = asymmetric_map\n"
+                              "noise.p = 0.1\nnoise.map = 1:x\n", "noise.map"),
+    "noise.map-missing": (_BLOBS3 + "noise.mode = asymmetric_map\n"
+                          "noise.p = 0.1\n", "noise.map"),
     "multilabel-noise-on-binary": (_BINARY + "noise.mode = multilabel_symmetric\n"
                                    "noise.p = 0.2\n", "noise.mode"),
     "format": ("task = multiclass\nloss = softmax\ndataset = {data}\n"
@@ -1100,26 +1188,14 @@ _CONFIG_ERRORS = {
     "ml.max-vs-ml.l": (_ML6 + "ml.max = 6\n", "ml.max"),
     "ml.max-below-ml.min": (_ML6 + "ml.min = 3\nml.max = 2\n", "ml.max"),
     "blobs.l": (_BLOBS3 + "blobs.l = 1\n", "blobs.l"),
-    "gen-synth-outliers": (["gen-synth", "--outliers", "50"], "synth.outliers"),
-    # wrote labels that all read 1, which load back as binary data
-    "gen-synth-blobs-l": (["gen-synth", "--kind", "blobs", "--l", "1"], "--l"),
-    "gen-synth-blobs-n": (["gen-synth", "--kind", "blobs", "--n", "0"], "--n"),
-    # the generator's label sets hold up to 3 labels
-    "gen-synth-multilabel-l": (["gen-synth", "--kind", "multilabel",
-                                "--l", "3"], "--l"),
-    # a flag that the kind does not read was ignored
-    "gen-synth-synthetic-n": (["gen-synth", "--n", "0", "--l", "1"], "--n"),
-    "gen-synth-synthetic-l": (["gen-synth", "--kind", "synthetic", "--l", "5"],
-                              "--l"),
-    "gen-synth-blobs-outliers": (["gen-synth", "--kind", "blobs",
-                                  "--outliers", "5"], "--outliers"),
-    "gen-synth-multilabel-imbalanced": (["gen-synth", "--kind", "multilabel",
-                                         "--imbalanced"], "--imbalanced"),
     "eval-k": (["eval", "--model", "{model}", "--data", "{data}", "--k", "9"],
                "--k"),
     # guards: these exited 1 at their key before the checks moved
     "train.kprime": (_ML6 + "train.kprime = 9\n", "train.kprime"),
     "split": (_BINARY + "split = 0.999,0.001\n", "split"),
+    "split-one-part": (_BINARY + "split = 1.0\n", "split"),
+    "split-four-parts": (_BINARY + "split = 0.25,0.25,0.25,0.25\n", "split"),
+    "task": (_BINARY + "task = ranking\n", "task"),
     # restarts were ignored by the aggregates that train one model
     "restarts-average": (_BINARY + "split = 0.5,0.25,0.25\nrestarts = 3\n",
                          "restarts"),
@@ -1158,10 +1234,7 @@ _CONFIG_ERRORS = {
     "sweep-seed": (["sweep", "--config", "{config}", "--param", "seed",
                     "--range", "1:2"], "train.seed"),
     "noise.seed": (_BINARY + _SYMMETRIC + "noise.seed = -1\n", "noise.seed"),
-    # numpy's ValueError traceback, and the noise.seed key for the flag
-    "gen-synth-seed": (["gen-synth", "--seed", "-1"], "--seed"),
-    "noise-seed-flag": (["noise", "--data", "{data}", "--p", "0.2",
-                         "--seed", "-1"], "--seed"),
+    "data-seed-flag": (["data", "--seed", "-1"], "base_seed"),
     # one name per objective: the tkml loss's trimmed range is tkml_aorr,
     # which, like aorr, needs m >= 1 (m = 0 is atk)
     "aorr-on-tkml": (_ML6 + "aggregate = aorr\ntrain.m = 1\ntrain.k = 5\n",
@@ -1185,12 +1258,13 @@ _CONFIG_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("row", sorted(_CONFIG_ERRORS))
-def test_config_errors_exit_1_at_their_key(tmp_path, capsys, row):
+def _config_error_argv(tmp_path, row, command="train"):
+    """The command line of a _CONFIG_ERRORS row; a config text row runs
+    ``command`` on it."""
     from rankedrange import LinearModel, save_model
     import numpy as np
 
-    given, key = _CONFIG_ERRORS[row]
+    given, _ = _CONFIG_ERRORS[row]
     paths = {"data": tmp_path / "four.csv", "model": tmp_path / "model.txt",
              "config": tmp_path / "ok.cfg"}
     paths["config"].write_text(_BINARY)
@@ -1201,23 +1275,46 @@ def test_config_errors_exit_1_at_their_key(tmp_path, capsys, row):
     if isinstance(given, str):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(given.format(**paths))
-        argv = ["train", "--config", str(cfg_path), "--out", str(tmp_path)]
-    else:
-        argv = [arg.format(**paths) for arg in given]
-        if argv[0] in ("gen-synth", "noise", "sweep"):
-            argv += ["--out", str(tmp_path / "out")]
+        given = [command, "--config", str(cfg_path)]
+    argv = [arg.format(**paths) for arg in given]
+    return argv + ["--out", str(tmp_path / "out")] if argv[0] != "eval" else argv
+
+
+@pytest.mark.parametrize("row", sorted(_CONFIG_ERRORS))
+def test_config_errors_exit_1_at_their_key(tmp_path, capsys, row):
+    argv = _config_error_argv(tmp_path, row)
     capsys.readouterr()
     assert main(argv) == EXIT_USAGE
-    assert f"config key {key!r}" in capsys.readouterr().err
+    assert f"config key {_CONFIG_ERRORS[row][1]!r}" in capsys.readouterr().err
+
+
+# the rows whose keys `data` reads: the dataset, generator and noise keys
+_DATA_ERRORS = ("base_seed", "blobs.d", "blobs.l", "blobs.n", "blobs.sep-inf",
+                "format", "ml.d", "ml.max-below-ml.min", "ml.max-vs-ml.l",
+                "ml.min", "ml.noise-nan", "multilabel-noise-on-binary",
+                "noise-mode-unknown-without-p", "noise-mode-without-p",
+                "noise.map-missing", "noise.map-not-a-label",
+                "noise.map-vs-labels", "noise.p", "noise.seed",
+                "synth.outliers")
+
+
+@pytest.mark.parametrize("row", _DATA_ERRORS)
+def test_data_config_errors_exit_1_at_the_key_train_names(tmp_path, capsys,
+                                                          row):
+    argv = _config_error_argv(tmp_path, row, command="data")
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    assert f"config key {_CONFIG_ERRORS[row][1]!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 @pytest.mark.parametrize("command", [
-    ["train"], ["sweep", "--param", "k", "--range", "1:2"]],
-    ids=["train", "sweep"])
+    ["train"], ["sweep", "--param", "k", "--range", "1:2"], ["data"]],
+    ids=["train", "sweep", "data"])
 def test_non_utf8_config_exits_1_at_its_line(tmp_path, capsys, command,
                                              newline):
-    # a Latin-1 byte in a comment ended both commands in a traceback
+    # a Latin-1 byte in a comment ended train and sweep in a traceback
     cfg_path = tmp_path / "latin1.cfg"
     text = _BINARY + "# caf\xe9\ntrain.outer_epochs = 2\n"  # line 5
     cfg_path.write_bytes(text.replace("\n", newline).encode("latin-1"))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -97,9 +98,9 @@ def test_load_csv_multilabel(tmp_path):
     path = tmp_path / "ml.csv"
     path.write_text("labels,f0\n1;3,0.5\n2,1.0\n")
     data = load_dataset(path)
-    assert data.is_multilabel
-    np.testing.assert_array_equal(data.labels, [[True, False, True, False],
-                                                [False, True, False, False]])
+    assert data.is_multilabel and data.l == 3  # the largest label
+    np.testing.assert_array_equal(data.labels, [[True, False, True],
+                                                [False, True, False]])
 
 
 def test_load_csv_malformed_row(tmp_path):
@@ -192,11 +193,12 @@ def test_load_libsvm_reads_integral_label_spellings(tmp_path):
     assert data.l == 1
 
 
-@pytest.mark.parametrize("label", ["99999999999999999999;1", "0;1"],
-                         ids=["beyond-int64", "zero"])
+@pytest.mark.parametrize("label", ["99999999999999999999;1", "0;1", "1;2;3"],
+                         ids=["beyond-int64", "zero", "every-label"])
 def test_load_csv_rejects_label_set_outside_range(tmp_path, label):
     # the first would set l to 10**20, the second fails the label-set check
-    # of Dataset; both must name the record's line
+    # of Dataset, and the third holds every label 1..l, as l is the largest
+    # label; each must name the record's line
     path = tmp_path / "sets.csv"
     path.write_text(f"labels,f0\n1;2,0.5\n\n{label},1.0\n3,1.5\n")
     with pytest.raises(DataParseError) as exc:
@@ -212,6 +214,8 @@ def test_write_csv_roundtrip(tmp_path):
     back = load_dataset(path, l=5)
     np.testing.assert_allclose(back.features, orig.features, atol=0)
     np.testing.assert_array_equal(back.labels, orig.labels)
+    # l is the largest label; it was one more, a label that no row held
+    assert load_dataset(path).l == 5
 
 
 def _reference_load_csv(path, l=None):
@@ -254,7 +258,7 @@ def _reference_load_csv(path, l=None):
         raise DataParseError(path, rows[1:][bad[0]][0], "non-finite feature value")
     if multilabel:
         if l is None:
-            l = max(max(ys) for ys in labels) + 1
+            l = max(max(ys) for ys in labels)
         return Dataset(X, tuple(labels), l)
     y = np.array(labels, dtype=np.int64)
     if l is None:
@@ -310,7 +314,13 @@ def _csv_texts(draw):
 def test_load_csv_matches_per_field_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("csv") / "random.csv"
     path.write_bytes(text.encode("utf-8"))
-    got, want = load_dataset(path), _reference_load_csv(path)
+    try:
+        want = _reference_load_csv(path)
+    except LabelError as exc:  # a label set that holds every label 1..l
+        with pytest.raises(DataParseError, match=re.escape(str(exc))):
+            load_dataset(path)
+        return
+    got = load_dataset(path)
     assert got.features.shape == want.features.shape
     assert got.features.tobytes() == want.features.tobytes()
     assert got.labels.shape == want.labels.shape

@@ -139,8 +139,8 @@ def test_roundtrip_without_bias(tmp_path):
 def test_hand_written_minimal_file(tmp_path):
     path = tmp_path / "model.txt"
     path.write_text(
-        "format_version = 1\nl = 1\nd = 2\nloss_kind = hinge\n"
-        "k = 0\nm = 0\nkprime = 0\nweights = 1.5 -0.25\n")
+        "# written by hand\nformat_version = 1\nl = 1\nd = 2\n"
+        "loss_kind = hinge\nk = 0\nm = 0\nkprime = 0\nweights = 1.5 -0.25\n")
     model = load_model(path)
     np.testing.assert_array_equal(model.weights, [[1.5, -0.25]])
 
