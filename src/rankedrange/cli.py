@@ -29,18 +29,18 @@ config error at its key.
 Keys
 ----
 task              binary | multiclass | multilabel
-loss              logistic | hinge | softmax | tkml
+loss              logistic | hinge | softmax | tkml | multilabel_lr
 aggregate         average | max | median | atk | aorr | topk | tkml |
-                  tkml_aorr | auto_aorr | lr; the trimmed range (m, k) is
-                  aorr with a class-label loss and tkml_aorr with the tkml
-                  loss, and both need every m >= 1 (m = 0 is atk)
+                  tkml_aorr | auto_aorr; the trimmed range (m, k) is aorr
+                  with a class-label loss and tkml_aorr with the tkml loss,
+                  and both need every m >= 1 (m = 0 is atk)
 dataset           monk | synthetic | blobs | multilabel-synth | <file path>
 format            csv | libsvm (for file datasets)
 split             comma list of fractions (train first, test last; a middle
                   fraction becomes the validation part)
 repeats           number of seeded runs
 restarts          random restarts per run for a ranked-range aggregate
-                  (not average, lr or auto_aorr); each (m, k) cell trains
+                  (not average or auto_aorr); each (m, k) cell trains
                   from each restart, and the best is picked on the
                   validation part
 base_seed         run i uses seed base_seed + i (base_seed >= 0)
@@ -62,10 +62,11 @@ grid.m, grid.k    comma lists: the m and k of a ranked range's (m, k) cells
 train.*           any TrainConfig field but seed (see base_seed)
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
-failure.  A config error names its key: the check that tests a value
-raises ``data.ConfigError`` at that key, also when it tests it against data.
+failure, 4 crash.  A config error names its key: the check that tests a
+value raises ``data.ConfigError`` at that key, also when it tests it against
+data, and a generator size that cannot be allocated is one at its n or d key.
 A data error is a ``data.DataParseError`` (a file and line) or an OSError;
-any other exception is a bug and propagates with its traceback.
+any other exception is a bug, and ``main`` prints its traceback and exits 4.
 """
 
 from __future__ import annotations
@@ -106,7 +107,6 @@ from .metrics import (
 )
 from .model import load_model, predict_matrix
 from .optim import (
-    MultilabelLogisticLoss,
     TrainConfig,
     auto_train,
     dca_train,
@@ -116,7 +116,7 @@ from .optim import (
     tkml_aorr_train,
 )
 
-EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
+EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC, EXIT_CRASH = 0, 1, 2, 3, 4
 
 # the aggregates that each (task, loss) trains: the margin and softmax
 # losses of a class label share theirs; the tkml loss takes label sets, and
@@ -128,12 +128,25 @@ _TRAINS = {
     ("binary", "hinge"): _CLASS_AGGREGATES,
     ("multiclass", "softmax"): _CLASS_AGGREGATES,
     ("multiclass", "tkml"): ("average", "tkml"),
-    ("multilabel", "tkml"): ("average", "atk", "tkml", "tkml_aorr", "lr"),
+    ("multilabel", "tkml"): ("average", "atk", "tkml", "tkml_aorr"),
+    ("multilabel", "multilabel_lr"): ("average",),
 }
 TASKS = tuple(dict.fromkeys(task for task, _ in _TRAINS))
 LOSSES = tuple(dict.fromkeys(loss for _, loss in _TRAINS))
 AGGREGATES = tuple(dict.fromkeys(agg for aggs in _TRAINS.values()
                                  for agg in aggs))
+
+# the (m, k) that each ranked-range aggregate trains, from the configured
+# (m, k) and the n training rows (k = 0 means n)
+_RANGES = {
+    "max": lambda m, k, n: (0, 1),
+    "median": lambda m, k, n: ((n + 1) // 2 - 1, (n + 1) // 2),
+    "atk": lambda m, k, n: (0, k),
+    "topk": lambda m, k, n: (k - 1, k),
+    "aorr": lambda m, k, n: (m, k),
+    "tkml_aorr": lambda m, k, n: (m, k),
+    "tkml": lambda m, k, n: (0, 0),  # average-loss descent, every row active
+}
 
 
 @dataclass(frozen=True)
@@ -198,7 +211,7 @@ class ExperimentConfig:
             raise ConfigError("split", "auto_aorr needs a validation part")
         for key, given in (("restarts", self.restarts > 1),
                            ("grid.m", self.grid_m), ("grid.k", self.grid_k)):
-            if given and self.aggregate in ("average", "lr", "auto_aorr"):
+            if given and self.aggregate not in _RANGES:
                 raise ConfigError(key, f"{self.aggregate} trains no ranked "
                                        "range")
         if self.restarts > 1 and len(self.split) != 3:
@@ -343,6 +356,23 @@ _GENERATORS = {
         cfg.ml_n, cfg.ml_d, cfg.ml_l, seed=seed, min_labels=cfg.ml_min,
         max_labels=cfg.ml_max, score_noise=cfg.ml_noise),
 }
+# the (n, d) keys of the generators whose size a config sets
+_SIZE_KEYS = {"blobs": ("blobs.n", "blobs.d"), "multilabel-synth": ("ml.n", "ml.d")}
+
+
+def _generate(cfg: ExperimentConfig, seed: int) -> Dataset:
+    """The dataset that the generator named by ``cfg.dataset`` makes for
+    ``seed``.  A size that cannot be allocated is a config error at the
+    larger of its n and d keys."""
+    try:
+        return _GENERATORS[cfg.dataset](cfg, seed)
+    except MemoryError:
+        if cfg.dataset not in _SIZE_KEYS:
+            raise
+        keys = _SIZE_KEYS[cfg.dataset]
+        n, d = (getattr(cfg, key.replace(".", "_")) for key in keys)
+        raise ConfigError(keys[n < d], f"{n} x {d} features do not fit in "
+                                       "memory") from None
 
 
 # (fn, items) of the running _ordered_map; its forked workers inherit it
@@ -438,19 +468,6 @@ def _ordered_map(fn, items):
             _MAP_JOB = None
 
 
-# the (m, k) that each ranked-range aggregate trains, from the configured
-# (m, k) and the n training rows (k = 0 means n)
-_RANGES = {
-    "max": lambda m, k, n: (0, 1),
-    "median": lambda m, k, n: ((n + 1) // 2 - 1, (n + 1) // 2),
-    "atk": lambda m, k, n: (0, k),
-    "topk": lambda m, k, n: (k - 1, k),
-    "aorr": lambda m, k, n: (m, k),
-    "tkml_aorr": lambda m, k, n: (m, k),
-    "tkml": lambda m, k, n: (0, 0),  # average-loss descent, every row active
-}
-
-
 def _check_k(key: str, k: int, data: Dataset) -> None:
     """A top-k metric picks k of the l scores of a row; a label set must
     stay a proper subset of the labels.  Binary data has no k to check."""
@@ -476,8 +493,7 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     base = replace(cfg.train, seed=seed)
     extras: dict = {}
     _check_k("eval_k", cfg.eval_k, tr)
-    spec = (MultilabelLogisticLoss() if agg == "lr"
-            else make_loss_spec(cfg.loss, base.kprime, tr.l))
+    spec = make_loss_spec(cfg.loss, base.kprime, tr.l)
 
     def score(model, rows):
         """The report metric that picks a model: the least ``error`` of
@@ -485,7 +501,7 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
         table = _evaluate(model, rows, cfg.eval_k)
         return table["error"] if "error" in table else -table["topk_accuracy"]
 
-    if agg in ("average", "lr"):
+    if agg == "average":
         return sgd_average_train(tr, spec, base), extras
     if agg == "auto_aorr":
         report = auto_train(tr, va, spec, base)
@@ -565,7 +581,7 @@ def _single_run(cfg: ExperimentConfig, run: int, data: Dataset | None) -> dict:
     dataset that the generator named by ``cfg.dataset`` makes for the seed."""
     seed = cfg.base_seed + run
     if data is None:
-        data = _GENERATORS[cfg.dataset](cfg, seed)
+        data = _generate(cfg, seed)
     kind = ("multilabel" if data.is_multilabel
             else "binary" if data.l == 1 else "multiclass")
     if kind != cfg.task:
@@ -714,16 +730,17 @@ _MNIST_TOP1 = _BLOBS + (
     "train.inner_epochs = 6000\ntrain.batch = 16\ntrain.kprime = 1\n")
 
 # the stand-in for emotions (Tables 7, 8, Figure 8)
-_EMOTIONS = ("task = multilabel\nloss = tkml\ndataset = multilabel-synth\n"
+_EMOTIONS = ("task = multilabel\ndataset = multilabel-synth\n"
              "split = 0.6,0.2,0.2\nrepeats = 5\nml.n = 593\nml.d = 72\n"
              "ml.l = 6\nml.min = 1\nml.max = 3\nml.noise = 2.0\n"
              "train.C = 1e4\n")
 _EMOTIONS_LR = _EMOTIONS + (
-    "aggregate = lr\ntrain.eta_outer = 0.5\ntrain.outer_epochs = 1000\n"
-    "train.batch = 0\n")
+    "loss = multilabel_lr\naggregate = average\ntrain.eta_outer = 0.5\n"
+    "train.outer_epochs = 1000\ntrain.batch = 0\n")
 _EMOTIONS_TKML = _EMOTIONS + (
-    "aggregate = tkml\ntrain.eta_outer = 0.1\ntrain.eta_inner = 0.1\n"
-    "train.outer_epochs = 1\ntrain.inner_epochs = 8000\ntrain.batch = 16\n")
+    "loss = tkml\naggregate = tkml\ntrain.eta_outer = 0.1\n"
+    "train.eta_inner = 0.1\ntrain.outer_epochs = 1\ntrain.inner_epochs = 8000\n"
+    "train.batch = 16\n")
 
 # the stand-in for yeast (Table 11, Figure 9), 30% of the training label
 # sets replaced.  Its training part has int(0.8 * 2417) = 1933 rows, and
@@ -1036,7 +1053,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_data(args) -> int:
     cfg = _command_config(args)
     seed = cfg.base_seed
-    data = (_GENERATORS[cfg.dataset](cfg, seed) if cfg.dataset in _GENERATORS
+    data = (_generate(cfg, seed) if cfg.dataset in _GENERATORS
             else load_dataset(cfg.dataset, cfg.format))
     out, flipped = data, ""
     if cfg.noise is not None:  # over every row, at a run's seed rule
@@ -1077,12 +1094,17 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataParseError, OSError) as exc:  # any other error is a bug
+    except (DataParseError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except Exception:  # a bug: its own status, so that no crash reads as 0-3
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

@@ -231,6 +231,8 @@ def make_loss_spec(loss_kind: str, kprime: int = 1, l: int | None = None):
             raise ConfigError("train.kprime", f"kprime={kprime} outside "
                                               f"1..{l - 1} for l={l}")
         return TKMLSampleLoss(kprime)
+    if loss_kind == "multilabel_lr":
+        return MultilabelLogisticLoss()
     raise ConfigError("loss", f"unknown loss kind {loss_kind!r}")
 
 
@@ -239,12 +241,11 @@ def make_loss_spec(loss_kind: str, kprime: int = 1, l: int | None = None):
 
 def _init_params(data: Dataset, config: TrainConfig, rng: np.random.Generator):
     """Normal draws of stddev ``config.init_scale``; zeros, no draw, at 0."""
-    l = max(data.l, 1)
     scale = config.init_scale
     if scale > 0.0:
-        return (scale * rng.standard_normal((l, data.d)),
-                scale * rng.standard_normal(l))
-    return np.zeros((l, data.d)), np.zeros(l)
+        return (scale * rng.standard_normal((data.l, data.d)),
+                scale * rng.standard_normal(data.l))
+    return np.zeros((data.l, data.d)), np.zeros(data.l)
 
 
 def _as_model(W, b, loss_spec, config: TrainConfig) -> LinearModel:
@@ -319,8 +320,11 @@ def sorr_objective(W, b, data: Dataset, loss_spec, r: RankedRange, C: float) -> 
 # ---------------------------------------------------------------------------
 # trainers
 
+EVAL_EVERY = 100  # stochastic dca_train steps between two scored snapshots
+
+
 def dca_train(data: Dataset, loss_spec, config: TrainConfig,
-              score=None, eval_every: int = 100) -> TrainReport:
+              score=None) -> TrainReport:
     """Difference-of-convex descent on the ranked-range sum of individual
     losses.
 
@@ -330,7 +334,7 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
     variable.  m = 0 recovers average-top-k training.
 
     ``score`` maps a LinearModel to a key, lower being better.  When it is
-    given, a snapshot of the parameters is scored every ``eval_every``
+    given, a snapshot of the parameters is scored every ``EVAL_EVERY``
     stochastic steps, and the first snapshot with the least key is returned
     if it scores strictly below the final iterate; the final iterate is
     returned otherwise.  The report's ``key`` is the returned model's, if scored.
@@ -361,7 +365,7 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
             W = W - config.eta_inner * (
                 gW - scale * theta_hat_W + scale * W / config.C)
             b = b - config.eta_inner * (gb - scale * theta_hat_b)
-            if probe and (step + 1) % eval_every == 0:
+            if probe and (step + 1) % EVAL_EVERY == 0:
                 snapshot = _as_model(_check_finite(W, t), b, loss_spec, config)
                 key = score(snapshot)
                 if key < best[0]:
@@ -478,12 +482,11 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
             W = W - config.eta_inner * (
                 gW / rows.n - theta_hat_W + W / (config.C * train_data.n))
             b = b - config.eta_inner * (gb / rows.n - theta_hat_b)
-            if (step + 1) % config.refresh_every == 0:
+            # the round's last step refreshes too: its losses give the pair
+            if ((step + 1) % config.refresh_every == 0
+                    or step + 1 == config.inner_epochs):
                 val_losses = loss_spec.losses(W, b, validation_data)
                 lam = float(val_losses.mean() - 2.0 * val_losses.std())
-        # a refresh at the last step was made at this (W, b)
-        if config.inner_epochs % config.refresh_every:
-            val_losses = loss_spec.losses(W, b, validation_data)
         pair = lambda_pair_from_validation(_check_finite(val_losses, t))
         lam, lam_hat = pair.lam, pair.lam_hat
         lambdas.append(pair)

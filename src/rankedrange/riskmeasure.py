@@ -76,10 +76,7 @@ def empirical_icvar(values, levels: RiskLevelPair) -> float:
                 f"n*{name} = {n * level:.6g} is not an integer rank; "
                 "using the nearest integer", stacklevel=2)
     srt = largest_descending(arr, k)
-    upper = float(np.sum(srt[:k])) / n
-    if levels.mu == 0.0:
-        return upper
-    return upper - float(np.sum(srt[:m])) / n
+    return float(np.sum(srt[:k])) / n - float(np.sum(srt[:m])) / n
 
 
 def deviation_bound_radii(r: RankedRange, n: int, delta: float,

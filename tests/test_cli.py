@@ -374,8 +374,9 @@ def _average_runs(monkeypatch, text):
 
 
 def test_lr_trains_the_per_label_logistic_spec_on_the_full_batch(monkeypatch):
-    assert _average_runs(monkeypatch, _MULTILABEL + "aggregate = lr\n"
-                         "train.outer_epochs = 3\ntrain.batch = 0\n") == \
+    assert _average_runs(monkeypatch, _MULTILABEL + "loss = multilabel_lr\n"
+                         "aggregate = average\ntrain.outer_epochs = 3\n"
+                         "train.batch = 0\n") == \
         [("MultilabelLogisticLoss", 0)]
 
 
@@ -482,8 +483,9 @@ def test_eval_densifies_libsvm_rows_to_the_model_d(tmp_path, capsys):
     assert f"{sparse}:2: feature index 4 is above d=3" in capsys.readouterr().err
 
 
-def test_internal_value_error_is_not_a_data_error(tmp_path, monkeypatch):
-    # a ValueError that no input check raised is a bug: it propagates with
+def test_internal_value_error_is_not_a_data_error(tmp_path, monkeypatch,
+                                                  capsys):
+    # a ValueError that no input check raised is a bug: it is a crash, with
     # its traceback, and never reads as exit 2
     def broken(*args, **kwargs):
         raise ValueError("a bug in the trainer")
@@ -491,8 +493,9 @@ def test_internal_value_error_is_not_a_data_error(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "sgd_average_train", broken)
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(_RUN)
-    with pytest.raises(ValueError, match="a bug in the trainer"):
-        main(["train", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path)]) == cli.EXIT_CRASH
+    assert "ValueError: a bug in the trainer" in capsys.readouterr().err
 
 
 def test_main_non_finite_feature_is_data_error(tmp_path):
@@ -1201,16 +1204,17 @@ _CONFIG_ERRORS = {
                          "restarts"),
     "restarts-auto_aorr": (_BINARY + "aggregate = auto_aorr\n"
                            "split = 0.5,0.25,0.25\nrestarts = 3\n", "restarts"),
-    "restarts-lr": (_ML6 + "aggregate = lr\nsplit = 0.5,0.25,0.25\n"
-                    "restarts = 3\n", "restarts"),
+    "restarts-lr": (_ML6 + "loss = multilabel_lr\naggregate = average\n"
+                    "split = 0.5,0.25,0.25\nrestarts = 3\n", "restarts"),
     "restarts-no-validation": (_BINARY + "aggregate = aorr\ntrain.m = 1\n"
                                "train.k = 5\nrestarts = 3\n", "restarts"),
     # grid keys were read for the tkml loss only, and never on these
-    **{f"grid.{which}-{agg}": (base + f"aggregate = {agg}\n"
-                               f"split = 0.5,0.25,0.25\ngrid.{which} = 5,10\n",
-                               f"grid.{which}")
-       for which in "mk" for agg, base in (("average", _BINARY), ("lr", _ML6),
-                                           ("auto_aorr", _BINARY))},
+    **{f"grid.{which}-{name}": (base + "split = 0.5,0.25,0.25\n"
+                                f"grid.{which} = 5,10\n", f"grid.{which}")
+       for which in "mk" for name, base in (
+           ("average", _BINARY + "aggregate = average\n"),
+           ("lr", _ML6 + "loss = multilabel_lr\naggregate = average\n"),
+           ("auto_aorr", _BINARY + "aggregate = auto_aorr\n"))},
     # a k of 0 in the grid silently meant n
     "grid.k-atk-zero": (_BINARY + "aggregate = atk\ngrid.k = 0,5\n", "grid.k"),
     "grid.m-aorr-zero": (_BINARY + "aggregate = aorr\ntrain.k = 5\n"
@@ -1241,6 +1245,9 @@ _CONFIG_ERRORS = {
                      "aggregate"),
     "tkml_aorr-m-zero": (_ML6 + "aggregate = tkml_aorr\ntrain.k = 5\n",
                          "train.m"),
+    # the per-label logistic baseline is a loss (multilabel_lr), not an
+    # aggregate
+    "aggregate-lr": (_ML6 + "aggregate = lr\n", "aggregate"),
     # the random start silently fell back to zeros
     "train.init_scale-negative": (_BINARY + "train.init_scale = -1\n",
                                   "train.init_scale"),
@@ -1306,6 +1313,36 @@ def test_data_config_errors_exit_1_at_the_key_train_names(tmp_path, capsys,
     assert main(argv) == EXIT_USAGE
     assert f"config key {_CONFIG_ERRORS[row][1]!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# sizes whose allocation fails at once; they ended in numpy's
+# _ArrayMemoryError traceback and exited 1 with no key
+@pytest.mark.parametrize("command", ["train", "data"])
+@pytest.mark.parametrize("base, key, d", [(_BLOBS3, "blobs.n", 2),
+                                          (_ML6, "ml.n", 3)], ids=["blobs", "ml"])
+def test_unallocatable_generator_size_exits_1_at_its_key(tmp_path, capsys,
+                                                         command, base, key, d):
+    cfg_path = tmp_path / "huge.cfg"
+    cfg_path.write_text(base + f"{key} = 10000000000000\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert (f"config key {key!r}: 10000000000000 x {d} features do not fit "
+            "in memory") in capsys.readouterr().err
+
+
+def test_a_crash_exits_4_with_its_traceback(monkeypatch, capsys):
+    # an unexpected exception propagated and Python exited 1, the status of
+    # a config error
+    def crash(args):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setitem(cli._COMMANDS, "train", crash)
+    capsys.readouterr()
+    assert main(["train", "--config", "unused.cfg"]) == cli.EXIT_CRASH == 4
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "RuntimeError: a bug" in err
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])

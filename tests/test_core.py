@@ -231,3 +231,23 @@ def test_value_set_wrapper():
         as_values([])
     with pytest.raises(ValueError):
         as_values([float("nan")])
+
+
+# --- argument checks ------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: topk_variational_objective([1.0, 2.0], 3, 0.0),
+     "k=3 out of range for value set of size n=2"),
+    (lambda: topk_variational_objective([1.0, 2.0], -1, 0.0),
+     "k=-1 out of range for value set of size n=2"),
+    (lambda: bottom_sum_variational([1.0, 2.0], 2, 0.0),
+     "m=2 out of range for value set of size n=2"),
+    (lambda: bilevel_corner_oracle([-1.0, 2.0], RankedRange(0, 1)),
+     "corner oracle requires non-negative values"),
+    (lambda: bilevel_corner_oracle(np.ones(5), RankedRange(0, 1), max_n=4),
+     "n=5 exceeds brute-force guard max_n=4"),
+], ids=["k-above-n", "k-negative", "m-at-n", "negative-value", "n-above-max_n"])
+def test_bad_arguments_raise_value_error_naming_them(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

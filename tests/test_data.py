@@ -736,3 +736,15 @@ def test_randomized_ops_pure_in_seed(seed):
     na = inject_noise(a, NoiseSpec(mode="symmetric", p=0.4, seed=seed))
     nb = inject_noise(b, NoiseSpec(mode="symmetric", p=0.4, seed=seed))
     np.testing.assert_array_equal(na.labels, nb.labels)
+
+
+@pytest.mark.parametrize("features, labels, message", [
+    (np.zeros(3), np.ones(3, dtype=np.int64),
+     "features must be a non-empty n x d matrix, got (3,)"),
+    (np.zeros((3, 2)), np.ones(2, dtype=np.int64),
+     "label count does not match sample count"),
+], ids=["features-1d", "labels-not-n"])
+def test_dataset_rejects_mismatched_arrays(features, labels, message):
+    with pytest.raises(ValueError) as info:
+        Dataset(features, labels, 1)
+    assert str(info.value) == message

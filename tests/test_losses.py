@@ -230,3 +230,23 @@ def test_label_set_validation(seed):
         LabelSet(set(range(1, l + 1)), l)  # proper subset required
     with pytest.raises(ValueError):
         LabelSet({0}, l)
+
+
+# --- argument checks ------------------------------------------------------
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: margin_loss("bogus", 0.0), "unknown margin loss kind 'bogus'"),
+    (lambda: margin_loss_vec("bogus", np.zeros(2)),
+     "unknown margin loss kind 'bogus'"),
+    (lambda: softmax_loss_grad([0.0, 1.0, 2.0], 4), "label y=4 outside 1..3"),
+    (lambda: softmax_loss_grad([0.0, 1.0, 2.0], 0), "label y=0 outside 1..3"),
+    (lambda: tkml_loss_subgrad([0.0, 1.0, 2.0], LabelSet({1}, 3), 3),
+     "kprime=3 out of range for l=3"),
+    (lambda: tkml_loss_subgrad([0.0, 1.0, 2.0], LabelSet({1}, 4), 1),
+     "label set declared l=4, scores have l=3"),
+], ids=["margin-kind", "margin-vec-kind", "softmax-y-above-l",
+        "softmax-y-zero", "tkml-kprime", "tkml-l-mismatch"])
+def test_bad_arguments_raise_value_error_naming_them(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -190,7 +190,7 @@ def test_dca_seed_determinism():
 
 @pytest.mark.parametrize("loss", ["logistic", "tkml"])
 def test_dca_train_returns_the_best_probed_iterate(loss):
-    # the snapshots scored every eval_every steps keep the best iterate;
+    # the snapshots scored every EVAL_EVERY steps keep the best iterate;
     # these runs end on an iterate that scores worse
     from rankedrange import error_rate, topk_multilabel_accuracy
     from rankedrange.model import predict_matrix
@@ -345,7 +345,7 @@ def _draw(rng, data, batch):
         0, data.n, size=batch)
 
 
-def _dca_reference(data, spec, config, score, eval_every):
+def _dca_reference(data, spec, config, score):
     rng = np.random.default_rng(config.seed)
     r = config.ranked_range(data.n)
     X, C, eta = data.features, config.C, config.eta_inner
@@ -370,7 +370,7 @@ def _dca_reference(data, spec, config, score, eval_every):
             lam -= eta * (r.k * scale - np.count_nonzero(active))
             W = W - eta * (gW - scale * theta_W + scale * W / C)
             b = b - eta * (gb - scale * theta_b)
-            if not full and (step + 1) % eval_every == 0:
+            if not full and (step + 1) % 100 == 0:
                 key = score(LinearModel(weights=W, bias=b))
                 if key < best[0]:
                     best = (key, W.copy(), b.copy())
@@ -386,15 +386,16 @@ def test_dca_train_matches_reference_loop(batch):
     data = small_binary(seed=30, n=60)
     validation = small_binary(seed=31, n=30)
     spec = make_loss_spec("logistic")
-    cfg = TrainConfig(m=4, k=40, eta_inner=0.01, outer_epochs=3,
-                      inner_epochs=90, batch=batch, seed=32, init_scale=0.3)
+    # at batch 1 a snapshot scores below the final iterate and is returned
+    cfg = TrainConfig(m=4, k=40, eta_inner=0.2, outer_epochs=3,
+                      inner_epochs=250, batch=batch, seed=32, init_scale=0.3)
 
     def score(model):  # the validation error
         margins = validation.features @ model.weights[0] + model.bias[0]
         return np.mean(np.where(margins >= 0, 1, -1) != validation.labels)
 
-    trace, lambdas, W, b = _dca_reference(data, spec, cfg, score, 7)
-    report = dca_train(data, spec, cfg, score=score, eval_every=7)
+    trace, lambdas, W, b = _dca_reference(data, spec, cfg, score)
+    report = dca_train(data, spec, cfg, score=score)
     np.testing.assert_array_equal(report.objective_trace, trace)
     np.testing.assert_array_equal([p.lam for p in report.lambdas], lambdas)
     np.testing.assert_array_equal(report.model.weights, W)
@@ -1109,3 +1110,9 @@ def test_tkml_chain_rule_on_label_major_g_matches_c_order():
         got, want = _chain_rule(data, G, mask), _chain_rule(data, C, mask)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_make_loss_spec_rejects_an_unknown_kind_at_the_loss_key():
+    with pytest.raises(ConfigError) as info:
+        make_loss_spec("bogus")
+    assert str(info.value) == "config key 'loss': unknown loss kind 'bogus'"
