@@ -64,7 +64,7 @@ train.*           any TrainConfig field but seed (see base_seed)
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure, 4 crash.  A config error names its key: the check that tests a
 value raises ``data.ConfigError`` at that key, also when it tests it against
-data, and a generator size that cannot be allocated is one at its n or d key.
+data, and a generator size too large for numpy is one at its n or d key.
 A data error is a ``data.DataParseError`` (a file and line) or an OSError;
 any other exception is a bug, and ``main`` prints its traceback and exits 4.
 """
@@ -362,15 +362,18 @@ _SIZE_KEYS = {"blobs": ("blobs.n", "blobs.d"), "multilabel-synth": ("ml.n", "ml.
 
 def _generate(cfg: ExperimentConfig, seed: int) -> Dataset:
     """The dataset that the generator named by ``cfg.dataset`` makes for
-    ``seed``.  A size that cannot be allocated is a config error at the
-    larger of its n and d keys."""
+    ``seed``.  A size too large for numpy, one that cannot be allocated or
+    whose n x d features it cannot shape (a ValueError before any
+    allocation), is a config error at the larger of its n and d keys."""
     try:
         return _GENERATORS[cfg.dataset](cfg, seed)
-    except MemoryError:
+    except (MemoryError, ValueError) as exc:
         if cfg.dataset not in _SIZE_KEYS:
             raise
         keys = _SIZE_KEYS[cfg.dataset]
         n, d = (getattr(cfg, key.replace(".", "_")) for key in keys)
+        if isinstance(exc, ValueError) and 8 * n * d <= np.iinfo(np.intp).max:
+            raise
         raise ConfigError(keys[n < d], f"{n} x {d} features do not fit in "
                                        "memory") from None
 
@@ -549,15 +552,16 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
 
 
 def _evaluate(model, rows: Dataset, k: int) -> dict:
-    """The metric table of ``model`` on ``rows``, by the task of their
-    labels; multiclass rows report top-k accuracy when k > 1 or the model's
-    ``loss_kind`` starts with ``tkml``, else the top-1 error."""
+    """The metric table of ``model`` on ``rows``, by their labels and k
+    alone: label sets report top-k accuracy and average precision, classes
+    at k > 1 top-k accuracy and its error, and every other case the top-1
+    error and accuracy."""
     scores = predict_matrix(model, rows.features)
     if rows.is_multilabel:
         Y = rows.label_matrix
         return {"topk_accuracy": topk_multilabel_accuracy(scores, Y, k),
                 "average_precision": average_precision(scores, Y)}
-    if rows.l > 1 and (k > 1 or model.meta.get("loss_kind", "").startswith("tkml")):
+    if rows.l > 1 and k > 1:
         acc = topk_accuracy(scores, rows.labels, k)
         return {"topk_accuracy": acc, "error": 1.0 - acc}
     err = error_rate(scores[:, 0] if rows.l == 1 else scores, rows.labels)
@@ -840,7 +844,7 @@ REPRO_REGISTRY = {
     "table10": ReproEntry(
         ("noise_p", "top1_accuracy_pct", "reference_pct",
          "reference_baseline_pct"),
-        (_pct("topk_accuracy"),), (
+        (_pct("accuracy"),), (
             ReproRow((0.2,), "table10_p2", _MNIST_TOP1 + "noise.p = 0.2\n",
                      (83.06, 78.33)),
             ReproRow((0.3,), "table10_p3", _MNIST_TOP1 + "noise.p = 0.3\n",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +17,12 @@ class LinearModel:
     zeros when none is given).
 
     Binary classification uses l = 1 with a sign decision on the single
-    score.  ``meta`` records the loss kind and (k, m, k') the model was
-    trained with, purely as a record.
+    score.  The loss and ranked range that trained a model belong to its
+    run, and a report records them under ``config``.
     """
 
     weights: np.ndarray
     bias: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -57,17 +56,12 @@ def predict_matrix(model: LinearModel, X) -> np.ndarray:
 
 def save_model(model: LinearModel, path) -> None:
     """Write the key/value text format, one ``key = value`` per line:
-    format_version, l, d, loss_kind, k, m, kprime, then ``weights`` (the
-    l x d matrix row by row) and ``bias`` (l entries), each number at 17
-    significant digits."""
+    format_version, l, d, then ``weights`` (the l x d matrix row by row) and
+    ``bias`` (l entries), each number at 17 significant digits."""
     lines = [
         f"format_version = {FORMAT_VERSION}",
         f"l = {model.l}",
         f"d = {model.d}",
-        f"loss_kind = {model.meta.get('loss_kind', 'none')}",
-        f"k = {model.meta.get('k', 0)}",
-        f"m = {model.meta.get('m', 0)}",
-        f"kprime = {model.meta.get('kprime', 0)}",
         "weights = " + " ".join(f"{v:.17g}" for v in model.weights.ravel()),
         "bias = " + " ".join(f"{v:.17g}" for v in model.bias),
     ]
@@ -81,9 +75,10 @@ class ModelParseError(DataParseError):
 
 def load_model(path) -> LinearModel:
     """Parse the text format written by ``save_model``; a file without a
-    ``bias`` line loads with a zero bias.  A file that does not hold a valid
-    model raises ModelParseError at the line at fault, line 0 for a missing
-    key."""
+    ``bias`` line loads with a zero bias, and a key that the loader does not
+    read (such as the loss and ranks that older files record) is ignored.  A
+    file that does not hold a valid model raises ModelParseError at the line
+    at fault, line 0 for a missing key."""
     fields = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -99,7 +94,7 @@ def load_model(path) -> LinearModel:
             key, _, value = line.partition("=")
             fields[key.strip()] = (value.strip(), lineno)
 
-    def need(key, parse=str):
+    def need(key, parse):
         if key not in fields:
             raise ModelParseError(path, 0, f"missing required key {key!r}")
         value, lineno = fields[key]
@@ -129,10 +124,4 @@ def load_model(path) -> LinearModel:
         if bias.size != l or not np.isfinite(bias).all():
             raise ModelParseError(path, fields["bias"][1], f"expected {l} "
                                   f"finite bias entries, got {bias.tolist()}")
-    meta = {
-        "loss_kind": need("loss_kind"),
-        "k": need("k", int),
-        "m": need("m", int),
-        "kprime": need("kprime", int),
-    }
-    return LinearModel(weights=flat.reshape(l, d), bias=bias, meta=meta)
+    return LinearModel(weights=flat.reshape(l, d), bias=bias)

@@ -115,7 +115,6 @@ class BinaryMarginLoss(_LossSpec):
 
     def __init__(self, kind: MarginLossKind):
         self.kind = kind
-        self.name = kind.value
 
     def value_and_grad(self, W, b, rows) -> tuple:
         y = np.where(rows.label_matrix[:, 0], 1.0, -1.0)  # the +1 class
@@ -126,8 +125,6 @@ class BinaryMarginLoss(_LossSpec):
 
 class SoftmaxLoss(_LossSpec):
     """Softmax cross-entropy for multi-class models (labels 1..l)."""
-
-    name = "softmax"
 
     def value_and_grad(self, W, b, rows) -> tuple:
         scores = _scores(W, b, rows.features)
@@ -168,7 +165,6 @@ class TKMLSampleLoss(_LossSpec):
 
     def __init__(self, kprime: int):
         self.kprime = kprime
-        self.name = f"tkml(k'={kprime})"
 
     def value_and_grad(self, W, b, rows) -> tuple:
         """The (k'+1)-th largest hinge max((s + 1) - m, 0), m the lowest
@@ -210,8 +206,6 @@ class MultilabelLogisticLoss(_LossSpec):
     the standard multi-label baseline): a row's loss is the sum over its
     labels of log(1 + exp(s)) - y * s."""
 
-    name = "multilabel_lr"
-
     def value_and_grad(self, W, b, rows) -> tuple:
         scores = _scores(W, b, rows.features)
         Y = rows.label_matrix
@@ -219,21 +213,21 @@ class MultilabelLogisticLoss(_LossSpec):
         return values, 1.0 / (1.0 + np.exp(-np.clip(scores, -500, 500))) - Y
 
 
-def make_loss_spec(loss_kind: str, kprime: int = 1, l: int | None = None):
+def make_loss_spec(loss: str, kprime: int = 1, l: int | None = None):
     """Loss spec from its config-file name.  Given the label count l, a
     ``tkml`` spec checks that its top k' leave at least one label out."""
-    if loss_kind in ("logistic", "hinge"):
-        return BinaryMarginLoss(MarginLossKind(loss_kind))
-    if loss_kind == "softmax":
+    if loss in ("logistic", "hinge"):
+        return BinaryMarginLoss(MarginLossKind(loss))
+    if loss == "softmax":
         return SoftmaxLoss()
-    if loss_kind == "tkml":
+    if loss == "tkml":
         if l is not None and not 1 <= kprime < l:
             raise ConfigError("train.kprime", f"kprime={kprime} outside "
                                               f"1..{l - 1} for l={l}")
         return TKMLSampleLoss(kprime)
-    if loss_kind == "multilabel_lr":
+    if loss == "multilabel_lr":
         return MultilabelLogisticLoss()
-    raise ConfigError("loss", f"unknown loss kind {loss_kind!r}")
+    raise ConfigError("loss", f"unknown loss kind {loss!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +242,8 @@ def _init_params(data: Dataset, config: TrainConfig, rng: np.random.Generator):
     return np.zeros((data.l, data.d)), np.zeros(data.l)
 
 
-def _as_model(W, b, loss_spec, config: TrainConfig) -> LinearModel:
-    return LinearModel(
-        weights=W.copy(),
-        bias=b.copy(),
-        meta={"loss_kind": getattr(loss_spec, "name", "none"),
-              "k": config.k, "m": config.m, "kprime": config.kprime},
-    )
+def _as_model(W, b) -> LinearModel:
+    return LinearModel(weights=W.copy(), bias=b.copy())
 
 
 def _check_finite(value, epoch):  # value: a number or an array
@@ -366,7 +355,7 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
                 gW - scale * theta_hat_W + scale * W / config.C)
             b = b - config.eta_inner * (gb - scale * theta_hat_b)
             if probe and (step + 1) % EVAL_EVERY == 0:
-                snapshot = _as_model(_check_finite(W, t), b, loss_spec, config)
+                snapshot = _as_model(_check_finite(W, t), b)
                 key = score(snapshot)
                 if key < best[0]:
                     best = (key, snapshot)
@@ -375,7 +364,7 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
         trace.append(_check_finite(obj, t))
         lambdas.append(LambdaPair(lam=float(lam), lam_hat=None))
 
-    model, key = _as_model(W, b, loss_spec, config), None
+    model, key = _as_model(W, b), None
     if best[1] is not None and best[0] < (key := score(model)):
         key, model = best
     return TrainReport(model, trace, lambdas, key)
@@ -413,7 +402,7 @@ def sgd_average_train(data: Dataset, loss_spec, config: TrainConfig) -> TrainRep
     for _ in range(config.outer_epochs):
         W, b, obj = next(descent)
         trace.append(obj)
-    return TrainReport(_as_model(W, b, loss_spec, config), trace, [])
+    return TrainReport(_as_model(W, b), trace, [])
 
 
 def lambda_pair_from_validation(validation_losses) -> LambdaPair:
@@ -492,7 +481,7 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
         lambdas.append(pair)
         trace.append(_check_finite(float(np.mean(val_losses)), t))
 
-    return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas)
+    return TrainReport(_as_model(W, b), trace, lambdas)
 
 
 def tkml_aorr_train(data: Dataset, loss_spec, config: TrainConfig,
@@ -543,4 +532,4 @@ def tkml_aorr_train(data: Dataset, loss_spec, config: TrainConfig,
             trace.append(obj)
         else:
             evaluated = None
-    return TrainReport(_as_model(W, b, loss_spec, config), trace, lambdas)
+    return TrainReport(_as_model(W, b), trace, lambdas)

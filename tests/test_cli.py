@@ -435,7 +435,6 @@ _MODEL = ("format_version = 1\nl = 1\nd = 2\nloss_kind = logistic\nk = 0\n"
 
 @pytest.mark.parametrize("old, new, where", [
     ("l = 1", "l = one", "model:2"),
-    ("kprime = 0", "kprime = 0.5", "model:7"),
     ("-1.0", "nan", "model:8"),
     ("bias = 0.5", "bias = x", "model:9"),
     ("bias = 0.5", "bias = nan", "model:9"),
@@ -444,7 +443,7 @@ _MODEL = ("format_version = 1\nl = 1\nd = 2\nloss_kind = logistic\nk = 0\n"
     ("d = 2\n", "d = 3\n", "model:8"),
     ("d = 2\n", "d = 3\n", None),
     ("l = 1", "l 1", "model:2"),
-], ids=["l", "kprime", "nan-weight", "bias", "nan-bias", "inf-bias", "latin-1",
+], ids=["l", "nan-weight", "bias", "nan-bias", "inf-bias", "latin-1",
         "weight-count", "data-d", "no-equals"])
 def test_eval_unusable_model_or_data_exits_2(tmp_path, capsys, old, new,
                                              where):
@@ -678,12 +677,12 @@ def test_eval_reports_the_train_metric_table(tmp_path, capsys):
     write_csv(gen_multiclass_blobs(60, 3, 4, seed=2), data_path)
     rng = np.random.default_rng(3)
     weights, bias = rng.standard_normal((4, 3)), rng.standard_normal(4)
-    # top-1 error, unless k > 1 or the model is a tkml one
-    for kind, k, table in (("softmax", 1, ["accuracy", "error"]),
-                           ("softmax", 2, ["error", "topk_accuracy"]),
-                           ("tkml", 1, ["error", "topk_accuracy"])):
-        save_model(LinearModel(weights=weights, bias=bias,
-                               meta={"loss_kind": kind}), model_path)
+    # top-1 error, unless k > 1; an older file's tkml record picks nothing
+    for record, k, table in (("", 1, ["accuracy", "error"]),
+                             ("", 2, ["error", "topk_accuracy"]),
+                             ("loss_kind = tkml\n", 1, ["accuracy", "error"])):
+        save_model(LinearModel(weights=weights, bias=bias), model_path)
+        model_path.write_text(model_path.read_text() + record)
         capsys.readouterr()
         assert main(["eval", "--model", str(model_path),
                      "--data", str(data_path), "--k", str(k)]) == EXIT_OK
@@ -693,6 +692,42 @@ def test_eval_reports_the_train_metric_table(tmp_path, capsys):
             load_model(model_path), load_dataset(str(data_path), "csv", l=4), k)
         if "topk_accuracy" in printed:
             assert printed["error"] == 1.0 - printed["topk_accuracy"]
+
+
+def test_eval_of_an_older_model_file_prints_the_same_table(tmp_path, capsys):
+    # a file with the loss_kind, k, m and kprime record lines that models
+    # were saved with: its tkml loss_kind made eval print topk_accuracy at
+    # --k 1, where the same weights without it print accuracy
+    from rankedrange import LinearModel, save_model, write_csv
+    import numpy as np
+
+    data_path, model_path = tmp_path / "blobs.csv", tmp_path / "model.txt"
+    older_path = tmp_path / "older.txt"
+    write_csv(gen_multiclass_blobs(60, 3, 4, seed=2), data_path)
+    rng = np.random.default_rng(3)
+    weights, bias = rng.standard_normal((4, 3)), rng.standard_normal(4)
+    save_model(LinearModel(weights=weights, bias=bias), model_path)
+    older_path.write_text(
+        "format_version = 1\nl = 4\nd = 3\nloss_kind = tkml\nk = 0\nm = 0\n"
+        "kprime = 1\nweights = " + " ".join(f"{v:.17g}" for v in weights.ravel())
+        + "\nbias = " + " ".join(f"{v:.17g}" for v in bias) + "\n")
+    printed = []
+    for path in (model_path, older_path):
+        capsys.readouterr()
+        assert main(["eval", "--model", str(path),
+                     "--data", str(data_path)]) == EXIT_OK
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert sorted(json.loads(printed[0])) == ["accuracy", "error"]
+
+
+def test_multiclass_tkml_run_at_eval_k_1_reports_accuracy_and_error():
+    # a tkml run reported topk_accuracy and error, a softmax run at the
+    # same eval_k error and accuracy
+    report = run_experiment(parse_config(_BLOBS3.replace(
+        "loss = softmax", "loss = tkml\naggregate = tkml") + "eval_k = 1\n"))
+    assert set(report["runs"][0]["metrics"]) == {"accuracy", "error"}
+    assert set(report["aggregates"]) == {"accuracy", "error"}
 
 
 # --- repeats and grid cells on forked processes ----------------------------
@@ -1329,6 +1364,24 @@ def test_unallocatable_generator_size_exits_1_at_its_key(tmp_path, capsys,
                  "--out", str(tmp_path / "out")]) == EXIT_USAGE
     assert (f"config key {key!r}: 10000000000000 x {d} features do not fit "
             "in memory") in capsys.readouterr().err
+
+
+# sizes past numpy's largest array: numpy raised ValueError before any
+# allocation, and the run ended in its traceback (exit 4)
+@pytest.mark.parametrize("command", ["train", "data"])
+@pytest.mark.parametrize("base, key, shape", [
+    (_BLOBS3, "blobs.n", "100000000000000000000 x 2"),
+    (_ML6, "ml.d", "60 x 100000000000000000000")], ids=["blobs", "ml"])
+def test_unshapeable_generator_size_exits_1_at_its_key(tmp_path, capsys,
+                                                       command, base, key,
+                                                       shape):
+    cfg_path = tmp_path / "huge.cfg"
+    cfg_path.write_text(base + f"{key} = 100000000000000000000\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert (f"config key {key!r}: {shape} features do not fit in "
+            "memory") in capsys.readouterr().err
 
 
 def test_a_crash_exits_4_with_its_traceback(monkeypatch, capsys):

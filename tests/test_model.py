@@ -112,16 +112,20 @@ def test_nonpositive_c_rejected():
 def test_roundtrip(tmp_path):
     rng = np.random.default_rng(14)
     model = LinearModel(weights=rng.standard_normal((3, 5)),
-                        bias=rng.standard_normal(3),
-                        meta={"loss_kind": "softmax", "k": 7, "m": 2,
-                              "kprime": 0})
+                        bias=rng.standard_normal(3))
     path = tmp_path / "model.txt"
     save_model(model, path)
     loaded = load_model(path)
     np.testing.assert_array_equal(loaded.weights, model.weights)
     np.testing.assert_array_equal(loaded.bias, model.bias)
-    assert loaded.meta["loss_kind"] == "softmax"
-    assert loaded.meta["k"] == 7
+
+
+def test_saved_file_holds_weights_and_bias_only(tmp_path):
+    # the file also held a loss_kind, k, m and kprime record of the run
+    path = tmp_path / "model.txt"
+    save_model(LinearModel(weights=np.ones((2, 3))), path)
+    keys = [line.partition(" = ")[0] for line in path.read_text().splitlines()]
+    assert keys == ["format_version", "l", "d", "weights", "bias"]
 
 
 def test_roundtrip_without_bias(tmp_path):

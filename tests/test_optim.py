@@ -1001,11 +1001,11 @@ def test_tkml_large_path_matches_stable_rank_with_non_finite_and_zero_ties(
         scores = X @ W.T + b
         expect_values, expect_G = _stable_rank_reference(
             scores, rows.label_matrix, kprime)
+        ranked = -np.sort(-np.maximum(
+            1.0 + scores - np.where(rows.label_matrix, scores, np.inf).min(
+                axis=1, keepdims=True), 0.0), axis=1)  # hinges, descending
     np.testing.assert_array_equal(values, expect_values)
     np.testing.assert_array_equal(G, expect_G)
-    ranked = -np.sort(-np.maximum(
-        1.0 + scores - np.where(rows.label_matrix, scores, np.inf).min(
-            axis=1, keepdims=True), 0.0), axis=1)  # hinges, descending
     # the cases reach NaN values, infinite hinges, and zero ties below
     # rank k'+1
     assert np.isnan(values).any() and np.isinf(ranked).any()
