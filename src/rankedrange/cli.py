@@ -64,7 +64,7 @@ train.*           any TrainConfig field but seed (see base_seed)
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure, 4 crash.  A config error names its key: the check that tests a
 value raises ``data.ConfigError`` at that key, also when it tests it against
-data, and a generator size too large for numpy is one at its n or d key.
+data, and a generator size too large for numpy is one at its n, d or l key.
 A data error is a ``data.DataParseError`` (a file and line) or an OSError;
 any other exception is a bug, and ``main`` prints its traceback and exits 4.
 """
@@ -203,6 +203,9 @@ class ExperimentConfig:
             # a label set holds ml.min..ml.max labels and leaves one out
             raise ConfigError("ml.max", f"must be in {self.ml_min}..{self.ml_l - 1}")
         (key_m, ms), (key_k, ks) = self.ranks("m"), self.ranks("k")
+        for key, values in ((key_m, ms), (key_k, ks)):
+            if min(values) < 0:  # a rank counts rows; k = 0 means n
+                raise ConfigError(key, f"{min(values)} is below 0")
         if self.aggregate in ("atk", "topk") and min(ks) < 1:
             raise ConfigError(key_k, f"{self.aggregate} needs {key_k} >= 1")
         if self.aggregate in ("aorr", "tkml_aorr") and min(ms) < 1:
@@ -356,26 +359,36 @@ _GENERATORS = {
         cfg.ml_n, cfg.ml_d, cfg.ml_l, seed=seed, min_labels=cfg.ml_min,
         max_labels=cfg.ml_max, score_noise=cfg.ml_noise),
 }
-# the (n, d) keys of the generators whose size a config sets
-_SIZE_KEYS = {"blobs": ("blobs.n", "blobs.d"), "multilabel-synth": ("ml.n", "ml.d")}
+# the (rows, cols) keys of each array that a sized generator shapes, its
+# n x d features first
+_SIZE_KEYS = {
+    "blobs": (("blobs.n", "blobs.d"), ("blobs.l", "blobs.d")),
+    "multilabel-synth": (("ml.n", "ml.d"), ("ml.l", "ml.d"), ("ml.n", "ml.l")),
+}
 
 
 def _generate(cfg: ExperimentConfig, seed: int) -> Dataset:
     """The dataset that the generator named by ``cfg.dataset`` makes for
     ``seed``.  A size too large for numpy, one that cannot be allocated or
-    whose n x d features it cannot shape (a ValueError before any
-    allocation), is a config error at the larger of its n and d keys."""
+    whose largest array it cannot shape (a ValueError before any
+    allocation), is a config error at the larger key of that array, given
+    with the first array that has the key."""
     try:
         return _GENERATORS[cfg.dataset](cfg, seed)
     except (MemoryError, ValueError) as exc:
         if cfg.dataset not in _SIZE_KEYS:
             raise
-        keys = _SIZE_KEYS[cfg.dataset]
-        n, d = (getattr(cfg, key.replace(".", "_")) for key in keys)
-        if isinstance(exc, ValueError) and 8 * n * d <= np.iinfo(np.intp).max:
+        arrays = _SIZE_KEYS[cfg.dataset]
+        size = {key: getattr(cfg, key.replace(".", "_"))
+                for shape in arrays for key in shape}
+        rows, cols = max(arrays, key=lambda shape: size[shape[0]] * size[shape[1]])
+        if (isinstance(exc, ValueError)
+                and 8 * size[rows] * size[cols] <= np.iinfo(np.intp).max):
             raise
-        raise ConfigError(keys[n < d], f"{n} x {d} features do not fit in "
-                                       "memory") from None
+        key = max((rows, cols), key=size.get)  # rows on a tie, as n before d
+        rows, cols = next(shape for shape in arrays if key in shape)
+        raise ConfigError(key, f"{size[rows]} x {size[cols]} features do not "
+                               "fit in memory") from None
 
 
 # (fn, items) of the running _ordered_map; its forked workers inherit it

@@ -61,19 +61,18 @@ class TrainConfig:
     init_scale: float = 0.0  # stddev of the random start (0 = zero init)
 
     def __post_init__(self):
-        for name in ("C", "eta_outer", "eta_inner", "outer_epochs",
-                     "inner_epochs", "refresh_every"):
+        for name in ("kprime", "C", "eta_outer", "eta_inner", "outer_epochs",
+                     "inner_epochs", "patience", "refresh_every"):
             if not getattr(self, name) > 0:  # NaN included
                 raise ConfigError(f"train.{name}",
                                   f"{name}={getattr(self, name)} must be > 0")
-        for name in ("batch", "warmup_epochs", "init_scale"):
+        for name in ("m", "k", "batch", "warmup_epochs", "init_scale"):
             if not getattr(self, name) >= 0:  # NaN included
                 raise ConfigError(f"train.{name}",
                                   f"{name}={getattr(self, name)} must be >= 0")
 
     def ranked_range(self, n: int) -> RankedRange:
-        k = self.k if self.k > 0 else n
-        return RankedRange(self.m, k).validate(n)
+        return RankedRange(self.m, self.k or n).validate(n)
 
 
 @dataclass(frozen=True)

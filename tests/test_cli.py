@@ -245,7 +245,7 @@ def test_main_train_and_exit_codes(tmp_path):
     assert (tmp_path / "out" / "t.csv").exists()
 
 
-def test_main_usage_errors(tmp_path, capsys):
+def test_main_usage_errors(capsys):
     assert main(["no-such-command"]) == EXIT_USAGE
     # a usage error gives its reason, not the usage line alone
     capsys.readouterr()
@@ -254,43 +254,24 @@ def test_main_usage_errors(tmp_path, capsys):
             in capsys.readouterr().err)
     assert main(["train", "--help"]) == EXIT_OK
     assert main(["repro", "no-such-table"]) == EXIT_USAGE
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("bogus = 1\n")
-    assert main(["train", "--config", str(bad)]) == EXIT_USAGE
 
 
-def test_main_data_errors(tmp_path):
+def test_main_data_errors(tmp_path, capsys):
     cfg_path = tmp_path / "missing.cfg"
     cfg_path.write_text("task = binary\ndataset = /nonexistent/file.csv\n"
                         "split = 0.7,0.3\n")
     assert main(["train", "--config", str(cfg_path)]) == EXIT_DATA
+    assert "/nonexistent/file.csv" in capsys.readouterr().err
     malformed = tmp_path / "mal.csv"
     malformed.write_text("label,f0\n1,0.5\nnot-a-number,1\n")
     cfg2 = tmp_path / "mal.cfg"
     cfg2.write_text(f"task = binary\ndataset = {malformed}\nsplit = 0.7,0.3\n")
     assert main(["train", "--config", str(cfg2)]) == EXIT_DATA
+    assert f"{malformed}:3: " in capsys.readouterr().err
 
 
 _RUN = ("task = binary\ndataset = synthetic\nsplit = 0.7,0.3\n"
         "train.batch = 0\ntrain.outer_epochs = 1\ntrain.inner_epochs = 5\n")
-
-
-@pytest.mark.parametrize("line", [
-    "train.k = abc",
-    "repeats = x",
-    "split = a,b",
-    "split = 0.5,0.2",
-    "synth.balanced = maybe",
-    "noise.p = 0.3",  # no noise.mode
-    "noise.mode = symmetric",  # no noise.p
-    "aggregate = atk\ntrain.k = 1000",  # the training part has 140 rows
-])
-def test_main_config_errors_exit_1(tmp_path, line):
-    cfg_path = tmp_path / "bad.cfg"
-    cfg_path.write_text(_RUN + line + "\n")
-    assert main(["train", "--config", str(cfg_path),
-                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
-    assert not (tmp_path / "out").exists()
 
 
 _MULTILABEL = ("task = multilabel\nloss = tkml\ndataset = multilabel-synth\n"
@@ -299,15 +280,16 @@ _MULTICLASS = ("task = multiclass\nloss = softmax\ndataset = blobs\n"
                "split = 0.7,0.3\nblobs.n = 40\nblobs.d = 4\nblobs.l = 3\n")
 
 
-@pytest.mark.parametrize("text", [
-    _MULTILABEL + "aggregate = tkml\ntrain.kprime = 9",
-    _MULTILABEL + "aggregate = tkml_aorr\ntrain.m = 1\ntrain.kprime = 9",
-    _MULTILABEL + "aggregate = tkml\neval_k = 6",
-    _MULTICLASS + "aggregate = average\neval_k = 4",
+@pytest.mark.parametrize("text, key", [
+    (_MULTILABEL + "aggregate = tkml\ntrain.kprime = 9", "train.kprime"),
+    (_MULTILABEL + "aggregate = tkml_aorr\ntrain.m = 1\ntrain.kprime = 9",
+     "train.kprime"),
+    (_MULTILABEL + "aggregate = tkml\neval_k = 6", "eval_k"),
+    (_MULTICLASS + "aggregate = average\neval_k = 4", "eval_k"),
 ], ids=["tkml-kprime", "tkml_aorr-kprime", "multilabel-eval_k",
         "multiclass-eval_k"])
 def test_label_rank_beyond_l_exits_1_before_training(tmp_path, monkeypatch,
-                                                      text):
+                                                      capsys, text, key):
     import rankedrange.cli as cli
 
     def no_training(*args, **kwargs):
@@ -317,8 +299,10 @@ def test_label_rank_beyond_l_exits_1_before_training(tmp_path, monkeypatch,
         monkeypatch.setattr(cli, trainer, no_training)
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text(text + "\n")
+    capsys.readouterr()
     assert main(["train", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert f"config key {key!r}" in capsys.readouterr().err
 
 
 _KIND_FILES = {
@@ -1076,19 +1060,26 @@ def test_sweep_any_key(tmp_path):
     assert [line.split(",")[0] for line in lines] == ["synth.outliers", "0", "2"]
 
 
-@pytest.mark.parametrize("param, range_", [
-    ("k", "2:3:0.5"),  # a non-integral value for an int key
-    ("p", "0.1:0.2:0.1"),  # no noise.mode in the config
-    ("k", "2:1000:997"),  # k = 999 exceeds the 140 training rows
-    ("bogus", "1:2"),
-    ("k", "2"),  # one part
-    ("k", "1:2:1:4"),  # four parts
-])
-def test_sweep_config_errors_exit_1(tmp_path, param, range_):
+# (--param, --range) of a sweep, and the key of its config error
+_SWEEP_ERRORS = {
+    ("k", "2:3:0.5"): "train.k",  # a non-integral value for an int key
+    ("p", "0.1:0.2:0.1"): "noise.mode",  # no noise.mode in the config
+    ("k", "2:1000:997"): "train.k",  # k = 999 exceeds the 140 training rows
+    ("bogus", "1:2"): "bogus",
+    ("k", "2"): "--range",  # one part
+    ("k", "1:2:1:4"): "--range",  # four parts
+}
+
+
+@pytest.mark.parametrize("param, range_", list(_SWEEP_ERRORS))
+def test_sweep_config_errors_exit_1(tmp_path, capsys, param, range_):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(_RUN + "aggregate = atk\ntrain.k = 2\n")
+    capsys.readouterr()
     assert main(["sweep", "--config", str(cfg_path), "--param", param,
                  "--range", range_, "--out", str(tmp_path)]) == EXIT_USAGE
+    key = _SWEEP_ERRORS[param, range_]
+    assert f"config key {key!r}" in capsys.readouterr().err
 
 
 def test_registry_names_complete():
@@ -1297,6 +1288,31 @@ _CONFIG_ERRORS = {
                             "train.eta_inner"),
     "train.init_scale-inf": (_BINARY + "train.init_scale = inf\n",
                              "train.init_scale"),
+    # values that do not parse, and keys that name no field
+    "train.k-not-an-int": (_BINARY + "train.k = abc\n", "train.k"),
+    "repeats-not-an-int": (_BINARY + "repeats = x\n", "repeats"),
+    "split-not-numbers": (_BINARY + "split = a,b\n", "split"),
+    "split-sum": (_BINARY + "split = 0.5,0.2\n", "split"),
+    "synth.balanced": (_BINARY + "synth.balanced = maybe\n", "synth.balanced"),
+    "noise.p-without-mode": (_BINARY + "noise.p = 0.3\n", "noise.mode"),
+    "bogus": (_BINARY + "bogus = 1\n", "bogus"),
+    "train.use_bias": (_BINARY + "train.use_bias = false\n", "train.use_bias"),
+    # the training part has 140 rows
+    "train.k-atk-above-n": (_BINARY + "aggregate = atk\ntrain.k = 1000\n",
+                            "train.k"),
+    # a negative rank trained: k < 0 as k = n, and m < 0 where m is unread
+    "train.m-negative": (_BINARY + "train.m = -1\n", "train.m"),
+    "train.k-negative": (_BINARY + "aggregate = aorr\ntrain.m = 1\n"
+                         "train.k = -5\n", "train.k"),
+    "grid.m-negative": (_BINARY + "aggregate = atk\ntrain.k = 5\n"
+                        "grid.m = -1,0\n", "grid.m"),
+    "grid.k-negative": (_BINARY + "aggregate = aorr\ntrain.m = 1\n"
+                        "grid.k = -5,10\n", "grid.k"),
+    # parsed, and read as patience 1 or not read at all
+    "train.patience": (_BINARY + "aggregate = auto_aorr\n"
+                       "split = 0.5,0.25,0.25\ntrain.patience = -3\n",
+                       "train.patience"),
+    "train.kprime-below-1": (_BINARY + "train.kprime = -5\n", "train.kprime"),
 }
 
 
@@ -1328,6 +1344,7 @@ def test_config_errors_exit_1_at_their_key(tmp_path, capsys, row):
     capsys.readouterr()
     assert main(argv) == EXIT_USAGE
     assert f"config key {_CONFIG_ERRORS[row][1]!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # the rows whose keys `data` reads: the dataset, generator and noise keys
@@ -1336,8 +1353,8 @@ _DATA_ERRORS = ("base_seed", "blobs.d", "blobs.l", "blobs.n", "blobs.sep-inf",
                 "ml.min", "ml.noise-nan", "multilabel-noise-on-binary",
                 "noise-mode-unknown-without-p", "noise-mode-without-p",
                 "noise.map-missing", "noise.map-not-a-label",
-                "noise.map-vs-labels", "noise.p", "noise.seed",
-                "synth.outliers")
+                "noise.map-vs-labels", "noise.p", "noise.p-without-mode",
+                "noise.seed", "synth.balanced", "synth.outliers")
 
 
 @pytest.mark.parametrize("row", _DATA_ERRORS)
@@ -1353,8 +1370,11 @@ def test_data_config_errors_exit_1_at_the_key_train_names(tmp_path, capsys,
 # sizes whose allocation fails at once; they ended in numpy's
 # _ArrayMemoryError traceback and exited 1 with no key
 @pytest.mark.parametrize("command", ["train", "data"])
-@pytest.mark.parametrize("base, key, d", [(_BLOBS3, "blobs.n", 2),
-                                          (_ML6, "ml.n", 3)], ids=["blobs", "ml"])
+@pytest.mark.parametrize("base, key, d", [
+    (_BLOBS3, "blobs.n", 2), (_ML6, "ml.n", 3),
+    # the l x d centers and weights, which were blamed on the n key
+    (_BLOBS3, "blobs.l", 2), (_ML6, "ml.l", 3)],
+    ids=["blobs", "ml", "blobs.l", "ml.l"])
 def test_unallocatable_generator_size_exits_1_at_its_key(tmp_path, capsys,
                                                          command, base, key, d):
     cfg_path = tmp_path / "huge.cfg"
@@ -1371,7 +1391,11 @@ def test_unallocatable_generator_size_exits_1_at_its_key(tmp_path, capsys,
 @pytest.mark.parametrize("command", ["train", "data"])
 @pytest.mark.parametrize("base, key, shape", [
     (_BLOBS3, "blobs.n", "100000000000000000000 x 2"),
-    (_ML6, "ml.d", "60 x 100000000000000000000")], ids=["blobs", "ml"])
+    (_ML6, "ml.d", "60 x 100000000000000000000"),
+    # these ended in numpy's ValueError traceback (exit 4)
+    (_BLOBS3, "blobs.l", "100000000000000000000 x 2"),
+    (_ML6, "ml.l", "100000000000000000000 x 3")],
+    ids=["blobs", "ml", "blobs.l", "ml.l"])
 def test_unshapeable_generator_size_exits_1_at_its_key(tmp_path, capsys,
                                                        command, base, key,
                                                        shape):
@@ -1486,14 +1510,16 @@ def _reject_constant(constant):
 
 @pytest.mark.parametrize("text", [
     _BINARY + "aggregate = average\ntrain.outer_epochs = 3\n",
-    _BINARY + ("aggregate = atk\ntrain.k = 20\ntrain.outer_epochs = 2\n"
-               "train.inner_epochs = 20\n"),
+    _BINARY + ("aggregate = atk\ngrid.k = 5,10\nsplit = 0.5,0.25,0.25\n"
+               "train.outer_epochs = 2\ntrain.inner_epochs = 20\n"),
     _BINARY + ("aggregate = auto_aorr\nsplit = 0.5,0.25,0.25\n"
                "train.warmup_epochs = 5\ntrain.outer_epochs = 2\n"
                "train.inner_epochs = 20\n"),
     _ML6 + ("aggregate = tkml_aorr\ntrain.m = 1\ntrain.k = 20\n"
             "train.warmup_epochs = 5\ntrain.outer_epochs = 20\n"),
-], ids=["sgd_average_train", "dca_train", "auto_train", "tkml_aorr_train"])
+    _ML6 + "loss = multilabel_lr\naggregate = average\ntrain.outer_epochs = 5\n",
+], ids=["sgd_average_train", "dca_train", "auto_train", "tkml_aorr_train",
+        "multilabel_lr"])
 def test_reports_are_strict_json(tmp_path, text):
     # dca_train, which learns no lam_hat, wrote NaN into lambda_trace
     cfg_path = tmp_path / "exp.cfg"
