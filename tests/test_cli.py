@@ -1347,6 +1347,18 @@ def test_config_errors_exit_1_at_their_key(tmp_path, capsys, row):
     assert not (tmp_path / "out").exists()
 
 
+# a noise mode without its p, on a run that would train for a few epochs
+@pytest.mark.parametrize("line", ["noise.mode = symmetric"])
+def test_main_config_errors_exit_1(tmp_path, capsys, line):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(_RUN + line + "\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "config key 'noise.p'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # the rows whose keys `data` reads: the dataset, generator and noise keys
 _DATA_ERRORS = ("base_seed", "blobs.d", "blobs.l", "blobs.n", "blobs.sep-inf",
                 "format", "ml.d", "ml.max-below-ml.min", "ml.max-vs-ml.l",
