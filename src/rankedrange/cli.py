@@ -593,11 +593,15 @@ def _changed_rows(clean: Dataset, noisy: Dataset) -> int:
         (clean.label_matrix != noisy.label_matrix).any(axis=1)))
 
 
-def _single_run(cfg: ExperimentConfig, run: int, data: Dataset | None) -> dict:
-    """One seeded repeat on ``data``, a loaded file; when it is None, on the
-    dataset that the generator named by ``cfg.dataset`` makes for the seed."""
+def _single_run(cfg: ExperimentConfig, run: int, loaded: list) -> dict:
+    """One seeded repeat on ``loaded[run]``, a loaded file, which it takes
+    out of the list; when the list is empty, on the dataset that the
+    generator named by ``cfg.dataset`` makes for the seed.  The dataset is
+    dropped once it is split, so training holds the z-scored parts alone."""
     seed = cfg.base_seed + run
-    if data is None:
+    if loaded:
+        data, loaded[run] = loaded[run], None
+    else:
         data = _generate(cfg, seed)
     kind = ("multilabel" if data.is_multilabel
             else "binary" if data.l == 1 else "multiclass")
@@ -605,6 +609,7 @@ def _single_run(cfg: ExperimentConfig, run: int, data: Dataset | None) -> dict:
         raise ConfigError("task", f"dataset {cfg.dataset!r} holds {kind} "
                                   f"labels, not {cfg.task} labels")
     parts, _, _ = split_standardized(data, cfg.split, seed=seed)
+    del data
     tr, te = parts[0], parts[-1]
     va = parts[1] if len(parts) == 3 else None
     if cfg.noise is not None:
@@ -632,12 +637,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     The report is deterministic in (config, seeds): metric sections are
     byte-identical across re-runs.  When ``out_dir`` is given, writes
     ``<name>.json`` and ``<name>.csv`` there.
+
+    A file's contents do not depend on the seed, so one load serves every
+    repeat: each repeat takes its own reference to it out of a list, and a
+    process frees the loaded rows once the last of its repeats has split
+    them.
     """
-    # a file's contents do not depend on the seed: one load serves every repeat
-    data = None
-    if cfg.dataset not in _GENERATORS:
-        data = load_dataset(cfg.dataset, cfg.format)
-    runs = _ordered_map(lambda run: _single_run(cfg, run, data),
+    loaded = ([] if cfg.dataset in _GENERATORS
+              else [load_dataset(cfg.dataset, cfg.format)] * cfg.repeats)
+    runs = _ordered_map(lambda run: _single_run(cfg, run, loaded),
                         range(cfg.repeats))
     metric_names = sorted(runs[0]["metrics"])
     aggregates = {}

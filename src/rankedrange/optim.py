@@ -126,12 +126,18 @@ class SoftmaxLoss(_LossSpec):
     """Softmax cross-entropy for multi-class models (labels 1..l)."""
 
     def value_and_grad(self, W, b, rows) -> tuple:
-        scores = _scores(W, b, rows.features)
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        logz = np.log(np.sum(np.exp(shifted), axis=1))
+        # the shifted scores, the probabilities and G take the scores'
+        # buffer in turn: at large n each fresh rows x l array would be
+        # page-faulted in anew on every call
+        S = _scores(W, b, rows.features)
+        S -= S.max(axis=1, keepdims=True)
+        logz = np.log(np.sum(np.exp(S), axis=1))
         onehot = rows.label_matrix
-        probs = np.exp(shifted - logz[:, None])
-        return logz - shifted[onehot], probs - onehot
+        values = logz - S[onehot]
+        S -= logz[:, None]
+        np.exp(S, out=S)
+        S -= onehot
+        return values, S
 
 
 # hinge-matrix size (rows x labels) from which TKMLSampleLoss ranks labels

@@ -521,6 +521,79 @@ def test_file_dataset_loaded_once_per_experiment(tmp_path, monkeypatch):
             (tmp_path / "each" / name).read_bytes()
 
 
+def _binary_csv(path, n, d):
+    """A binary CSV of n rows of d normal features."""
+    import numpy as np
+    from rankedrange import Dataset, write_csv
+
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((n, d))
+    y = np.where(X[:, 0] + rng.standard_normal(n) > 0, 1, -1)
+    write_csv(Dataset(X, y, 1), path)
+    return path
+
+
+@pytest.mark.parametrize("source, repeats, alive", [
+    ("load_dataset", 1, [False]),
+    ("_generate", 1, [False]),
+    # two serial repeats share one load: repeat 1 still needs it while
+    # repeat 0 trains, and nothing needs it while repeat 1 trains
+    ("load_dataset", 2, [True, False]),
+], ids=["csv", "generated", "csv-two-repeats"])
+def test_dataset_is_dropped_before_training(tmp_path, monkeypatch, source,
+                                            repeats, alive):
+    # a repeat trains on its z-scored parts alone: the loaded or generated
+    # dataset is gone once no later repeat in the process needs it
+    import weakref
+
+    _cpus(monkeypatch, 1)
+    text = _RUN + f"repeats = {repeats}\n"
+    if source == "load_dataset":
+        text = text.replace("synthetic", str(_binary_csv(tmp_path / "r.csv", 60, 3)))
+    refs, seen = [], []
+    make, train = getattr(cli, source), cli.sgd_average_train
+
+    def watched(*args):
+        data = make(*args)
+        refs.append(weakref.ref(data))
+        return data
+
+    def watching_train(*args, **kwargs):
+        seen.append(refs[-1]() is not None)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, source, watched)
+    monkeypatch.setattr(cli, "sgd_average_train", watching_train)
+    run_experiment(parse_config(text))
+    assert len(refs) == 1
+    assert seen == alive
+
+
+def test_training_holds_one_copy_of_the_rows(tmp_path, monkeypatch):
+    # at trainer start the traced memory is the z-scored parts and little
+    # else; the loaded matrix beside them would make it about twice that
+    import tracemalloc
+
+    data_path = _binary_csv(tmp_path / "rows.csv", 4000, 50)
+    feature_bytes = 4000 * 50 * 8  # the parts partition the rows
+    traced = []
+    train = cli.sgd_average_train
+
+    def measuring_train(*args, **kwargs):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sgd_average_train", measuring_train)
+    cfg = parse_config(_RUN.replace("synthetic", str(data_path)))
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(traced) == 1
+    assert traced[0] <= 1.2 * feature_bytes
+
+
 def test_restarts_apply_to_every_ranked_range():
     # restarts used to be ignored by every aggregate but aorr
     text = _RUN + ("aggregate = atk\ntrain.k = 20\ntrain.batch = 1\n"

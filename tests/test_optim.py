@@ -920,6 +920,32 @@ def test_value_and_grad_matches_scalar_oracles(kind):
     np.testing.assert_allclose(gb, expect_b, atol=1e-12)
 
 
+def _softmax_fresh_arrays(W, b, rows):
+    """Softmax values and G with a fresh array for each intermediate."""
+    scores = rows.features @ W.T
+    scores += b
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    logz = np.log(np.sum(np.exp(shifted), axis=1))
+    onehot = rows.label_matrix
+    probs = np.exp(shifted - logz[:, None])
+    return logz - shifted[onehot], probs - onehot
+
+
+def test_softmax_value_and_grad_in_one_buffer_is_exact():
+    # the spec reuses the scores' buffer; every entry must stay bit for bit
+    data = gen_multiclass_blobs(500, 10, 7, seed=26)
+    rng = np.random.default_rng(27)
+    W = 3.0 * rng.standard_normal((data.l, data.d))
+    b = rng.standard_normal(data.l)
+    spec = make_loss_spec("softmax")
+    for rows in (data, gathered(data, rng.integers(0, data.n, size=64))):
+        values, G = spec.value_and_grad(W, b, rows)
+        want_values, want_G = _softmax_fresh_arrays(W, b, rows)
+        assert G.shape == (rows.n, data.l) and G.dtype == np.float64
+        assert values.tobytes() == want_values.tobytes()
+        assert G.tobytes() == want_G.tobytes()
+
+
 def _tied_tkml_cases():
     """Integer features with every row twice, and (W, b) whose scores tie
     across labels: zero, integer bias only, and integer-rounded W and b."""
