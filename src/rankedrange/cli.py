@@ -18,13 +18,14 @@ Every command holds OpenBLAS at one thread (``single_blas_thread``), so the
 report is the same as a serial run's at any repeat count.
 
 Config files are plain text, one ``key = value`` per line, ``#`` starts a
-comment.  Every key has a default (see ``DEFAULTS``); the resolved config
+comment.  Every key has its field's default; the resolved config
 is embedded in every report so runs are self-describing.  The keys are the
 fields of the config dataclasses: ``train.f`` and ``noise.f`` name fields
 of TrainConfig and NoiseSpec, any other ``a.b`` names the ExperimentConfig
 field ``a_b``, and each field's annotation picks its value parser.  A
-float value (a comma list's too) must be finite: ``nan`` or ``inf`` is a
-config error at its key.
+float value (a comma list's too) must be finite, a comma list holds no
+empty item and a map maps each label once; each is a config error at its
+key otherwise.
 
 Keys
 ----
@@ -57,9 +58,11 @@ blobs.sep         blob center separation
 ml.n/.d/.l        multilabel generator dimensions
 ml.min/.max       label-set size range
 ml.noise          score noise of the multilabel generator
-grid.m, grid.k    comma lists: the m and k of a ranked range's (m, k) cells
-                  (default train.m, train.k); the kept cell is reported
-train.*           any TrainConfig field but seed (see base_seed)
+grid.m, grid.k    comma lists: the ranks m and k of a ranked range's
+                  (m, k) cells (unset: m = 0, k = n; k = 0 means n); a
+                  run of more than one cell reports the kept one
+train.*           any TrainConfig field but seed (see base_seed): the
+                  optimizer settings and kprime
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure, 4 crash.  A config error names its key: the check that tests a
@@ -84,6 +87,7 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
+from .core import RankedRange
 from .data import (
     ConfigError,
     DataParseError,
@@ -132,12 +136,9 @@ _TRAINS = {
     ("multilabel", "multilabel_lr"): ("average",),
 }
 TASKS = tuple(dict.fromkeys(task for task, _ in _TRAINS))
-LOSSES = tuple(dict.fromkeys(loss for _, loss in _TRAINS))
-AGGREGATES = tuple(dict.fromkeys(agg for aggs in _TRAINS.values()
-                                 for agg in aggs))
 
-# the (m, k) that each ranked-range aggregate trains, from the configured
-# (m, k) and the n training rows (k = 0 means n)
+# the (m, k) that each ranked-range aggregate trains, from a grid cell
+# (m, k), k = 0 read as n, and the n training rows
 _RANGES = {
     "max": lambda m, k, n: (0, 1),
     "median": lambda m, k, n: ((n + 1) // 2 - 1, (n + 1) // 2),
@@ -145,7 +146,7 @@ _RANGES = {
     "topk": lambda m, k, n: (k - 1, k),
     "aorr": lambda m, k, n: (m, k),
     "tkml_aorr": lambda m, k, n: (m, k),
-    "tkml": lambda m, k, n: (0, 0),  # average-loss descent, every row active
+    "tkml": lambda m, k, n: (0, n),  # average-loss descent, every row active
 }
 
 
@@ -202,14 +203,14 @@ class ExperimentConfig:
         if not self.ml_min <= self.ml_max < self.ml_l:
             # a label set holds ml.min..ml.max labels and leaves one out
             raise ConfigError("ml.max", f"must be in {self.ml_min}..{self.ml_l - 1}")
-        (key_m, ms), (key_k, ks) = self.ranks("m"), self.ranks("k")
-        for key, values in ((key_m, ms), (key_k, ks)):
+        ms, ks = self.grid_m or (0,), self.grid_k or (0,)
+        for key, values in (("grid.m", ms), ("grid.k", ks)):
             if min(values) < 0:  # a rank counts rows; k = 0 means n
                 raise ConfigError(key, f"{min(values)} is below 0")
         if self.aggregate in ("atk", "topk") and min(ks) < 1:
-            raise ConfigError(key_k, f"{self.aggregate} needs {key_k} >= 1")
+            raise ConfigError("grid.k", f"{self.aggregate} needs grid.k >= 1")
         if self.aggregate in ("aorr", "tkml_aorr") and min(ms) < 1:
-            raise ConfigError(key_m, f"{self.aggregate} needs {key_m} >= 1")
+            raise ConfigError("grid.m", f"{self.aggregate} needs grid.m >= 1")
         if self.aggregate == "auto_aorr" and len(self.split) != 3:
             raise ConfigError("split", "auto_aorr needs a validation part")
         for key, given in (("restarts", self.restarts > 1),
@@ -220,16 +221,6 @@ class ExperimentConfig:
         if self.restarts > 1 and len(self.split) != 3:
             raise ConfigError("restarts", "restarts > 1 needs a validation "
                                           "part to select on")
-
-    def ranks(self, which: str) -> tuple:
-        """(key, values) of the m or k of the ranked-range cells."""
-        grid = getattr(self, f"grid_{which}")
-        return ((f"grid.{which}", grid) if grid
-                else (f"train.{which}", (getattr(self.train, which),)))
-
-
-DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
-            if f.name not in ("noise", "train", "split", "grid_m", "grid_k")}
 
 
 def _parse_bool(value):
@@ -249,12 +240,15 @@ def _parse_float(value):
 
 
 def _parse_tuple(cast):
-    return lambda value: tuple(cast(v) for v in value.split(",") if v.strip())
+    return lambda value: tuple(cast(v) for v in value.split(","))
 
 
 def _parse_map(value):
-    pairs = (item.partition(":") for item in value.split(","))
-    return {int(src): int(dst) for src, _, dst in pairs}
+    pairs = [item.partition(":") for item in value.split(",")]
+    flips = {int(src): int(dst) for src, _, dst in pairs}
+    if len(flips) < len(pairs):
+        raise ValueError("a label is mapped twice")
+    return flips
 
 
 # one parser per field annotation of the config dataclasses
@@ -273,8 +267,9 @@ _SECTIONS = {"train": TrainConfig, "noise": NoiseSpec}
 def _parse_value(key: str, annotation: str, value: str):
     try:
         return _PARSERS[annotation](value)
-    except ValueError:
-        raise ConfigError(key, f"expected {annotation}, got {value!r}") from None
+    except ValueError as exc:
+        raise ConfigError(key, f"expected {annotation}, got {value!r}: "
+                               f"{exc}") from None
 
 
 def _config_field(key: str) -> tuple:
@@ -502,9 +497,12 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     A ranked range trains one candidate per (m, k) cell and restart, and
     keeps the first with the least ``score`` on ``va``, or on ``holdout``
     when there is no validation part.  The cells are the distinct ranges of
-    the m x k values of ``cfg.ranks``, so a range that ignores m or k
-    collapses that grid.  ``dca_train`` keeps its stochastic snapshots by
-    the same ``score`` on ``va``, and reports the key its candidate ranks by."""
+    the ``grid.m`` x ``grid.k`` values (an unset grid.m reads as m = 0, an
+    unset grid.k as k = 0, and k = 0 as n), so a range that ignores m or k
+    collapses that grid.  A cell that does not fit the n training rows is a
+    config error at ``grid.k`` when its k exceeds n, else at ``grid.m``.
+    ``dca_train`` keeps its stochastic snapshots by the same ``score`` on
+    ``va``, and reports the key its candidate ranks by."""
     agg = cfg.aggregate
     base = replace(cfg.train, seed=seed)
     extras: dict = {}
@@ -527,15 +525,15 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
         return report, extras
 
     minimax = cfg.loss == "tkml" and agg != "tkml"  # tkml_aorr_train
-    ranges = dict.fromkeys(_RANGES[agg](m, k, tr.n) for m in cfg.ranks("m")[1]
-                           for k in cfg.ranks("k")[1])
-    cells = [replace(base, m=m, k=k) for m, k in ranges]
-    for cell in cells:
+    pairs = dict.fromkeys(_RANGES[agg](m, k or tr.n, tr.n)
+                          for m in cfg.grid_m or (0,) for k in cfg.grid_k or (0,))
+    cells = []
+    for m, k in pairs:
         try:
-            cell.ranked_range(tr.n)
+            cells.append(RankedRange(m, k).validate(tr.n))
         except ValueError as exc:
-            key, _ = cfg.ranks("k" if cell.k > tr.n else "m")
-            raise ConfigError(key, str(exc)) from None
+            raise ConfigError("grid.k" if k > tr.n else "grid.m",
+                              str(exc)) from None
     # seeded random restarts: restart r > 0 starts from a random draw
     restarts = [{}] if cfg.restarts == 1 else [
         {"seed": seed * 100 + r, "init_scale": 0.5 if r else 0.0}
@@ -546,19 +544,19 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
         warm = replace(base, batch=0, outer_epochs=base.warmup_epochs)
         starts = _ordered_map(lambda r: sgd_average_train(
             tr, spec, replace(warm, **r)).model, restarts)
-    candidates = [(replace(cell, **r), start) for cell in cells
+    candidates = [(cell, replace(base, **r), start) for cell in cells
                   for r, start in zip(restarts, starts)]
     probe = None if va is None else functools.partial(score, rows=va)
     reports = _ordered_map(
         (lambda c: tkml_aorr_train(tr, spec, *c)) if minimax
-        else (lambda c: dca_train(tr, spec, c[0], score=probe)),
+        else (lambda c: dca_train(tr, spec, *c[:2], score=probe)),
         candidates)
     best = 0
     if len(reports) > 1:
         rows = va if va is not None else holdout
         keys = [score(r.model, rows) if r.key is None else r.key for r in reports]
         best = keys.index(min(keys))  # the first of the least
-    if cfg.grid_m or cfg.grid_k:
+    if len(cells) > 1:
         extras["grid_choice"] = {"m": candidates[best][0].m,
                                  "k": candidates[best][0].k}
     return reports[best], extras
@@ -713,7 +711,7 @@ class ReproEntry:
     header: tuple
     values: tuple  # one function of the report per value column
     rows: tuple
-    scaled: bool = False  # blobs.n follows --subsample / --full
+    scaled: bool = False  # blobs.n follows --subsample
     real_data: str | None = None  # local CSV copy that replaces the stand-in
 
 
@@ -729,7 +727,7 @@ def _run_mean(key: str):
 
 # Monk (Table 3, Figure 6): the full 432-sample rule-generated set
 _MONK = ("task = binary\nloss = logistic\ndataset = monk\n"
-         "split = 0.5,0.25,0.25\ntrain.m = 20\ntrain.k = 70\ntrain.C = 1e4\n"
+         "split = 0.5,0.25,0.25\ntrain.C = 1e4\n"
          "train.eta_inner = 0.01\ntrain.outer_epochs = 5\n"
          "train.inner_epochs = 2000\ntrain.batch = 1\n")
 
@@ -781,15 +779,15 @@ _YEAST = ("task = multilabel\nloss = tkml\ndataset = multilabel-synth\n"
 
 # the 2-D outlier generator (Figures 4, 5)
 _OUTLIERS = ("task = binary\nloss = logistic\ndataset = synthetic\n"
-             "split = 0.7,0.3\nrepeats = 10\ntrain.m = 1\ntrain.k = 2\n"
-             "train.C = 1e4\ntrain.eta_inner = 0.005\ntrain.outer_epochs = 8\n"
+             "split = 0.7,0.3\nrepeats = 10\ntrain.C = 1e4\n"
+             "train.eta_inner = 0.005\ntrain.outer_epochs = 8\n"
              "train.inner_epochs = 2000\ntrain.batch = 0\n")
 _OUTLIER_AGGREGATES = (
     ("average", "aggregate = average\ntrain.eta_outer = 0.1\n"
                 "train.outer_epochs = 2000\n"),
     ("max", "aggregate = max\n"),
-    ("atk", "aggregate = atk\n"),
-    ("aorr", "aggregate = aorr\n"),
+    ("atk", "aggregate = atk\ngrid.k = 2\n"),
+    ("aorr", "aggregate = aorr\ngrid.m = 1\ngrid.k = 2\n"),
 )
 
 _ERROR_HEADER = ("aggregate", "error_mean_pct", "error_std_pct")
@@ -805,9 +803,10 @@ REPRO_REGISTRY = {
                  "train.outer_epochs = 2000\ntrain.inner_epochs = 1\n"
                  "train.batch = 0\n", (20.46,)),
         ReproRow(("atk",), "table3_atk", _MONK +
-                 "repeats = 10\naggregate = atk\ntrain.m = 0\n", (16.76,)),
+                 "repeats = 10\naggregate = atk\ngrid.k = 70\n", (16.76,)),
         ReproRow(("aorr",), "table3_aorr", _MONK +
-                 "repeats = 10\naggregate = aorr\nrestarts = 5\n", (12.69,)),
+                 "repeats = 10\naggregate = aorr\ngrid.m = 20\ngrid.k = 70\n"
+                 "restarts = 5\n", (12.69,)),
     )),
     "table5": ReproEntry(
         ("aggregate", "noise_p", "accuracy_pct", "reference_pct"),
@@ -895,7 +894,8 @@ REPRO_REGISTRY = {
         for label, text in _OUTLIER_AGGREGATES)),
     # m = 0 is plain top-k
     "fig6": ReproEntry(("m", "error_mean_pct"), (_pct("error"),), tuple(
-        ReproRow((m,), f"fig6_m{m}", _MONK + f"repeats = 3\ntrain.m = {m}\n" +
+        ReproRow((m,), f"fig6_m{m}", _MONK + f"repeats = 3\ngrid.m = {m}\n"
+                 "grid.k = 70\n" +
                  ("aggregate = aorr\nrestarts = 5\n" if m else
                   "aggregate = atk\n"))
         for m in range(0, 61, 10))),
@@ -975,16 +975,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("names", nargs="+", metavar="name")
     p.add_argument("--out", default="reports")
     p.add_argument("--subsample", type=int, default=10000,
-                   help="training points for the large-scale tables")
-    p.add_argument("--full", action="store_true",
-                   help="full-size run (overrides --subsample)")
+                   help="training points for the large-scale tables "
+                        "(60000 is full size)")
 
     p = sub.add_parser("sweep", help="grid sweep over one parameter")
     p.add_argument("--config", required=True)
     p.add_argument("--param", required=True,
                    help="any config key; a bare TrainConfig field name "
-                        "(m, k, kprime, C, ...) means train.<name>, and p "
-                        "means noise.p")
+                        "(kprime, C, ...) means train.<name>, and p means "
+                        "noise.p")
     p.add_argument("--range", required=True, dest="range_",
                    metavar="START:STOP[:STEP]")
     p.add_argument("--out", default="reports")
@@ -1026,9 +1025,8 @@ def _cmd_repro(args) -> int:
             print(f"unknown repro name {name!r}; registry: {known}",
                   file=sys.stderr)
             return EXIT_USAGE
-    subsample = 60000 if args.full else args.subsample
     for name in args.names:
-        _run_repro(name, args.out, subsample)
+        _run_repro(name, args.out, args.subsample)
     return EXIT_OK
 
 

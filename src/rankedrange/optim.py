@@ -45,8 +45,6 @@ class TrainingDiverged(ArithmeticError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    m: int = 0
-    k: int = 0  # 0 means "use n", resolved at train time
     kprime: int = 1
     C: float = 1e4
     eta_outer: float = 0.1
@@ -66,13 +64,10 @@ class TrainConfig:
             if not getattr(self, name) > 0:  # NaN included
                 raise ConfigError(f"train.{name}",
                                   f"{name}={getattr(self, name)} must be > 0")
-        for name in ("m", "k", "batch", "warmup_epochs", "init_scale"):
+        for name in ("batch", "warmup_epochs", "init_scale"):
             if not getattr(self, name) >= 0:  # NaN included
                 raise ConfigError(f"train.{name}",
                                   f"{name}={getattr(self, name)} must be >= 0")
-
-    def ranked_range(self, n: int) -> RankedRange:
-        return RankedRange(self.m, self.k or n).validate(n)
 
 
 @dataclass(frozen=True)
@@ -317,10 +312,10 @@ def sorr_objective(W, b, data: Dataset, loss_spec, r: RankedRange, C: float) -> 
 EVAL_EVERY = 100  # stochastic dca_train steps between two scored snapshots
 
 
-def dca_train(data: Dataset, loss_spec, config: TrainConfig,
+def dca_train(data: Dataset, loss_spec, r: RankedRange, config: TrainConfig,
               score=None) -> TrainReport:
-    """Difference-of-convex descent on the ranked-range sum of individual
-    losses.
+    """Difference-of-convex descent on the sum of the individual losses of
+    ranks m + 1..k, ``r`` = (m, k), which must fit in the data's n rows.
 
     Each outer round linearizes the subtracted top-m sum through its
     subgradient at the current parameters, then runs stochastic (or full
@@ -333,8 +328,8 @@ def dca_train(data: Dataset, loss_spec, config: TrainConfig,
     if it scores strictly below the final iterate; the final iterate is
     returned otherwise.  The report's ``key`` is the returned model's, if scored.
     """
+    r.validate(data.n)
     rng = np.random.default_rng(config.seed)
-    r = config.ranked_range(data.n)
     W, b = _init_params(data, config, rng)
     trace, lambdas = [], []
     best = (np.inf, None)  # (key, model) of the best snapshot
@@ -489,18 +484,20 @@ def auto_train(train_data: Dataset, validation_data: Dataset, loss_spec,
     return TrainReport(_as_model(W, b), trace, lambdas)
 
 
-def tkml_aorr_train(data: Dataset, loss_spec, config: TrainConfig,
+def tkml_aorr_train(data: Dataset, loss_spec, r: RankedRange,
+                    config: TrainConfig,
                     start: LinearModel | None = None) -> TrainReport:
     """Simultaneous minimax updates on the combined objective: per-sample
-    top-k multi-label losses aggregated through the ranked-range average,
-    with joint ascent/descent steps on the two threshold variables.
+    top-k multi-label losses aggregated through the average of ranks
+    m + 1..k, ``r`` = (m, k), which must fit in the data's n rows, with
+    joint ascent/descent steps on the two threshold variables.
 
     The updates start from the seeded start with both thresholds at 0, or,
     given a ``start`` model (such as an average-loss warm start), from its
     (W, b) with the thresholds at the analytic saddle of its losses.  The
     objective is measured, and traced, every 10th step and at the last."""
+    r.validate(data.n)
     rng = np.random.default_rng(config.seed)
-    r = config.ranked_range(data.n)
     # the seeded start's draws come first in the stream, so the index draws
     # of batch >= 1 follow them whether or not a start replaces it
     W, b = _init_params(data, config, rng)

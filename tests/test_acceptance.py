@@ -207,9 +207,9 @@ def test_05_trimmed_range_objective_descent():
     from rankedrange import Dataset
     data = Dataset(full.features[:50], full.labels[:50], 1)
     spec = make_loss_spec("logistic")
-    cfg = TrainConfig(m=2, k=10, C=1e4, eta_inner=0.002, outer_epochs=8,
+    cfg = TrainConfig(C=1e4, eta_inner=0.002, outer_epochs=8,
                       inner_epochs=4000, batch=0)
-    trace = dca_train(data, spec, cfg).objective_trace
+    trace = dca_train(data, spec, RankedRange(2, 10), cfg).objective_trace
     rises = [t for t in range(1, len(trace))
              if trace[t] > trace[t - 1] + 1e-6]
     _check("05 objective descent", len(trace) >= 5 and not rises,
@@ -223,7 +223,10 @@ def test_06_binary_benchmark_error():
     aorr = dict(repro_configs("table3"))["table3_aorr"]
     configs = {"aorr": aorr}
     for agg in ("atk", "average"):
-        configs[agg] = dataclasses.replace(aorr, aggregate=agg, restarts=1)
+        # average trains no ranked range, so it takes no grid key
+        ranks = {"grid_m": (), "grid_k": ()} if agg == "average" else {}
+        configs[agg] = dataclasses.replace(aorr, aggregate=agg, restarts=1,
+                                           **ranks)
     results = {}
     for agg, cfg in configs.items():
         rep = run_experiment(cfg)
@@ -301,10 +304,9 @@ def test_10_synthetic_outlier_ordering():
         data = gen_synthetic(SyntheticSpec(balanced=True, n_outliers=1,
                                            seed=seed))
         for name, (m, k) in ranges.items():
-            cfg = TrainConfig(m=m, k=k, C=1e4, eta_inner=0.005,
-                              outer_epochs=8, inner_epochs=2000, batch=0,
-                              seed=seed)
-            rep = dca_train(data, spec, cfg)
+            cfg = TrainConfig(C=1e4, eta_inner=0.005, outer_epochs=8,
+                              inner_epochs=2000, batch=0, seed=seed)
+            rep = dca_train(data, spec, RankedRange(m, k), cfg)
             w, b = rep.model.weights, rep.model.bias
             pred = np.where(data.features @ w[0] + b[0] >= 0, 1, -1)
             errs[name].append(float(np.mean(pred != data.labels)))
@@ -321,7 +323,7 @@ def test_11_report_determinism(tmp_path):
     cfg = parse_config(
         "task = binary\nloss = logistic\naggregate = aorr\n"
         "dataset = synthetic\nsplit = 0.7,0.3\nrepeats = 2\n"
-        "train.m = 1\ntrain.k = 2\ntrain.batch = 0\n"
+        "grid.m = 1\ngrid.k = 2\ntrain.batch = 0\n"
         "train.eta_inner = 0.005\ntrain.outer_epochs = 4\n"
         "train.inner_epochs = 500\n")
     run_experiment(cfg, out_dir=str(tmp_path / "a"), name="rep")

@@ -11,6 +11,7 @@ from rankedrange import (
     LabelError,
     ModelParseError,
     NoiseSpec,
+    RankedRange,
     SyntheticSpec,
     TrainConfig,
     TrainReport,
@@ -28,7 +29,6 @@ from rankedrange.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ConfigError,
-    DEFAULTS,
     REPRO_REGISTRY,
     ExperimentConfig,
     _PARSERS,
@@ -48,8 +48,8 @@ aggregate = aorr
 dataset = synthetic
 split = 0.7,0.3
 repeats = 2
-train.m = 1
-train.k = 2
+grid.m = 1
+grid.k = 2
 train.batch = 0
 train.eta_inner = 0.005
 train.outer_epochs = 4
@@ -59,15 +59,16 @@ train.inner_epochs = 500
 
 def test_defaults_cover_every_simple_key():
     cfg = parse_config("task = binary")
-    for key, default in DEFAULTS.items():
-        assert getattr(cfg, key) == default or key == "task"
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name not in ("noise", "train", "split"):
+            assert getattr(cfg, f.name) == f.default or f.name == "task"
 
 
 def test_parse_config_round_trip_values():
     cfg = parse_config(SMALL_CONFIG)
     assert cfg.aggregate == "aorr"
     assert cfg.split == (0.7, 0.3)
-    assert cfg.train.m == 1 and cfg.train.k == 2
+    assert cfg.grid_m == (1,) and cfg.grid_k == (2,)
     assert cfg.train.batch == 0
     assert cfg.noise is None
 
@@ -100,7 +101,7 @@ _EVERY_FIELD = ExperimentConfig(
     ml_noise=0.25,
     noise=NoiseSpec(mode="asymmetric_map", p=0.35, flip_map={1: 2, 3: 1},
                     seed=9),
-    train=TrainConfig(m=3, k=9, kprime=2, C=0.5, eta_outer=0.2,
+    train=TrainConfig(kprime=2, C=0.5, eta_outer=0.2,
                       eta_inner=0.03, outer_epochs=7, inner_epochs=11,
                       warmup_epochs=13, batch=4, patience=6,
                       refresh_every=8, init_scale=0.125))
@@ -135,7 +136,7 @@ def test_every_config_field_is_a_key():
                 name = "map" if f.name == "flip_map" else f.name
                 key = f"{section}.{name}"
             lines.append(_config_line(key, value))
-    assert len(lines) == 41
+    assert len(lines) == 39
     assert parse_config("".join(lines)) == _EVERY_FIELD
 
 
@@ -148,7 +149,7 @@ def test_invalid_combinations_rejected():
         parse_config("task = binary\nloss = softmax")
     with pytest.raises(ConfigError):
         # trimmed range needs m >= 1
-        parse_config("task = binary\naggregate = aorr\ntrain.k = 5")
+        parse_config("task = binary\naggregate = aorr\ngrid.k = 5")
     with pytest.raises(ConfigError):
         # threshold-learning mode needs a validation part
         parse_config("task = multiclass\nloss = softmax\n"
@@ -174,14 +175,17 @@ def test_every_valid_triple_reaches_a_trainer(monkeypatch):
         "multilabel": gen_multilabel_synthetic(60, 3, 4, seed=1),
     }
     reached = set()
-    for task, loss, agg in itertools.product(cli.TASKS, cli.LOSSES,
-                                             cli.AGGREGATES):
+    losses = dict.fromkeys(loss for _, loss in cli._TRAINS)
+    aggregates = dict.fromkeys(agg for aggs in cli._TRAINS.values()
+                               for agg in aggs)
+    for task, loss, agg in itertools.product(cli.TASKS, losses, aggregates):
+        ranks = "grid.m = 1\ngrid.k = 5\n" if agg in cli._RANGES else ""
         try:
             # no warm start, whose sgd_average_train would stand in for
             # tkml_aorr_train
             cfg = parse_config(f"task = {task}\nloss = {loss}\n"
-                               f"aggregate = {agg}\ntrain.m = 1\n"
-                               "train.k = 5\ntrain.warmup_epochs = 0\n")
+                               f"aggregate = {agg}\n{ranks}"
+                               "train.warmup_epochs = 0\n")
         except ConfigError:
             continue
         tr, va = split_dataset(data[task], (0.7, 0.3), seed=0)
@@ -207,7 +211,7 @@ def test_run_experiment_report_shape(tmp_path):
     assert report["runs"][1]["seed"] == 1
     assert set(report["aggregates"]) == {"error", "accuracy"}
     loaded = json.loads((tmp_path / "shape.json").read_text())
-    assert loaded["config"]["train"]["k"] == 2
+    assert loaded["config"]["grid_k"] == [2]
     assert "reference" not in loaded
     reference = {"reference_pct": 12.69}
     assert run_experiment(cfg, reference=reference)["reference"] == reference
@@ -282,7 +286,7 @@ _MULTICLASS = ("task = multiclass\nloss = softmax\ndataset = blobs\n"
 
 @pytest.mark.parametrize("text, key", [
     (_MULTILABEL + "aggregate = tkml\ntrain.kprime = 9", "train.kprime"),
-    (_MULTILABEL + "aggregate = tkml_aorr\ntrain.m = 1\ntrain.kprime = 9",
+    (_MULTILABEL + "aggregate = tkml_aorr\ngrid.m = 1\ntrain.kprime = 9",
      "train.kprime"),
     (_MULTILABEL + "aggregate = tkml\neval_k = 6", "eval_k"),
     (_MULTICLASS + "aggregate = average\neval_k = 4", "eval_k"),
@@ -596,7 +600,7 @@ def test_training_holds_one_copy_of_the_rows(tmp_path, monkeypatch):
 
 def test_restarts_apply_to_every_ranked_range():
     # restarts used to be ignored by every aggregate but aorr
-    text = _RUN + ("aggregate = atk\ntrain.k = 20\ntrain.batch = 1\n"
+    text = _RUN + ("aggregate = atk\ngrid.k = 20\ntrain.batch = 1\n"
                    "train.inner_epochs = 50\nsplit = 0.5,0.25,0.25\n"
                    "base_seed = 1\n")
     runs = [run_experiment(parse_config(text + f"restarts = {restarts}\n"))
@@ -606,31 +610,31 @@ def test_restarts_apply_to_every_ranked_range():
 
 
 def test_the_first_best_candidate_wins(monkeypatch):
-    # a candidate's model is its TrainConfig here, and its metric table is
-    # looked up by (seed, m, k)
+    # a candidate's model is its (seed, m, k) here, which looks up its
+    # metric table
     _cpus(monkeypatch, 1)
-    monkeypatch.setattr(cli, "dca_train", lambda data, spec, config,
-                        score=None: TrainReport(config, [], []))
-    monkeypatch.setattr(cli, "tkml_aorr_train", lambda data, spec, config,
-                        start: TrainReport(config, [], []))
+    monkeypatch.setattr(cli, "dca_train", lambda data, spec, r, config,
+                        score=None: TrainReport((config.seed, r.m, r.k), [], []))
+    monkeypatch.setattr(cli, "tkml_aorr_train", lambda data, spec, r, config,
+                        start: TrainReport((config.seed, r.m, r.k), [], []))
     monkeypatch.setattr(cli, "sgd_average_train",
                         lambda data, spec, config: TrainReport(None, [], []))
     tables, scored = {}, []
 
     def evaluate(model, rows, k):
         scored.append(rows)
-        return tables[model.seed, model.m, model.k]
+        return tables[model]
 
     monkeypatch.setattr(cli, "_evaluate", evaluate)
     # binary restarts 100..103 by least error: 101 and 102 tie
-    binary = parse_config("task = binary\naggregate = aorr\ntrain.m = 1\n"
-                          "train.k = 5\nsplit = 0.5,0.25,0.25\nrestarts = 4\n")
+    binary = parse_config("task = binary\naggregate = aorr\ngrid.m = 1\n"
+                          "grid.k = 5\nsplit = 0.5,0.25,0.25\nrestarts = 4\n")
     tr, va, te = split_dataset(gen_synthetic(SyntheticSpec(seed=1)),
                                binary.split, seed=0)
     for seed, err in zip(range(100, 104), (0.3, 0.1, 0.1, 0.2)):
         tables[seed, 1, 5] = {"error": err, "accuracy": 1.0 - err}
     report, _ = cli._train_model(binary, tr, va, 1, holdout=te)
-    assert report.model.seed == 101
+    assert report.model == (101, 1, 5)
     assert scored == [va] * 4
     # multilabel grid cells by top accuracy, on the test part when there is
     # no validation part: (1, 9) and (2, 5) tie
@@ -643,14 +647,36 @@ def test_the_first_best_candidate_wins(monkeypatch):
         tables[1, m, k] = {"topk_accuracy": acc, "average_precision": 1.0}
     scored.clear()
     report, extras = cli._train_model(grid, tr, None, 1, holdout=te)
-    assert (report.model.m, report.model.k) == (1, 9)
+    assert report.model == (1, 1, 9)
     assert extras["grid_choice"] == {"m": 1, "k": 9}
     assert scored == [te] * 4
-    # a lone candidate is not scored
+    # a lone candidate is not scored, and reports no grid_choice
     scored.clear()
-    cli._train_model(dataclasses.replace(grid, grid_m=(1,), grid_k=(5,)),
-                     tr, None, 1, holdout=te)
-    assert scored == []
+    _, extras = cli._train_model(
+        dataclasses.replace(grid, grid_m=(1,), grid_k=(5,)), tr, None, 1,
+        holdout=te)
+    assert scored == [] and extras == {}
+
+
+def test_k_zero_and_an_unset_grid_k_mean_n(monkeypatch):
+    # a cell's k = 0 is read as the n training rows before its range is
+    # built, so k = 0 and k = n are one cell
+    _cpus(monkeypatch, 1)
+    trained = []
+
+    def recording(data, spec, r, config, score=None):
+        trained.append(r)
+        return TrainReport(None, [], [])
+
+    monkeypatch.setattr(cli, "dca_train", recording)
+    for ranks in ("", "grid.k = 0\n", "grid.k = 0,140\n"):
+        cfg = parse_config(_BINARY + "aggregate = aorr\ngrid.m = 1\n" + ranks)
+        tr, te = split_dataset(gen_synthetic(SyntheticSpec(seed=1)), cfg.split,
+                               seed=0)
+        assert tr.n == 140
+        _, extras = cli._train_model(cfg, tr, None, 0, holdout=te)
+        assert extras == {}
+    assert trained == [RankedRange(1, 140)] * 3
 
 
 def test_tkml_snapshots_are_kept_by_top_k_accuracy():
@@ -676,7 +702,8 @@ def test_tkml_snapshots_are_kept_by_top_k_accuracy():
         snapshots.append((acc, np.mean(positive), model))
         return -acc
 
-    dca_train(tr, spec, dataclasses.replace(cfg.train, seed=3), score=record)
+    dca_train(tr, spec, RankedRange(0, tr.n),
+              dataclasses.replace(cfg.train, seed=3), score=record)
     # the probes, then the final iterate
     accs, shares, models = zip(*snapshots[:-1])
     top = accs.index(max(accs))
@@ -699,17 +726,17 @@ _MONK_CELLS = ("task = binary\nloss = logistic\ndataset = monk\n"
 def test_grid_keys_apply_to_every_loss(monkeypatch, aggregate, which, values,
                                        other):
     # grid keys were read for the tkml loss only: a logistic atk run with
-    # grid.k trained k = n, and an aorr run with grid.m trained train.m,
-    # and neither reported a grid_choice
+    # grid.k trained k = n, and an aorr run with grid.m trained the one m
+    # of its config, and neither reported a grid_choice
     _cpus(monkeypatch, 1)
     trained, train = [], cli.dca_train
 
-    def recording(data, spec, config, **kwargs):
-        trained.append(getattr(config, which))
-        return train(data, spec, config, **kwargs)
+    def recording(data, spec, r, config, **kwargs):
+        trained.append(getattr(r, which))
+        return train(data, spec, r, config, **kwargs)
 
     monkeypatch.setattr(cli, "dca_train", recording)
-    text = _MONK_CELLS + f"aggregate = {aggregate}\ntrain.{other[0]} = " \
+    text = _MONK_CELLS + f"aggregate = {aggregate}\ngrid.{other[0]} = " \
         f"{other[1]}\n"
     grid = run_experiment(parse_config(
         text + f"grid.{which} = {values[0]},{values[1]}\n"))["runs"][0]
@@ -718,7 +745,7 @@ def test_grid_keys_apply_to_every_loss(monkeypatch, aggregate, which, values,
     assert choice[which] in values and choice[other[0]] == other[1]
     # as JSON, where the NaN of a lambda_trace equals itself
     single = {v: json.dumps(run_experiment(parse_config(
-        text + f"train.{which} = {v}\n"))["runs"][0]) for v in values}
+        text + f"grid.{which} = {v}\n"))["runs"][0]) for v in values}
     assert single[values[0]] != single[values[1]]
     assert json.dumps(grid) == single[choice[which]]
 
@@ -803,8 +830,8 @@ _GRID = ("task = multilabel\nloss = tkml\naggregate = tkml_aorr\n"
          "ml.d = 8\nml.l = 5\neval_k = 2\ngrid.m = 10,20\ngrid.k = 60,90\n"
          "train.kprime = 2\ntrain.outer_epochs = 30\n"
          "train.warmup_epochs = 10\ntrain.batch = 0\n")
-_DCA_REPEATS = _RUN + "aggregate = aorr\ntrain.m = 2\ntrain.k = 20\nrepeats = 3\n"
-_DCA_RESTARTS = _RUN + ("aggregate = aorr\ntrain.m = 2\ntrain.k = 20\n"
+_DCA_REPEATS = _RUN + "aggregate = aorr\ngrid.m = 2\ngrid.k = 20\nrepeats = 3\n"
+_DCA_RESTARTS = _RUN + ("aggregate = aorr\ngrid.m = 2\ngrid.k = 20\n"
                         "split = 0.5,0.25,0.25\nrestarts = 3\n")
 
 
@@ -909,13 +936,13 @@ def test_ordered_map_raises_a_worker_error_in_the_caller(monkeypatch):
 
     def fail_in_worker(x):
         if x == 1:  # item 1 of 3 runs in the forked worker
-            raise ConfigError("train.k", "raised in a worker")
+            raise ConfigError("grid.k", "raised in a worker")
         return x
 
     with pytest.raises(ConfigError) as exc:
         cli._ordered_map(fail_in_worker, range(3))
-    assert exc.value.key == "train.k"
-    assert str(exc.value) == "config key 'train.k': raised in a worker"
+    assert exc.value.key == "grid.k"
+    assert str(exc.value) == "config key 'grid.k': raised in a worker"
 
 
 def test_ordered_map_raises_the_first_error_in_item_order(monkeypatch):
@@ -1113,19 +1140,19 @@ def test_sweep_command(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(
         "task = binary\naggregate = atk\ndataset = synthetic\n"
-        "split = 0.7,0.3\ntrain.k = 2\ntrain.batch = 0\n"
+        "split = 0.7,0.3\ngrid.k = 2\ntrain.batch = 0\n"
         "train.eta_inner = 0.005\ntrain.outer_epochs = 3\n"
         "train.inner_epochs = 300\n")
-    assert main(["sweep", "--config", str(cfg_path), "--param", "k",
+    assert main(["sweep", "--config", str(cfg_path), "--param", "grid.k",
                  "--range", "2:6:2", "--out", str(tmp_path)]) == EXIT_OK
-    lines = (tmp_path / "sweep_k.csv").read_text().splitlines()
-    assert lines[0].startswith("k,")
+    lines = (tmp_path / "sweep_grid.k.csv").read_text().splitlines()
+    assert lines[0].startswith("grid.k,")
     assert len(lines) == 4
 
 
 def test_sweep_any_key(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(_RUN + "aggregate = atk\ntrain.k = 2\n")
+    cfg_path.write_text(_RUN + "aggregate = atk\ngrid.k = 2\n")
     assert main(["sweep", "--config", str(cfg_path), "--param",
                  "synth.outliers", "--range", "0:2:2",
                  "--out", str(tmp_path)]) == EXIT_OK
@@ -1135,9 +1162,11 @@ def test_sweep_any_key(tmp_path):
 
 # (--param, --range) of a sweep, and the key of its config error
 _SWEEP_ERRORS = {
-    ("k", "2:3:0.5"): "train.k",  # a non-integral value for an int key
+    ("grid.k", "2:3:0.5"): "grid.k",  # a non-integral value for an int key
     ("p", "0.1:0.2:0.1"): "noise.mode",  # no noise.mode in the config
-    ("k", "2:1000:997"): "train.k",  # k = 999 exceeds the 140 training rows
+    ("grid.k", "2:1000:997"): "grid.k",  # k = 999 exceeds the 140 training rows
+    # a bare k named train.k, which is gone: the ranks are grid keys
+    ("k", "2:3:0.5"): "k",
     ("bogus", "1:2"): "bogus",
     ("k", "2"): "--range",  # one part
     ("k", "1:2:1:4"): "--range",  # four parts
@@ -1147,7 +1176,7 @@ _SWEEP_ERRORS = {
 @pytest.mark.parametrize("param, range_", list(_SWEEP_ERRORS))
 def test_sweep_config_errors_exit_1(tmp_path, capsys, param, range_):
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(_RUN + "aggregate = atk\ntrain.k = 2\n")
+    cfg_path.write_text(_RUN + "aggregate = atk\ngrid.k = 2\n")
     capsys.readouterr()
     assert main(["sweep", "--config", str(cfg_path), "--param", param,
                  "--range", range_, "--out", str(tmp_path)]) == EXIT_USAGE
@@ -1229,7 +1258,7 @@ def test_repro_runs_several_names(tmp_path, stub_runs):
 def test_repro_size_and_real_data_lines(tmp_path, stub_runs, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for args, n in (([], 13000), (["--subsample", "500"], 650),
-                    (["--full"], 78000)):
+                    (["--subsample", "60000"], 78000)):
         stub_runs.clear()
         assert main(["repro", "table10", "--out", "out"] + args) == EXIT_OK
         assert {cfg.blobs_n for _, cfg in stub_runs} == {n}
@@ -1305,8 +1334,8 @@ _CONFIG_ERRORS = {
                            "split = 0.5,0.25,0.25\nrestarts = 3\n", "restarts"),
     "restarts-lr": (_ML6 + "loss = multilabel_lr\naggregate = average\n"
                     "split = 0.5,0.25,0.25\nrestarts = 3\n", "restarts"),
-    "restarts-no-validation": (_BINARY + "aggregate = aorr\ntrain.m = 1\n"
-                               "train.k = 5\nrestarts = 3\n", "restarts"),
+    "restarts-no-validation": (_BINARY + "aggregate = aorr\ngrid.m = 1\n"
+                               "grid.k = 5\nrestarts = 3\n", "restarts"),
     # grid keys were read for the tkml loss only, and never on these
     **{f"grid.{which}-{name}": (base + "split = 0.5,0.25,0.25\n"
                                 f"grid.{which} = 5,10\n", f"grid.{which}")
@@ -1316,10 +1345,10 @@ _CONFIG_ERRORS = {
            ("auto_aorr", _BINARY + "aggregate = auto_aorr\n"))},
     # a k of 0 in the grid silently meant n
     "grid.k-atk-zero": (_BINARY + "aggregate = atk\ngrid.k = 0,5\n", "grid.k"),
-    "grid.m-aorr-zero": (_BINARY + "aggregate = aorr\ntrain.k = 5\n"
+    "grid.m-aorr-zero": (_BINARY + "aggregate = aorr\ngrid.k = 5\n"
                          "grid.m = 0,1\n", "grid.m"),
     # a cell outside the training rows, at its grid key for every loss
-    "grid.k-above-n": (_BINARY + "aggregate = aorr\ntrain.m = 1\n"
+    "grid.k-above-n": (_BINARY + "aggregate = aorr\ngrid.m = 1\n"
                        "grid.k = 5,1000\n", "grid.k"),
     # exit 3 on an integer modulo by zero
     "train.refresh_every": (_BINARY + "aggregate = auto_aorr\n"
@@ -1340,10 +1369,10 @@ _CONFIG_ERRORS = {
     "data-seed-flag": (["data", "--seed", "-1"], "base_seed"),
     # one name per objective: the tkml loss's trimmed range is tkml_aorr,
     # which, like aorr, needs m >= 1 (m = 0 is atk)
-    "aorr-on-tkml": (_ML6 + "aggregate = aorr\ntrain.m = 1\ntrain.k = 5\n",
+    "aorr-on-tkml": (_ML6 + "aggregate = aorr\ngrid.m = 1\ngrid.k = 5\n",
                      "aggregate"),
-    "tkml_aorr-m-zero": (_ML6 + "aggregate = tkml_aorr\ntrain.k = 5\n",
-                         "train.m"),
+    "tkml_aorr-m-zero": (_ML6 + "aggregate = tkml_aorr\ngrid.k = 5\n",
+                         "grid.m"),
     # the per-label logistic baseline is a loss (multilabel_lr), not an
     # aggregate
     "aggregate-lr": (_ML6 + "aggregate = lr\n", "aggregate"),
@@ -1362,7 +1391,8 @@ _CONFIG_ERRORS = {
     "train.init_scale-inf": (_BINARY + "train.init_scale = inf\n",
                              "train.init_scale"),
     # values that do not parse, and keys that name no field
-    "train.k-not-an-int": (_BINARY + "train.k = abc\n", "train.k"),
+    "grid.k-not-an-int": (_BINARY + "aggregate = atk\ngrid.k = abc\n",
+                          "grid.k"),
     "repeats-not-an-int": (_BINARY + "repeats = x\n", "repeats"),
     "split-not-numbers": (_BINARY + "split = a,b\n", "split"),
     "split-sum": (_BINARY + "split = 0.5,0.2\n", "split"),
@@ -1371,21 +1401,38 @@ _CONFIG_ERRORS = {
     "bogus": (_BINARY + "bogus = 1\n", "bogus"),
     "train.use_bias": (_BINARY + "train.use_bias = false\n", "train.use_bias"),
     # the training part has 140 rows
-    "train.k-atk-above-n": (_BINARY + "aggregate = atk\ntrain.k = 1000\n",
-                            "train.k"),
-    # a negative rank trained: k < 0 as k = n, and m < 0 where m is unread
-    "train.m-negative": (_BINARY + "train.m = -1\n", "train.m"),
-    "train.k-negative": (_BINARY + "aggregate = aorr\ntrain.m = 1\n"
-                         "train.k = -5\n", "train.k"),
-    "grid.m-negative": (_BINARY + "aggregate = atk\ntrain.k = 5\n"
+    "grid.k-atk-above-n": (_BINARY + "aggregate = atk\ngrid.k = 1000\n",
+                           "grid.k"),
+    # a negative rank trained as k = n, or was not read at all
+    "grid.m-negative": (_BINARY + "aggregate = atk\ngrid.k = 5\n"
                         "grid.m = -1,0\n", "grid.m"),
-    "grid.k-negative": (_BINARY + "aggregate = aorr\ntrain.m = 1\n"
+    "grid.k-negative": (_BINARY + "aggregate = aorr\ngrid.m = 1\n"
                         "grid.k = -5,10\n", "grid.k"),
     # parsed, and read as patience 1 or not read at all
     "train.patience": (_BINARY + "aggregate = auto_aorr\n"
                        "split = 0.5,0.25,0.25\ntrain.patience = -3\n",
                        "train.patience"),
     "train.kprime-below-1": (_BINARY + "train.kprime = -5\n", "train.kprime"),
+    # grid.m and grid.k are the one way to set a ranked range: the keys of
+    # a single range name no field, whatever their value.  The unknown rows
+    # trained; the negative ones were rejected as negative ranks
+    "train.m-unknown": (_BINARY + "aggregate = aorr\ntrain.m = 1\n"
+                        "grid.m = 1\ngrid.k = 5\n", "train.m"),
+    "train.k-unknown": (_BINARY + "aggregate = atk\ntrain.k = 5\n"
+                        "grid.k = 5\n", "train.k"),
+    "train.m-negative": (_BINARY + "train.m = -1\n", "train.m"),
+    "train.k-negative": (_BINARY + "aggregate = aorr\ngrid.m = 1\n"
+                         "train.k = -5\n", "train.k"),
+    # an empty comma-list item was dropped: an empty grid.k trained k = n,
+    # and an average run passed the check that it sets no grid key
+    "grid.k-empty": (_BINARY + "aggregate = aorr\ngrid.m = 1\ngrid.k =\n",
+                     "grid.k"),
+    "grid.k-empty-on-average": (_BINARY + "grid.k =\n", "grid.k"),
+    "split-empty-item": (_BINARY + "split = 0.5,,0.5\n", "split"),
+    # the last of two mappings of one label was kept
+    "noise.map-label-twice": (_BLOBS3 + "noise.mode = asymmetric_map\n"
+                              "noise.p = 0.1\nnoise.map = 1:2,1:3\n",
+                              "noise.map"),
 }
 
 
@@ -1534,8 +1581,8 @@ def test_lambda_trace_is_thinned_to_50_evenly_spaced_pairs(monkeypatch):
         return trained[-1]
 
     monkeypatch.setattr(cli, "tkml_aorr_train", recorded)
-    cfg = parse_config(_ML6 + "aggregate = tkml_aorr\ntrain.m = 2\n"
-                       "train.k = 20\ntrain.warmup_epochs = 5\n"
+    cfg = parse_config(_ML6 + "aggregate = tkml_aorr\ngrid.m = 2\n"
+                       "grid.k = 20\ntrain.warmup_epochs = 5\n"
                        "train.outer_epochs = 120\n")
     reported = run_experiment(cfg)["runs"][0]["lambda_trace"]
     pairs = [[p.lam, p.lam_hat] for p in trained[0].lambdas]
@@ -1556,7 +1603,7 @@ _DIVERGED = {
                           "grid.k = 20,30\ntrain.batch = 0\n"
                           "train.warmup_epochs = 5\ntrain.outer_epochs = 20\n"),
                   2),
-    "aorr": (_BINARY + ("aggregate = aorr\ntrain.m = 2\ntrain.k = 50\n"
+    "aorr": (_BINARY + ("aggregate = aorr\ngrid.m = 2\ngrid.k = 50\n"
                         "train.outer_epochs = 3\ntrain.inner_epochs = 20\n"),
              0),
     "auto_aorr": (_BINARY + ("aggregate = auto_aorr\nsplit = 0.5,0.25,0.25\n"
@@ -1600,7 +1647,7 @@ def _reject_constant(constant):
     _BINARY + ("aggregate = auto_aorr\nsplit = 0.5,0.25,0.25\n"
                "train.warmup_epochs = 5\ntrain.outer_epochs = 2\n"
                "train.inner_epochs = 20\n"),
-    _ML6 + ("aggregate = tkml_aorr\ntrain.m = 1\ntrain.k = 20\n"
+    _ML6 + ("aggregate = tkml_aorr\ngrid.m = 1\ngrid.k = 20\n"
             "train.warmup_epochs = 5\ntrain.outer_epochs = 20\n"),
     _ML6 + "loss = multilabel_lr\naggregate = average\ntrain.outer_epochs = 5\n",
 ], ids=["sgd_average_train", "dca_train", "auto_train", "tkml_aorr_train",
@@ -1632,6 +1679,6 @@ def test_a_scored_dca_candidate_is_not_scored_again(monkeypatch):
     monkeypatch.setattr(cli, "_evaluate", counting)
     run_experiment(parse_config(
         "task = binary\naggregate = aorr\ndataset = synthetic\n"
-        "split = 0.5,0.25,0.25\ntrain.m = 2\ntrain.k = 50\ntrain.batch = 4\n"
+        "split = 0.5,0.25,0.25\ngrid.m = 2\ngrid.k = 50\ntrain.batch = 4\n"
         "train.outer_epochs = 1\ntrain.inner_epochs = 200\nrestarts = 2\n"))
     assert len(calls) == 7

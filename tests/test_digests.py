@@ -32,7 +32,7 @@ _CONFIGS = {
         "train.outer_epochs = 1\ntrain.inner_epochs = 300\ntrain.batch = 16\n"),
     "fullbatch_dca": (
         "task = binary\nloss = logistic\naggregate = aorr\n"
-        "dataset = synthetic\nsplit = 0.7,0.3\ntrain.m = 1\ntrain.k = 10\n"
+        "dataset = synthetic\nsplit = 0.7,0.3\ngrid.m = 1\ngrid.k = 10\n"
         "train.eta_inner = 0.005\ntrain.outer_epochs = 3\n"
         "train.inner_epochs = 200\ntrain.batch = 0\n"),
     # 45 inner steps: the last refresh of a round falls between refreshes
@@ -62,15 +62,15 @@ _CONFIGS = {
 _DIGESTS = {
     ("2.4.6", "0.3.31.188.0"): {
         "stochastic_dca":
-            "4e8d3d94cc1f50606761d8c733843e4171a3890636e39e9dc693e55556cbabc8",
+            "d185c3c1ec067181eb50d038377b4b49575d55d13a60389b15835be1d041b058",
         "fullbatch_dca":
-            "a80117459aa3a1fefe06546231bd889a1119314229e28ed01ea3c889ef2c0d50",
+            "ddfa5c11a3e3de7df64070c43b4bb8ed83b4ef58b3bad20f322a56f0d4f9469a",
         "auto_aorr":
-            "4d33ed77f9e2fcbf0140f143dd225b987742ddeca91d890d10db008797240548",
+            "c46f605b8eb1f1330390959caf97d43944763eb2aa21e6be1d27ef8abf8f16b4",
         "tkml_aorr_grid":
-            "eb9a95af997fb2c43b9382931bd09cc30add7ef983afe6e392dcb57dff717b4d",
+            "2639a5e33d9bab4779205c95122a187746ab7475529cec4331da2093edbb1e1a",
         "average":
-            "fcdbed973c3cd9567b2f8bcc711aa363f3bf8802fe352a90fed606659382c16f",
+            "9106b37d7be8efcffee8de9b82749428ca3df9715b3cd38b7aef82661821fc78",
     },
 }
 

@@ -106,9 +106,9 @@ def test_one_dimensional_mislabeled_point_excluded():
     y = np.array([-1, -1, -1, -1, 1, 1, 1, 1], dtype=np.int64)  # last is wrong
     data = Dataset(X, y, 1)
     spec = make_loss_spec("hinge")
-    config = TrainConfig(m=1, k=2, C=1e4, eta_inner=0.01, outer_epochs=6,
+    config = TrainConfig(C=1e4, eta_inner=0.01, outer_epochs=6,
                          inner_epochs=3000, batch=0)
-    report = dca_train(data, spec, config)
+    report = dca_train(data, spec, RankedRange(1, 2), config)
     w = report.model.weights[0, 0]
     b = report.model.bias[0]
     decided = np.where(X[:, 0] * w + b >= 0, 1, -1)
@@ -126,13 +126,12 @@ def test_full_range_reduces_to_average_descent():
     spec = make_loss_spec("logistic")
     # the ranked-range path sums raw gradients, the baseline averages them,
     # so matching step sizes differ by the factor n
-    cfg = TrainConfig(m=0, k=data.n, C=1e4, eta_inner=0.01,
-                      eta_outer=0.01 * data.n, outer_epochs=1,
-                      inner_epochs=400, batch=0)
-    dca = dca_train(data, spec, cfg)
+    r = RankedRange(0, data.n)
+    cfg = TrainConfig(C=1e4, eta_inner=0.01, eta_outer=0.01 * data.n,
+                      outer_epochs=1, inner_epochs=400, batch=0)
+    dca = dca_train(data, spec, r, cfg)
     gd = sgd_average_train(data, spec, dataclasses.replace(
         cfg, outer_epochs=400))
-    r = RankedRange(0, data.n)
     obj_dca = sorr_objective(dca.model.weights, dca.model.bias, data, spec,
                              r, cfg.C) / data.n
     obj_gd = sorr_objective(gd.model.weights, gd.model.bias, data, spec,
@@ -148,9 +147,10 @@ def test_dca_top_m_subgradient_counts_tied_rows():
     data = Dataset(np.repeat(base.features, 2, axis=0),
                    np.repeat(base.labels, 2), 1)
     m, k, eta, C, seed, scale = 5, 12, 0.01, 1e4, 3, 0.5
-    cfg = TrainConfig(m=m, k=k, C=C, eta_inner=eta, outer_epochs=1,
-                      inner_epochs=1, batch=0, seed=seed, init_scale=scale)
-    report = dca_train(data, make_loss_spec("logistic"), cfg)
+    cfg = TrainConfig(C=C, eta_inner=eta, outer_epochs=1, inner_epochs=1,
+                      batch=0, seed=seed, init_scale=scale)
+    report = dca_train(data, make_loss_spec("logistic"), RankedRange(m, k),
+                       cfg)
 
     rng = np.random.default_rng(seed)  # the trainer's random start
     W = scale * rng.standard_normal((1, 3))
@@ -180,10 +180,11 @@ def test_dca_top_m_subgradient_counts_tied_rows():
 def test_dca_seed_determinism():
     data = small_binary(seed=6)
     spec = make_loss_spec("logistic")
-    cfg = TrainConfig(m=2, k=10, eta_inner=0.01, outer_epochs=3,
-                      inner_epochs=300, batch=1, seed=42)
-    a = dca_train(data, spec, cfg)
-    b = dca_train(data, spec, cfg)
+    r = RankedRange(2, 10)
+    cfg = TrainConfig(eta_inner=0.01, outer_epochs=3, inner_epochs=300,
+                      batch=1, seed=42)
+    a = dca_train(data, spec, r, cfg)
+    b = dca_train(data, spec, r, cfg)
     assert a.objective_trace == b.objective_trace
     np.testing.assert_array_equal(a.model.weights, b.model.weights)
 
@@ -199,11 +200,11 @@ def test_dca_train_returns_the_best_probed_iterate(loss):
         data = gen_synthetic(SyntheticSpec(balanced=False, n_outliers=5,
                                            seed=1))
         spec = make_loss_spec("logistic")
-        cfg = TrainConfig(m=1, k=20, batch=4, seed=1)
+        r, cfg = RankedRange(1, 20), TrainConfig(batch=4, seed=1)
     else:
         data = gen_multilabel_synthetic(120, 5, 5, seed=1, score_noise=2.0)
         spec = make_loss_spec("tkml", 2, 5)
-        cfg = TrainConfig(m=0, k=30, kprime=2, batch=8, seed=2)
+        r, cfg = RankedRange(0, 30), TrainConfig(kprime=2, batch=8, seed=2)
     cfg = dataclasses.replace(cfg, outer_epochs=1, inner_epochs=500,
                               eta_inner=0.5)
     tr, va = split_dataset(data, (0.6, 0.4), seed=0)
@@ -216,8 +217,8 @@ def test_dca_train_returns_the_best_probed_iterate(loss):
         probes.append((key, model))
         return key
 
-    got = dca_train(tr, spec, cfg, score=score).model
-    final = dca_train(tr, spec, cfg).model
+    got = dca_train(tr, spec, r, cfg, score=score).model
+    final = dca_train(tr, spec, r, cfg).model
     # five snapshots, then the final iterate
     keys = [key for key, _ in probes]
     assert len(keys) == 6
@@ -232,9 +233,9 @@ def test_dca_descent_small_full_batch():
     data = gen_synthetic(SyntheticSpec(balanced=True, n_outliers=1, seed=0))
     data = data.subset(np.arange(0, 200, 8))  # 25 samples
     spec = make_loss_spec("logistic")
-    cfg = TrainConfig(m=2, k=8, C=1e4, eta_inner=0.002, outer_epochs=6,
+    cfg = TrainConfig(C=1e4, eta_inner=0.002, outer_epochs=6,
                       inner_epochs=3000, batch=0)
-    trace = dca_train(data, spec, cfg).objective_trace
+    trace = dca_train(data, spec, RankedRange(2, 8), cfg).objective_trace
     assert all(b <= a + 1e-6 for a, b in zip(trace, trace[1:]))
 
 
@@ -250,9 +251,9 @@ def test_lambda_dynamics_expected_increment():
     spec = make_loss_spec("logistic")
     eta = 0.01
     steps = 100  # keeps lambda below the constant loss level 1.0
-    cfg = TrainConfig(m=0, k=k, eta_inner=eta, outer_epochs=1,
-                      inner_epochs=steps, batch=1, seed=8)
-    report = dca_train(data, spec, cfg)
+    cfg = TrainConfig(eta_inner=eta, outer_epochs=1, inner_epochs=steps,
+                      batch=1, seed=8)
+    report = dca_train(data, spec, RankedRange(0, k), cfg)
     lam = report.lambdas[0].lam
     expected = -eta * (k / n - 1.0) * steps
     assert lam == pytest.approx(expected, abs=1e-9)
@@ -345,9 +346,8 @@ def _draw(rng, data, batch):
         0, data.n, size=batch)
 
 
-def _dca_reference(data, spec, config, score):
+def _dca_reference(data, spec, r, config, score):
     rng = np.random.default_rng(config.seed)
-    r = config.ranked_range(data.n)
     X, C, eta = data.features, config.C, config.eta_inner
     W, b = _start(rng, data, config)
     full = config.batch == 0
@@ -387,15 +387,16 @@ def test_dca_train_matches_reference_loop(batch):
     validation = small_binary(seed=31, n=30)
     spec = make_loss_spec("logistic")
     # at batch 1 a snapshot scores below the final iterate and is returned
-    cfg = TrainConfig(m=4, k=40, eta_inner=0.2, outer_epochs=3,
-                      inner_epochs=250, batch=batch, seed=32, init_scale=0.3)
+    r = RankedRange(4, 40)
+    cfg = TrainConfig(eta_inner=0.2, outer_epochs=3, inner_epochs=250,
+                      batch=batch, seed=32, init_scale=0.3)
 
     def score(model):  # the validation error
         margins = validation.features @ model.weights[0] + model.bias[0]
         return np.mean(np.where(margins >= 0, 1, -1) != validation.labels)
 
-    trace, lambdas, W, b = _dca_reference(data, spec, cfg, score)
-    report = dca_train(data, spec, cfg, score=score)
+    trace, lambdas, W, b = _dca_reference(data, spec, r, cfg, score)
+    report = dca_train(data, spec, r, cfg, score=score)
     np.testing.assert_array_equal(report.objective_trace, trace)
     np.testing.assert_array_equal([p.lam for p in report.lambdas], lambdas)
     np.testing.assert_array_equal(report.model.weights, W)
@@ -545,10 +546,10 @@ def _warm_start(data, spec, cfg):
     return sgd_average_train(data, spec, warm).model
 
 
-def _tkml_aorr(data, cfg):
-    """tkml_aorr_train from its own warm start."""
+def _tkml_aorr(data, r, cfg):
+    """tkml_aorr_train on the range r from its own warm start."""
     spec = make_loss_spec("tkml", cfg.kprime, data.l)
-    return tkml_aorr_train(data, spec, cfg, _warm_start(data, spec, cfg))
+    return tkml_aorr_train(data, spec, r, cfg, _warm_start(data, spec, cfg))
 
 
 def test_tkml_aorr_cold_start_threshold_updates():
@@ -557,9 +558,9 @@ def test_tkml_aorr_cold_start_threshold_updates():
     # and lambda_hat rises by eta*(n-m)/(k-m) each step
     data = gen_multilabel_synthetic(6, 3, 4, seed=12)
     eta = 0.01
-    cfg = TrainConfig(m=2, k=5, kprime=1, eta_inner=eta, outer_epochs=3,
+    cfg = TrainConfig(kprime=1, eta_inner=eta, outer_epochs=3,
                       inner_epochs=1, warmup_epochs=0, batch=0, C=1e8)
-    report = _tkml_aorr(data, cfg)
+    report = _tkml_aorr(data, RankedRange(2, 5), cfg)
     np.testing.assert_allclose(report.model.weights, 0.0)
     n, m, width = 6, 2, 3
     for t, pair in enumerate(report.lambdas, start=1):
@@ -575,10 +576,10 @@ def test_tkml_aorr_one_step_hand_check():
     eta = 0.05
     m, k, kprime = 2, 6, 1
     warm = 20
-    cfg = TrainConfig(m=m, k=k, kprime=kprime, eta_inner=eta, eta_outer=0.1,
+    cfg = TrainConfig(kprime=kprime, eta_inner=eta, eta_outer=0.1,
                       outer_epochs=1, inner_epochs=1, warmup_epochs=warm,
                       batch=0, C=1e4)
-    report = _tkml_aorr(data, cfg)
+    report = _tkml_aorr(data, RankedRange(m, k), cfg)
 
     # independent replay: average-loss warm-up with the scalar-path loss
     W = np.zeros((5, 4))
@@ -619,11 +620,10 @@ def test_tkml_aorr_one_step_hand_check():
     assert report.lambdas[0].lam_hat == pytest.approx(lam_hat_next)
 
 
-def _tkml_aorr_reference(data, config):
+def _tkml_aorr_reference(data, r, config):
     """tkml_aorr_train as one self-contained loop: its own warm-up on every
     call and a separate objective pass every 10th epoch."""
     rng = np.random.default_rng(config.seed)
-    r = config.ranked_range(data.n)
     spec = TKMLSampleLoss(config.kprime)
     X, n, width = data.features, data.n, r.k - r.m
     W, b = np.zeros((data.l, data.d)), np.zeros(data.l)
@@ -668,11 +668,12 @@ def test_tkml_aorr_matches_reference_loop(batch, init_scale, warmup):
     # the trainer reuses the objective pass for the next full-batch step;
     # that must not change the trace or any iterate
     data = gen_multilabel_synthetic(60, 4, 5, seed=26, max_labels=2)
-    cfg = TrainConfig(m=5, k=40, kprime=2, eta_inner=0.2, eta_outer=0.3,
+    r = RankedRange(5, 40)
+    cfg = TrainConfig(kprime=2, eta_inner=0.2, eta_outer=0.3,
                       outer_epochs=33, warmup_epochs=warmup, batch=batch,
                       init_scale=init_scale, seed=27)
-    trace, lambdas, W, b = _tkml_aorr_reference(data, cfg)
-    report = _tkml_aorr(data, cfg)
+    trace, lambdas, W, b = _tkml_aorr_reference(data, r, cfg)
+    report = _tkml_aorr(data, r, cfg)
     np.testing.assert_array_equal(report.objective_trace, trace)
     assert [(p.lam, p.lam_hat) for p in report.lambdas] == lambdas
     np.testing.assert_array_equal(report.model.weights, W)
@@ -685,11 +686,11 @@ def test_tkml_aorr_saddle_point_pass_is_the_first_step_evaluation():
     data = gen_multilabel_synthetic(60, 4, 5, seed=26, max_labels=2)
     passes = []
     for warmup in (0, 15):
-        cfg = TrainConfig(m=5, k=40, kprime=2, outer_epochs=33, batch=0,
+        cfg = TrainConfig(kprime=2, outer_epochs=33, batch=0,
                           warmup_epochs=warmup, seed=27)
         start = _warm_start(data, make_loss_spec("tkml", 2), cfg)
         spec = _CountingSpec(make_loss_spec("tkml", 2), data)
-        tkml_aorr_train(data, spec, cfg, start)
+        tkml_aorr_train(data, spec, RankedRange(5, 40), cfg, start)
         passes.append(spec.passes)
     assert passes[1] == passes[0] == 34  # 30 steps, 4 objective passes
 
@@ -710,8 +711,8 @@ def test_tkml_aorr_grid_shares_warm_start(monkeypatch, batch, init_scale):
     cfg = cli.parse_config(text)
     shared = json.dumps(cli.run_experiment(cfg), sort_keys=True)
 
-    def own_warm_up(data, spec, config, start):
-        trace, lambdas, W, b = _tkml_aorr_reference(data, config)
+    def own_warm_up(data, spec, r, config, start):
+        trace, lambdas, W, b = _tkml_aorr_reference(data, r, config)
         model = LinearModel(weights=W, bias=b)
         return TrainReport(model, trace, [LambdaPair(*p) for p in lambdas])
 
@@ -765,10 +766,10 @@ def test_full_batch_sgd_average_reuses_each_objective_pass():
 
 def test_tkml_warm_up_divergence_names_its_epoch():
     data = gen_multilabel_synthetic(40, 4, 5, seed=26)
-    cfg = TrainConfig(m=2, k=20, kprime=2, eta_outer=1e300, C=1e-300,
-                      warmup_epochs=5, outer_epochs=3, batch=0)
+    cfg = TrainConfig(kprime=2, eta_outer=1e300, C=1e-300, warmup_epochs=5,
+                      outer_epochs=3, batch=0)
     with pytest.raises(TrainingDiverged) as exc, np.errstate(all="ignore"):
-        _tkml_aorr(data, cfg)
+        _tkml_aorr(data, RankedRange(2, 20), cfg)
     assert exc.value.epoch < cfg.warmup_epochs
 
 
@@ -835,7 +836,6 @@ def test_train_config_validation():
         TrainConfig(C=0.0)
     with pytest.raises(ValueError):
         TrainConfig(outer_epochs=0)
-    assert TrainConfig(k=0).ranked_range(25).k == 25
 
 
 def test_negative_batch_rejected():
