@@ -33,8 +33,7 @@ task              binary | multiclass | multilabel
 loss              logistic | hinge | softmax | tkml | multilabel_lr
 aggregate         average | max | median | atk | aorr | topk | tkml |
                   tkml_aorr | auto_aorr; the trimmed range (m, k) is aorr
-                  with a class-label loss and tkml_aorr with the tkml loss,
-                  and both need every m >= 1 (m = 0 is atk)
+                  with a class-label loss and tkml_aorr with the tkml loss
 dataset           monk | synthetic | blobs | multilabel-synth | <file path>
 format            csv | libsvm (for file datasets)
 split             comma list of fractions (train first, test last; a middle
@@ -45,7 +44,7 @@ restarts          random restarts per run for a ranked-range aggregate
                   from each restart, and the best is picked on the
                   validation part
 base_seed         run i uses seed base_seed + i (base_seed >= 0)
-eval_k            k for top-k metrics (multiclass / multilabel)
+eval_k            k for top-k metrics (multiclass / multilabel; 1 on binary)
 noise.mode        none | symmetric | asymmetric_map | multilabel_symmetric
                   (the other noise.* keys need a mode other than none)
 noise.p           flip probability (a run's train part; every row for data)
@@ -59,7 +58,10 @@ ml.n/.d/.l        multilabel generator dimensions
 ml.min/.max       label-set size range
 ml.noise          score noise of the multilabel generator
 grid.m, grid.k    comma lists: the ranks m and k of a ranked range's
-                  (m, k) cells (unset: m = 0, k = n; k = 0 means n); a
+                  (m, k) cells.  atk and topk read grid.k >= 1, aorr and
+                  tkml_aorr read grid.m >= 1 (m = 0 is atk) and grid.k >= 0
+                  (unset or 0: k = n), and no other aggregate reads either;
+                  a key the aggregate does not read is a config error.  A
                   run of more than one cell reports the kept one
 train.*           any TrainConfig field but seed (see base_seed): the
                   optimizer settings and kprime
@@ -137,16 +139,17 @@ _TRAINS = {
 }
 TASKS = tuple(dict.fromkeys(task for task, _ in _TRAINS))
 
-# the (m, k) that each ranked-range aggregate trains, from a grid cell
-# (m, k), k = 0 read as n, and the n training rows
+# each ranked-range aggregate: the grid keys it reads, each with its least
+# value, and the (m, k) it trains from a grid cell (m, k), k = 0 read as n,
+# and the n training rows
 _RANGES = {
-    "max": lambda m, k, n: (0, 1),
-    "median": lambda m, k, n: ((n + 1) // 2 - 1, (n + 1) // 2),
-    "atk": lambda m, k, n: (0, k),
-    "topk": lambda m, k, n: (k - 1, k),
-    "aorr": lambda m, k, n: (m, k),
-    "tkml_aorr": lambda m, k, n: (m, k),
-    "tkml": lambda m, k, n: (0, n),  # average-loss descent, every row active
+    "max": ({}, lambda m, k, n: (0, 1)),
+    "median": ({}, lambda m, k, n: ((n + 1) // 2 - 1, (n + 1) // 2)),
+    "atk": ({"grid.k": 1}, lambda m, k, n: (0, k)),
+    "topk": ({"grid.k": 1}, lambda m, k, n: (k - 1, k)),
+    "aorr": ({"grid.m": 1, "grid.k": 0}, lambda m, k, n: (m, k)),
+    "tkml_aorr": ({"grid.m": 1, "grid.k": 0}, lambda m, k, n: (m, k)),
+    "tkml": ({}, lambda m, k, n: (0, n)),  # average-loss descent, all rows
 }
 
 
@@ -203,21 +206,17 @@ class ExperimentConfig:
         if not self.ml_min <= self.ml_max < self.ml_l:
             # a label set holds ml.min..ml.max labels and leaves one out
             raise ConfigError("ml.max", f"must be in {self.ml_min}..{self.ml_l - 1}")
-        ms, ks = self.grid_m or (0,), self.grid_k or (0,)
-        for key, values in (("grid.m", ms), ("grid.k", ks)):
-            if min(values) < 0:  # a rank counts rows; k = 0 means n
-                raise ConfigError(key, f"{min(values)} is below 0")
-        if self.aggregate in ("atk", "topk") and min(ks) < 1:
-            raise ConfigError("grid.k", f"{self.aggregate} needs grid.k >= 1")
-        if self.aggregate in ("aorr", "tkml_aorr") and min(ms) < 1:
-            raise ConfigError("grid.m", f"{self.aggregate} needs grid.m >= 1")
+        reads = _RANGES.get(self.aggregate, ({},))[0]
+        for key in ("grid.m", "grid.k"):
+            values, low = getattr(self, key.replace(".", "_")), reads.get(key, 0)
+            if values and key not in reads:
+                raise ConfigError(key, f"{self.aggregate} reads no {key}")
+            if min(values or (0,)) < low:  # an unset key reads as 0
+                raise ConfigError(key, f"{self.aggregate} needs {key} >= {low}")
         if self.aggregate == "auto_aorr" and len(self.split) != 3:
             raise ConfigError("split", "auto_aorr needs a validation part")
-        for key, given in (("restarts", self.restarts > 1),
-                           ("grid.m", self.grid_m), ("grid.k", self.grid_k)):
-            if given and self.aggregate not in _RANGES:
-                raise ConfigError(key, f"{self.aggregate} trains no ranked "
-                                       "range")
+        if self.restarts > 1 and self.aggregate not in _RANGES:
+            raise ConfigError("restarts", f"{self.aggregate} trains no ranked range")
         if self.restarts > 1 and len(self.split) != 3:
             raise ConfigError("restarts", "restarts > 1 needs a validation "
                                           "part to select on")
@@ -480,10 +479,10 @@ def _ordered_map(fn, items):
 
 
 def _check_k(key: str, k: int, data: Dataset) -> None:
-    """A top-k metric picks k of the l scores of a row; a label set must
-    stay a proper subset of the labels.  Binary data has no k to check."""
+    """A top-k metric picks k of the l scores of a row, the one score of
+    binary data too; a label set must stay a proper subset of the labels."""
     top = data.l - 1 if data.is_multilabel else data.l
-    if data.l > 1 and not 1 <= k <= top:
+    if not 1 <= k <= top:
         raise ConfigError(key, f"{key.lstrip('-')}={k} outside 1..{top} "
                                f"for l={data.l}")
 
@@ -498,9 +497,9 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     keeps the first with the least ``score`` on ``va``, or on ``holdout``
     when there is no validation part.  The cells are the distinct ranges of
     the ``grid.m`` x ``grid.k`` values (an unset grid.m reads as m = 0, an
-    unset grid.k as k = 0, and k = 0 as n), so a range that ignores m or k
-    collapses that grid.  A cell that does not fit the n training rows is a
-    config error at ``grid.k`` when its k exceeds n, else at ``grid.m``.
+    unset grid.k as k = 0, and k = 0 as n).  A cell that does not fit the
+    n training rows is a config error at ``grid.k`` when its k exceeds n,
+    else at ``grid.m``.
     ``dca_train`` keeps its stochastic snapshots by the same ``score`` on
     ``va``, and reports the key its candidate ranks by."""
     agg = cfg.aggregate
@@ -525,7 +524,7 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
         return report, extras
 
     minimax = cfg.loss == "tkml" and agg != "tkml"  # tkml_aorr_train
-    pairs = dict.fromkeys(_RANGES[agg](m, k or tr.n, tr.n)
+    pairs = dict.fromkeys(_RANGES[agg][1](m, k or tr.n, tr.n)
                           for m in cfg.grid_m or (0,) for k in cfg.grid_k or (0,))
     cells = []
     for m, k in pairs:
@@ -572,7 +571,7 @@ def _evaluate(model, rows: Dataset, k: int) -> dict:
         Y = rows.label_matrix
         return {"topk_accuracy": topk_multilabel_accuracy(scores, Y, k),
                 "average_precision": average_precision(scores, Y)}
-    if rows.l > 1 and k > 1:
+    if k > 1:  # classes: _check_k holds binary data at k = 1
         acc = topk_accuracy(scores, rows.labels, k)
         return {"topk_accuracy": acc, "error": 1.0 - acc}
     err = error_rate(scores[:, 0] if rows.l == 1 else scores, rows.labels)
@@ -894,10 +893,9 @@ REPRO_REGISTRY = {
         for label, text in _OUTLIER_AGGREGATES)),
     # m = 0 is plain top-k
     "fig6": ReproEntry(("m", "error_mean_pct"), (_pct("error"),), tuple(
-        ReproRow((m,), f"fig6_m{m}", _MONK + f"repeats = 3\ngrid.m = {m}\n"
-                 "grid.k = 70\n" +
-                 ("aggregate = aorr\nrestarts = 5\n" if m else
-                  "aggregate = atk\n"))
+        ReproRow((m,), f"fig6_m{m}", _MONK + "repeats = 3\ngrid.k = 70\n" +
+                 (f"aggregate = aorr\ngrid.m = {m}\nrestarts = 5\n" if m
+                  else "aggregate = atk\n"))
         for m in range(0, 61, 10))),
     "fig8": ReproEntry(("k", "topk_accuracy_pct"), (_pct("topk_accuracy"),),
                        tuple(ReproRow((k,), f"fig8_k{k}", _EMOTIONS_TKML +
@@ -908,9 +906,9 @@ REPRO_REGISTRY = {
     # m = 0 is plain top-k
     "fig9": ReproEntry(("m", "topk_accuracy_pct"), (_pct("topk_accuracy"),),
                        tuple(ReproRow((m,), f"fig9_m{m}", _YEAST +
-                                      f"repeats = 3\ngrid.m = {m}\n"
-                                      "grid.k = 1449\naggregate = "
-                                      f"{'tkml_aorr' if m else 'atk'}\n")
+                                      "repeats = 3\ngrid.k = 1449\n" +
+                                      (f"aggregate = tkml_aorr\ngrid.m = {m}\n"
+                                       if m else "aggregate = atk\n"))
                              for m in (0, 241, 483, 644, 966)),
                        real_data="data/yeast.csv"),
 }

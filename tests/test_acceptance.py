@@ -223,10 +223,10 @@ def test_06_binary_benchmark_error():
     aorr = dict(repro_configs("table3"))["table3_aorr"]
     configs = {"aorr": aorr}
     for agg in ("atk", "average"):
-        # average trains no ranked range, so it takes no grid key
-        ranks = {"grid_m": (), "grid_k": ()} if agg == "average" else {}
-        configs[agg] = dataclasses.replace(aorr, aggregate=agg, restarts=1,
-                                           **ranks)
+        # atk reads grid.k alone, and average trains no ranked range
+        configs[agg] = dataclasses.replace(
+            aorr, aggregate=agg, restarts=1, grid_m=(),
+            grid_k=aorr.grid_k if agg == "atk" else ())
     results = {}
     for agg, cfg in configs.items():
         rep = run_experiment(cfg)

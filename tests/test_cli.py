@@ -156,6 +156,14 @@ def test_invalid_combinations_rejected():
                      "aggregate = auto_aorr\nsplit = 0.8,0.2")
 
 
+def _grid_lines(aggregate):
+    """``grid.m = 1`` and ``grid.k = 5``, each line when ``aggregate`` reads
+    its key."""
+    reads = cli._RANGES.get(aggregate, ({},))[0]
+    return "".join(f"{key} = {value}\n" for key, value
+                   in (("grid.m", 1), ("grid.k", 5)) if key in reads)
+
+
 class _Reached(Exception):
     """Raised by a stand-in trainer: the dispatch got that far."""
 
@@ -179,15 +187,15 @@ def test_every_valid_triple_reaches_a_trainer(monkeypatch):
     aggregates = dict.fromkeys(agg for aggs in cli._TRAINS.values()
                                for agg in aggs)
     for task, loss, agg in itertools.product(cli.TASKS, losses, aggregates):
-        ranks = "grid.m = 1\ngrid.k = 5\n" if agg in cli._RANGES else ""
-        try:
-            # no warm start, whose sgd_average_train would stand in for
-            # tkml_aorr_train
-            cfg = parse_config(f"task = {task}\nloss = {loss}\n"
-                               f"aggregate = {agg}\n{ranks}"
-                               "train.warmup_epochs = 0\n")
-        except ConfigError:
+        # no warm start, whose sgd_average_train would stand in for
+        # tkml_aorr_train
+        text = (f"task = {task}\nloss = {loss}\naggregate = {agg}\n"
+                f"{_grid_lines(agg)}train.warmup_epochs = 0\n")
+        if agg not in cli._TRAINS.get((task, loss), ()):
+            with pytest.raises(ConfigError):
+                parse_config(text)
             continue
+        cfg = parse_config(text)
         tr, va = split_dataset(data[task], (0.7, 0.3), seed=0)
         with pytest.raises(_Reached) as exc:
             cli._train_model(cfg, tr, va, seed=0)
@@ -736,8 +744,9 @@ def test_grid_keys_apply_to_every_loss(monkeypatch, aggregate, which, values,
         return train(data, spec, r, config, **kwargs)
 
     monkeypatch.setattr(cli, "dca_train", recording)
-    text = _MONK_CELLS + f"aggregate = {aggregate}\ngrid.{other[0]} = " \
-        f"{other[1]}\n"
+    # atk reads no grid.m: its cells train m = 0
+    text = _MONK_CELLS + f"aggregate = {aggregate}\n" + \
+        (f"grid.{other[0]} = {other[1]}\n" if other[1] else "")
     grid = run_experiment(parse_config(
         text + f"grid.{which} = {values[0]},{values[1]}\n"))["runs"][0]
     assert trained == list(values)
@@ -1282,8 +1291,9 @@ _ML6 = ("task = multilabel\nloss = tkml\naggregate = tkml\n"
 _SYMMETRIC = "noise.mode = symmetric\nnoise.p = 0.2\n"
 
 # (config text, or command line after the command, expected key); {data} is
-# a 4-class CSV, {model} a 4-label model that scores it and {config} a valid
-# binary config
+# a 4-class CSV, {model} a 4-label model that scores it, {binary} and
+# {binary_model} the same for binary labels, and {config} a valid binary
+# config
 _CONFIG_ERRORS = {
     "noise.map-vs-labels": (_BLOBS3 + "noise.mode = asymmetric_map\n"
                             "noise.p = 0.5\nnoise.map = 1:9\n", "noise.map"),
@@ -1321,6 +1331,11 @@ _CONFIG_ERRORS = {
     "blobs.l": (_BLOBS3 + "blobs.l = 1\n", "blobs.l"),
     "eval-k": (["eval", "--model", "{model}", "--data", "{data}", "--k", "9"],
                "--k"),
+    # binary data has one score, so k = 1 alone: a binary run at eval_k = 3
+    # recorded it in its report, and eval --k 3 printed the top-1 table
+    "eval_k-binary": (_BINARY + "eval_k = 3\n", "eval_k"),
+    "eval-k-binary": (["eval", "--model", "{binary_model}", "--data",
+                       "{binary}", "--k", "3"], "--k"),
     # guards: these exited 1 at their key before the checks moved
     "train.kprime": (_ML6 + "train.kprime = 9\n", "train.kprime"),
     "split": (_BINARY + "split = 0.999,0.001\n", "split"),
@@ -1444,12 +1459,16 @@ def _config_error_argv(tmp_path, row, command="train"):
 
     given, _ = _CONFIG_ERRORS[row]
     paths = {"data": tmp_path / "four.csv", "model": tmp_path / "model.txt",
+             "binary": tmp_path / "two.csv",
+             "binary_model": tmp_path / "binary.txt",
              "config": tmp_path / "ok.cfg"}
     paths["config"].write_text(_BINARY)
     paths["data"].write_text("label,f0,f1\n1,0.5,1.0\n2,2.0,0.0\n3,1.5,-1.0\n"
                              "4,0.0,0.5\n")
-    save_model(LinearModel(weights=np.ones((4, 2)), bias=np.zeros(4)),
-               paths["model"])
+    paths["binary"].write_text("label,f0,f1\n1,0.5,1.0\n-1,2.0,0.0\n")
+    for key, l in (("model", 4), ("binary_model", 1)):
+        save_model(LinearModel(weights=np.ones((l, 2)), bias=np.zeros(l)),
+                   paths[key])
     if isinstance(given, str):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(given.format(**paths))
@@ -1464,6 +1483,25 @@ def test_config_errors_exit_1_at_their_key(tmp_path, capsys, row):
     capsys.readouterr()
     assert main(argv) == EXIT_USAGE
     assert f"config key {_CONFIG_ERRORS[row][1]!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# an atk run with grid.m = 20 trained m = 0, and its report still recorded
+# grid_m [20]; max with grid.m and grid.k trained its one cell
+@pytest.mark.parametrize("aggregate, key", [
+    (agg, key) for agg, (reads, _) in cli._RANGES.items()
+    for key in ("grid.m", "grid.k") if key not in reads])
+def test_a_grid_key_the_aggregate_does_not_read_exits_1(tmp_path, capsys,
+                                                        aggregate, key):
+    base = _ML6 if aggregate.startswith("tkml") else _BINARY
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(base + f"aggregate = {aggregate}\n"
+                        f"{_grid_lines(aggregate)}{key} = 20\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert f"config key {key!r}: {aggregate} reads no {key}" in \
+        capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
