@@ -593,11 +593,14 @@ def _changed_rows(clean: Dataset, noisy: Dataset) -> int:
 def _single_run(cfg: ExperimentConfig, run: int, loaded: list) -> dict:
     """One seeded repeat on ``loaded[run]``, a loaded file, which it takes
     out of the list; when the list is empty, on the dataset that the
-    generator named by ``cfg.dataset`` makes for the seed.  The dataset is
-    dropped once it is split, so training holds the z-scored parts alone."""
+    generator named by ``cfg.dataset`` makes for the seed.  The split
+    takes the rows it is given, so a repeat of a file that other repeats
+    share splits a copy; training holds the z-scored parts alone."""
     seed = cfg.base_seed + run
     if loaded:
         data, loaded[run] = loaded[run], None
+        if cfg.repeats > 1:
+            data = replace(data, features=data.features.copy())
     else:
         data = _generate(cfg, seed)
     kind = ("multilabel" if data.is_multilabel
@@ -606,7 +609,7 @@ def _single_run(cfg: ExperimentConfig, run: int, loaded: list) -> dict:
         raise ConfigError("task", f"dataset {cfg.dataset!r} holds {kind} "
                                   f"labels, not {cfg.task} labels")
     parts, _, _ = split_standardized(data, cfg.split, seed=seed)
-    del data
+    del data  # the parts hold its rows now; its labels go
     tr, te = parts[0], parts[-1]
     va = parts[1] if len(parts) == 3 else None
     if cfg.noise is not None:
@@ -637,8 +640,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
 
     A file's contents do not depend on the seed, so one load serves every
     repeat: each repeat takes its own reference to it out of a list, and a
-    process frees the loaded rows once the last of its repeats has split
-    them.
+    process frees the loaded rows once the last of its repeats has taken
+    them.  A one-repeat run splits the loaded rows themselves, so it holds
+    one copy of them from the parse to the report.
     """
     loaded = ([] if cfg.dataset in _GENERATORS
               else [load_dataset(cfg.dataset, cfg.format)] * cfg.repeats)

@@ -293,7 +293,7 @@ def _load_csv(path, l, d):
             labels = [_csv_label(field, multilabel) for field in raw]
             if not multilabel:
                 labels = np.array(labels, dtype=np.int64)
-            X = np.delete(M, label_col, axis=1)
+            X = _drop_column(M, label_col)
             if not np.isfinite(X).all():
                 raise ValueError("non-finite feature value")
         except (ValueError, OverflowError):
@@ -302,6 +302,21 @@ def _load_csv(path, l, d):
     if d is not None and X.shape[1] != d:
         raise DataParseError(path, 0, f"{X.shape[1]} features, expected d={d}")
     return _labelled(path, X, labels, l, lambda row: _csv_record_line(path, row))
+
+
+_BLOCK = 2**15  # values in one gathered block of an in-place move of rows
+
+
+def _drop_column(M, j):
+    """``np.delete(M, j, axis=1)``, C-contiguous, in M's own memory: each
+    block of rows, gathered without column j, moves forward over the rows
+    already moved."""
+    n, w = M.shape
+    X = M.reshape(-1)[:n * (w - 1)].reshape(n, w - 1)
+    cols, step = np.delete(np.arange(w), j), max(1, _BLOCK // w)
+    for a in range(0, n, step):
+        X[a:a + step] = M[a:a + step, cols]
+    return X
 
 
 def _labelled(path, X, labels, l, line_of):
@@ -500,12 +515,6 @@ def split_sizes(n: int, fractions) -> tuple:
     return tuple(int(size) for size in sizes)
 
 
-def _split_rows(n: int, fractions, seed: int) -> list:
-    """The row indices of each part of the seeded split of n rows."""
-    perm = np.random.default_rng(seed).permutation(n)
-    return np.split(perm, np.cumsum(split_sizes(n, fractions))[:-1])
-
-
 def _statistics(x) -> tuple:
     """(means, stds, shift, scale) of the columns of x.  means and stds are
     bit for bit what x.mean(axis=0) and x.std(axis=0) give: the same steps
@@ -527,13 +536,40 @@ def _zscore(x, shift, scale):
     return x
 
 
-def split_dataset(data: Dataset, fractions, seed: int = 0):
+def _permute_rows(X, perm):
+    """``X[:] = X[perm]`` in place.  Along each cycle of perm a row takes the
+    next row's values, a block of rows at a time (a block's gather copies
+    rows that no earlier block wrote), and the last row the first's."""
+    step = max(1, _BLOCK // max(1, X.shape[1]))
+    todo = perm.tolist()
+    for start in range(len(todo)):
+        cycle, j = [], start
+        while todo[j] >= 0:  # -1 marks a row already walked
+            cycle.append(j)
+            todo[j], j = -1, todo[j]
+        if len(cycle) < 2:
+            continue
+        cycle = np.array(cycle)
+        dst, src, first = cycle[:-1], cycle[1:], X[cycle[0]].copy()
+        for a in range(0, dst.size, step):
+            X[dst[a:a + step]] = X[src[a:a + step]]
+        X[cycle[-1]] = first
+
+
+def split_dataset(data: Dataset, fractions, seed: int = 0, *, copy: bool = True):
     """Seeded uniform shuffle split into len(fractions) disjoint parts; see
-    ``split_sizes`` for the part sizes.  Each part holds a copy of its
-    rows.  To split and standardize, ``split_standardized`` gives the same
-    parts as ``standardize(*split_dataset(...))`` from one copy of the
-    rows."""
-    return tuple(data.subset(rows) for rows in _split_rows(data.n, fractions, seed))
+    ``split_sizes`` for the part sizes.  Each part holds a copy of its rows
+    and labels.  With ``copy=False`` the split takes ``data``'s rows: it
+    permutes ``data.features`` in place into part order, and each part's
+    features are a block of it, so ``data`` must not be used after it."""
+    perm = np.random.default_rng(seed).permutation(data.n)
+    bounds = np.cumsum((0, *split_sizes(data.n, fractions)))
+    X = data.features
+    if not copy:
+        _permute_rows(X, perm)
+    return tuple(Dataset(X[perm[lo:hi]] if copy else X[lo:hi],
+                         data.labels[perm[lo:hi]], data.l)
+                 for lo, hi in itertools.pairwise(bounds))
 
 
 def standardize(train: Dataset, *others):
@@ -553,17 +589,17 @@ def standardize(train: Dataset, *others):
 
 def split_standardized(data: Dataset, fractions, seed: int = 0):
     """``standardize(*split_dataset(data, fractions, seed))``, bit for bit,
-    holding about one copy of the rows at a time instead of two to three.
-
-    The train statistics come from a scratch gather of the train rows that
-    is freed before the parts are gathered, and each part is z-scored in
-    its own freshly gathered rows.
-    """
-    train_rows = _split_rows(data.n, fractions, seed)[0]
-    means, stds, shift, scale = _statistics(data.features[train_rows])
-    parts = split_dataset(data, fractions, seed)
-    for part in parts:
-        _zscore(part.features, shift, scale)  # the part's own copy of its rows
+    in one copy of the rows: it takes ``data``'s rows (``split_dataset``'s
+    ``copy=False``), so ``data`` must not be used after it.  The train
+    statistics come from scratch copies of blocks of at least 16 columns
+    (one column alone is summed in another order), then the whole buffer
+    is z-scored at once."""
+    parts = split_dataset(data, fractions, seed, copy=False)
+    train = parts[0].features
+    blocks = np.array_split(train, max(1, train.shape[1] // 16), axis=1)
+    means, stds, shift, scale = map(np.concatenate, zip(*(
+        _statistics(x.copy()) for x in blocks)))
+    _zscore(data.features, shift, scale)
     return parts, means, stds
 
 

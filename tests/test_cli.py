@@ -606,6 +606,25 @@ def test_training_holds_one_copy_of_the_rows(tmp_path, monkeypatch):
     assert traced[0] <= 1.2 * feature_bytes
 
 
+def test_a_csv_run_holds_one_copy_of_the_rows_from_parse_to_report(tmp_path):
+    # the parse's label column is compacted away in place and the split
+    # takes the loaded rows: about 1.3x the parts' feature bytes at peak,
+    # where a copy of the parsed matrix or of the rows made it about 2.3x
+    import tracemalloc
+
+    data_path = _binary_csv(tmp_path / "rows.csv", 4000, 50)
+    feature_bytes = 4000 * 50 * 8  # the parts partition the rows
+    cfg = parse_config(_RUN.replace("synthetic", str(data_path)))
+    run_experiment(cfg)  # imports what a first run imports, untraced
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * feature_bytes
+
+
 def test_restarts_apply_to_every_ranked_range():
     # restarts used to be ignored by every aggregate but aorr
     text = _RUN + ("aggregate = atk\ngrid.k = 20\ntrain.batch = 1\n"
@@ -842,6 +861,22 @@ _GRID = ("task = multilabel\nloss = tkml\naggregate = tkml_aorr\n"
 _DCA_REPEATS = _RUN + "aggregate = aorr\ngrid.m = 2\ngrid.k = 20\nrepeats = 3\n"
 _DCA_RESTARTS = _RUN + ("aggregate = aorr\ngrid.m = 2\ngrid.k = 20\n"
                         "split = 0.5,0.25,0.25\nrestarts = 3\n")
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=_needs_openblas)],
+                         ids=["serial", "forked"])
+def test_each_repeat_of_a_file_splits_its_own_rows(tmp_path, monkeypatch, cpus):
+    # a split permutes and z-scores the rows it is given in place; serially
+    # all three repeats share one load, and on two CPUs the caller runs
+    # repeats 0 and 2 on it
+    _cpus(monkeypatch, cpus)
+    text = _RUN.replace("synthetic", str(_binary_csv(tmp_path / "r.csv", 60, 3)))
+    runs = run_experiment(parse_config(text + "repeats = 3\n"))["runs"]
+    assert len(runs) == 3
+    for run in runs:
+        alone = run_experiment(parse_config(text + f"base_seed = {run['seed']}\n"))
+        assert json.dumps(alone["runs"], sort_keys=True) == \
+            json.dumps([dict(run, run=0)], sort_keys=True)
 
 
 @pytest.mark.parametrize("text", [_GRID, _GRID + "restarts = 3\n",
