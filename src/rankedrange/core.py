@@ -7,7 +7,9 @@ original index.  Value sorts, full (``sort_descending``) or of the k
 largest values only (``largest_descending``), have no visible tie order,
 since tied values are bitwise equal; the one exception is ``-0.0`` against
 ``0.0``.  A sum over a ranked range runs over the k largest values in
-descending order, so it is the same to the bit from either sort.
+descending order, so it is the same to the bit from either sort.  The
+k largest values are selected block by block, so a ranked-range sum holds
+k + block extra values, not n.
 """
 
 from __future__ import annotations
@@ -17,13 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# values per block of ``largest_descending``'s selection when k is smaller
+_SELECT_BLOCK = 1 << 16
+
 
 def as_values(values) -> np.ndarray:
     """The values as a checked non-empty finite 1-D array."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"expected a non-empty 1-D value set, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # min and max propagate NaN, so this is exact without an n-byte mask
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ValueError("value set contains non-finite entries")
     return arr
 
@@ -78,23 +84,34 @@ def sort_descending(values) -> np.ndarray:
 def largest_descending(arr: np.ndarray, k: int) -> np.ndarray:
     """The k largest of the checked values ``arr``, sorted descending.
 
-    A partial sort: a negated copy is partitioned at rank k and only its
-    first k entries are sorted, in O(n + k log k).  The k values equal the
-    prefix of ``sort_descending`` in the same order, up to the tie order of
-    ``-0.0`` and ``0.0``.  Needs 0 <= k <= n; the result is a view of the
-    copy, so memory holds n values while it lives.
+    A partial sort in O(n + k log k): with block = max(k, ``_SELECT_BLOCK``),
+    a buffer of min(n, k + block) values keeps the k largest negated values
+    seen so far, partitioned at rank k after each block of values is negated
+    into its tail (one block, so one negated copy, when k + block >= n);
+    only the final k are sorted.  The k values equal the prefix of
+    ``sort_descending`` in the same order, up to the tie order of ``-0.0``
+    and ``0.0``.  Needs 0 <= k <= n; the result is a view of the buffer, so
+    memory holds k + block extra values, not n, while it lives.
     """
-    srt = np.negative(arr)
-    if k < srt.size:
-        srt.partition(k - 1)
-    top = srt[:k]
+    n = arr.size
+    block = max(k, _SELECT_BLOCK)
+    buf = np.empty(min(n, k + block))
+    np.negative(arr[:k], out=buf[:k])
+    for first in range(k, n, block):
+        filled = k + min(block, n - first)
+        np.negative(arr[first:first + block], out=buf[k:filled])
+        buf[:filled].partition(k - 1)
+    top = buf[:k]
     top.sort()
     return np.negative(top, out=top)
 
 
 def top_k_sum(values, k: int) -> float:
     """Sum of the k largest entries (empty sum for k=0), from a partial sort
-    of those k."""
+    of those k that holds k + block extra values, not n.  k must be an int
+    or a numpy integer, as the ranks of ``RankedRange`` are."""
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k={k!r} is not an integer")
     arr = as_values(values)
     n = arr.size
     if not 0 <= k <= n:
@@ -107,9 +124,10 @@ def top_k_sum(values, k: int) -> float:
 def ranked_range_sum(values, r: RankedRange) -> float:
     """Sum of sorted values from rank m+1 through k.
 
-    Computed from one partial sort of the k largest values as the
-    difference of two top sums, so the identity with ``top_k_sum`` holds
-    exactly, in the same summation order.
+    Computed from one partial sort of the k largest values, which holds
+    k + block extra values, not n, as the difference of two top sums, so
+    the identity with ``top_k_sum`` holds exactly, in the same summation
+    order.
     """
     arr = as_values(values)
     r.validate(arr.size)

@@ -12,9 +12,9 @@ import numpy as np
 
 from .core import RankedRange, as_values, largest_descending, top_k_sum
 
-# values per Monte Carlo block of trials; besides the reference sample, its
-# negated copy and one value per trial, memory holds one block however many
-# trials are run
+# values per Monte Carlo block of trials; besides the reference sample, the
+# k + block extra values of its partial sort (not n) and one value per trial,
+# memory holds one block however many trials are run
 _BLOCK_VALUES = 1 << 20
 
 
@@ -39,7 +39,7 @@ def empirical_cvar(values, alpha: float) -> float:
     otherwise the minimum, attained at the (floor(n*alpha) + 1)-th largest
     value, is (sum of the floor(n*alpha) largest + the fractional part of
     n*alpha times the next largest) / (n*alpha).  Either sum comes from a
-    partial sort of the values it needs, not a sort of all n.
+    partial sort of what it needs, which holds k + block extra values, not n.
     """
     arr = as_values(values)
     if not 0.0 < alpha <= 1.0:
@@ -61,7 +61,7 @@ def empirical_icvar(values, levels: RiskLevelPair) -> float:
     sum divided by n; non-integral ranks fall back to the nearest integer
     rank with a warning, and ranks that round to an empty range (k = m)
     raise ValueError.  The sums come from a partial sort of the k largest
-    values, so memory holds the values and one negated copy of them.
+    values, so memory holds the values and k + block extra values, not n.
     """
     arr = as_values(values)
     n = arr.size
@@ -132,21 +132,23 @@ def cvar_bound_check(sampler, n: int, r: RankedRange, delta: float,
     the trials, so ``sampler`` may be called from two threads at once and
     must draw only from the ``rng`` it is given.  The reference is checked
     where the sampler left it and its interval CVaR taken from a partial
-    sort of a negated copy.  Trials run in blocks of about 2**20 values,
-    each sorted row-wise at once; memory holds the reference sample, one
-    negated copy of it, one block and one value per trial.
+    sort that holds k + block extra values, not n.  Trials run in blocks of
+    about 2**20 values, each sorted row-wise at once; memory holds the
+    reference sample, those k + block values, one block and one value per
+    trial.  ``n``, ``trials`` (at least 100), ``seed`` (at least 0) and
+    ``reference_size`` must be ints or numpy integers, or ValueError names
+    the first bad one before any draw.
     """
     a, b = support
     if not a < b:
         raise ValueError(f"degenerate support [a, b] = [{a}, {b}]")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta={delta} outside (0, 1]")
-    if trials < 100:
-        raise ValueError(f"trials={trials} too few for a meaningful rate (need >= 100)")
-    if not (isinstance(reference_size, (int, np.integer))
-            and reference_size >= n):
-        raise ValueError(f"reference_size={reference_size!r} must be an "
-                         f"integer >= n={n}")
+    for name, value, least in (("n", n, 1), ("trials", trials, 100),
+                               ("seed", seed, 0),
+                               ("reference_size", reference_size, n)):
+        if not (isinstance(value, (int, np.integer)) and value >= least):
+            raise ValueError(f"{name}={value!r} must be an integer >= {least}")
     r.validate(n)
     levels = RiskLevelPair(nu=r.k / n, mu=r.m / n)
     reference: dict = {}

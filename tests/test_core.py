@@ -13,7 +13,8 @@ from rankedrange import (
     top_k_sum,
     topk_variational_objective,
 )
-from rankedrange.core import as_values
+from rankedrange import core
+from rankedrange.core import as_values, largest_descending
 
 values_lists = st.lists(
     st.floats(min_value=0.0, max_value=1e3, allow_nan=False), min_size=1,
@@ -46,6 +47,12 @@ def test_top_k_sum_rejects_bad_k():
         top_k_sum([1.0], 2)
     with pytest.raises(ValueError):
         top_k_sum([1.0], -1)
+    # the rule of RankedRange: an int or a numpy integer, even when the
+    # value is integral and in range
+    for k in (2.5, 3.0, np.float64(2)):
+        with pytest.raises(ValueError, match=r"^k=.* is not an integer$"):
+            top_k_sum([4.0, 1.0, 3.0, 2.0], k)
+    assert top_k_sum([4.0, 1.0, 3.0, 2.0], np.int32(2)) == 7.0
 
 
 # --- ranked_range_sum / average ------------------------------------------
@@ -123,6 +130,53 @@ def test_constant_shift(vals, c):
     shifted = ranked_range_sum(s + c, r)
     assert shifted == pytest.approx(ranked_range_sum(s, r) + (k - m) * c,
                                     abs=1e-6)
+
+
+# --- largest_descending: the blocked selection ---------------------------
+
+# integer-valued floats give heavy ties; no -0.0, so the selections can be
+# compared to the bit
+selection_values = st.one_of(
+    st.lists(st.integers(-3, 3).map(float), min_size=1, max_size=200),
+    st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+             .map(lambda x: x + 0.0), min_size=1, max_size=200))
+
+
+def assert_selects_like_a_full_sort(s, k):
+    full = sort_descending(s)
+    top = largest_descending(s, k)
+    assert top.tobytes() == full[:k].tobytes()
+    assert top_k_sum(s, k) == float(np.sum(full[:k]))
+    if k >= 1:
+        m = k // 2
+        assert ranked_range_sum(s, RankedRange(m, k)) == (
+            float(np.sum(full[:k])) - float(np.sum(full[:m])))
+
+
+@settings(deadline=None)
+@given(selection_values, st.data())
+def test_blocked_selection_equals_the_full_sort(vals, data):
+    s = np.array(vals)
+    k = data.draw(st.integers(0, s.size), label="k")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_SELECT_BLOCK", 4)
+        assert_selects_like_a_full_sort(s, k)
+
+
+@pytest.mark.parametrize("n, k", [
+    (6, 2),    # k + block = n: one negated copy
+    (7, 2),    # k + block = n - 1: two blocks, the last one value
+    (5, 2),    # k + block = n + 1: one negated copy
+    (10, 3),   # k + block = n - 3: a full block, then a short one
+    (40, 0),   # k = 0 through the blocked path
+    (40, 5),   # block = k, not the constant
+])
+def test_blocked_selection_at_its_edges(monkeypatch, n, k):
+    monkeypatch.setattr(core, "_SELECT_BLOCK", 4)
+    rng = np.random.default_rng(n * 100 + k)
+    for s in (rng.normal(size=n), rng.integers(0, 3, size=n).astype(float),
+              np.arange(n, dtype=float), np.arange(n, 0, -1, dtype=float)):
+        assert_selects_like_a_full_sort(s, k)
 
 
 def test_sort_descending_signed_zero_tie():

@@ -178,24 +178,75 @@ def test_bound_check_rejects_a_bad_reference_size(size):
                          reference_size=size)
 
 
-def test_bound_check_holds_one_copy_of_its_reference():
-    # the reference draw and one negated copy of it for the partial sort;
-    # the trials' block of 100 x 100 values is small beside them
-    size = 10 ** 6
+@pytest.mark.parametrize("name, value", [
+    ("n", 100.0), ("n", np.float64(100)), ("n", 0),
+    ("trials", 200.5), ("trials", 99), ("seed", -1), ("seed", 1.0),
+], ids=["n-float", "n-numpy-float", "n-zero", "trials-fraction",
+        "trials-too-few", "seed-negative", "seed-float"])
+def test_bound_check_rejects_a_bad_integer_argument(name, value):
+    drawn = []
+
+    def sampler(rng, size):
+        drawn.append(size)
+        return rng.uniform(0, 1, size=size)
+
+    args = {"n": 100, "trials": 100, "seed": 0, name: value}
+    with pytest.raises(ValueError, match=f"^{name}=.* must be an integer"):
+        cvar_bound_check(sampler, r=RankedRange(5, 20), delta=0.1,
+                         reference_size=2000, **args)
+    assert drawn == []  # named before the reference thread starts
+
+
+def test_bound_check_takes_numpy_integers():
     sampler = lambda rng, size: rng.uniform(0, 1, size=size)
+    args = {"r": RankedRange(5, 20), "delta": 0.1, "reference_size": 2000}
+    assert cvar_bound_check(sampler, np.int64(100), trials=np.int32(100),
+                            seed=np.int64(3), **args) == cvar_bound_check(
+        sampler, 100, trials=100, seed=3, **args)
+
+
+def traced_peak_bytes(call):
+    """The tracemalloc peak of ``call()`` above what was traced before it."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        cvar_bound_check(sampler, 100, RankedRange(5, 20), 0.1, trials=100,
-                         reference_size=size)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 2.3 * size * np.dtype(np.float64).itemsize
+
+
+VALUE_BYTES = 10 ** 6 * np.dtype(np.float64).itemsize
+
+
+def test_bound_check_holds_one_copy_of_its_reference():
+    # the reference draw and the k + block extra values of its partial sort
+    # (not n): 0.4 of the draw at k = 20% of 10**6; the trials' block of
+    # 100 x 100 values is small beside them
+    sampler = lambda rng, size: rng.uniform(0, 1, size=size)
+    peak = traced_peak_bytes(lambda: cvar_bound_check(
+        sampler, 100, RankedRange(5, 20), 0.1, trials=100,
+        reference_size=10 ** 6))
+    assert peak < 1.8 * VALUE_BYTES
+
+
+def test_icvar_holds_k_plus_block_values_not_n():
+    # k = 200,000 of 10**6, so block = k and the buffer holds 0.4 of them
+    values = np.random.default_rng(0).uniform(size=10 ** 6)
+    peak = traced_peak_bytes(
+        lambda: empirical_icvar(values, RiskLevelPair(0.2, 0.05)))
+    assert peak <= 0.6 * VALUE_BYTES
+
+
+def test_top_k_sum_holds_k_plus_block_values_not_n():
+    # k = 10, so the buffer holds 10 + 2**16 values, not 10**6
+    values = np.random.default_rng(0).uniform(size=10 ** 6)
+    peak = traced_peak_bytes(lambda: top_k_sum(values, 10))
+    assert peak <= 0.2 * VALUE_BYTES
 
 
 def test_bound_check_delta_one_sanity():
