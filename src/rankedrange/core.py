@@ -81,25 +81,41 @@ def sort_descending(values) -> np.ndarray:
     return np.negative(srt, out=srt)
 
 
-def largest_descending(arr: np.ndarray, k: int) -> np.ndarray:
-    """The k largest of the checked values ``arr``, sorted descending.
+def largest_descending(values, k: int, n: int | None = None) -> np.ndarray:
+    """The k largest of the checked values, sorted descending.
 
-    A partial sort in O(n + k log k): with block = max(k, ``_SELECT_BLOCK``),
-    a buffer of min(n, k + block) values keeps the k largest negated values
-    seen so far, partitioned at rank k after each block of values is negated
-    into its tail (one block, so one negated copy, when k + block >= n);
-    only the final k are sorted.  The k values equal the prefix of
-    ``sort_descending`` in the same order, up to the tie order of ``-0.0``
-    and ``0.0``.  Needs 0 <= k <= n; the result is a view of the buffer, so
-    memory holds k + block extra values, not n, while it lives.
+    ``values`` is a checked 1-D array, or, when ``n`` is given, an iterable
+    of checked 1-D blocks holding n values in all, read once in order (a
+    total other than n raises ValueError).  A partial sort in
+    O(n + k log k): with block = max(k, ``_SELECT_BLOCK``), a buffer of
+    min(n, k + block) values keeps the k largest negated values seen so
+    far; values are negated into its tail and it is partitioned at rank k
+    each time it fills, and once at the end (one fill, so one negated copy,
+    when k + block >= n); only the final k are sorted.  The k values equal
+    the prefix of ``sort_descending`` in the same order, up to the tie
+    order of ``-0.0`` and ``0.0``.  Needs 0 <= k <= n; the result is a view
+    of the buffer, so memory holds k + block extra values, not n, while it
+    lives, and a stream's blocks are dropped as they are read.
     """
-    n = arr.size
-    block = max(k, _SELECT_BLOCK)
-    buf = np.empty(min(n, k + block))
-    np.negative(arr[:k], out=buf[:k])
-    for first in range(k, n, block):
-        filled = k + min(block, n - first)
-        np.negative(arr[first:first + block], out=buf[k:filled])
+    if n is None:
+        n, values = values.size, (values,)
+    buf = np.empty(min(n, k + max(k, _SELECT_BLOCK)))
+    filled = seen = 0
+    for chunk in values:
+        seen += chunk.size
+        while chunk.size:
+            take = min(chunk.size, buf.size - filled)
+            np.negative(chunk[:take], out=buf[filled:filled + take])
+            chunk = chunk[take:]
+            filled += take
+            if filled == buf.size:
+                buf.partition(k - 1)
+                filled = k
+        # drop this block before the stream makes the next one
+        del chunk
+    if seen != n:
+        raise ValueError(f"the blocks hold {seen} values, not n={n}")
+    if filled > k:
         buf[:filled].partition(k - 1)
     top = buf[:k]
     top.sort()

@@ -12,10 +12,11 @@ import numpy as np
 
 from .core import RankedRange, as_values, largest_descending, top_k_sum
 
-# values per Monte Carlo block of trials; besides the reference sample, the
-# k + block extra values of its partial sort (not n) and one value per trial,
-# memory holds one block however many trials are run
-_BLOCK_VALUES = 1 << 20
+# values per block of the reference draw and per Monte Carlo block of trials:
+# besides the k + block extra values of the reference's partial sort (not n)
+# and one value per trial, memory holds one block of each however large the
+# reference and however many trials are run
+_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -54,17 +55,25 @@ def empirical_cvar(values, alpha: float) -> float:
     return tail / k_real
 
 
-def empirical_icvar(values, levels: RiskLevelPair) -> float:
+def empirical_icvar(values, levels: RiskLevelPair,
+                    n: int | None = None) -> float:
     """nu * CVaR_nu - mu * CVaR_mu on the empirical sample.
 
     With integral ranks n*nu and n*mu this equals the (m, k) ranked-range
     sum divided by n; non-integral ranks fall back to the nearest integer
     rank with a warning, and ranks that round to an empty range (k = m)
-    raise ValueError.  The sums come from a partial sort of the k largest
-    values, so memory holds the values and k + block extra values, not n.
+    raise ValueError.  ``values`` is the sample, or, when ``n`` is given,
+    an iterable of 1-D blocks holding the n values of the sample in all,
+    each checked as it is read; the result is the same to the bit either
+    way.  The sums come from a partial sort of the k largest values, so
+    memory holds k + block extra values, not n, besides the values or the
+    stream's current block.
     """
-    arr = as_values(values)
-    n = arr.size
+    if n is None:
+        arr = as_values(values)
+        n, values = arr.size, (arr,)
+    else:
+        values = map(as_values, values)
     k, m = int(round(n * levels.nu)), int(round(n * levels.mu))
     if k == m:
         raise ValueError(
@@ -75,7 +84,7 @@ def empirical_icvar(values, levels: RiskLevelPair) -> float:
             warnings.warn(
                 f"n*{name} = {n * level:.6g} is not an integer rank; "
                 "using the nearest integer", stacklevel=2)
-    srt = largest_descending(arr, k)
+    srt = largest_descending(values, k, n)
     return float(np.sum(srt[:k])) / n - float(np.sum(srt[:m])) / n
 
 
@@ -89,11 +98,11 @@ def deviation_bound_radii(r: RankedRange, n: int, delta: float,
     return upper, lower
 
 
-def _draw(sampler, name: str, seed: int, size: int) -> np.ndarray:
-    """``sampler(default_rng(seed), size)`` as a float array; a draw that is
-    not a 1-D array of ``size`` values raises ValueError naming it."""
-    draw = np.asarray(sampler(np.random.default_rng(seed), size),
-                      dtype=np.float64)
+def _draw(sampler, name: str, rng: np.random.Generator,
+          size: int) -> np.ndarray:
+    """``sampler(rng, size)`` as a float array; a draw that is not a 1-D
+    array of ``size`` values raises ValueError naming it."""
+    draw = np.asarray(sampler(rng, size), dtype=np.float64)
     if draw.shape != (size,):
         raise ValueError(f"sampler draw {name}: expected {size} values "
                          f"in a 1-D array, got shape {draw.shape}")
@@ -102,17 +111,30 @@ def _draw(sampler, name: str, seed: int, size: int) -> np.ndarray:
 
 def _check_support(rows: np.ndarray, names: list, support: tuple) -> None:
     """Raise ValueError naming the first row of ``rows`` (one per name) that
-    holds a non-finite value or one outside ``support``.  At most two
-    boolean arrays of the rows' shape are alive at once."""
+    holds a non-finite value or one outside the finite ``support``.  Each
+    row's min and max propagate NaN, and infinities fall outside the
+    support, so one min and one max per row check every value; which kind
+    of value is bad is worked out only for the message."""
     a, b = support
-    good = np.isfinite(rows)
-    good &= rows >= a
-    good &= rows <= b
+    good = (rows.min(axis=1) >= a) & (rows.max(axis=1) <= b)
     if not good.all():
-        row = int(np.argmin(good.all(axis=1)))
+        row = int(np.argmin(good))
         what = ("non-finite values" if not np.isfinite(rows[row]).all()
                 else f"values outside the support [{a}, {b}]")
         raise ValueError(f"sampler draw {names[row]}: {what}")
+
+
+def _reference_blocks(sampler, seed: int, size: int, support: tuple):
+    """The reference draw from ``default_rng(seed)``, ``size`` values in
+    blocks of ``_BLOCK_VALUES``, each checked against ``support``."""
+    rng = np.random.default_rng(seed)
+    for first in range(0, size, _BLOCK_VALUES):
+        block = _draw(sampler, "reference", rng,
+                      min(_BLOCK_VALUES, size - first))
+        _check_support(block[np.newaxis], ["reference"], support)
+        yield block
+        # drop this block before the sampler makes the next one
+        del block
 
 
 def cvar_bound_check(sampler, n: int, r: RankedRange, delta: float,
@@ -120,26 +142,34 @@ def cvar_bound_check(sampler, n: int, r: RankedRange, delta: float,
                      reference_size: int = 1_000_000) -> tuple:
     """Monte Carlo violation rates of the two-sided deviation bound.
 
-    ``sampler(rng, size)`` must draw ``size`` i.i.d. values inside
-    ``support`` as a 1-D array; any other draw raises ValueError naming
-    it, the reference first when it and a trial are both bad.  The
+    ``sampler(rng, size)`` must draw ``size`` i.i.d. values inside the
+    finite ``support`` as a 1-D array; any other draw raises ValueError
+    naming it, the reference first when it and a trial are both bad.  The
     population interval-CVaR is proxied by one large reference sample of
-    ``reference_size`` values (an integer >= n) drawn from
-    ``default_rng(seed)``; trial t draws n points from
-    ``default_rng(seed + 1 + t)``, and the rates report how often the
-    population-minus-empirical gap escapes the stated radii.  The
-    reference is drawn on a second thread while the calling thread draws
-    the trials, so ``sampler`` may be called from two threads at once and
-    must draw only from the ``rng`` it is given.  The reference is checked
-    where the sampler left it and its interval CVaR taken from a partial
-    sort that holds k + block extra values, not n.  Trials run in blocks of
-    about 2**20 values, each sorted row-wise at once; memory holds the
-    reference sample, those k + block values, one block and one value per
-    trial.  ``n``, ``trials`` (at least 100), ``seed`` (at least 0) and
-    ``reference_size`` must be ints or numpy integers, or ValueError names
-    the first bad one before any draw.
+    ``reference_size`` values (an integer >= n), drawn from one
+    ``default_rng(seed)`` in blocks of 2**16 values, one sampler call per
+    block; trial t draws n points from ``default_rng(seed + 1 + t)``, and
+    the rates report how often the population-minus-empirical gap escapes
+    the stated radii.  A sampler that draws value by value from its rng,
+    as numpy's Generator distributions do, gives blocks that concatenate
+    to its one draw of ``reference_size`` values, so the result is the same
+    to the bit as from that draw; one whose draws depend on the call size
+    may give a different reference.  The reference is drawn on a second
+    thread while the calling thread draws the trials, so ``sampler`` may
+    be called from two threads at once and must draw only from the ``rng``
+    it is given.  Each reference block is checked while it is fresh and
+    negated into the partial sort of ``empirical_icvar``, whose buffer
+    holds k + max(k, 2**16) values.  Trials run in blocks of about 2**16
+    values, each sorted row-wise at once; memory holds that buffer, one
+    reference block, one trial block and one value per trial, not the
+    reference sample.  ``n``, ``trials`` (at least 100), ``seed`` (at least
+    0) and ``reference_size`` must be ints or numpy integers, or ValueError
+    names the first bad one before any draw, as it does a non-finite or
+    degenerate ``support``.
     """
     a, b = support
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"support [a, b] = [{a}, {b}] must be finite")
     if not a < b:
         raise ValueError(f"degenerate support [a, b] = [{a}, {b}]")
     if not 0.0 < delta <= 1.0:
@@ -155,11 +185,11 @@ def cvar_bound_check(sampler, n: int, r: RankedRange, delta: float,
 
     def draw_reference():
         # numpy releases the GIL while it fills, checks and partially sorts
-        # the large draw
+        # each block of the large draw
         try:
-            draw = _draw(sampler, "reference", seed, reference_size)
-            _check_support(draw[np.newaxis], ["reference"], support)
-            reference["population"] = empirical_icvar(draw, levels)
+            reference["population"] = empirical_icvar(
+                _reference_blocks(sampler, seed, reference_size, support),
+                levels, reference_size)
         except BaseException as exc:  # raised again in the calling thread
             reference["error"] = exc
 
@@ -167,14 +197,16 @@ def cvar_bound_check(sampler, n: int, r: RankedRange, delta: float,
                               name="cvar_bound_check reference")
     icvar = np.empty(trials)
     per_block = max(1, _BLOCK_VALUES // n)
+    rows = np.empty((min(per_block, trials), n))
     worker.start()
     try:
         for first in range(0, trials, per_block):
             names = [f"trial {t}"
                      for t in range(first, min(first + per_block, trials))]
-            block = np.empty((len(names), n))
+            block = rows[:len(names)]
             for row, name in enumerate(names):
-                block[row] = _draw(sampler, name, seed + 1 + first + row, n)
+                block[row] = _draw(sampler, name, np.random.default_rng(
+                    seed + 1 + first + row), n)
             _check_support(block, names, support)
             # each row sorted descending in place, then the top sums of
             # empirical_icvar, so every trial's value is the same to the bit

@@ -179,6 +179,27 @@ def test_blocked_selection_at_its_edges(monkeypatch, n, k):
         assert_selects_like_a_full_sort(s, k)
 
 
+@settings(deadline=None)
+@given(selection_values, st.data())
+def test_a_block_stream_selects_like_its_array(vals, data):
+    # cut points anywhere, so blocks may be empty or cross a buffer fill
+    s = np.array(vals)
+    k = data.draw(st.integers(0, s.size), label="k")
+    cuts = sorted(data.draw(st.lists(st.integers(0, s.size), max_size=8),
+                            label="cuts"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_SELECT_BLOCK", 4)
+        streamed = largest_descending(iter(np.split(s, cuts)), k, s.size)
+        assert streamed.tobytes() == largest_descending(s, k).tobytes()
+
+
+@pytest.mark.parametrize("n", [9, 11], ids=["too-few", "too-many"])
+def test_a_block_stream_of_another_length_raises(n):
+    blocks = iter(np.split(np.arange(10.0), [3, 7]))
+    with pytest.raises(ValueError, match=f"10 values, not n={n}"):
+        largest_descending(blocks, 2, n)
+
+
 def test_sort_descending_signed_zero_tie():
     # -0.0 == 0.0, so the value sort may order them either way within their
     # tie; the sorted copy keeps every value with its sign, and the sums

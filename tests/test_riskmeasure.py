@@ -197,6 +197,22 @@ def test_bound_check_rejects_a_bad_integer_argument(name, value):
     assert drawn == []  # named before the reference thread starts
 
 
+@pytest.mark.parametrize("support", [
+    (0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)])
+def test_bound_check_rejects_a_non_finite_support(support):
+    # an infinite bound gives infinite radii, so no gap could escape them
+    drawn = []
+
+    def sampler(rng, size):
+        drawn.append(size)
+        return rng.uniform(0, 1, size=size)
+
+    with pytest.raises(ValueError, match="support"):
+        cvar_bound_check(sampler, 100, RankedRange(5, 20), 0.1, trials=100,
+                         support=support, reference_size=2000)
+    assert drawn == []  # named before the reference thread starts
+
+
 def test_bound_check_takes_numpy_integers():
     sampler = lambda rng, size: rng.uniform(0, 1, size=size)
     args = {"r": RankedRange(5, 20), "delta": 0.1, "reference_size": 2000}
@@ -223,15 +239,15 @@ def traced_peak_bytes(call):
 VALUE_BYTES = 10 ** 6 * np.dtype(np.float64).itemsize
 
 
-def test_bound_check_holds_one_copy_of_its_reference():
-    # the reference draw and the k + block extra values of its partial sort
-    # (not n): 0.4 of the draw at k = 20% of 10**6; the trials' block of
-    # 100 x 100 values is small beside them
+def test_bound_check_holds_its_top_k_and_one_block_not_the_reference():
+    # the reference is drawn block by block into the k + block values of
+    # its partial sort: 0.4 of the draw at k = 20% of 10**6, plus one block
+    # of 2**16 values; the trials' block of 100 x 100 values is small
     sampler = lambda rng, size: rng.uniform(0, 1, size=size)
     peak = traced_peak_bytes(lambda: cvar_bound_check(
         sampler, 100, RankedRange(5, 20), 0.1, trials=100,
         reference_size=10 ** 6))
-    assert peak < 1.8 * VALUE_BYTES
+    assert peak < 0.5 * VALUE_BYTES
 
 
 def test_icvar_holds_k_plus_block_values_not_n():
@@ -262,6 +278,43 @@ def test_bound_check_uniform_rates_small():
                                trials=200, seed=3, reference_size=100_000)
     assert up <= 0.1
     assert low <= 0.1
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda rng, size: rng.uniform(0.0, 1.0, size=size),
+    lambda rng, size: rng.beta(2.0, 5.0, size),
+], ids=["uniform", "beta-2-5"])
+@pytest.mark.parametrize("reference_size, blocks", [
+    (4 << 16, 4),     # a multiple of the block
+    (123_456, 2),     # not a multiple: a short last block
+    (2000, 1),        # below k + block: one block, one sampler call
+])
+def test_bound_check_streams_the_one_shot_reference(monkeypatch, sampler,
+                                                    reference_size, blocks):
+    # n = 64 with r = (4, 16) gives integral ranks on every reference size
+    r, seed = RankedRange(4, 16), 7
+    levels = RiskLevelPair(nu=r.k / 64, mu=r.m / 64)
+    one_shot = empirical_icvar(
+        sampler(np.random.default_rng(seed), reference_size), levels)
+    populations, reference_sizes = [], []
+    icvar = riskmeasure.empirical_icvar
+
+    def counting_icvar(*args, **kwargs):
+        populations.append(icvar(*args, **kwargs))
+        return populations[-1]
+
+    def counting_sampler(rng, size):
+        if rng.bit_generator.seed_seq.entropy == seed:
+            reference_sizes.append(size)
+        return sampler(rng, size)
+
+    monkeypatch.setattr(riskmeasure, "empirical_icvar", counting_icvar)
+    cvar_bound_check(counting_sampler, 64, r, 0.1, trials=100, seed=seed,
+                     reference_size=reference_size)
+    assert [p.hex() for p in populations] == [one_shot.hex()]
+    assert len(reference_sizes) == blocks
+    assert sum(reference_sizes) == reference_size
+    assert max(reference_sizes) <= 1 << 16
 
 
 def _breaks_draw(*calls, damage):
