@@ -12,8 +12,11 @@ config text that ``repro`` parses with ``parse_config`` and runs with
 The repeats of an experiment, the candidates of a ranked-range run (its
 (m, k) cells times its restarts) and the average-loss warm starts of a
 ``tkml_aorr_train`` run (one ``sgd_average_train`` run per restart) run on
-forked processes, up to one per CPU (``_ordered_map``); the caller runs its
-share of them and collects all the results in item order.
+up to one process per CPU (``_ordered_map``): the caller runs its share
+of them, forks a worker with a pipe of its own for each other share, with
+no process pool, and collects all the results in item order.  A worker
+that dies without sending a result is a RuntimeError naming the item; on
+any error the caller kills and reaps its workers before it raises.
 Every command holds OpenBLAS at one thread (``single_blas_thread``), so the
 report is the same as a serial run's at any repeat count.
 
@@ -83,6 +86,8 @@ import dataclasses
 import functools
 import json
 import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
@@ -385,8 +390,8 @@ def _generate(cfg: ExperimentConfig, seed: int) -> Dataset:
                                "fit in memory") from None
 
 
-# (fn, items) of the running _ordered_map; its forked workers inherit it
-_MAP_JOB = None
+# True inside a running _ordered_map, and so in its forked workers
+_IN_MAP = False
 
 
 @functools.cache
@@ -434,48 +439,116 @@ def single_blas_thread():
         set_threads(threads)
 
 
-def _map_item(i):
-    fn, items = _MAP_JOB
-    return fn(items[i])
+class _WorkerTraceback(Exception):
+    """The traceback of an error raised in a worker, as text: the cause of
+    that error when the caller raises it."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+def _serve(fn, items, fd):
+    """A forked worker's whole life: run ``items`` in order, and write each
+    result, or the first exception and its traceback, to the pipe ``fd`` as
+    an 8-byte length and a pickle; then exit.  A message that cannot be
+    pickled ends the worker with status 1, its traceback on stderr."""
+    status = 1
+    try:
+        with open(fd, "wb") as pipe:
+            for x in items:
+                try:
+                    message = (True, fn(x))
+                except Exception as exc:
+                    import traceback
+
+                    message = (False, exc, traceback.format_exc())
+                data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+                pipe.write(len(data).to_bytes(8, "little") + data)
+                pipe.flush()
+                if not message[0]:
+                    break
+        status = 0
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
+def _receive(worker, i):
+    """Item i's result, read from ``worker`` ([pid, pipe]); an error that
+    the item raised in the worker is raised here.  A worker that ends
+    without sending the result is reaped (its pid set to None) and named in
+    a RuntimeError."""
+    pid, pipe = worker
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size) if len(head) == 8 else b""
+    if len(head) < 8 or len(data) < size:
+        worker[0] = None
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        raise RuntimeError(f"the worker process of item {i} ended without "
+                           f"its result ({how})")
+    try:
+        message = pickle.loads(data)
+    except Exception as exc:
+        raise RuntimeError(f"the result of item {i} could not be unpickled "
+                           "from its worker process") from exc
+    if message[0]:
+        return message[1]
+    raise message[1] from _WorkerTraceback(message[2])
 
 
 def _ordered_map(fn, items):
     """``[fn(x) for x in items]``, spread over up to one process per CPU
     this process may run on.
 
-    The caller runs items 0, share, 2 * share, ...; forked workers run the
-    rest.  They inherit fn and the items, so only indices and results cross
-    the pipe.  The caller collects the results in item order, running its
-    own items as it reaches them, so it raises the first error in item
-    order, as a serial map does.  OpenBLAS is held at one thread while the
-    map runs, serial or not.  Serial for one item or one CPU, inside a map
-    (nested maps and the workers), in a daemonic process, and when
-    OpenBLAS's thread count cannot be set.
+    With s processes, the caller runs items 0, s, 2s, ...; worker c, forked
+    from the caller with one pipe of its own, runs the items i with
+    i % s == c in order, and inherits fn and the items, so only results
+    cross the pipe.  The caller collects the results in item order,
+    running its own items and reading a worker's next result as it reaches
+    them, so it raises the first error in item order, as a serial map does.
+    A worker that ends without sending a result it owes (killed, exited, or
+    holding a result that does not pickle) is a RuntimeError that names the
+    item and the exit status.  On any error the caller kills its workers
+    before it raises, and it reaps every worker it forked.  OpenBLAS is held
+    at one thread while the map runs, serial or not.  Serial for one item
+    or one CPU, inside a map (nested maps and the workers), when OpenBLAS's
+    thread count cannot be set, and where there is no ``os.fork``.
     """
-    global _MAP_JOB
+    global _IN_MAP
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     share = min(len(items), cpus)
     with single_blas_thread() as pinned:
-        if share < 2 or _MAP_JOB is not None or not pinned:
+        if share < 2 or _IN_MAP or not pinned or not hasattr(os, "fork"):
             return [fn(x) for x in items]
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if multiprocessing.current_process().daemon:
-            return [fn(x) for x in items]
-        # the workers fork at the first submit, after the job is in place
-        pool = ProcessPoolExecutor(share - 1,
-                                   mp_context=multiprocessing.get_context("fork"))
-        _MAP_JOB = (fn, items)
+        workers = {}  # c -> [pid, read end of its pipe]; pid None once reaped
+        _IN_MAP = True
         try:
-            futures = {i: pool.submit(_map_item, i)
-                       for i in range(len(items)) if i % share}
-            return [futures[i].result() if i % share else fn(x)
+            for c in range(1, share):
+                read, write = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, items[c::share], write)
+                os.close(write)
+                workers[c] = [pid, open(read, "rb")]
+            return [_receive(workers[i % share], i) if i % share else fn(x)
                     for i, x in enumerate(items)]
+        except BaseException:
+            for pid, _ in workers.values():
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+            raise
         finally:
-            pool.shutdown(cancel_futures=True)
-            _MAP_JOB = None
+            _IN_MAP = False
+            for pid, pipe in workers.values():
+                if pid is not None:
+                    os.waitpid(pid, 0)
+                pipe.close()
 
 
 def _check_k(key: str, k: int, data: Dataset) -> None:

@@ -145,19 +145,20 @@ _PARTITION_MIN_SIZE = 1536
 def _stable_rank(scores, label_matrix, kprime) -> tuple:
     """TKML values and G from a stable argsort of each row's negated hinges:
     ties go to the lowest label index, NaN sorts last."""
+    n, l = scores.shape
     masked = np.where(label_matrix, scores, np.inf)
-    at = np.arange(scores.shape[0])
-    y_star = masked.argmin(axis=1)  # first minimum = lowest index
+    offsets = np.arange(0, n * l, l)  # of each row in the flat matrix
+    y_star = masked.argmin(axis=1) + offsets  # first minimum = lowest index
     neg = scores + 1.0  # -hinges, built in place
-    neg -= masked[at, y_star][:, None]
+    neg -= masked.take(y_star)[:, None]
     np.negative(np.maximum(neg, 0.0, out=neg), out=neg)
-    j_star = neg.argsort(axis=1, kind="stable")[:, kprime]
-    values = -neg[at, j_star]
+    j_star = neg.argsort(axis=1, kind="stable")[:, kprime] + offsets
+    values = -neg.take(j_star)
     pos = values > 0.0
-    G = np.zeros_like(scores)
-    G[at, j_star] = pos
-    G[at, y_star] -= pos
-    return values, G
+    G = np.zeros(n * l)
+    G[j_star] = pos
+    G[y_star] -= pos
+    return values, G.reshape(n, l)
 
 
 class TKMLSampleLoss(_LossSpec):
@@ -268,16 +269,27 @@ class _Batch(NamedTuple):
         return np.where(self.label_matrix.T, 0.0, np.inf)
 
 
+# feature values that _batches gathers at once: a block of steps, or one
+# step where a step's rows hold more
+_BLOCK_VALUES = 2 ** 15
+
+
 def _batches(data: Dataset, rng: np.random.Generator, batch: int, steps: int):
     """The rows of each of ``steps`` steps: ``data`` itself when ``batch`` is
     0, else ``batch`` rows drawn uniformly with replacement.  The indices of
-    all the steps come from one draw, the same stream as one draw per step;
-    each step gathers only its own rows."""
+    all the steps come from one draw, the same stream as one draw per step.
+    The rows are gathered for a block of steps at once, about
+    ``_BLOCK_VALUES`` feature values (one step where a step holds more),
+    and each step's rows are views into its block's gather."""
     if batch == 0:
         return itertools.repeat(data, steps)
     X, Y = data.features, data.label_matrix
-    return (_Batch(X.take(idx, axis=0), Y.take(idx, axis=0), batch)
-            for idx in rng.integers(0, data.n, size=(steps, batch)))
+    idx = rng.integers(0, data.n, size=(steps, batch))
+    block = max(_BLOCK_VALUES // (batch * data.d), 1)
+    return (_Batch(Xs, Ys, batch)
+            for at in range(0, steps, block)
+            for Xs, Ys in zip(X.take(idx[at:at + block], axis=0),
+                              Y.take(idx[at:at + block], axis=0)))
 
 
 def _chain_rule(rows, G, mask=None) -> tuple:
@@ -286,7 +298,7 @@ def _chain_rule(rows, G, mask=None) -> tuple:
     ``value_and_grad`` returned for the same rows."""
     if mask is not None:
         G = G * mask[:, None]
-    return G.T @ rows.features, G.sum(axis=0)
+    return G.T @ rows.features, np.add.reduce(G, axis=0)
 
 
 def phi_subgradient(W, b, data: Dataset, loss_spec, threshold: float) -> tuple:
@@ -345,15 +357,26 @@ def dca_train(data: Dataset, loss_spec, r: RankedRange, config: TrainConfig,
         theta_hat_W, theta_hat_b = _chain_rule(data, G, top)
 
         lam = 0.0
+        # each step's update is eta * (gW - scale * theta_hat_W + scale * W
+        # / C), and eta * (gb - scale * theta_hat_b), made in place in the
+        # fresh gW and gb with the same operations in the same order
+        step_W, step_b = scale * theta_hat_W, scale * theta_hat_b
+        target = r.k * scale
         batches = _batches(data, rng, config.batch, config.inner_epochs)
         for step, rows in enumerate(batches):
             values, G = loss_spec.value_and_grad(W, b, rows)
             active = values > lam
             gW, gb = _chain_rule(rows, G, active)
-            lam -= config.eta_inner * (r.k * scale - np.count_nonzero(active))
-            W = W - config.eta_inner * (
-                gW - scale * theta_hat_W + scale * W / config.C)
-            b = b - config.eta_inner * (gb - scale * theta_hat_b)
+            lam -= config.eta_inner * (target - np.count_nonzero(active))
+            decay = W * scale
+            decay /= config.C
+            gW -= step_W
+            gW += decay
+            gW *= config.eta_inner
+            W = W - gW
+            gb -= step_b
+            gb *= config.eta_inner
+            b = b - gb
             if probe and (step + 1) % EVAL_EVERY == 0:
                 snapshot = _as_model(_check_finite(W, t), b)
                 key = score(snapshot)

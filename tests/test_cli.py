@@ -3,6 +3,10 @@ import itertools
 import json
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -909,6 +913,12 @@ def test_ordered_map_on_one_cpu_stays_in_process(monkeypatch):
     assert cli._ordered_map(lambda x: os.getpid(), range(3)) == [os.getpid()] * 3
 
 
+def test_ordered_map_without_fork_stays_in_process(monkeypatch):
+    _cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork")
+    assert cli._ordered_map(lambda x: os.getpid(), range(3)) == [os.getpid()] * 3
+
+
 def test_nested_ordered_map_runs_serially(monkeypatch):
     _cpus(monkeypatch, 2)
     out = cli._ordered_map(
@@ -1000,6 +1010,80 @@ def test_ordered_map_raises_the_first_error_in_item_order(monkeypatch):
     with pytest.raises(TrainingDiverged) as exc:
         cli._ordered_map(fail, range(4))
     assert exc.value.epoch == 1
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@_needs_openblas
+def test_a_failing_map_stops_its_workers_at_once(monkeypatch):
+    # a serial map would never start item 1: the caller's item 0 fails
+    # first, so the worker's item 1 is killed, not waited for
+    _cpus(monkeypatch, 2)
+
+    def fail_or_sleep(x):
+        if x == 0:
+            raise TrainingDiverged(0)
+        time.sleep(8)
+
+    start = time.perf_counter()
+    with pytest.raises(TrainingDiverged):
+        cli._ordered_map(fail_or_sleep, range(2))
+    assert time.perf_counter() - start < 2.0
+    _assert_no_child_left()
+
+
+class _UnpicklableError(Exception):
+    """Pickles by its one argument, but takes two."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def _raise(exc):
+    raise exc
+
+
+@_needs_openblas
+@pytest.mark.parametrize("in_worker, message", [
+    (lambda: os._exit(3), r"item 1 ended without its result \(exit status 3\)"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     r"item 1 ended without its result \(signal 9\)"),
+    (lambda: lambda: 0, r"item 1 ended without its result \(exit status 1\)"),
+    (lambda: _raise(ValueError(lambda: 0)),
+     r"item 1 ended without its result \(exit status 1\)"),
+    (lambda: _raise(_UnpicklableError(1, 2)),
+     r"result of item 1 could not be unpickled"),
+], ids=["exit", "killed", "unpicklable-result", "unpicklable-error",
+        "error-that-does-not-unpickle"])
+def test_a_worker_that_ends_without_its_result_is_named(monkeypatch, in_worker,
+                                                        message):
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=message):
+        cli._ordered_map(lambda x: in_worker() if x == 1 else x, range(3))
+    _assert_no_child_left()
+
+
+@_needs_openblas
+def test_a_first_map_imports_no_process_pool():
+    # importing multiprocessing and concurrent.futures was most of the cost
+    # of a fresh process's first map
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    child = subprocess.run([sys.executable, "-c", (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: set(range(2))\n"
+        "from rankedrange import cli\n"
+        "pids = cli._ordered_map(lambda x: os.getpid(), range(2))\n"
+        "assert pids[0] == os.getpid() != pids[1], pids\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'}"
+        " & set(sys.modules)))\n")],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))),
+        capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("error, attr, value", [

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -841,6 +841,34 @@ def test_train_config_validation():
 def test_negative_batch_rejected():
     with pytest.raises(ValueError, match="batch"):
         TrainConfig(batch=-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 40), d=st.integers(10, 300), batch=st.integers(10, 150),
+       blocks=st.integers(0, 2), extra=st.integers(0, 400))
+@example(n=5, d=256, batch=128, blocks=2, extra=0)  # one step per block
+@example(n=7, d=72, batch=16, blocks=1, extra=5)  # 28 steps per block
+def test_batches_gather_the_rows_of_a_per_step_take(n, d, batch, blocks, extra):
+    # the steps' rows, gathered a block at a time, are byte for byte those of
+    # a take per step from the same one draw of indices; the steps need not
+    # fill their last block
+    rng = np.random.default_rng(n * d + batch)
+    data = Dataset(rng.standard_normal((n, d)), rng.integers(1, 4, size=n), 3)
+    block = max(optim._BLOCK_VALUES // (batch * d), 1)
+    steps = max(blocks * block + extra % block, 1)
+    draw = np.random.default_rng(5)
+    got = list(optim._batches(data, draw, batch, steps))
+    reference = np.random.default_rng(5)
+    idx = reference.integers(0, n, size=(steps, batch))
+    assert draw.bit_generator.state == reference.bit_generator.state
+    assert len(got) == steps
+    for rows, step_idx in zip(got, idx):
+        assert rows.n == batch
+        for have, full in ((rows.features, data.features),
+                           (rows.label_matrix, data.label_matrix)):
+            want = full.take(step_idx, axis=0)
+            assert have.shape == want.shape and have.dtype == want.dtype
+            assert have.tobytes() == want.tobytes()
 
 
 def test_tkml_sample_loss_matches_scalar_path():
