@@ -32,7 +32,6 @@ from .data import (
     monk_dataset,
     split_dataset,
     split_sizes,
-    split_standardized,
     standardize,
     write_csv,
 )

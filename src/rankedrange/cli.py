@@ -107,7 +107,8 @@ from .data import (
     inject_noise,
     load_dataset,
     monk_dataset,
-    split_standardized,
+    split_dataset,
+    standardize,
     write_csv,
 )
 from .metrics import (
@@ -582,10 +583,12 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
     spec = make_loss_spec(cfg.loss, base.kprime, tr.l)
 
     def score(model, rows):
-        """The report metric that picks a model: the least ``error`` of
-        ``_evaluate``'s table, else the highest ``topk_accuracy``."""
-        table = _evaluate(model, rows, cfg.eval_k)
-        return table["error"] if "error" in table else -table["topk_accuracy"]
+        """The report metric that picks a model: the highest top-k accuracy
+        on label sets, else the least ``error`` of ``_evaluate``'s table."""
+        if rows.is_multilabel:  # the table's average_precision goes unread
+            return -topk_multilabel_accuracy(predict_matrix(
+                model, rows.features), rows.label_matrix, cfg.eval_k)
+        return _evaluate(model, rows, cfg.eval_k)["error"]
 
     if agg == "average":
         return sgd_average_train(tr, spec, base), extras
@@ -666,14 +669,14 @@ def _changed_rows(clean: Dataset, noisy: Dataset) -> int:
 def _single_run(cfg: ExperimentConfig, run: int, loaded: list) -> dict:
     """One seeded repeat on ``loaded[run]``, a loaded file, which it takes
     out of the list; when the list is empty, on the dataset that the
-    generator named by ``cfg.dataset`` makes for the seed.  The split
-    takes the rows it is given, so a repeat of a file that other repeats
-    share splits a copy; training holds the z-scored parts alone."""
+    generator named by ``cfg.dataset`` makes for the seed.  The split takes
+    the rows it is given (``split_dataset``'s ``copy=False``), except that a
+    repeat of a file that other repeats share splits a copy, and
+    ``standardize`` z-scores the parts in place; training holds the
+    z-scored parts alone."""
     seed = cfg.base_seed + run
     if loaded:
         data, loaded[run] = loaded[run], None
-        if cfg.repeats > 1:
-            data = replace(data, features=data.features.copy())
     else:
         data = _generate(cfg, seed)
     kind = ("multilabel" if data.is_multilabel
@@ -681,8 +684,9 @@ def _single_run(cfg: ExperimentConfig, run: int, loaded: list) -> dict:
     if kind != cfg.task:
         raise ConfigError("task", f"dataset {cfg.dataset!r} holds {kind} "
                                   f"labels, not {cfg.task} labels")
-    parts, _, _ = split_standardized(data, cfg.split, seed=seed)
-    del data  # the parts hold its rows now; its labels go
+    parts, _, _ = standardize(*split_dataset(data, cfg.split, seed,
+                                             copy=len(loaded) > 1))
+    del data  # the parts hold its rows or their copy; its labels go
     tr, te = parts[0], parts[-1]
     va = parts[1] if len(parts) == 3 else None
     if cfg.noise is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import itertools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -261,7 +261,8 @@ def load_dataset(path, format: str = "csv", l: int | None = None,
         try:
             raw.decode("utf-8")  # to find the first bad byte's offset
         except UnicodeDecodeError as exc:
-            raise DataParseError(path, raw.count(b"\n", 0, exc.start) + 1,
+            lineno = len((raw[:exc.start] + b".").splitlines())
+            raise DataParseError(path, lineno,
                                  f"not UTF-8 text ({exc.reason})") from None
         raise
 
@@ -529,13 +530,6 @@ def _statistics(x) -> tuple:
     return means, stds, np.where(active, means, 0.0), np.where(active, stds, 1.0)
 
 
-def _zscore(x, shift, scale):
-    """(x - shift) / scale, bit for bit, computed in x's own memory."""
-    x -= shift
-    x /= scale
-    return x
-
-
 def _permute_rows(X, perm):
     """``X[:] = X[perm]`` in place.  Along each cycle of perm a row takes the
     next row's values, a block of rows at a time (a block's gather copies
@@ -561,7 +555,9 @@ def split_dataset(data: Dataset, fractions, seed: int = 0, *, copy: bool = True)
     ``split_sizes`` for the part sizes.  Each part holds a copy of its rows
     and labels.  With ``copy=False`` the split takes ``data``'s rows: it
     permutes ``data.features`` in place into part order, and each part's
-    features are a block of it, so ``data`` must not be used after it."""
+    features are a block of it, so ``data`` must not be used after it.  A
+    run z-scores the parts in place with ``standardize``, so a file that
+    repeats share is split with ``copy=True``."""
     perm = np.random.default_rng(seed).permutation(data.n)
     bounds = np.cumsum((0, *split_sizes(data.n, fractions)))
     X = data.features
@@ -573,34 +569,21 @@ def split_dataset(data: Dataset, fractions, seed: int = 0, *, copy: bool = True)
 
 
 def standardize(train: Dataset, *others):
-    """Z-score all datasets with per-feature statistics from train only.
-
-    Zero-variance features are left untouched.  Returns the transformed
-    datasets (train first) plus the (means, stds) used; the inputs are not
-    modified.  A fresh split is standardized with less memory by
-    ``split_standardized``.
-    """
-    means, stds, shift, scale = _statistics(train.features.copy(order="K"))
-    out = tuple(replace(ds, features=_zscore(ds.features.copy(order="K"),
-                                             shift, scale))
-                for ds in (train, *others))
-    return out, means, stds
-
-
-def split_standardized(data: Dataset, fractions, seed: int = 0):
-    """``standardize(*split_dataset(data, fractions, seed))``, bit for bit,
-    in one copy of the rows: it takes ``data``'s rows (``split_dataset``'s
-    ``copy=False``), so ``data`` must not be used after it.  The train
-    statistics come from scratch copies of blocks of at least 16 columns
-    (one column alone is summed in another order), then the whole buffer
-    is z-scored at once."""
-    parts = split_dataset(data, fractions, seed, copy=False)
-    train = parts[0].features
-    blocks = np.array_split(train, max(1, train.shape[1] // 16), axis=1)
+    """Z-score each dataset's features in place with per-feature statistics
+    of train alone; zero-variance features are left untouched.  It takes
+    its datasets' rows, so pass each dataset once, and keep no other view
+    of their features that should stay as it was.  Returns the datasets
+    (train first) and the (means, stds) used, bit for bit what
+    ``mean(axis=0)`` and ``std(axis=0)`` give: they come from scratch
+    copies of blocks of 16 or more columns (one column alone is summed in
+    another order)."""
+    blocks = np.array_split(train.features, max(1, train.d // 16), axis=1)
     means, stds, shift, scale = map(np.concatenate, zip(*(
         _statistics(x.copy()) for x in blocks)))
-    _zscore(data.features, shift, scale)
-    return parts, means, stds
+    for X in (ds.features for ds in (train, *others)):
+        X -= shift
+        X /= scale
+    return (train, *others), means, stds
 
 
 def write_csv(data: Dataset, path) -> None:

@@ -415,8 +415,11 @@ def test_split_part_without_rows_exits_1_before_training(tmp_path, monkeypatch,
     ("latin-1.csv", b"label,f0\n1,0.5\n-1,\xe90.5\n", 3),
     ("empty.svm", b"\n", 0),
     ("latin-1.svm", b"1 1:0.5\n-1 1:\xe9\n", 2),
+    # a lone CR ends a line, as the parsers count lines
+    ("cr-latin-1.csv", b"label,f0\r1,0.5\r-1,\xff\r", 3),
+    ("cr-latin-1.svm", b"1 1:0.5\r-1 1:\xe9\r", 2),
 ], ids=["empty-csv", "header-only-csv", "latin-1-csv", "empty-libsvm",
-        "latin-1-libsvm"])
+        "latin-1-libsvm", "cr-latin-1-csv", "cr-latin-1-libsvm"])
 def test_unusable_data_files_exit_2_at_their_line(tmp_path, capsys, name,
                                                   body, line):
     path = tmp_path / name
@@ -656,7 +659,15 @@ def test_the_first_best_candidate_wins(monkeypatch):
         scored.append(rows)
         return tables[model]
 
+    def topk_multilabel_accuracy(scores, Y, k):  # label sets skip _evaluate
+        model, X = scores
+        scored.append(X)
+        return tables[model]["topk_accuracy"]
+
     monkeypatch.setattr(cli, "_evaluate", evaluate)
+    monkeypatch.setattr(cli, "predict_matrix", lambda model, X: (model, X))
+    monkeypatch.setattr(cli, "topk_multilabel_accuracy",
+                        topk_multilabel_accuracy)
     # binary restarts 100..103 by least error: 101 and 102 tie
     binary = parse_config("task = binary\naggregate = aorr\ngrid.m = 1\n"
                           "grid.k = 5\nsplit = 0.5,0.25,0.25\nrestarts = 4\n")
@@ -680,7 +691,7 @@ def test_the_first_best_candidate_wins(monkeypatch):
     report, extras = cli._train_model(grid, tr, None, 1, holdout=te)
     assert report.model == (1, 1, 9)
     assert extras["grid_choice"] == {"m": 1, "k": 9}
-    assert scored == [te] * 4
+    assert len(scored) == 4 and all(X is te.features for X in scored)
     # a lone candidate is not scored, and reports no grid_choice
     scored.clear()
     _, extras = cli._train_model(
@@ -881,6 +892,43 @@ def test_each_repeat_of_a_file_splits_its_own_rows(tmp_path, monkeypatch, cpus):
         alone = run_experiment(parse_config(text + f"base_seed = {run['seed']}\n"))
         assert json.dumps(alone["runs"], sort_keys=True) == \
             json.dumps([dict(run, run=0)], sort_keys=True)
+
+
+def test_a_run_prepares_its_rows_through_split_dataset_and_standardize(
+        tmp_path, monkeypatch):
+    # the benchmark's data.prep boundary wraps these two names, so a run
+    # that split or z-scored its rows another way would record no call;
+    # repeats that share a load split copies and leave the load as it was
+    _cpus(monkeypatch, 1)
+    split, standardize, load = (cli.split_dataset, cli.standardize,
+                                cli.load_dataset)
+    copies, standardized, loads = [], [], []
+
+    def counting_split(data, fractions, seed=0, *, copy=True):
+        copies.append(copy)
+        return split(data, fractions, seed, copy=copy)
+
+    def counting_standardize(*parts):
+        standardized.append(len(parts))
+        return standardize(*parts)
+
+    def keeping_load(*args):
+        data = load(*args)
+        loads.append((data, data.features.tobytes()))
+        return data
+
+    monkeypatch.setattr(cli, "split_dataset", counting_split)
+    monkeypatch.setattr(cli, "standardize", counting_standardize)
+    monkeypatch.setattr(cli, "load_dataset", keeping_load)
+    run_experiment(parse_config(_RUN))
+    assert copies == [False] and standardized == [2] and loads == []
+    copies.clear()
+    standardized.clear()
+    text = _RUN.replace("synthetic", str(_binary_csv(tmp_path / "r.csv", 60, 3)))
+    run_experiment(parse_config(text + "repeats = 3\n"))
+    assert copies == [True] * 3 and standardized == [2] * 3
+    (data, before), = loads
+    assert data.features.tobytes() == before
 
 
 @pytest.mark.parametrize("text", [_GRID, _GRID + "restarts = 3\n",
@@ -1839,3 +1887,29 @@ def test_a_scored_dca_candidate_is_not_scored_again(monkeypatch):
         "split = 0.5,0.25,0.25\ngrid.m = 2\ngrid.k = 50\ntrain.batch = 4\n"
         "train.outer_epochs = 1\ntrain.inner_epochs = 200\nrestarts = 2\n"))
     assert len(calls) == 7
+
+
+def test_a_probe_computes_no_average_precision(monkeypatch):
+    # each of two repeats scores 2 snapshots and its final iterate on the
+    # validation part by top-k accuracy alone, and computes the average
+    # precision once, for its report; each probe used to compute it too
+    _cpus(monkeypatch, 1)
+    accuracy, precision = cli.topk_multilabel_accuracy, cli.average_precision
+    calls = []
+
+    def counting_accuracy(*args):
+        calls.append("accuracy")
+        return accuracy(*args)
+
+    def counting_precision(*args):
+        calls.append("precision")
+        return precision(*args)
+
+    monkeypatch.setattr(cli, "topk_multilabel_accuracy", counting_accuracy)
+    monkeypatch.setattr(cli, "average_precision", counting_precision)
+    run_experiment(parse_config(
+        _MULTILABEL + "aggregate = tkml\nsplit = 0.6,0.2,0.2\n"
+        "train.batch = 4\ntrain.outer_epochs = 1\ntrain.inner_epochs = 200\n"
+        "repeats = 2\n"))
+    assert calls.count("accuracy") == 2 * (3 + 1)
+    assert calls.count("precision") == 2

@@ -20,7 +20,6 @@ from rankedrange import (
     monk_dataset,
     split_dataset,
     split_sizes,
-    split_standardized,
     standardize,
     write_csv,
 )
@@ -609,9 +608,9 @@ def test_standardize_uses_train_statistics_only():
                     np.ones(50, dtype=np.int64), 1)
     test = Dataset(rng.normal(-1, 0.5, size=(20, 4)),
                    np.ones(20, dtype=np.int64), 1)
-    (tr, te), means, stds = standardize(train, test)
     expected = (test.features - train.features.mean(axis=0)) / \
         train.features.std(axis=0)
+    (tr, te), means, stds = standardize(train, test)
     np.testing.assert_allclose(te.features, expected, atol=1e-12)
 
 
@@ -636,8 +635,8 @@ def test_standardize_matches_masked_reference():
                     np.array([1, -1, 1]), 1)
     test = Dataset(np.array([[-0.0, -0.0, 0.1], [4.0, 0.5, -0.0]]),
                    np.array([1, -1]), 1)
-    (tr, te), _, _ = standardize(train, test)
     want_tr, want_te = _reference_standardize(train, test)
+    (tr, te), _, _ = standardize(train, test)
     assert tr.features.tobytes() == want_tr.tobytes()
     assert te.features.tobytes() == want_te.tobytes()
     assert np.signbit(tr.features[0, 0]) and np.signbit(te.features[0, 0])
@@ -663,11 +662,25 @@ def _with_hard_columns(data, seed):
     return Dataset(X, data.labels, data.l)
 
 
+def _numpy_zscore(split):
+    """The train means and stds and each part's z-scored features, by
+    numpy's own statistics and z-score expression; zero-variance columns
+    are left as they are."""
+    train = split[0].features
+    active = train.std(axis=0) > 0
+    shift = np.where(active, train.mean(axis=0), 0.0)
+    scale = np.where(active, train.std(axis=0), 1.0)
+    return (train.mean(axis=0), train.std(axis=0),
+            [(p.features - shift) / scale for p in split])
+
+
 @pytest.mark.parametrize("fractions", [(0.7, 0.3), (0.5, 0.3, 0.2),
                                        (10 / 13, 2 / 13, 1 / 13)])
 @pytest.mark.parametrize("seed", [0, 1, 17])
 @pytest.mark.parametrize("kind", ["multiclass", "binary", "multilabel"])
 def test_split_standardized_equals_standardize_of_split(kind, seed, fractions):
+    # standardize(*split_dataset(..., copy=False)), as a run calls it, gives
+    # numpy's statistics and z-scores of the copying split's parts
     if kind == "multiclass":
         base = gen_multiclass_blobs(157, 5, 4, seed=seed)
     elif kind == "binary":
@@ -676,40 +689,37 @@ def test_split_standardized_equals_standardize_of_split(kind, seed, fractions):
         base = gen_multilabel_synthetic(90, 4, 5, seed=seed)
     data = _with_hard_columns(base, seed)
     split = split_dataset(data, fractions, seed)
-    want, want_means, want_stds = standardize(*split)
-    got, means, stds = split_standardized(data, fractions, seed)
-    # both against numpy's own statistics and z-score expression
-    train = split[0].features
-    active = train.std(axis=0) > 0
-    shift = np.where(active, train.mean(axis=0), 0.0)
-    scale = np.where(active, train.std(axis=0), 1.0)
-    assert not active[1] and np.ptp(data.features[:, 1]) > 0
-    for m, s in ((means, stds), (want_means, want_stds)):
-        assert m.tobytes() == train.mean(axis=0).tobytes()
-        assert s.tobytes() == train.std(axis=0).tobytes()
+    want_means, want_stds, want = _numpy_zscore(split)
+    assert np.ptp(data.features[:, 1]) > 0 and want_stds[1] == 0
+    got, means, stds = standardize(*split_dataset(data, fractions, seed,
+                                                  copy=False))
+    assert means.tobytes() == want_means.tobytes()
+    assert stds.tobytes() == want_stds.tobytes()
     assert len(got) == len(want) == len(split)
     for g, w, raw in zip(got, want, split):
-        z = ((raw.features - shift) / scale).tobytes()
-        assert g.features.tobytes() == w.features.tobytes() == z
-        assert g.l == w.l and g.labels.dtype == w.labels.dtype
-        assert g.labels.tobytes() == w.labels.tobytes()
+        assert g.features.tobytes() == w.tobytes()
+        assert g.l == raw.l and g.labels.dtype == raw.labels.dtype
+        assert g.labels.tobytes() == raw.labels.tobytes()
 
 
-def test_split_and_standardize_leave_their_inputs_untouched():
+def test_split_leaves_its_input_and_standardize_z_scores_in_place():
     data = _with_hard_columns(gen_multiclass_blobs(80, 4, 3, seed=2), 2)
     before = data.features.tobytes()
     parts = split_dataset(data, (0.5, 0.3, 0.2), seed=3)
     assert data.features.tobytes() == before
-    part_bytes = [p.features.tobytes() for p in parts]
-    standardize(*parts)
-    assert [p.features.tobytes() for p in parts] == part_bytes
+    buffers = [p.features for p in parts]
+    _, _, want = _numpy_zscore(parts)
+    got, _, _ = standardize(*parts)
+    for g, p, b, w in zip(got, parts, buffers, want, strict=True):
+        assert g is p and g.features is b
+        assert b.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 16, 33, 49, 1000])
 def test_split_in_place_equals_the_copying_split(d):
-    # split_standardized takes the statistics of 33 columns in blocks of
-    # 16 and 17, and of 49 in blocks of 17, 16 and 16; rows of 1000 values
-    # move along a cycle in blocks of 32 rows
+    # standardize takes the statistics of 33 columns in blocks of 16 and
+    # 17, and of 49 in blocks of 17, 16 and 16; rows of 1000 values move
+    # along a cycle in blocks of 32 rows
     rng = np.random.default_rng(d)
     X = rng.standard_normal((301, d)) * 10.0 ** rng.integers(-5, 6, size=d)
     y = rng.integers(1, 4, size=301)
@@ -723,18 +733,18 @@ def test_split_in_place_equals_the_copying_split(d):
         # a block of consecutive rows of the taken buffer
         assert g.features.ctypes.data == taken.features[start:].ctypes.data
         start += g.n
-    want, want_means, want_stds = standardize(*want)
-    got, means, stds = split_standardized(Dataset(X.copy(), y, 3),
-                                          (0.5, 0.3, 0.2), seed=7)
+    want_means, want_stds, want = _numpy_zscore(want)
+    got, means, stds = standardize(*got)
     assert means.tobytes() == want_means.tobytes()
     assert stds.tobytes() == want_stds.tobytes()
     for g, w in zip(got, want, strict=True):
-        assert g.features.tobytes() == w.features.tobytes()
+        assert g.features.tobytes() == w.tobytes()
 
 
 def test_split_standardized_takes_the_rows_of_its_input():
     data = _with_hard_columns(gen_multiclass_blobs(80, 4, 3, seed=2), 2)
-    parts, _, _ = split_standardized(data, (0.5, 0.3, 0.2), seed=3)
+    parts, _, _ = standardize(*split_dataset(data, (0.5, 0.3, 0.2), seed=3,
+                                             copy=False))
     assert all(np.shares_memory(p.features, data.features) for p in parts)
     assert sum(p.features.nbytes for p in parts) == data.features.nbytes
 
@@ -745,7 +755,8 @@ def test_split_standardized_holds_one_copy_of_the_rows():
                    rng.integers(1, 4, size=20_000), 3)
     tracemalloc.start()
     try:
-        result = split_standardized(data, (0.6, 0.2, 0.2), seed=5)
+        result = standardize(*split_dataset(data, (0.6, 0.2, 0.2), seed=5,
+                                            copy=False))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
