@@ -30,6 +30,7 @@ from .data import (
     inject_noise,
     load_dataset,
     monk_dataset,
+    open_text,
     split_dataset,
     split_sizes,
     standardize,

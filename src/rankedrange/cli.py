@@ -84,6 +84,7 @@ import contextlib
 import csv as _csv
 import dataclasses
 import functools
+import io
 import json
 import os
 import pickle
@@ -107,7 +108,9 @@ from .data import (
     inject_noise,
     load_dataset,
     monk_dataset,
+    open_text,
     split_dataset,
+    split_sizes,
     standardize,
     write_csv,
 )
@@ -297,21 +300,16 @@ def _config_field(key: str) -> tuple:
 
 
 def _read_config(path: str) -> str:
-    """The text of the config file at ``path``; a byte that is not UTF-8 is
-    a config error at its line, numbered as ``parse_config`` numbers them."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = len((raw[:exc.start].decode("utf-8") + ".").splitlines())
-        raise ConfigError(f"line {lineno}", "not UTF-8 text") from None
+    """The text of the config file at ``path``, read by ``open_text``; a
+    byte that is not UTF-8 is a config error at its line."""
+    with open_text(path, lambda _, n, why: ConfigError(f"line {n}", why)) as fh:
+        return fh.read()
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse a key=value config document into an ExperimentConfig."""
+    """Parse key = value lines, ended at LF, CRLF or CR, into an ExperimentConfig."""
     parts: dict = {"": {}, "train": {}, "noise": {}}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -402,13 +400,13 @@ def _openblas_threads():
     import ctypes
 
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+        with open("/proc/self/maps", "rb") as fh:  # paths need not be UTF-8
+            libs = {line.split()[-1] for line in fh if b"openblas" in line.lower()}
     except OSError:
         return None
     for lib in sorted(libs):
         try:
-            handle = ctypes.CDLL(lib)
+            handle = ctypes.CDLL(os.fsdecode(lib))
         except OSError:
             continue
         for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
@@ -609,9 +607,9 @@ def _train_model(cfg: ExperimentConfig, tr: Dataset, va: Dataset | None,
         except ValueError as exc:
             raise ConfigError("grid.k" if k > tr.n else "grid.m",
                               str(exc)) from None
-    # seeded random restarts: restart r > 0 starts from a random draw
+    # seeded restarts from train.init_scale; r > 0 draws at 0.5 if it is 0
     restarts = [{}] if cfg.restarts == 1 else [
-        {"seed": seed * 100 + r, "init_scale": 0.5 if r else 0.0}
+        {"seed": seed * 100 + r, "init_scale": base.init_scale or 0.5 * bool(r)}
         for r in range(cfg.restarts)]
     # one average-loss warm start per restart serves every (m, k) cell
     starts = [None] * len(restarts)
@@ -725,12 +723,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
               else [load_dataset(cfg.dataset, cfg.format)] * cfg.repeats)
     runs = _ordered_map(lambda run: _single_run(cfg, run, loaded),
                         range(cfg.repeats))
-    metric_names = sorted(runs[0]["metrics"])
     aggregates = {}
-    for key in metric_names:
+    for key in sorted(runs[0]["metrics"]):
         vals = np.array([r["metrics"][key] for r in runs])
-        aggregates[key] = {"mean": float(vals.mean()),
-                           "std": float(vals.std())}
+        aggregates[key] = {"mean": float(vals.mean()), "std": float(vals.std())}
     report = {
         "name": name,
         "config": resolved_config(cfg),
@@ -766,10 +762,9 @@ def write_report(report: dict, out_dir: str, name: str) -> tuple:
         for r in report["runs"]:
             writer.writerow([r["run"], r["seed"]] +
                             [_fmt(r["metrics"][k]) for k in metric_names])
-        writer.writerow(["mean", ""] +
-                        [_fmt(report["aggregates"][k]["mean"]) for k in metric_names])
-        writer.writerow(["std", ""] +
-                        [_fmt(report["aggregates"][k]["std"]) for k in metric_names])
+        for stat in ("mean", "std"):
+            writer.writerow([stat, ""] + [_fmt(report["aggregates"][k][stat])
+                                          for k in metric_names])
     return json_path, csv_path
 
 
@@ -999,21 +994,28 @@ def repro_configs(name: str, subsample: int = 10000) -> list:
     """(report name, ExperimentConfig) of each row of the registry entry
     ``name``, parsed from the row's config text plus two appended lines:
     ``blobs.n`` for ``subsample`` training points on a scaled entry, and
-    ``dataset`` when the entry's local CSV copy of the benchmark exists."""
+    ``dataset`` when the entry's local CSV copy of the benchmark exists.
+    A blobs.n that empties a part of a split is an error at --subsample."""
     entry = REPRO_REGISTRY[name]
     extra = ""
     if entry.scaled:
-        extra += f"blobs.n = {int(subsample * 1.3)}\n"
+        n = int(subsample * 1.3)
+        try:  # before blobs.n is parsed, which fails at n < 1
+            for row in entry.rows:
+                split_sizes(n, parse_config(row.config).split)
+        except ConfigError as exc:
+            raise ConfigError("--subsample", f"blobs.n = {n}: {exc.args[1]}") from None
+        extra += f"blobs.n = {n}\n"
     if entry.real_data is not None and os.path.exists(entry.real_data):
         extra += f"dataset = {entry.real_data}\n"
     return [(row.name, parse_config(row.config + extra)) for row in entry.rows]
 
 
-def _run_repro(name: str, out_dir: str, subsample: int) -> None:
-    """Run every row of a registry entry and write its table."""
+def _run_repro(name: str, out_dir: str, configs: list) -> None:
+    """Run the rows of a registry entry from its configs; write its table."""
     entry = REPRO_REGISTRY[name]
     table = []
-    for row, (_, cfg) in zip(entry.rows, repro_configs(name, subsample)):
+    for row, (_, cfg) in zip(entry.rows, configs):
         reference = None
         if row.reference:
             reference = dict(zip(entry.header[-len(row.reference):],
@@ -1104,8 +1106,9 @@ def _cmd_repro(args) -> int:
             print(f"unknown repro name {name!r}; registry: {known}",
                   file=sys.stderr)
             return EXIT_USAGE
-    for name in args.names:
-        _run_repro(name, args.out, args.subsample)
+    configs = [repro_configs(name, args.subsample) for name in args.names]
+    for name, rows in zip(args.names, configs):
+        _run_repro(name, args.out, rows)
     return EXIT_OK
 
 

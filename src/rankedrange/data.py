@@ -12,6 +12,7 @@ differs from the clean one's.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import warnings
@@ -253,8 +254,18 @@ def load_dataset(path, format: str = "csv", l: int | None = None,
     loaders = {"csv": _load_csv, "libsvm": _load_libsvm}
     if format not in loaders:
         raise ConfigError("format", f"unknown dataset format {format!r}")
+    return loaders[format](path, l, d)
+
+
+@contextlib.contextmanager
+def open_text(path, error=DataParseError):
+    """The file at ``path`` open as UTF-8 text with universal newlines: a
+    line ends at LF, CRLF or CR, read as LF, and nowhere else.  The one
+    reader of config, dataset and model files: a byte that is not UTF-8
+    raises ``error(path, lineno, message)`` at its line, counted so too."""
     try:
-        return loaders[format](path, l, d)
+        with open(path, encoding="utf-8") as fh:
+            yield fh
     except UnicodeDecodeError:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -262,15 +273,14 @@ def load_dataset(path, format: str = "csv", l: int | None = None,
             raw.decode("utf-8")  # to find the first bad byte's offset
         except UnicodeDecodeError as exc:
             lineno = len((raw[:exc.start] + b".").splitlines())
-            raise DataParseError(path, lineno,
-                                 f"not UTF-8 text ({exc.reason})") from None
+            raise error(path, lineno, f"not UTF-8 text ({exc.reason})") from None
         raise
 
 
 def _load_csv(path, l, d):
-    # universal newlines, so the bulk parse sees "\n" line ends only; a line
-    # end inside a quoted field is whitespace around a number either way
-    with open(path, "r", encoding="utf-8") as fh:
+    # the bulk parse sees "\n" line ends only; a line end inside a quoted
+    # field is whitespace around a number either way
+    with open_text(path) as fh:
         lineno, header = next(_csv_records(fh), (None, None))
         if header is None:
             raise DataParseError(path, 0, "empty dataset file")
@@ -302,7 +312,12 @@ def _load_csv(path, l, d):
             raise
     if d is not None and X.shape[1] != d:
         raise DataParseError(path, 0, f"{X.shape[1]} features, expected d={d}")
-    return _labelled(path, X, labels, l, lambda row: _csv_record_line(path, row))
+
+    def line_of(row):  # the first physical line of data record row
+        with open_text(path) as fh:
+            return next(itertools.islice(_csv_records(fh), row + 1, None))[0]
+
+    return _labelled(path, X, labels, l, line_of)
 
 
 _BLOCK = 2**15  # values in one gathered block of an in-place move of rows
@@ -332,13 +347,6 @@ def _labelled(path, X, labels, l, line_of):
         return Dataset(X, labels, l)
     except LabelError as exc:
         raise DataParseError(path, line_of(exc.row), str(exc)) from None
-
-
-def _csv_record_line(path, row):
-    """First physical line of data record ``row`` (0 is the one after the
-    header)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return next(itertools.islice(_csv_records(fh), row + 1, None))[0]
 
 
 def _csv_records(fh):
@@ -400,18 +408,10 @@ def _raise_first_bad_record(path, fh, ncols, label_col, multilabel):
         raise DataParseError(path, non_finite, "non-finite feature value")
 
 
-def _check_finite(path, X, linenos):
-    """DataParseError at the line of the first row with a NaN or inf."""
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-    if bad.size:
-        raise DataParseError(path, linenos[bad[0]], "non-finite feature value")
-
-
 def _load_libsvm(path, l, d):
     feats, labels, linenos, width = [], [], [], d or 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+    with open_text(path) as fh:
+        for lineno, line in enumerate(map(str.strip, fh), start=1):
             if not line:
                 continue
             parts = line.split()
@@ -442,7 +442,9 @@ def _load_libsvm(path, l, d):
     for i, row in enumerate(feats):
         for idx, val in row.items():
             X[i, idx - 1] = val
-    _check_finite(path, X, linenos)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))  # rows with NaN or inf
+    if bad.size:
+        raise DataParseError(path, linenos[bad[0]], "non-finite feature value")
     try:
         y = np.array(labels, dtype=np.int64)
     except OverflowError as exc:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataParseError
+from .data import DataParseError, open_text
 
 FORMAT_VERSION = 1
 
@@ -80,13 +80,8 @@ def load_model(path) -> LinearModel:
     file that does not hold a valid model raises ModelParseError at the line
     at fault, line 0 for a missing key."""
     fields = {}
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise ModelParseError(path, lineno,
-                                      f"not UTF-8 text ({exc.reason})") from None
+    with open_text(path, ModelParseError) as fh:
+        for lineno, line in enumerate(map(str.strip, fh), start=1):
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,16 @@ class RiskLevelPair:
             raise ValueError(f"need 0 <= mu < nu, got mu={self.mu}, nu={self.nu}")
 
 
+def _rank(x: float) -> tuple:
+    """(floor, fraction) of the real rank x, an x within 1e-9 of an
+    integer counting as that integer."""
+    whole = round(x)
+    if abs(x - whole) < 1e-9:
+        return whole, 0.0
+    whole = math.floor(x)
+    return whole, x - whole
+
+
 def empirical_cvar(values, alpha: float) -> float:
     """min over lam of lam + (1/(n*alpha)) * sum_i [s_i - lam]_+.
 
@@ -46,10 +55,9 @@ def empirical_cvar(values, alpha: float) -> float:
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha={alpha} outside (0, 1]")
     k_real = arr.size * alpha
-    k = int(round(k_real))
-    if abs(k_real - k) < 1e-9 and k >= 1:
-        return top_k_sum(arr, k) / k
-    whole = math.floor(k_real)
+    whole, fraction = _rank(k_real)
+    if whole >= 1 and not fraction:
+        return top_k_sum(arr, whole) / whole
     srt = largest_descending(arr, whole + 1)
     tail = float(np.sum(srt[:whole])) + (k_real - whole) * float(srt[whole])
     return tail / k_real
@@ -59,39 +67,53 @@ def empirical_icvar(values, levels: RiskLevelPair,
                     n: int | None = None) -> float:
     """nu * CVaR_nu - mu * CVaR_mu on the empirical sample.
 
-    With integral ranks n*nu and n*mu this equals the (m, k) ranked-range
-    sum divided by n; non-integral ranks fall back to the nearest integer
-    rank with a warning, and ranks that round to an empty range (k = m)
-    raise ValueError.  ``values`` is the sample, or, when ``n`` is given,
-    an iterable of 1-D blocks holding the n values of the sample in all,
-    each checked as it is read; the result is the same to the bit either
-    way.  The sums come from a partial sort of the k largest values, so
-    memory holds k + block extra values, not n, besides the values or the
-    stream's current block.
+    Each term n * level * CVaR_level is, as in ``empirical_cvar``, the sum
+    of the floor(n * level) largest values plus the fractional part of
+    n * level times the next largest, an n * level within 1e-9 of an
+    integer counting as that integer; so with integral ranks n*nu and
+    n*mu this is the (m, k) ranked-range sum divided by n.  ``values`` is
+    the sample, or, when ``n`` is given, an iterable of 1-D blocks holding
+    the n values of the sample in all, each checked as it is read; the
+    result is the same to the bit either way.  The sums come from a
+    partial sort of the k = ceil(n * nu) largest values, so memory holds
+    k + block extra values, not n, besides the values or the stream's
+    current block.
     """
     if n is None:
         arr = as_values(values)
         n, values = arr.size, (arr,)
     else:
         values = map(as_values, values)
-    k, m = int(round(n * levels.nu)), int(round(n * levels.mu))
-    if k == m:
-        raise ValueError(
-            f"levels nu={levels.nu}, mu={levels.mu} round to ranks m={m}, "
-            f"k={k} on n={n} values: an empty range")
-    for level, name in ((levels.nu, "nu"), (levels.mu, "mu")):
-        if level > 0 and abs(n * level - round(n * level)) > 1e-9:
-            warnings.warn(
-                f"n*{name} = {n * level:.6g} is not an integer rank; "
-                "using the nearest integer", stacklevel=2)
-    srt = largest_descending(values, k, n)
-    return float(np.sum(srt[:k])) / n - float(np.sum(srt[:m])) / n
+    upper, lower = _rank(n * levels.nu), _rank(n * levels.mu)
+    srt = largest_descending(values, upper[0] + (upper[1] > 0), n)
+
+    def tail(whole, fraction):
+        top = float(np.sum(srt[:whole]))
+        return top + fraction * float(srt[whole]) if fraction else top
+
+    return tail(*upper) / n - tail(*lower) / n
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name}={value!r} must be an integer >= {least}")
 
 
 def deviation_bound_radii(r: RankedRange, n: int, delta: float,
                           support: tuple) -> tuple:
-    """The (upper, lower) deviation radii of the finite-sample bound."""
+    """The (upper, lower) deviation radii of the finite-sample bound.
+    Raises ValueError, in this order, for a non-finite or degenerate
+    ``support`` [a, b], a delta outside (0, 1], an n that is not an int
+    or numpy integer >= 1, and a range whose k exceeds n."""
     a, b = support
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"support [a, b] = [{a}, {b}] must be finite")
+    if not a < b:
+        raise ValueError(f"degenerate support [a, b] = [{a}, {b}]")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta={delta} outside (0, 1]")
+    _check_integer("n", n, 1)
+    r.validate(n)
     common = math.sqrt(math.log(1.0 / delta) / (2.0 * n))
     upper = (b - a) * (math.sqrt(5.0 * r.k * math.log(3.0 / delta) / n ** 2) + common)
     lower = (b - a) * (math.sqrt(5.0 * r.m * math.log(3.0 / delta) / n ** 2) + common)
@@ -162,30 +184,22 @@ def cvar_bound_check(sampler, n: int, r: RankedRange, delta: float,
     holds k + max(k, 2**16) values.  Trials run in blocks of about 2**16
     values, each sorted row-wise at once; memory holds that buffer, one
     reference block, one trial block and one value per trial, not the
-    reference sample.  ``n``, ``trials`` (at least 100), ``seed`` (at least
-    0) and ``reference_size`` must be ints or numpy integers, or ValueError
-    names the first bad one before any draw, as it does a non-finite or
-    degenerate ``support``.
+    reference sample.  Before any draw, ValueError names the first bad
+    argument: those ``deviation_bound_radii`` checks, then ``trials`` (an
+    integer >= 100), ``seed`` (>= 0) and ``reference_size`` (>= n), each
+    an int or a numpy integer.
     """
-    a, b = support
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"support [a, b] = [{a}, {b}] must be finite")
-    if not a < b:
-        raise ValueError(f"degenerate support [a, b] = [{a}, {b}]")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta={delta} outside (0, 1]")
-    for name, value, least in (("n", n, 1), ("trials", trials, 100),
-                               ("seed", seed, 0),
+    upper_radius, lower_radius = deviation_bound_radii(r, n, delta, support)
+    for name, value, least in (("trials", trials, 100), ("seed", seed, 0),
                                ("reference_size", reference_size, n)):
-        if not (isinstance(value, (int, np.integer)) and value >= least):
-            raise ValueError(f"{name}={value!r} must be an integer >= {least}")
-    r.validate(n)
+        _check_integer(name, value, least)
     levels = RiskLevelPair(nu=r.k / n, mu=r.m / n)
     reference: dict = {}
 
     def draw_reference():
         # numpy releases the GIL while it fills, checks and partially sorts
-        # each block of the large draw
+        # each block of the large draw; a serial draw measured slower
+        # (ROADMAP, "Ruled out")
         try:
             reference["population"] = empirical_icvar(
                 _reference_blocks(sampler, seed, reference_size, support),
@@ -222,6 +236,5 @@ def cvar_bound_check(sampler, n: int, r: RankedRange, delta: float,
         if "error" in reference:
             raise reference["error"]
     gap = reference["population"] - icvar
-    upper_radius, lower_radius = deviation_bound_radii(r, n, delta, support)
     return (int(np.count_nonzero(gap > upper_radius)) / trials,
             int(np.count_nonzero(gap < -lower_radius)) / trials)

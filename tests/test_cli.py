@@ -643,6 +643,24 @@ def test_restarts_apply_to_every_ranked_range():
         json.dumps(runs[1], sort_keys=True)
 
 
+@pytest.mark.parametrize("scale, starts", [(0.0, (0.0, 0.5, 0.5)),
+                                           (0.3, (0.3, 0.3, 0.3))])
+def test_restarts_start_at_train_init_scale(monkeypatch, scale, starts):
+    # the restarts started at (0.0, 0.5, 0.5) whatever train.init_scale was
+    _cpus(monkeypatch, 1)
+    seen, dca_train = [], cli.dca_train
+
+    def recording(data, spec, r, config, score=None):
+        seen.append((config.seed, config.init_scale))
+        return dca_train(data, spec, r, config, score=score)
+
+    monkeypatch.setattr(cli, "dca_train", recording)
+    run_experiment(parse_config(
+        _RUN + "aggregate = aorr\ngrid.m = 1\ngrid.k = 5\n"
+        f"split = 0.5,0.25,0.25\nrestarts = 3\ntrain.init_scale = {scale}\n"))
+    assert seen == [(r, s) for r, s in enumerate(starts)]
+
+
 def test_the_first_best_candidate_wins(monkeypatch):
     # a candidate's model is its (seed, m, k) here, which looks up its
     # metric table
@@ -1431,6 +1449,17 @@ def test_repro_runs_several_names(tmp_path, stub_runs):
     assert len(stub_runs) == 8 and not (tmp_path / "x").exists()
 
 
+def test_repro_checks_every_entrys_configs_before_any_row_runs(tmp_path,
+                                                              stub_runs,
+                                                              capsys):
+    # fig5 ran all its rows and wrote its table before table10 was refused
+    capsys.readouterr()
+    assert main(["repro", "fig5", "table10", "--subsample", "0",
+                 "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    assert "config key '--subsample'" in capsys.readouterr().err
+    assert stub_runs == [] and not (tmp_path / "x").exists()
+
+
 def test_repro_size_and_real_data_lines(tmp_path, stub_runs, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for args, n in (([], 13000), (["--subsample", "500"], 650),
@@ -1445,6 +1474,40 @@ def test_repro_size_and_real_data_lines(tmp_path, stub_runs, monkeypatch):
         {"data/mnist.csv"}
     assert {cfg.dataset for _, cfg in repro_configs("table7")} == \
         {"multilabel-synth"}
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85",
+                                       "\u2028", "\u2029"])
+def test_config_lines_end_at_lf_crlf_or_cr_alone(separator):
+    # str.splitlines also ended a line at these, so a comment that held one
+    # left its tail as a line without "=", a config error
+    text = f"task = multiclass  # eq.{separator}3\rloss = softmax\r\nrepeats = 2\n"
+    cfg = parse_config(text)
+    assert (cfg.task, cfg.loss, cfg.repeats) == ("multiclass", "softmax", 2)
+
+
+def test_a_bad_config_line_after_a_form_feed_is_named_at_its_lf_line(
+        tmp_path, capsys):
+    text = "task = binary\n\x0c\nrepeats 2\n"  # a form feed was a line end
+    with pytest.raises(ConfigError, match="'line 3'"):
+        parse_config(text)
+    cfg_path = tmp_path / "ff.cfg"
+    cfg_path.write_bytes(text.encode("utf-8"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "config key 'line 3': expected key = value" in capsys.readouterr().err
+
+
+def test_a_cr_only_config_names_a_non_utf8_byte_at_its_cr_line(tmp_path,
+                                                                capsys):
+    cfg_path = tmp_path / "latin1.cfg"
+    text = _BINARY + "# caf\xe9\ntrain.outer_epochs = 2\n"  # line 5
+    cfg_path.write_bytes(text.replace("\n", "\r").encode("latin-1"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    assert "config key 'line 5': not UTF-8 text" in capsys.readouterr().err
 
 
 # small valid runs; each row of _CONFIG_ERRORS appends the lines that break
@@ -1615,6 +1678,10 @@ _CONFIG_ERRORS = {
     "noise.map-label-twice": (_BLOBS3 + "noise.mode = asymmetric_map\n"
                               "noise.p = 0.1\nnoise.map = 1:2,1:3\n",
                               "noise.map"),
+    # blobs.n = 0 and a validation part of no rows were named by their
+    # keys, which the user did not write
+    "subsample-zero": (["repro", "table10", "--subsample", "0"], "--subsample"),
+    "subsample-one": (["repro", "table10", "--subsample", "1"], "--subsample"),
 }
 
 
@@ -1743,6 +1810,20 @@ def test_unshapeable_generator_size_exits_1_at_its_key(tmp_path, capsys,
                  "--out", str(tmp_path / "out")]) == EXIT_USAGE
     assert (f"config key {key!r}: {shape} features do not fit in "
             "memory") in capsys.readouterr().err
+
+
+def test_blas_lookup_reads_a_mapped_path_that_is_not_utf8(tmp_path):
+    # /proc/self/maps was decoded as UTF-8, so a mapped file whose path held
+    # a Latin-1 byte made every command exit 4
+    import mmap
+
+    path = os.path.join(os.fsencode(tmp_path), b"caf\xe9.bin")
+    with open(path, "wb") as fh:
+        fh.write(b"\0" * mmap.PAGESIZE)
+    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0,
+                                           access=mmap.ACCESS_READ):
+        found = cli._openblas_threads.__wrapped__()
+    assert (found is None) == (cli._openblas_threads() is None)
 
 
 def test_a_crash_exits_4_with_its_traceback(monkeypatch, capsys):

@@ -180,3 +180,19 @@ def test_bad_version_and_missing_keys(tmp_path):
     path.write_text("l = 1\nd = 1\nweights = 1\n")
     with pytest.raises(ModelParseError):
         load_model(path)
+
+
+def test_cr_only_file_loads_and_names_a_bad_line_at_its_cr_line(tmp_path):
+    # lines were split at LF alone, so a CR-only file was one bad line 1
+    text = "format_version = 1\rl = 1\rd = 2\rweights = 1.5 -0.25\rbias = 0.5\r"
+    path = tmp_path / "model.txt"
+    path.write_bytes(text.encode("utf-8"))
+    model = load_model(path)
+    np.testing.assert_array_equal(model.weights, [[1.5, -0.25]])
+    np.testing.assert_array_equal(model.bias, [0.5])
+    for old, new, lineno in [("d = 2", "d 2", 3), ("bias = 0.5", "bias = x", 5),
+                             ("l = 1", "l = 1 # caf\xe9", 2)]:
+        path.write_bytes(text.replace(old, new).encode("latin-1"))
+        with pytest.raises(ModelParseError) as exc:
+            load_model(path)
+        assert exc.value.lineno == lineno

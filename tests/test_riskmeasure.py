@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -124,18 +125,32 @@ def test_icvar_integral_rank_identity(seed):
     assert empirical_icvar(s, levels) == pytest.approx(expected, abs=1e-9)
 
 
-def test_icvar_non_integral_rank_warns():
-    levels = RiskLevelPair(nu=0.5, mu=0.3)  # n*mu = 2.1 for n=7
-    with pytest.warns(UserWarning):
-        empirical_icvar(np.arange(7.0), levels)
+@pytest.mark.parametrize("nu, mu, top, rest", [
+    (0.35, 0.25, 27.0 + 0.5 * 7.0, 19.0 + 0.5 * 8.0),
+    (0.25, 0.2, 19.0 + 0.5 * 8.0, 19.0),
+    (0.04, 0.0, 0.4 * 10.0, 0.0),
+], ids=["both-fractional", "fractional-nu", "below-rank-1"])
+def test_icvar_interpolates_a_fractional_rank_as_cvar_does(nu, mu, top, rest):
+    # ranks 3.5 and 2.5 on 10 values were rounded half to even, to 4 and 2,
+    # with a warning; ranks 2.5 and 2, and 0.4 and 0, were an empty-range
+    # error.  Each term now takes the floor(x) largest values plus the
+    # fractional part of x times the next one, as empirical_cvar does.
+    s = np.arange(1.0, 11.0)
+    levels = RiskLevelPair(nu=nu, mu=mu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = empirical_icvar(s, levels)
+    assert value == top / 10 - rest / 10
+    assert value == pytest.approx(
+        nu * empirical_cvar(s, nu) - (mu * empirical_cvar(s, mu) if mu else 0.0))
+    assert empirical_icvar(np.array_split(s[::-1], 3), levels, 10) == value
 
 
-@pytest.mark.parametrize("nu, mu", [(0.25, 0.2), (0.04, 0.0)],
-                         ids=["k-equals-m", "k-zero"])
-def test_icvar_rejects_ranks_that_round_to_an_empty_range(nu, mu):
-    # on 10 values, 2.5 and 2 both round to rank 2, and 0.4 rounds to 0
-    with pytest.raises(ValueError, match="empty range"):
-        empirical_icvar(np.arange(1.0, 11.0), RiskLevelPair(nu=nu, mu=mu))
+def test_icvar_counts_a_rank_within_1e_9_of_an_integer_as_that_integer():
+    s = np.arange(1.0, 23.0)
+    assert 22 * (15 / 22) == 15 - 2 ** -49  # just below rank 15
+    assert empirical_icvar(s, RiskLevelPair(nu=15 / 22, mu=0.0)) == \
+        float(np.sum(s[::-1][:15])) / 22
 
 
 def test_level_pair_validation():
@@ -157,6 +172,32 @@ def test_radii_closed_form():
     assert lower == pytest.approx(
         math.sqrt(5 * 5 * math.log(30.0) / 100 ** 2) + common)
     assert upper > lower  # k > m
+
+
+@pytest.mark.parametrize("r, n, delta, support, message", [
+    (RankedRange(1, 5), 10, 0.1, (0.0, np.inf), "must be finite"),
+    (RankedRange(1, 5), 10, 0.1, (1.0, 0.0), "degenerate support"),
+    (RankedRange(1, 5), 10, 0.0, (0.0, 1.0), "delta=0.0 outside"),
+    (RankedRange(1, 5), 10, 1.5, (0.0, 1.0), "delta=1.5 outside"),
+    (RankedRange(1, 5), 0, 0.1, (0.0, 1.0), "n=0 must be an integer >= 1"),
+    (RankedRange(1, 5), 10.0, 0.1, (0.0, 1.0), "n=10.0 must be an integer"),
+    (RankedRange(1, 20), 10, 0.1, (0.0, 1.0), "k=20 exceeds set size n=10"),
+], ids=["support-infinite", "support-reversed", "delta-zero", "delta-above-1",
+        "n-zero", "n-float", "k-above-n"])
+def test_radii_reject_a_bad_argument(r, n, delta, support, message):
+    # n = 0 and delta = 0 raised ZeroDivisionError, delta = 1.5 a math
+    # domain error, and k > n or a reversed support gave radii silently
+    with pytest.raises(ValueError, match=message):
+        deviation_bound_radii(r, n, delta, support)
+
+
+def test_radii_name_the_first_bad_argument():
+    r = RankedRange(1, 20)
+    for args, message in [((r, 0, 0.0, (1.0, 0.0)), "support"),
+                          ((r, 0, 0.0, (0.0, 1.0)), "delta"),
+                          ((r, 0, 0.1, (0.0, 1.0)), "n=0")]:
+        with pytest.raises(ValueError, match=message):
+            deviation_bound_radii(*args)
 
 
 def test_bound_check_guards():
